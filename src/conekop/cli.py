@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .kernels import WeightConfig
-from .sampling import SamplingPlan, attach_link_margin
+from .sampling import (FiberDegenerateError, NearSingularError, SamplingPlan,
+                       attach_link_margin)
 from .varieties import get_variety, variety_from_json
 from .verify import EXPERIMENTS, run_experiment
 
@@ -45,6 +46,21 @@ class RunConfig:
     shell_ratio: float = 2.0
 
     def validate(self):
+        for key in ("samples", "seed"):
+            val = getattr(self, key)
+            if isinstance(val, bool) or not isinstance(val, int):
+                raise ConfigError(f"{key} must be an integer, got {val!r}")
+        for key in ("tolerance_scale", "rho1", "rho2", "omega_prime", "r_min",
+                    "shell_ratio"):
+            val = getattr(self, key)
+            if isinstance(val, bool) or not isinstance(val, (int, float)):
+                raise ConfigError(f"{key} must be a number, got {val!r}")
+        for key in ("variety", "out_dir"):
+            val = getattr(self, key)
+            if not isinstance(val, str):
+                raise ConfigError(f"{key} must be a string, got {val!r}")
+        if not all(isinstance(e, str) for e in self.experiments):
+            raise ConfigError("experiments must be a list of names")
         if self.samples < 1000:
             raise ConfigError("samples must be at least 1000")
         if self.tolerance_scale <= 0:
@@ -117,15 +133,15 @@ def main(argv=None) -> int:
     try:
         cfg = _parse_args(argv)
         cfg.validate()
+        weight_cfg = WeightConfig(rho1=cfg.rho1, rho2=cfg.rho2,
+                                  omega_prime_radius=cfg.omega_prime)
+        plan = SamplingPlan(samples=cfg.samples, seed=cfg.seed, r_min=cfg.r_min,
+                            shell_ratio=cfg.shell_ratio)
         v = _load(cfg)
-    except (ConfigError, KeyError, ValueError, OSError) as exc:
+    except (ConfigError, KeyError, ValueError, OSError, FiberDegenerateError,
+            NearSingularError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-
-    weight_cfg = WeightConfig(rho1=cfg.rho1, rho2=cfg.rho2,
-                              omega_prime_radius=cfg.omega_prime)
-    plan = SamplingPlan(samples=cfg.samples, seed=cfg.seed, r_min=cfg.r_min,
-                        shell_ratio=cfg.shell_ratio)
 
     reports = []
     for name in cfg.experiments:

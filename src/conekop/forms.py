@@ -243,36 +243,25 @@ class FormValue:
 
     # ----- restriction to the surface ----------------------------------------
 
-    def pullback_surface(self, frames: np.ndarray) -> dict[int, np.ndarray]:
+    def pullback_surface(self, plucker: dict) -> dict[int, np.ndarray]:
         """Densities of the (n,n) top part against dV_X, per dz-bar subset.
 
-        frames has shape (batch, n, N); row k is the k-th orthonormal tangent
-        vector.  Holomorphic generators pull back through the frame matrix,
-        zeta-bar generators through its conjugate, z-bar generators survive
-        as output indices.  The normalization is fixed so that the pullback
-        of the induced volume form of X has density exactly 1 at the empty
-        dz-bar subset.
+        plucker maps the bit mask of each n-subset A of the ambient
+        coordinates to the batched Plücker coordinate p_A of the tangent
+        plane, det F[:, A] for an orthonormal tangent frame F up to a unit
+        phase per point (see sampling.plucker_for).  A term
+        c e_A ^ a_B ^ (dz-bar) has density c p_A conj(p_B) / c_vol; z-bar
+        generators survive as output indices.  The normalization is fixed so
+        that the pullback of the induced volume form of X has density
+        exactly 1 at the empty dz-bar subset.
         """
-        frames = np.asarray(frames)
-        n = frames.shape[-2]
-        nb = frames.shape[0] if frames.ndim == 3 else 1
+        n = next(iter(plucker)).bit_count()
+        nb = np.size(next(iter(plucker.values())))
         emask = self.e_mask()
         amask = emask << self.N
         # volume form in frame coordinates: dV = c_vol * dw_top ^ dwbar_top
         c_vol = (0.5j) ** n * (-1.0 if (n * (n - 1) // 2) & 1 else 1.0)
-        det_cache: dict[tuple[str, int], np.ndarray] = {}
-
-        def _det(cols: tuple[int, ...], conj: bool) -> np.ndarray:
-            key = ("c" if conj else "h", cols)
-            d = det_cache.get(key)
-            if d is None:
-                sub = frames[..., cols]
-                if conj:
-                    sub = np.conj(sub)
-                d = np.linalg.det(sub)
-                det_cache[key] = d
-            return d
-
+        conj: dict[int, np.ndarray] = {}
         out: dict[int, np.ndarray] = {}
         for m, c in self.terms.items():
             ae = m & emask
@@ -281,16 +270,16 @@ class FormValue:
                 raise DegreeOverflowError("zeta-bar degree exceeds dim X")
             if ae.bit_count() != n or aa.bit_count() != n:
                 continue  # only the (n,n) part in zeta survives integration
-            ecols = _bits(ae)
-            acols = _bits(aa)
-            dens = c * _det(ecols, False) * _det(acols, True) / c_vol
+            pb = conj.get(aa)
+            if pb is None:
+                pb = conj[aa] = np.conj(plucker[aa])
+            dens = c * plucker[ae] * pb / c_vol
             bkey = m >> (2 * self.N)
             if bkey in out:
                 out[bkey] = out[bkey] + dens
             else:
                 out[bkey] = dens * np.ones(nb) if np.ndim(dens) == 0 else dens
         return out
-
 
     def frame_components(self, frames: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
         """Coefficients of a pure (0,q) form in the orthonormal coframe.

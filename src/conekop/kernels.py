@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import FormValue, TWO_PI_I, smoothstep, smoothstep_deriv
-from .varieties import ConeVariety
+from .varieties import ConeVariety, minor_complements
 
 __all__ = [
     "WeightConfig",
@@ -256,46 +256,22 @@ def hefer_form(v: ConeVariety, zeta: np.ndarray, z: np.ndarray) -> FormValue:
     return out
 
 
-def _selection_sign(I: tuple[int, ...], N: int) -> int:
-    """Sign of the permutation (I, complement of I) of (0..N-1)."""
-    comp = [j for j in range(N) if j not in I]
-    inv = sum(1 for i in I for j in comp if i > j)
-    return -1 if inv & 1 else 1
-
-
 def structure_form(v: ConeVariety, zeta: np.ndarray) -> FormValue:
     """(n,0) form of conjugated Jacobian minors over the squared minors norm.
 
+    The minor m_I sits on e_{I^c} with the sign of the permutation (I, I^c).
     Coefficient norms scale like |zeta|^(nu - d); the origin is a genuine
     singularity whenever d > nu.
     """
-    import itertools as it
-
     zeta = np.asarray(zeta, dtype=complex)
-    N, nu = v.ambient_dim, v.nu
-    J = v.jacobian(zeta)
-    subsets = list(it.combinations(range(N), nu))
-    minors = []
-    for I in subsets:
-        sub = J[..., I]
-        if nu == 1:
-            minors.append(sub[..., 0, 0])
-        else:
-            minors.append(np.linalg.det(sub))
-    msq = np.zeros(zeta.shape[:-1])
-    for m in minors:
-        msq = msq + np.abs(m) ** 2
+    m = v.minors(zeta)
+    msq = np.sum(np.abs(m) ** 2, axis=-1)
     if np.any(msq == 0):
         raise PoleError("structure form evaluated at a singular point")
     terms = {}
-    for I, m in zip(subsets, minors):
-        sgn = _selection_sign(I, N)
-        mask = 0
-        for j in range(N):
-            if j not in I:
-                mask |= 1 << j
-        terms[mask] = sgn * np.conj(m) / msq
-    return FormValue(N, terms)
+    for k, (mask, sgn) in enumerate(minor_complements(v.ambient_dim, v.nu)):
+        terms[mask] = sgn * np.conj(m[..., k]) / msq
+    return FormValue(v.ambient_dim, terms)
 
 
 # ---------------------------------------------------------------------------

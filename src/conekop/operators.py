@@ -74,7 +74,7 @@ def _kernel_integrand(v: ConeVariety, phi: TestForm, z, cfg, consts, subsets,
         else:
             ker = kernels.kernel_P(v, pts, z, cfg, consts)
         total = ker.wedge(phi.form_value(pts)).restricted_to_dim(v.dim)
-        dens = total.pullback_surface(batch.frames[ok])
+        dens = total.pullback_surface({A: p[ok] for A, p in batch.plucker.items()})
         for i, m in enumerate(masks):
             if m in dens:
                 out[ok, i] = dens[m]

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .varieties import ConeVariety
+from .varieties import ConeVariety, minor_complements
 
 __all__ = [
     "Chart",
@@ -38,6 +38,7 @@ __all__ = [
     "admissible_charts",
     "default_chart",
     "fiber_points",
+    "plucker_for",
     "tangent_frame",
     "integrate",
     "estimate_v",
@@ -347,6 +348,13 @@ def gram_factors(v: ConeVariety, chart: Chart, pts: np.ndarray) -> np.ndarray:
     return np.real(np.linalg.det(G))
 
 
+def _require_regular(v: ConeVariety, pts: np.ndarray, minors_norm: np.ndarray):
+    nrm = np.sqrt(np.sum(np.abs(pts) ** 2, axis=-1))
+    thresh = FRAME_TOL * np.maximum(nrm, 1e-300) ** (v.total_degree - v.nu)
+    if np.any(minors_norm <= thresh):
+        raise NearSingularError("tangent frame requested too close to the branch locus")
+
+
 def frames_for(v: ConeVariety, pts: np.ndarray) -> np.ndarray:
     """Orthonormal bases of the holomorphic tangent spaces, batched.
 
@@ -354,13 +362,26 @@ def frames_for(v: ConeVariety, pts: np.ndarray) -> np.ndarray:
     singular value, which is deterministic for fixed input bits.
     """
     J = v.jacobian(pts)
-    mn = v.minors_norm(pts)
-    nrm = np.sqrt(np.sum(np.abs(pts) ** 2, axis=-1))
-    thresh = FRAME_TOL * np.maximum(nrm, 1e-300) ** (v.total_degree - v.nu)
-    if np.any(mn <= thresh):
-        raise NearSingularError("tangent frame requested too close to the branch locus")
+    _require_regular(v, pts, v.minors_norm(pts))
     _, _, Vh = np.linalg.svd(J)
     return np.conj(Vh[..., v.nu:, :])
+
+
+def plucker_for(v: ConeVariety, pts: np.ndarray) -> dict[int, np.ndarray]:
+    """Plücker coordinates of the holomorphic tangent planes, batched.
+
+    Keyed by the bit mask of each n-subset A of the coordinates.  Up to one
+    unit phase per point, p_A = det F[:, A] for any orthonormal tangent frame
+    F; densities p_A conj(p_B) do not see that phase.  By Hodge duality
+    (Griffiths & Harris, ch. 1) p_{I^c} = sel(I) m_I / |m| for the Jacobian
+    minors m_I, where sel(I) is the sign of the permutation (I, I^c), so no
+    frame is needed.
+    """
+    m = v.minors(pts)
+    mn = np.sqrt(np.sum(np.abs(m) ** 2, axis=-1))
+    _require_regular(v, pts, mn)
+    return {mask: sgn * m[..., k] / mn
+            for k, (mask, sgn) in enumerate(minor_complements(v.ambient_dim, v.nu))}
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +399,10 @@ class SurfacePoint:
 
 
 class PointBatch:
-    """Vectorized view of surface sample points; frames computed on demand."""
+    """Vectorized view of surface sample points.
+
+    Tangent frames and Plücker coordinates are computed on demand.
+    """
 
     def __init__(self, variety, positions, grams, sheets=None, pdf=None):
         self.variety = variety
@@ -387,6 +411,7 @@ class PointBatch:
         self.sheets = sheets if sheets is not None else np.zeros(len(positions), int)
         self.pdf = pdf if pdf is not None else np.ones(len(positions))
         self._frames = None
+        self._plucker = None
 
     def __len__(self):
         return self.positions.shape[0]
@@ -396,6 +421,12 @@ class PointBatch:
         if self._frames is None:
             self._frames = frames_for(self.variety, self.positions)
         return self._frames
+
+    @property
+    def plucker(self) -> dict[int, np.ndarray]:
+        if self._plucker is None:
+            self._plucker = plucker_for(self.variety, self.positions)
+        return self._plucker
 
     def norms(self) -> np.ndarray:
         return np.sqrt(np.sum(np.abs(self.positions) ** 2, axis=-1))
@@ -556,7 +587,10 @@ def chart_stretch(v: ConeVariety, chart: Chart) -> float:
     to the homogeneous fiber polynomial (rigorous); for nu = 2 it is a
     sampled estimate with a safety factor.
     """
-    key = (id(v), chart)
+    # keyed by value: ids of collected varieties get reused.  The name
+    # enters because the nu = 2 estimate draws from a stream keyed by it.
+    key = (v.name, v.ambient_dim, chart,
+           tuple((p.exps.tobytes(), p.coeffs.tobytes()) for p in v.polys))
     got = _STRETCH_CACHE.get(key)
     if got is not None:
         return got
@@ -679,8 +713,7 @@ class QuadratureResult:
 
 
 def integrate(v: ConeVariety, region: Region, integrand, plan: SamplingPlan,
-              poles=(), chart: Chart | None = None,
-              need_frames: bool = False) -> QuadratureResult:
+              poles=(), chart: Chart | None = None) -> QuadratureResult:
     """Unbiased Monte Carlo estimate of the integral of integrand over X cap region.
 
     integrand maps a PointBatch to a complex array of shape (M,) or (M, K);

@@ -12,6 +12,7 @@ complex N-vector or as an array of shape (batch, N).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -28,6 +29,7 @@ __all__ = [
     "DegenerateExponentError",
     "catalog_names",
     "get_variety",
+    "minor_complements",
     "variety_from_json",
 ]
 
@@ -169,7 +171,10 @@ class ConeVariety:
         return np.stack(rows, axis=-2)
 
     def minors(self, pts) -> np.ndarray:
-        """All (nu x nu) minors of the Jacobian; shape (..., C(N, nu))."""
+        """All (nu x nu) minors of the Jacobian; shape (..., C(N, nu)).
+
+        Column sets I run in lexicographic order, as in minor_complements.
+        """
         J = self.jacobian(pts)
         nu, N = self.nu, self.ambient_dim
         if nu == 1:
@@ -245,6 +250,22 @@ class ConeVariety:
 
     def with_link_margin(self, margin: float) -> "ConeVariety":
         return ConeVariety(self.name, self.ambient_dim, self.polys, margin)
+
+
+@functools.lru_cache(maxsize=None)
+def minor_complements(N: int, nu: int) -> tuple[tuple[int, int], ...]:
+    """Hodge-dual bookkeeping of the Jacobian minors, in the order of minors().
+
+    For each column set I of a (nu x nu) minor: the bit mask of the
+    complementary n-subset I^c and the sign of the permutation (I, I^c) of
+    (0..N-1).
+    """
+    out = []
+    for I in itertools.combinations(range(N), nu):
+        comp = [j for j in range(N) if j not in I]
+        inv = sum(1 for i in I for j in comp if i > j)
+        out.append((sum(1 << j for j in comp), -1 if inv & 1 else 1))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

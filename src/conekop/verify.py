@@ -23,7 +23,6 @@ from .sampling import (
     _sphere_area,
     _stream,
     integrate,
-    layer_cake_integral,
     estimate_v,
     project_to_surface,
     surface_point_with_norm,
@@ -179,6 +178,8 @@ def _plain(obj):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)  # before int: bool is an int subclass
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
@@ -189,8 +190,6 @@ def _plain(obj):
         return {"re": float(obj.real), "im": float(obj.imag)}
     if isinstance(obj, np.ndarray):
         return _plain(obj.tolist())
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
     return obj
 
 
@@ -746,7 +745,8 @@ def flat_bm_residuals(plan: SamplingPlan, z_norms=(0.1, 0.2, 0.3, 0.38, 0.44),
                 pts = zeta[ok]
                 B = kernels.bm_B(pts - z, v.ambient_dim, n)
                 total = B.wedge(dphi.form_value(pts)).restricted_to_dim(n)
-                dens = total.pullback_surface(batch.frames[ok])
+                dens = total.pullback_surface(
+                    {A: p[ok] for A, p in batch.plucker.items()})
                 out[ok] = dens.get(0, 0.0)
             return out
 

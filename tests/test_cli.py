@@ -73,3 +73,27 @@ def test_cli_tolerance_scale_flag(tmp_path):
                  "--samples", "30000", "--tolerance-scale", "2.0",
                  "--out", str(tmp_path / "t")])
     assert code == 0
+
+
+XY_PLANES = {"ambient_dim": 3, "name": "xy_planes",
+             "polys": [[{"exp": [1, 1, 0], "re": 1.0}]]}
+
+
+@pytest.mark.parametrize("raw", [
+    {"samples": "abc"},
+    {"samples": 2000.5},
+    {"rho1": 1.5, "rho2": 1.2},
+    "no_chart",
+], ids=["samples_string", "samples_fraction", "rho1_above_rho2", "no_admissible_chart"])
+def test_cli_bad_config_exits_2(tmp_path, capsys, raw):
+    if raw == "no_chart":
+        vpath = tmp_path / "xy.json"
+        vpath.write_text(json.dumps(XY_PLANES))
+        raw = {"variety": str(vpath)}
+    cpath = tmp_path / "cfg.json"
+    cpath.write_text(json.dumps({"experiments": ["v_bounds"], "samples": 30000,
+                                 "out": str(tmp_path / "out"), **raw}))
+    assert main(["--config", str(cpath)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from conekop.forms import (
     WrongDegreeError,
     pointwise_norm,
 )
+from conekop.sampling import default_chart, frames_for, plucker_for, solve_fiber
+from conekop.varieties import catalog_names, get_variety
 
 N = 3
 TWO_PI_I = 2j * np.pi
@@ -165,29 +169,34 @@ def _volume_form(n, frames_shape=1):
     return f
 
 
-def test_pullback_volume_normalization():
-    frames = np.zeros((4, 2, N), dtype=complex)
+def frame_plucker(frames):
+    """Reference Plücker coordinates det F[:, A] from explicit frame rows."""
+    n, N_ = np.shape(frames)[-2:]
+    return {sum(1 << j for j in A): np.linalg.det(frames[..., list(A)])
+            for A in itertools.combinations(range(N_), n)}
+
+
+def identity_plucker(batch):
+    frames = np.zeros((batch, 2, N), dtype=complex)
     frames[:, 0, 0] = 1.0
     frames[:, 1, 1] = 1.0
-    dens = _volume_form(2).pullback_surface(frames)
+    return frame_plucker(frames)
+
+
+def test_pullback_volume_normalization():
+    dens = _volume_form(2).pullback_surface(identity_plucker(4))
     assert np.allclose(dens[0], 1.0)
 
 
 def test_pullback_subtop_degree_vanishes():
-    frames = np.zeros((2, 2, N), dtype=complex)
-    frames[:, 0, 0] = 1.0
-    frames[:, 1, 1] = 1.0
     u = FormValue(N, {0b11: 1.0}).wedge(a(0))  # zeta-bidegree (2, 1)
-    assert u.pullback_surface(frames) == {}
+    assert u.pullback_surface(identity_plucker(2)) == {}
 
 
 def test_pullback_overflow_error():
-    frames = np.zeros((1, 2, N), dtype=complex)
-    frames[:, 0, 0] = 1.0
-    frames[:, 1, 1] = 1.0
     u = a(0).wedge(a(1)).wedge(a(2))
     with pytest.raises(DegreeOverflowError):
-        u.pullback_surface(frames)
+        u.pullback_surface(identity_plucker(1))
 
 
 def test_pullback_unitary_frame_invariance():
@@ -196,9 +205,39 @@ def test_pullback_unitary_frame_invariance():
     q, _ = np.linalg.qr(m)
     frames = np.stack([q[:2].conj() for _ in range(3)])
     u = _volume_form(2)
-    # rotate e_0 ^ e_1 ^ a_0 ^ a_1 into the rotated frame: build from frame rows
-    dens = u.pullback_surface(np.stack([np.eye(N)[:2] for _ in range(3)]))
+    dens = u.pullback_surface(frame_plucker(np.stack([np.eye(N)[:2] for _ in range(3)])))
     assert np.allclose(dens[0], 1.0)
+    # the ambient volume sum_A c_vol e_A ^ a_A restricts to the induced
+    # volume of every plane, so the rotated frame also gives 1
+    c_vol = (0.5j) ** 2 * -1.0
+    ambient = FormValue(N, {mask | mask << N: c_vol for mask in (0b011, 0b101, 0b110)})
+    dens = ambient.pullback_surface(frame_plucker(frames))
+    assert np.allclose(dens[0], 1.0)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_minors_pullback_matches_frame_determinants(name):
+    # Plücker coordinates from the Jacobian minors against det F[:, A] of the
+    # SVD frame rows, on a random (n,n) form with several dz-bar keys
+    v = get_variety(name)
+    Nv, n = v.ambient_dim, v.dim
+    rng = np.random.default_rng(31)
+    bases = rng.standard_normal((60, n)) + 1j * rng.standard_normal((60, n))
+    pts, valid = solve_fiber(v, default_chart(v), bases)
+    sel = pts[valid]
+    subsets = [sum(1 << j for j in A) for A in itertools.combinations(range(Nv), n)]
+    terms = {}
+    for _ in range(12):
+        A, B = rng.choice(subsets, size=2)
+        C = 0 if rng.random() < 0.3 else 1 << int(rng.integers(Nv))
+        mask = int(A) | int(B) << Nv | C << 2 * Nv
+        terms[mask] = rng.standard_normal(len(sel)) + 1j * rng.standard_normal(len(sel))
+    form = FormValue(Nv, terms)
+    got = form.pullback_surface(plucker_for(v, sel))
+    want = form.pullback_surface(frame_plucker(frames_for(v, sel)))
+    assert set(got) == set(want) and len(want) > 1
+    for key, w in want.items():
+        assert np.max(np.abs(got[key] - w)) <= 1e-12 * np.max(np.abs(w))
 
 
 def test_pointwise_norm_values():

@@ -4,7 +4,7 @@ import pytest
 from conekop import kernels as K
 from conekop.forms import FormValue
 from conekop.kernels import WeightConfig, annulus_bounds
-from conekop.sampling import surface_point_with_norm
+from conekop.sampling import plucker_for, surface_point_with_norm
 from conekop.varieties import get_variety
 
 HP = get_variety("hyperplane")
@@ -195,20 +195,19 @@ def test_structure_form_sign_convention():
     # d zeta_I ^ (complement) = + d zeta_1 ^ ... ^ d zeta_N, checked by wedge
     import itertools
 
-    from conekop.kernels import _selection_sign
+    from conekop.varieties import minor_complements
 
     for N in (3, 4):
         top = FormValue(N, {(1 << N) - 1: 1.0})
         for nu in (1, 2):
-            for I in itertools.combinations(range(N), nu):
+            subsets = list(itertools.combinations(range(N), nu))
+            duals = minor_complements(N, nu)
+            assert len(duals) == len(subsets)
+            for I, (comp, sgn) in zip(subsets, duals):
                 mask_I = 0
-                comp = 0
-                for j in range(N):
-                    if j in I:
-                        mask_I |= 1 << j
-                    else:
-                        comp |= 1 << j
-                sgn = _selection_sign(I, N)
+                for j in I:
+                    mask_I |= 1 << j
+                assert comp == ((1 << N) - 1) ^ mask_I
                 prod = FormValue(N, {mask_I: 1.0}).wedge(
                     FormValue(N, {comp: float(sgn)}))
                 assert prod.terms == top.terms
@@ -227,13 +226,13 @@ def test_kernel_K_hyperplane_matches_flat_bm():
     zeta = _rand(rng, 40)
     zeta[:, 2] = 0.0
     zeta *= 0.3 / np.sqrt(np.sum(np.abs(zeta) ** 2, -1))[:, None]
-    frames = np.stack([np.eye(3)[:2].astype(complex)] * 40)
+    plucker = plucker_for(HP, zeta)  # the flat chart: p_{01} = 1, others 0
     ker = K.kernel_K(HP, zeta, z, CFG)
     Bflat = K.bm_B(zeta - z, 3, 2)
     for phi_idx in range(2):  # wedge against each dzeta-bar slot
         probe = FormValue(3, {1 << (3 + phi_idx): np.ones(40)})
-        dens_K = ker.wedge(probe).restricted_to_dim(2).pullback_surface(frames)
-        dens_B = Bflat.wedge(probe).restricted_to_dim(2).pullback_surface(frames)
+        dens_K = ker.wedge(probe).restricted_to_dim(2).pullback_surface(plucker)
+        dens_B = Bflat.wedge(probe).restricted_to_dim(2).pullback_surface(plucker)
         got = dens_K.get(0, np.zeros(40))
         want = dens_B.get(0, np.zeros(40))
         assert np.max(np.abs(got - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from conekop import sampling
 from conekop.sampling import (
     Chart,
     EmptyRegionError,
     FiberDegenerateError,
     NearSingularError,
+    PointBatch,
     ProfileError,
     Region,
     SamplingPlan,
@@ -97,6 +99,13 @@ def test_tangent_frame_orthonormal_and_in_kernel():
 def test_tangent_frame_near_singular_error():
     with pytest.raises(NearSingularError):
         tangent_frame(A1, np.zeros(3, dtype=complex))
+
+
+def test_plucker_near_singular_error():
+    pts = np.array([[0.5, 0.5j, 0.0], [0.0, 0.0, 0.0]], dtype=complex)
+    batch = PointBatch(A1, pts, np.ones(2))
+    with pytest.raises(NearSingularError):
+        batch.plucker
 
 
 def test_flat_ball_volume():
@@ -230,6 +239,20 @@ def test_pointwise_adapter():
     res = integrate(HP, Region.ball(np.zeros(3), 0.5),
                     pointwise(lambda p: p.gram_factor), plan)
     assert res.value.real == pytest.approx(np.pi**2 / 2 * 0.5**4, rel=1e-9)
+
+
+def test_chart_stretch_not_stale_across_varieties():
+    # get_variety builds a fresh object per call, so ids of collected
+    # varieties are reused; each bound must still be the variety's own
+    chart = Chart((1, 2), (0,))
+    names = ("a1", "fermat3", "fermat4")
+    sampling._STRETCH_CACHE.clear()
+    held = [get_variety(name) for name in names]
+    own = {v.name: chart_stretch(v, chart) for v in held}
+    assert len(set(own.values())) == len(names)
+    for _ in range(300):
+        for name in names:
+            assert chart_stretch(get_variety(name), chart) == own[name]
 
 
 def test_chart_stretch_bounds():

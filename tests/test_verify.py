@@ -7,6 +7,7 @@ from conekop.sampling import SamplingPlan
 from conekop.varieties import get_variety
 from conekop.verify import (
     EXPERIMENTS,
+    ExperimentReport,
     InsufficientDecadesError,
     fit_linear,
     fit_loglog,
@@ -148,6 +149,18 @@ def test_report_serialization_roundtrip():
     assert all(set(r) == {"experiment", "variety", "param", "predicted", "fitted",
                           "ci_lo", "ci_hi", "verdict"} for r in rows)
     assert any(r["param"] == "slope_alpha_1" for r in rows)
+
+
+def test_report_checks_serialize_as_json_booleans():
+    rep = ExperimentReport("unit", "a1", {})
+    rep.record_check("holds", True)
+    rep.record_check("fails", np.bool_(False))
+    rep.rows.append({"pass": np.bool_(True), "count": 3})
+    text = json.dumps(rep.to_json_dict(), sort_keys=True)
+    assert '"fails": false' in text and '"holds": true' in text
+    back = json.loads(text)
+    assert back["checks"] == {"holds": True, "fails": False}
+    assert back["rows"][0]["pass"] is True and back["rows"][0]["count"] == 3
 
 
 def test_koppelman_q1_loose_runs_and_reports():
