@@ -17,10 +17,8 @@ from .varieties import (
 from .sampling import (
     Region,
     SamplingPlan,
-    SurfacePoint,
     attach_link_margin,
     estimate_v,
-    fiber_points,
     integrate,
     layer_cake_integral,
     tangent_frame,

@@ -26,6 +26,7 @@ __all__ = [
     "FormValue",
     "TestForm",
     "UniverseMismatchError",
+    "Window",
     "WrongDegreeError",
     "DegreeOverflowError",
     "pointwise_norm",
@@ -138,9 +139,6 @@ class FormValue:
             return FormValue.zero(self.N)
         return FormValue(self.N, {m: c * v for m, v in self.terms.items()})
 
-    def scale(self, c) -> "FormValue":
-        return self.__rmul__(c)
-
     # ----- graded multiplication ------------------------------------------
 
     def wedge(self, other: "FormValue") -> "FormValue":
@@ -162,13 +160,6 @@ class FormValue:
                 else:
                     out[m] = c
         return FormValue(self.N, out)
-
-    def wedge_power(self, k: int) -> "FormValue":
-        """k-fold wedge of self with itself (k >= 0)."""
-        acc = FormValue.scalar(self.N, 1.0)
-        for _ in range(k):
-            acc = acc.wedge(self)
-        return acc
 
     # ----- interior multiplication -----------------------------------------
 
@@ -206,15 +197,6 @@ class FormValue:
             self.N,
             {m: c for m, c in self.terms.items() if (m & emask).bit_count() == e_degree},
         )
-
-    def anti_degrees(self) -> set[tuple[int, int]]:
-        """Set of (a-degree, b-degree) pairs present."""
-        emask = self.e_mask()
-        amask = emask << self.N
-        bmask = emask << (2 * self.N)
-        return {
-            ((m & amask).bit_count(), (m & bmask).bit_count()) for m in self.terms
-        }
 
     def restricted_to_dim(self, n: int) -> "FormValue":
         """Drop terms whose zeta-bar degree exceeds n.
@@ -349,7 +331,7 @@ def smoothstep_deriv(t):
     return np.where(inside, d, 0.0)
 
 
-class _Window:
+class Window:
     """Radial window w(|zeta|^2): 1 inside r_lo, 0 outside r_hi, quintic between."""
 
     __slots__ = ("x0", "x1")
@@ -435,7 +417,7 @@ class TestForm:
 
     __test__ = False  # not a pytest class, despite the name
 
-    def __init__(self, N: int, q: int, coeffs: dict, window: _Window | None,
+    def __init__(self, N: int, q: int, coeffs: dict, window: Window | None,
                  label: str = ""):
         # coeffs: multi-index tuple (sorted, len q) -> list[(poly, window order)]
         self.N = N
@@ -463,13 +445,13 @@ class TestForm:
         ezb = [0] * N
         ezb[j] = 1
         p = _PolyZZbar.from_terms(N, {(tuple([0] * N), tuple(ezb)): 1.0})
-        return cls(N, 0, {(): [(p, 0)]}, _Window(r_lo, r_hi),
+        return cls(N, 0, {(): [(p, 0)]}, Window(r_lo, r_hi),
                    label=f"zbar{j}_bump")
 
     @classmethod
     def radial_bump(cls, N: int, r_lo: float, r_hi: float) -> "TestForm":
         p = _PolyZZbar.from_terms(N, {(tuple([0] * N), tuple([0] * N)): 1.0})
-        return cls(N, 0, {(): [(p, 0)]}, _Window(r_lo, r_hi), label="radial_bump")
+        return cls(N, 0, {(): [(p, 0)]}, Window(r_lo, r_hi), label="radial_bump")
 
     @classmethod
     def one_form_bump(cls, N: int, comp: int, j_bar: int,
@@ -478,7 +460,7 @@ class TestForm:
         ezb = [0] * N
         ezb[j_bar] = 1
         p = _PolyZZbar.from_terms(N, {(tuple([0] * N), tuple(ezb)): 1.0})
-        return cls(N, 1, {(comp,): [(p, 0)]}, _Window(r_lo, r_hi),
+        return cls(N, 1, {(comp,): [(p, 0)]}, Window(r_lo, r_hi),
                    label=f"oneform{comp}")
 
     # ----- evaluation ----------------------------------------------------

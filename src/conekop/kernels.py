@@ -24,12 +24,11 @@ identities (see calibrate).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import FormValue, TWO_PI_I, smoothstep, smoothstep_deriv
+from .forms import FormValue, TWO_PI_I, Window, smoothstep, smoothstep_deriv
 from .varieties import ConeVariety, minor_complements
 
 __all__ = [
@@ -43,8 +42,6 @@ __all__ = [
     "bm_B",
     "sigma_form",
     "dbar_sigma",
-    "chi_value",
-    "chi_deriv",
     "dbar_chi_form",
     "weight_g",
     "hefer_form",
@@ -194,21 +191,8 @@ def dbar_sigma(zeta: np.ndarray, z: np.ndarray, N: int) -> FormValue:
     return FormValue(N, terms)
 
 
-def chi_value(zeta: np.ndarray, cfg: WeightConfig) -> np.ndarray:
-    x = _norm_sq(zeta)
-    lo, hi = cfg.rho1**2, cfg.rho2**2
-    return 1.0 - smoothstep((x - lo) / (hi - lo))
-
-
-def chi_deriv(zeta: np.ndarray, cfg: WeightConfig) -> np.ndarray:
-    """d chi / d(|zeta|^2)."""
-    x = _norm_sq(zeta)
-    lo, hi = cfg.rho1**2, cfg.rho2**2
-    return -smoothstep_deriv((x - lo) / (hi - lo)) / (hi - lo)
-
-
 def dbar_chi_form(zeta: np.ndarray, cfg: WeightConfig, N: int) -> FormValue:
-    cd = chi_deriv(zeta, cfg)
+    cd = Window(cfg.rho1, cfg.rho2).value(_norm_sq(zeta), 1)
     terms = {1 << (N + j): cd * zeta[..., j] for j in range(N)}
     return FormValue(N, terms)
 
@@ -223,7 +207,9 @@ def weight_g(zeta: np.ndarray, z: np.ndarray, cfg: WeightConfig, n: int,
     """
     zeta = np.asarray(zeta, dtype=complex)
     z = np.asarray(z, dtype=complex)
-    cd = chi_deriv(zeta, cfg)
+    chi = Window(cfg.rho1, cfg.rho2)
+    x = _norm_sq(zeta)
+    cd = chi.value(x, 1)
     live = cd != 0.0
     Q = _sigma_denominator(zeta, z)
     if np.any(live & (np.abs(Q) == 0.0)):
@@ -231,7 +217,7 @@ def weight_g(zeta: np.ndarray, z: np.ndarray, cfg: WeightConfig, n: int,
     zeta_safe = np.where(live[..., None], zeta, np.ones_like(zeta))
     sig = sigma_form(zeta_safe, z, N)
     dsig = dbar_sigma(zeta_safe, z, N)
-    g = FormValue.scalar(N, chi_value(zeta, cfg) + 0j)
+    g = FormValue.scalar(N, chi.value(x, 0) + 0j)
     dchi = dbar_chi_form(zeta, cfg, N)
     cum = sig
     for _ in range(n):
@@ -247,7 +233,7 @@ def weight_g(zeta: np.ndarray, z: np.ndarray, cfg: WeightConfig, n: int,
 
 def hefer_form(v: ConeVariety, zeta: np.ndarray, z: np.ndarray) -> FormValue:
     """Product h_1 ^ ... ^ h_nu with contract_eta(h_i) = f_i(zeta) - f_i(z)."""
-    H = v.hefer_coeffs(zeta, z).entries
+    H = v.hefer_coeffs(zeta, z)
     N = v.ambient_dim
     out = FormValue.scalar(N, 1.0 + 0j)
     for i in range(v.nu):

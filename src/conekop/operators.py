@@ -21,10 +21,6 @@ from .sampling import (
     Region,
     SamplingPlan,
     integrate,
-    _build_strata,
-    _sample_stratum,
-    default_chart,
-    solve_fiber,
 )
 from .varieties import ConeVariety
 
@@ -175,9 +171,9 @@ def lp_norm(v: ConeVariety, obj, region: Region, p: float, plan: SamplingPlan,
             poles=(), chart=None) -> QuadratureResult:
     """L^p norm over a region of X for a scalar map or a (0,q) TestForm.
 
-    Scalar inputs follow the batch integrand protocol.  For p = infinity an
-    empirical essential sup over the sampling strata is returned, with
-    stderr 0 and the sample count for context.
+    Scalar inputs follow the batch integrand protocol.  For p = infinity the
+    largest magnitude over the points integrate draws is returned, with
+    stderr 0 and the drawn sample count for context.
     """
     if isinstance(obj, TestForm):
         q = obj.q
@@ -192,25 +188,15 @@ def lp_norm(v: ConeVariety, obj, region: Region, p: float, plan: SamplingPlan,
             return np.abs(np.asarray(obj(batch)))
 
     if p == np.inf:
-        chart_ = chart or default_chart(v)
-        strata = _build_strata(v, region, chart_, poles, plan)
         best = 0.0
-        count = 0
-        rng_sizes = max(plan.samples // max(len(strata), 1), plan.min_per_stratum)
-        from .sampling import _stream, gram_factors
 
-        for si, st in enumerate(strata):
-            rng = _stream(plan.seed, plan.experiment_id + "|sup", si)
-            bases = _sample_stratum(st, v.dim, rng_sizes, rng)
-            pts, valid = solve_fiber(v, chart_, bases)
-            inside = valid & region.indicator(pts)
-            if not np.any(inside):
-                continue
-            sel = pts[inside]
-            batch = PointBatch(v, sel, np.real(gram_factors(v, chart_, sel)))
+        def running_max(batch: PointBatch):
+            nonlocal best
             best = max(best, float(np.max(magnitude(batch))))
-            count += int(inside.sum())
-        return QuadratureResult(value=best, stderr=0.0, samples=count)
+            return np.zeros(len(batch), dtype=complex)
+
+        qr = integrate(v, region, running_max, plan, poles=poles, chart=chart)
+        return QuadratureResult(value=best, stderr=0.0, samples=qr.samples)
 
     if p < 1:
         raise ValueError("p must be at least 1")

@@ -28,7 +28,6 @@ __all__ = [
     "Chart",
     "Region",
     "SamplingPlan",
-    "SurfacePoint",
     "PointBatch",
     "QuadratureResult",
     "EmptyRegionError",
@@ -37,7 +36,6 @@ __all__ = [
     "ProfileError",
     "admissible_charts",
     "default_chart",
-    "fiber_points",
     "plucker_for",
     "tangent_frame",
     "integrate",
@@ -46,7 +44,6 @@ __all__ = [
     "surface_point_with_norm",
     "project_to_surface",
     "attach_link_margin",
-    "pointwise",
 ]
 
 POINT_TOL = 1e-10
@@ -389,27 +386,16 @@ def plucker_for(v: ConeVariety, pts: np.ndarray) -> dict[int, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SurfacePoint:
-    position: np.ndarray
-    frame: np.ndarray
-    gram_factor: float
-    sheet: int
-    pdf: float
-
-
 class PointBatch:
     """Vectorized view of surface sample points.
 
     Tangent frames and Plücker coordinates are computed on demand.
     """
 
-    def __init__(self, variety, positions, grams, sheets=None, pdf=None):
+    def __init__(self, variety, positions, grams):
         self.variety = variety
         self.positions = positions
         self.grams = grams
-        self.sheets = sheets if sheets is not None else np.zeros(len(positions), int)
-        self.pdf = pdf if pdf is not None else np.ones(len(positions))
         self._frames = None
         self._plucker = None
 
@@ -430,40 +416,6 @@ class PointBatch:
 
     def norms(self) -> np.ndarray:
         return np.sqrt(np.sum(np.abs(self.positions) ** 2, axis=-1))
-
-    def point(self, i: int) -> SurfacePoint:
-        return SurfacePoint(
-            position=self.positions[i],
-            frame=self.frames[i],
-            gram_factor=float(self.grams[i]),
-            sheet=int(self.sheets[i]),
-            pdf=float(self.pdf[i]),
-        )
-
-
-def pointwise(fn):
-    """Adapt a SurfacePoint -> complex map to the batch integrand protocol."""
-
-    def batched(batch: PointBatch):
-        return np.array([fn(batch.point(i)) for i in range(len(batch))], dtype=complex)
-
-    return batched
-
-
-def fiber_points(v: ConeVariety, base, chart: Chart | None = None) -> list[SurfacePoint]:
-    """All admissible sheets over one base point, with frames and Gram factors."""
-    chart = chart or default_chart(v)
-    bases = np.asarray(base, dtype=complex).reshape(1, v.dim)
-    pts, valid = solve_fiber(v, chart, bases)
-    out = []
-    for s in range(pts.shape[1]):
-        if not valid[0, s]:
-            continue
-        p = pts[0, s]
-        g = float(np.real(gram_factors(v, chart, p[None, None, :])[0, 0]))
-        fr = frames_for(v, p[None, :])[0]
-        out.append(SurfacePoint(position=p, frame=fr, gram_factor=g, sheet=s, pdf=1.0))
-    return out
 
 
 def tangent_frame(v: ConeVariety, zeta) -> np.ndarray:
@@ -757,9 +709,7 @@ def integrate(v: ConeVariety, region: Region, integrand, plan: SamplingPlan,
             if np.any(flat):
                 sel = pts.reshape(B * S, -1)[flat]
                 gsel = np.real(gram_factors(v, chart, sel))
-                base_pdf = np.repeat(p, S)[flat]
-                batch = PointBatch(v, sel, gsel, pdf=base_pdf)
-                fv = np.asarray(integrand(batch))
+                fv = np.asarray(integrand(PointBatch(v, sel, gsel)))
                 if fv.ndim == 1:
                     fv = fv[:, None]
                 K = fv.shape[1]

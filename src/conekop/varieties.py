@@ -24,7 +24,6 @@ import numpy as np
 __all__ = [
     "MultiIndexPoly",
     "ConeVariety",
-    "HeferMatrix",
     "Thresholds",
     "DegenerateExponentError",
     "catalog_names",
@@ -86,19 +85,6 @@ class MultiIndexPoly:
 
 
 @dataclass(frozen=True)
-class HeferMatrix:
-    """Divided-difference coefficients H with sum_j (zeta_j - z_j) H[i,j] = f_i(zeta) - f_i(z).
-
-    entries has shape (..., nu, N); convention_scale records that the stored
-    values are raw divided differences (the 2 pi i of the interior product is
-    applied by the kernel assembly, never here).
-    """
-
-    entries: np.ndarray
-    convention_scale: complex = 1.0
-
-
-@dataclass(frozen=True)
 class Thresholds:
     p_min: float
     p_min_w: float
@@ -128,16 +114,12 @@ class ConeVariety:
     # ----- basic invariants ------------------------------------------------
 
     @property
-    def codim(self) -> int:
-        return len(self.polys)
-
-    @property
     def nu(self) -> int:
         return len(self.polys)
 
     @property
     def dim(self) -> int:
-        return self.ambient_dim - self.codim
+        return self.ambient_dim - self.nu
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -190,8 +172,11 @@ class ConeVariety:
 
     # ----- divided differences --------------------------------------------
 
-    def hefer_coeffs(self, zeta, z) -> HeferMatrix:
+    def hefer_coeffs(self, zeta, z) -> np.ndarray:
         """Coordinate-telescoping divided differences in index order 1..N.
+
+        Returns the raw coefficients H, shape (..., nu, N); the 2 pi i of the
+        interior product is applied by the kernel assembly, never here.
 
         For a monomial c * prod x_k^(a_k) the j-th telescoping slot picks up
         c * prod_{k<j} z_k^(a_k) * (sum_t zeta_j^t z_j^(a_j-1-t)) * prod_{k>j} zeta_k^(a_k),
@@ -223,7 +208,7 @@ class ConeVariety:
                             dd = dd + zeta[..., j] ** t * z[..., j] ** (a - 1 - t)
                         H[..., i, j] += prefix * dd * suffix[j]
                         prefix = prefix * z[..., j] ** a
-        return HeferMatrix(H)
+        return H
 
     # ----- thresholds ----------------------------------------------------
 
@@ -336,21 +321,32 @@ def variety_from_json(path_or_obj) -> ConeVariety:
     """Load a custom variety from a JSON document.
 
     Schema: {"ambient_dim": int, "polys": [[{"exp": [int...], "re": float,
-    "im": float}, ...], ...], "name": optional str}.
+    "im": float}, ...], ...], "name": optional str}.  Malformed documents
+    raise ValueError; polys must hold one or two polynomials, the
+    codimensions the fiber solver handles.
     """
     if isinstance(path_or_obj, (str,)):
         with open(path_or_obj) as fh:
             obj = json.load(fh)
     else:
         obj = path_or_obj
+    if not isinstance(obj, dict):
+        raise ValueError("variety JSON must be an object")
     N = int(obj["ambient_dim"])
+    specs = obj["polys"]
+    if not isinstance(specs, list) or len(specs) not in (1, 2):
+        raise ValueError("polys must be a list of one or two polynomials")
     polys = []
-    for spec in obj["polys"]:
+    for spec in specs:
         terms = {}
         for t in spec:
             exp = tuple(int(e) for e in t["exp"])
             if len(exp) != N:
                 raise ValueError("exponent vector length does not match ambient_dim")
-            terms[exp] = terms.get(exp, 0.0) + complex(t.get("re", 0.0), t.get("im", 0.0))
+            parts = (t.get("re", 0.0), t.get("im", 0.0))
+            if any(isinstance(x, bool) or not isinstance(x, (int, float))
+                   for x in parts):
+                raise ValueError(f"coefficient parts must be numbers, got {parts}")
+            terms[exp] = terms.get(exp, 0.0) + complex(*parts)
         polys.append(MultiIndexPoly.from_dict(N, terms))
     return ConeVariety(str(obj.get("name", "custom")), N, tuple(polys))

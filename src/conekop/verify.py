@@ -121,6 +121,12 @@ class ExperimentReport:
             self.checks[key] = bool(ok)
             self.verdict = self.verdict and ok
 
+    def record_value(self, key: str, value, predicted, r2=1.0):
+        """Store a scalar quantity as a degenerate fit: zero-width CI, no check."""
+        self.fitted[key] = {"value": value, "ci_lo": value, "ci_hi": value,
+                            "stderr": 0.0, "r2": r2}
+        self.predicted[key] = predicted
+
     def record_check(self, key: str, ok: bool):
         self.checks[key] = bool(ok)
         self.verdict = self.verdict and bool(ok)
@@ -287,10 +293,7 @@ def run_radial_scaling(v: ConeVariety, plan: SamplingPlan,
     ys = suffix[1:, li]
     xs = np.abs(np.log(radii[:-1]))
     fit_log = fit_linear(xs, ys)
-    report.fitted["log_case_r2"] = {"value": fit_log.r2, "ci_lo": fit_log.r2,
-                                    "ci_hi": fit_log.r2, "stderr": 0.0,
-                                    "r2": fit_log.r2}
-    report.predicted["log_case_r2"] = 1.0
+    report.record_value("log_case_r2", fit_log.r2, 1.0, r2=fit_log.r2)
     report.record_check("log_case_linear", fit_log.r2 > 0.99 and fit_log.slope > 0)
     for k in range(n_grid - 1):
         report.rows.append({"alpha": alpha_log, "r": float(radii[k]),
@@ -346,9 +349,7 @@ def run_two_pole(v: ConeVariety, plan: SamplingPlan,
     else:
         lf = fit_linear(np.abs(np.log(seps)), vals)
         report.record_fit("separation_slope", fit, 0.0, tol=None)
-        report.fitted["log_fit_r2"] = {"value": lf.r2, "ci_lo": lf.r2,
-                                       "ci_hi": lf.r2, "stderr": 0.0, "r2": lf.r2}
-        report.predicted["log_fit_r2"] = 1.0
+        report.record_value("log_fit_r2", lf.r2, 1.0, r2=lf.r2)
         report.record_check("log_regime_linear", lf.r2 > 0.95)
     for d, val, e in zip(seps, vals, errv):
         report.rows.append({"separation": float(d), "integral": float(val),
@@ -400,10 +401,7 @@ def run_log_annulus(v: ConeVariety, plan: SamplingPlan,
             report.rows.append({"m": m, "integral": float(np.real(qr.value)),
                                 "stderr": float(qr.stderr)})
         spread = max(vals) / max(min(vals), 1e-300)
-        report.fitted["m_uniformity_ratio"] = {"value": spread, "ci_lo": spread,
-                                               "ci_hi": spread, "stderr": 0.0,
-                                               "r2": 1.0}
-        report.predicted["m_uniformity_ratio"] = 1.0
+        report.record_value("m_uniformity_ratio", spread, 1.0)
         report.record_check("m_uniform_bounded", spread < 3.0 * tolerance_scale)
     else:
         # the |z|-power regime shows with the pole center inside the annulus;
@@ -506,9 +504,7 @@ def run_offcenter_ball(v: ConeVariety, plan: SamplingPlan,
             report.record_fit("concentric_slope", fit, 2 * n - alpha,
                               tol=0.1 * tolerance_scale)
     worst = max(ratios.values())
-    report.fitted["normalized_spread"] = {"value": worst, "ci_lo": worst,
-                                          "ci_hi": worst, "stderr": 0.0, "r2": 1.0}
-    report.predicted["normalized_spread"] = 1.0
+    report.record_value("normalized_spread", worst, 1.0)
     report.record_check("uniform_bound", worst < 5.0 * tolerance_scale)
     report.runtime = time.time() - t0
     return report
@@ -612,9 +608,7 @@ def run_hoelder_modulus(v: ConeVariety, plan: SamplingPlan,
     # 10% band covers both and still rejects a Lipschitz modulus (b = 0).
     report.record_fit("modulus_log_coefficient", lc, b,
                       tol=0.10 * b * tolerance_scale)
-    report.fitted["log_corrected_r2"] = {"value": lc.r2, "ci_lo": lc.r2,
-                                         "ci_hi": lc.r2, "stderr": 0.0, "r2": lc.r2}
-    report.predicted["log_corrected_r2"] = 1.0
+    report.record_value("log_corrected_r2", lc.r2, 1.0, r2=lc.r2)
     for d, val, e in zip(seps, vals, errs):
         report.rows.append({"separation": float(d), "modulus": float(val),
                             "stderr": float(e)})
@@ -638,20 +632,21 @@ def run_cutoff_decay(v: ConeVariety, plan: SamplingPlan,
     report = ExperimentReport("cutoff_decay", v.name,
                               {"k_list": list(k_list), "p": p}, seed=plan.seed)
 
-    def dbar_mu_norm_integrand(k):
-        def integrand(batch):
-            coeffs = kernels.dbar_mu_coeffs(batch.positions, k)
-            fr = batch.frames
-            comps = {(j,): np.einsum("bi,bi->b", coeffs, np.conj(fr[:, j, :]))
-                     for j in range(n)}
-            return pointwise_norm(comps, 1) ** (2 * n) + 0j
-        return integrand
+    def dbar_mu_norm(batch, k):
+        # intrinsic norm of dbar mu_k from its tangent coframe components;
+        # FormValue.frame_components sums in another order, so the reported
+        # norms would move in the last bits
+        coeffs = kernels.dbar_mu_coeffs(batch.positions, k)
+        fr = batch.frames
+        comps = {(j,): np.einsum("bi,bi->b", coeffs, np.conj(fr[:, j, :]))
+                 for j in range(n)}
+        return pointwise_norm(comps, 1)
 
     norms = []
     for k in k_list:
         lo, hi = annulus_bounds(k)
         qr = integrate(v, Region.annulus(_origin(v), lo, hi),
-                       dbar_mu_norm_integrand(k),
+                       lambda batch, k=k: dbar_mu_norm(batch, k) ** (2 * n) + 0j,
                        plan.with_(samples=per,
                                   experiment_id=plan.experiment_id + f"|cd{k}"))
         val = max(np.real(qr.value), 0.0) ** (1.0 / (2 * n))
@@ -665,10 +660,7 @@ def run_cutoff_decay(v: ConeVariety, plan: SamplingPlan,
         v1 = norms[k_list.index(1)]
         v3 = norms[k_list.index(3)]
         report.record_check("halving", v3 < 0.5 * v1 * tolerance_scale)
-        report.fitted["decay_ratio_3_1"] = {"value": v3 / v1, "ci_lo": v3 / v1,
-                                            "ci_hi": v3 / v1, "stderr": 0.0,
-                                            "r2": 1.0}
-        report.predicted["decay_ratio_3_1"] = 0.5
+        report.record_value("decay_ratio_3_1", v3 / v1, 0.5)
 
     # support confinement: dbar mu_k vanishes off the stated annulus
     k = k_list[0]
@@ -691,15 +683,8 @@ def run_cutoff_decay(v: ConeVariety, plan: SamplingPlan,
     lam_norms = []
     for k in k_list:
         lo, hi = annulus_bounds(k)
-
-        def lam_integrand(batch, k=k):
-            coeffs = kernels.dbar_mu_coeffs(batch.positions, k)
-            fr = batch.frames
-            comps = {(j,): np.einsum("bi,bi->b", coeffs, np.conj(fr[:, j, :]))
-                     for j in range(n)}
-            return pointwise_norm(comps, 1) ** lam + 0j
-
-        qr = integrate(v, Region.annulus(_origin(v), lo, hi), lam_integrand,
+        qr = integrate(v, Region.annulus(_origin(v), lo, hi),
+                       lambda batch, k=k: dbar_mu_norm(batch, k) ** lam + 0j,
                        plan.with_(samples=per // 2,
                                   experiment_id=plan.experiment_id + f"|cdl{k}"))
         lam_norms.append(max(np.real(qr.value), 0.0) ** (1.0 / lam))
@@ -764,7 +749,6 @@ def run_koppelman_q0(v: ConeVariety, plan: SamplingPlan,
                      tolerance_scale: float = 1.0,
                      z_norms=(0.25, 0.4, 0.55, 0.7, 0.85),
                      rel_tol: float = 0.05,
-                     include_bump: bool = True,
                      scale_mode: str = "grid") -> ExperimentReport:
     """Residual of the q = 0 homotopy identity for the test form catalog.
 
@@ -783,9 +767,8 @@ def run_koppelman_q0(v: ConeVariety, plan: SamplingPlan,
                               seed=plan.seed)
     zs = _z_grid(v, z_norms, plan.seed)
 
-    phis = [TestForm.holomorphic_monomial(N, [1, 1] + [0] * (N - 2))]
-    if include_bump:
-        phis.append(TestForm.zbar_bump(N, 0, 0.6 * cfg.rho2, 0.95 * cfg.rho2))
+    phis = [TestForm.holomorphic_monomial(N, [1, 1] + [0] * (N - 2)),
+            TestForm.zbar_bump(N, 0, 0.6 * cfg.rho2, 0.95 * cfg.rho2)]
 
     for phi in phis:
         dphi = phi.dbar() if phi.window is not None else None
@@ -820,9 +803,7 @@ def run_koppelman_q0(v: ConeVariety, plan: SamplingPlan,
                                 "stderr": float(se), "tolerance": float(tol),
                                 "pass": bool(ok)})
         report.record_check(f"identity_{phi.label}", all_ok)
-        report.fitted[f"worst_ratio_{phi.label}"] = {
-            "value": worst, "ci_lo": worst, "ci_hi": worst, "stderr": 0.0, "r2": 1.0}
-        report.predicted[f"worst_ratio_{phi.label}"] = 1.0
+        report.record_value(f"worst_ratio_{phi.label}", worst, 1.0)
     report.runtime = time.time() - t0
     return report
 
@@ -883,10 +864,7 @@ def run_koppelman_q1_loose(v: ConeVariety, plan: SamplingPlan,
                                "rel_tol": rel_tol}, seed=plan.seed)
     report.rows.append({"fd": _plain(fd.tolist()), "rhs": _plain(rhs.tolist()),
                         "residual": resid, "scale": scale})
-    report.fitted["q1_residual_over_scale"] = {
-        "value": resid / scale, "ci_lo": resid / scale, "ci_hi": resid / scale,
-        "stderr": 0.0, "r2": 1.0}
-    report.predicted["q1_residual_over_scale"] = 0.0
+    report.record_value("q1_residual_over_scale", resid / scale, 0.0)
     # informational: recorded but never gates the run
     report.checks["q1_loose_within_tol"] = bool(resid <= rel_tol * scale
                                                 * tolerance_scale * 3)
@@ -1063,12 +1041,8 @@ def run_v_bounds(v: ConeVariety, plan: SamplingPlan,
                 mono_ok = False
     report.record_check("v_monotone_nondecreasing", mono_ok)
     report.record_check("v_min_positive", v_min > 0)
-    report.fitted["v_min"] = {"value": v_min, "ci_lo": v_min, "ci_hi": v_min,
-                              "stderr": 0.0, "r2": 1.0}
-    report.predicted["v_min"] = 0.0
-    report.fitted["v_max"] = {"value": v_max, "ci_lo": v_max, "ci_hi": v_max,
-                              "stderr": 0.0, "r2": 1.0}
-    report.predicted["v_max"] = 0.0
+    report.record_value("v_min", v_min, 0.0)
+    report.record_value("v_max", v_max, 0.0)
 
     # scale invariance at the cone point
     scale_vals, scale_errs = [], []
@@ -1105,12 +1079,8 @@ def run_calibrate(v: ConeVariety, plan: SamplingPlan,
                         "default_c_P": _plain(defaults.c_P)})
     dev_K = abs(consts.c_K - defaults.c_K) / abs(defaults.c_K)
     dev_P = abs(consts.c_P - defaults.c_P) / abs(defaults.c_P)
-    report.fitted["c_K_rel_dev"] = {"value": dev_K, "ci_lo": dev_K, "ci_hi": dev_K,
-                                    "stderr": 0.0, "r2": 1.0}
-    report.predicted["c_K_rel_dev"] = 0.0
-    report.fitted["c_P_rel_dev"] = {"value": dev_P, "ci_lo": dev_P, "ci_hi": dev_P,
-                                    "stderr": 0.0, "r2": 1.0}
-    report.predicted["c_P_rel_dev"] = 0.0
+    report.record_value("c_K_rel_dev", dev_K, 0.0)
+    report.record_value("c_P_rel_dev", dev_P, 0.0)
     report.record_check("c_K_near_default", dev_K < 0.10 * tolerance_scale)
     report.record_check("c_P_near_default", dev_P < 0.10 * tolerance_scale)
     report.runtime = time.time() - t0

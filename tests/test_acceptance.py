@@ -55,7 +55,7 @@ def test_criterion_01_algebraic_exactness():
         N = v.ambient_dim
         ze = rng.standard_normal((1000, N)) + 1j * rng.standard_normal((1000, N))
         zz = rng.standard_normal((1000, N)) + 1j * rng.standard_normal((1000, N))
-        H = v.hefer_coeffs(ze, zz).entries
+        H = v.hefer_coeffs(ze, zz)
         lhs = np.einsum("bj,bij->bi", ze - zz, H)
         rhs = v.eval_tuple(ze) - v.eval_tuple(zz)
         scale = max(1.0, float(np.max(np.abs(rhs))))

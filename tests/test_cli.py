@@ -77,18 +77,38 @@ def test_cli_tolerance_scale_flag(tmp_path):
 
 XY_PLANES = {"ambient_dim": 3, "name": "xy_planes",
              "polys": [[{"exp": [1, 1, 0], "re": 1.0}]]}
+# three diagonal quadrics in C^4: a cone of codimension 3, beyond the solver
+THREE_QUADRICS = {"ambient_dim": 4, "polys": [
+    [{"exp": [2, 0, 0, 0], "re": 1.0}, {"exp": [0, 2, 0, 0], "re": 1.0}],
+    [{"exp": [0, 2, 0, 0], "re": 1.0}, {"exp": [0, 0, 2, 0], "re": 1.0}],
+    [{"exp": [0, 0, 2, 0], "re": 1.0}, {"exp": [0, 0, 0, 2], "re": 1.0}],
+]}
+
+
+def _custom(doc):
+    """Config entry standing for a custom variety file holding doc."""
+    return {"variety_doc": doc}
 
 
 @pytest.mark.parametrize("raw", [
     {"samples": "abc"},
     {"samples": 2000.5},
     {"rho1": 1.5, "rho2": 1.2},
-    "no_chart",
-], ids=["samples_string", "samples_fraction", "rho1_above_rho2", "no_admissible_chart"])
+    {"r_min": 0},
+    {"shell_ratio": 0.5},
+    _custom(XY_PLANES),
+    _custom([1, 2]),
+    _custom({"ambient_dim": 3, "polys": 5}),
+    _custom({"ambient_dim": 3, "polys": [[{"exp": [2, 0, 0], "re": "x"}]]}),
+    _custom({"ambient_dim": 3, "polys": []}),
+    _custom(THREE_QUADRICS),
+], ids=["samples_string", "samples_fraction", "rho1_above_rho2", "r_min_zero",
+        "shell_ratio_below_1", "no_admissible_chart", "variety_not_object",
+        "polys_not_list", "coefficient_not_number", "no_polys", "codim_3"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, raw):
-    if raw == "no_chart":
-        vpath = tmp_path / "xy.json"
-        vpath.write_text(json.dumps(XY_PLANES))
+    if "variety_doc" in raw:
+        vpath = tmp_path / "variety.json"
+        vpath.write_text(json.dumps(raw["variety_doc"]))
         raw = {"variety": str(vpath)}
     cpath = tmp_path / "cfg.json"
     cpath.write_text(json.dumps({"experiments": ["v_bounds"], "samples": 30000,

@@ -157,7 +157,7 @@ def test_hefer_growth_bound():
     v = get_variety("fermat4")
     ze = _rand(rng, 2000, 3)
     zz = _rand(rng, 2000, 3)
-    H = v.hefer_coeffs(ze, zz).entries
+    H = v.hefer_coeffs(ze, zz)
     nz = np.sqrt(np.sum(np.abs(ze) ** 2, -1))
     nw = np.sqrt(np.sum(np.abs(zz) ** 2, -1))
     bound = sum(nz ** (v.total_degree - v.nu - g) * nw**g

@@ -15,10 +15,9 @@ from conekop.sampling import (
     chart_stretch,
     default_chart,
     estimate_v,
-    fiber_points,
+    gram_factors,
     integrate,
     layer_cake_integral,
-    pointwise,
     project_to_surface,
     solve_fiber,
     surface_point_with_norm,
@@ -37,26 +36,32 @@ def test_admissible_charts():
     assert len(admissible_charts(get_variety("ci22"))) == 6
 
 
-def test_fiber_points_a1_two_sheets():
+def _sheets(v, base, chart):
+    """Valid sheets over one base point and their Gram factors."""
+    pts, valid = solve_fiber(v, chart, np.asarray(base, dtype=complex)[None, :])
+    sel = pts[valid]
+    return sel, np.real(gram_factors(v, chart, sel))
+
+
+def test_solve_fiber_a1_two_sheets():
     # base (1, 0) in the chart projecting out the last coordinate
-    pts = fiber_points(A1, [1.0, 0.0], chart=Chart((0, 1), (2,)))
+    pts, grams = _sheets(A1, [1.0, 0.0], Chart((0, 1), (2,)))
     assert len(pts) == 2
-    fibers = sorted(p.position[2].imag for p in pts)
-    assert fibers == pytest.approx([-1.0, 1.0])
-    for p in pts:
-        assert p.gram_factor == pytest.approx(2.0, rel=1e-10)
-        assert np.max(np.abs(A1.eval_tuple(p.position))) < 1e-10
+    assert sorted(pts[:, 2].imag) == pytest.approx([-1.0, 1.0])
+    assert grams == pytest.approx([2.0, 2.0], rel=1e-10)
+    assert np.max(np.abs(A1.eval_tuple(pts))) < 1e-10
 
 
-def test_fiber_points_hyperplane_flat_sheet():
-    pts = fiber_points(HP, [0.3 + 0.1j, -2.0])
+def test_solve_fiber_hyperplane_flat_sheet():
+    pts, grams = _sheets(HP, [0.3 + 0.1j, -2.0], default_chart(HP))
     assert len(pts) == 1
-    assert pts[0].position[2] == pytest.approx(0.0)
-    assert pts[0].gram_factor == pytest.approx(1.0)
+    assert pts[0, 2] == pytest.approx(0.0)
+    assert grams[0] == pytest.approx(1.0)
 
 
-def test_fiber_points_branch_locus_discarded():
-    assert fiber_points(A1, [1.0, 1j], chart=Chart((0, 1), (2,))) == []
+def test_solve_fiber_branch_locus_discarded():
+    pts, _ = _sheets(A1, [1.0, 1j], Chart((0, 1), (2,)))
+    assert len(pts) == 0
 
 
 def test_fiber_degenerate_chart():
@@ -236,8 +241,8 @@ def test_region_validation():
 
 def test_pointwise_adapter():
     plan = SamplingPlan(samples=2_000, seed=13, experiment_id="tpw")
-    res = integrate(HP, Region.ball(np.zeros(3), 0.5),
-                    pointwise(lambda p: p.gram_factor), plan)
+    res = integrate(HP, Region.ball(np.zeros(3), 0.5), lambda b: b.grams + 0j,
+                    plan)
     assert res.value.real == pytest.approx(np.pi**2 / 2 * 0.5**4, rel=1e-9)
 
 

@@ -84,13 +84,13 @@ def test_hefer_quadric_closed_form():
     rng = np.random.default_rng(5)
     ze = _random_points(rng, 20, 3)
     zz = _random_points(rng, 20, 3)
-    H = a1.hefer_coeffs(ze, zz).entries
+    H = a1.hefer_coeffs(ze, zz)
     assert np.allclose(H[:, 0, :], ze + zz, atol=1e-12)
 
 
 def test_hefer_hyperplane_constant():
     hp = get_variety("hyperplane")
-    H = hp.hefer_coeffs(np.ones(3, dtype=complex), np.zeros(3, dtype=complex)).entries
+    H = hp.hefer_coeffs(np.ones(3, dtype=complex), np.zeros(3, dtype=complex))
     assert np.allclose(H, [[0.0, 0.0, 1.0]])
 
 
@@ -99,7 +99,7 @@ def test_hefer_exactness(v):
     rng = np.random.default_rng(7)
     ze = _random_points(rng, 1000, v.ambient_dim)
     zz = _random_points(rng, 1000, v.ambient_dim)
-    H = v.hefer_coeffs(ze, zz).entries
+    H = v.hefer_coeffs(ze, zz)
     lhs = np.einsum("bj,bij->bi", ze - zz, H)
     rhs = v.eval_tuple(ze) - v.eval_tuple(zz)
     assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, float(np.max(np.abs(rhs))))

@@ -163,6 +163,30 @@ def test_report_checks_serialize_as_json_booleans():
     assert back["rows"][0]["pass"] is True and back["rows"][0]["count"] == 3
 
 
+def test_record_value_layout():
+    rep = ExperimentReport("unit", "a1", {})
+    fit = fit_linear(np.arange(5.0), np.array([0.0, 1.1, 1.9, 3.2, 3.9]))
+    assert fit.r2 < 1.0
+    rep.record_value("spread", 2.5, 1.0)
+    rep.record_value("log_case_r2", fit.r2, 1.0, r2=fit.r2)
+    doc = rep.to_json_dict()
+    assert doc["fitted"] == {
+        "spread": {"value": 2.5, "ci_lo": 2.5, "ci_hi": 2.5, "stderr": 0.0,
+                   "r2": 1.0},
+        "log_case_r2": {"value": fit.r2, "ci_lo": fit.r2, "ci_hi": fit.r2,
+                        "stderr": 0.0, "r2": fit.r2},
+    }
+    assert doc["predicted"] == {"spread": 1.0, "log_case_r2": 1.0}
+    assert doc["checks"] == {} and doc["verdict"] is True
+    head = {"experiment": "unit", "variety": "a1"}
+    assert rep.csv_rows() == [
+        {**head, "param": "spread", "predicted": 1.0, "fitted": 2.5,
+         "ci_lo": 2.5, "ci_hi": 2.5, "verdict": "pass"},
+        {**head, "param": "log_case_r2", "predicted": 1.0, "fitted": fit.r2,
+         "ci_lo": fit.r2, "ci_hi": fit.r2, "verdict": "pass"},
+    ]
+
+
 def test_koppelman_q1_loose_runs_and_reports():
     rep = run_koppelman_q1_loose(HP, plan(60_000, "q1"), fd_step=0.03)
     assert "q1_residual_over_scale" in rep.fitted
