@@ -23,7 +23,7 @@ from .sampling import (
     layer_cake_integral,
     tangent_frame,
 )
-from .forms import FormValue, TestForm, pointwise_norm
+from .forms import FormValue, TestForm
 from .kernels import (
     CalibrationConstants,
     WeightConfig,

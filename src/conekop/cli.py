@@ -65,10 +65,6 @@ class RunConfig:
             raise ConfigError("samples must be at least 1000")
         if self.tolerance_scale <= 0:
             raise ConfigError("tolerance_scale must be positive")
-        if not self.r_min > 0:
-            raise ConfigError(f"r_min must be positive, got {self.r_min!r}")
-        if not self.shell_ratio > 1:
-            raise ConfigError(f"shell_ratio must exceed 1, got {self.shell_ratio!r}")
         bad = [e for e in self.experiments if e not in EXPERIMENTS]
         if bad:
             raise ConfigError(

@@ -29,7 +29,6 @@ __all__ = [
     "Window",
     "WrongDegreeError",
     "DegreeOverflowError",
-    "pointwise_norm",
     "smoothstep",
     "smoothstep_deriv",
 ]
@@ -263,53 +262,29 @@ class FormValue:
                 out[bkey] = dens * np.ones(nb) if np.ndim(dens) == 0 else dens
         return out
 
-    def frame_components(self, frames: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
-        """Coefficients of a pure (0,q) form in the orthonormal coframe.
+    def tangent_norm(self, proj: np.ndarray) -> np.ndarray:
+        """Intrinsic pointwise norm of a pure (0,q) form on the tangent planes.
 
-        Terms must carry only a-generators; the returned dict maps sorted
-        frame-index tuples to batched coefficients, which is the minimal
-        representation used by the intrinsic norm.
+        proj holds the batched orthogonal projectors P onto the holomorphic
+        tangent planes (see sampling.PointBatch.projector).  By Cauchy-Binet
+        the coefficients c_L of the form in any orthonormal coframe satisfy
+        sum_L |c_L|^2 = sum_{I,K} c_I conj(c_K) det P[K, I], so no frame is
+        needed.  A single antiholomorphic coframe differential has norm
+        2^(1/4) per degree: the value is (sqrt(2)^q sum_L |c_L|^2)^(1/2).
         """
-        import itertools as it
-
-        frames = np.asarray(frames)
-        n = frames.shape[-2]
         emask = self.e_mask()
-        out: dict[tuple[int, ...], np.ndarray] = {}
+        cols = []
         for m, c in self.terms.items():
             if m & emask or m >> (2 * self.N):
-                raise WrongDegreeError("frame components require a pure (0,q) form")
-            acols = _bits(m >> self.N)
-            q = len(acols)
-            Mc = np.conj(frames[..., acols])
-            for K in it.combinations(range(n), q):
-                sub = Mc[..., K, :]
-                d = np.linalg.det(sub) if q else np.ones(frames.shape[0])
-                prev = out.get(K)
-                out[K] = c * d if prev is None else prev + c * d
-        return out
-
-
-def _bits(mask: int) -> tuple[int, ...]:
-    cols = []
-    while mask:
-        low = mask & -mask
-        cols.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(cols)
-
-
-def pointwise_norm(coeffs: dict, q: int):
-    """Intrinsic norm of a (0,q) form given minimal-frame coefficients.
-
-    coeffs maps coframe multi-indices to (batched) complex values; the value
-    returned is (sqrt(2)^q * sum |c_I|^2)^(1/2), matching the convention that
-    a single antiholomorphic coframe differential has norm 2^(1/4) per degree.
-    """
-    tot = 0.0
-    for c in coeffs.values():
-        tot = tot + np.abs(c) ** 2
-    return np.sqrt(np.sqrt(2.0) ** q * tot)
+                raise WrongDegreeError("tangent norms require a pure (0,q) form")
+            cols.append(([j for j in range(self.N) if m >> (self.N + j) & 1], c))
+        tot = 0.0
+        for I, cI in cols:
+            for K, cK in cols:
+                if len(I) == len(K):
+                    minor = np.linalg.det(proj[..., K, :][..., I])
+                    tot = tot + np.sqrt(2.0) ** len(I) * cI * np.conj(cK) * minor
+        return np.sqrt(np.maximum(np.real(tot), 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 
 from . import kernels
-from .forms import TestForm, pointwise_norm
+from .forms import TestForm
 from .kernels import CalibrationConstants, WeightConfig
 from .sampling import (
     PointBatch,
@@ -80,8 +80,7 @@ def _kernel_integrand(v: ConeVariety, phi: TestForm, z, cfg, consts, subsets,
 
 
 def apply_K(v: ConeVariety, phi: TestForm, z, cfg: WeightConfig,
-            plan: SamplingPlan, consts: CalibrationConstants | None = None,
-            chart=None):
+            plan: SamplingPlan, consts: CalibrationConstants | None = None):
     """Estimate (K phi)(z) for a (0,q) input, 1 <= q <= n.
 
     Returns (coefficient vector over dz-bar multi-indices of size q-1,
@@ -100,14 +99,13 @@ def apply_K(v: ConeVariety, phi: TestForm, z, cfg: WeightConfig,
     region = Region.domain(cfg.omega_prime_radius, v.ambient_dim)
     poles = [(z, 2 * n - 1), (np.zeros(v.ambient_dim), v.total_degree - v.nu)]
     integrand = _kernel_integrand(v, phi, z, cfg, consts, subsets, "K")
-    qr = integrate(v, region, integrand, plan, poles=poles, chart=chart)
+    qr = integrate(v, region, integrand, plan, poles=poles)
     coeffs = np.atleast_1d(np.asarray(qr.value))
     return coeffs, qr
 
 
 def apply_P(v: ConeVariety, phi: TestForm, z, cfg: WeightConfig,
-            plan: SamplingPlan, consts: CalibrationConstants | None = None,
-            chart=None):
+            plan: SamplingPlan, consts: CalibrationConstants | None = None):
     """Estimate (P phi)(z) for a (0,0) input; reproduces holomorphic values.
 
     The kernel vanishes off the cut-off annulus, so the integral runs there
@@ -119,13 +117,13 @@ def apply_P(v: ConeVariety, phi: TestForm, z, cfg: WeightConfig,
     consts = consts or kernels.default_calibration(v.nu)
     region = Region.annulus(np.zeros(v.ambient_dim), cfg.rho1, cfg.rho2)
     integrand = _kernel_integrand(v, phi, z, cfg, consts, [()], "P")
-    qr = integrate(v, region, integrand, plan, chart=chart)
+    qr = integrate(v, region, integrand, plan)
     value = complex(np.atleast_1d(np.asarray(qr.value))[0])
     return value, qr
 
 
 def apply_model_T(v: ConeVariety, f, z, gamma: float, plan: SamplingPlan,
-                  radius: float = 1.0, chart=None) -> QuadratureResult:
+                  radius: float = 1.0) -> QuadratureResult:
     """T f(z) = integral over X cap B_radius of f * k_gamma."""
     n = v.dim
     if not 0 <= gamma < 2 * n:
@@ -145,11 +143,11 @@ def apply_model_T(v: ConeVariety, f, z, gamma: float, plan: SamplingPlan,
 
     region = Region.domain(radius, v.ambient_dim)
     poles = [(z, 2 * n - 1), (np.zeros(v.ambient_dim), gamma)]
-    return integrate(v, region, integrand, plan, poles=poles, chart=chart)
+    return integrate(v, region, integrand, plan, poles=poles)
 
 
-def apply_T_m(v: ConeVariety, f, z, gamma: float, m: int, plan: SamplingPlan,
-              chart=None) -> QuadratureResult:
+def apply_T_m(v: ConeVariety, f, z, gamma: float, m: int,
+              plan: SamplingPlan) -> QuadratureResult:
     """Cut-off model operator on the m-th double-exponential annulus."""
     n = v.dim
     if not 0 <= gamma < 2 * n - 1:
@@ -164,11 +162,11 @@ def apply_T_m(v: ConeVariety, f, z, gamma: float, m: int, plan: SamplingPlan,
 
     region = Region.annulus(np.zeros(v.ambient_dim), lo, hi)
     poles = [(z, 2 * n - 1)]
-    return integrate(v, region, integrand, plan, poles=poles, chart=chart)
+    return integrate(v, region, integrand, plan, poles=poles)
 
 
 def lp_norm(v: ConeVariety, obj, region: Region, p: float, plan: SamplingPlan,
-            poles=(), chart=None) -> QuadratureResult:
+            poles=()) -> QuadratureResult:
     """L^p norm over a region of X for a scalar map or a (0,q) TestForm.
 
     Scalar inputs follow the batch integrand protocol.  For p = infinity the
@@ -176,11 +174,9 @@ def lp_norm(v: ConeVariety, obj, region: Region, p: float, plan: SamplingPlan,
     stderr 0 and the drawn sample count for context.
     """
     if isinstance(obj, TestForm):
-        q = obj.q
 
         def magnitude(batch: PointBatch):
-            comps = obj.form_value(batch.positions).frame_components(batch.frames)
-            return pointwise_norm(comps, q)
+            return obj.form_value(batch.positions).tangent_norm(batch.projector)
 
     else:
 
@@ -195,7 +191,7 @@ def lp_norm(v: ConeVariety, obj, region: Region, p: float, plan: SamplingPlan,
             best = max(best, float(np.max(magnitude(batch))))
             return np.zeros(len(batch), dtype=complex)
 
-        qr = integrate(v, region, running_max, plan, poles=poles, chart=chart)
+        qr = integrate(v, region, running_max, plan, poles=poles)
         return QuadratureResult(value=best, stderr=0.0, samples=qr.samples)
 
     if p < 1:
@@ -204,7 +200,7 @@ def lp_norm(v: ConeVariety, obj, region: Region, p: float, plan: SamplingPlan,
     def integrand(batch: PointBatch):
         return magnitude(batch) ** p + 0j
 
-    qr = integrate(v, region, integrand, plan, poles=poles, chart=chart)
+    qr = integrate(v, region, integrand, plan, poles=poles)
     val = max(np.real(qr.value), 0.0)
     norm = val ** (1.0 / p)
     se = qr.stderr / (p * val ** (1.0 - 1.0 / p)) if val > 0 else qr.stderr

@@ -330,37 +330,33 @@ def solve_fiber(v: ConeVariety, chart: Chart, bases: np.ndarray):
 
 
 def gram_factors(v: ConeVariety, chart: Chart, pts: np.ndarray) -> np.ndarray:
-    """Volume density det(I + (Dg)^* Dg) of the graph chart, per sheet."""
-    J = v.jacobian(pts)
-    Jf = J[..., chart.fiber]
-    Jb = J[..., chart.base]
-    if v.nu == 1:
-        denom = Jf[..., 0, 0]
-        denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-        dg = -Jb[..., 0, :] / denom[..., None]
-        return 1.0 + np.sum(np.abs(dg) ** 2, axis=-1)
-    A = -np.linalg.solve(Jf, Jb)
-    AHA = np.swapaxes(np.conj(A), -1, -2) @ A
-    G = np.eye(v.dim) + AHA
-    return np.real(np.linalg.det(G))
+    """Volume density det(I + (Dg)^* Dg) of the graph chart, per sheet.
+
+    By Cauchy-Binet it equals |m|^2 / |m_F|^2 for the Jacobian minors m and
+    the minor m_F on the chart's fiber columns.
+    """
+    m2 = np.abs(v.minors(pts)) ** 2
+    base = sum(1 << j for j in chart.base)
+    k = [mask for mask, _ in minor_complements(v.ambient_dim, v.nu)].index(base)
+    return np.sum(m2, axis=-1) / np.maximum(m2[..., k], 1e-300)
 
 
 def _require_regular(v: ConeVariety, pts: np.ndarray, minors_norm: np.ndarray):
     nrm = np.sqrt(np.sum(np.abs(pts) ** 2, axis=-1))
     thresh = FRAME_TOL * np.maximum(nrm, 1e-300) ** (v.total_degree - v.nu)
     if np.any(minors_norm <= thresh):
-        raise NearSingularError("tangent frame requested too close to the branch locus")
+        raise NearSingularError("tangent plane requested too close to the branch locus")
 
 
 def frames_for(v: ConeVariety, pts: np.ndarray) -> np.ndarray:
     """Orthonormal bases of the holomorphic tangent spaces, batched.
 
     Rows ker(J) are obtained from the SVD right-singular vectors with zero
-    singular value, which is deterministic for fixed input bits.
+    singular value, which is deterministic for fixed input bits.  The product
+    of the nonzero singular values is the minors norm |m| of the guard.
     """
-    J = v.jacobian(pts)
-    _require_regular(v, pts, v.minors_norm(pts))
-    _, _, Vh = np.linalg.svd(J)
+    _, s, Vh = np.linalg.svd(v.jacobian(pts))
+    _require_regular(v, pts, np.prod(s, axis=-1))
     return np.conj(Vh[..., v.nu:, :])
 
 
@@ -389,30 +385,39 @@ def plucker_for(v: ConeVariety, pts: np.ndarray) -> dict[int, np.ndarray]:
 class PointBatch:
     """Vectorized view of surface sample points.
 
-    Tangent frames and Plücker coordinates are computed on demand.
+    Plücker coordinates and tangent projectors are computed on demand.
     """
 
     def __init__(self, variety, positions, grams):
         self.variety = variety
         self.positions = positions
         self.grams = grams
-        self._frames = None
         self._plucker = None
+        self._projector = None
 
     def __len__(self):
         return self.positions.shape[0]
-
-    @property
-    def frames(self) -> np.ndarray:
-        if self._frames is None:
-            self._frames = frames_for(self.variety, self.positions)
-        return self._frames
 
     @property
     def plucker(self) -> dict[int, np.ndarray]:
         if self._plucker is None:
             self._plucker = plucker_for(self.variety, self.positions)
         return self._plucker
+
+    @property
+    def projector(self) -> np.ndarray:
+        """Orthogonal projectors I - J^H (J J^H)^-1 J onto the tangent planes.
+
+        Shape (B, N, N).  The guard uses det(J J^H) = |m|^2 (Cauchy-Binet).
+        """
+        if self._projector is None:
+            J = self.variety.jacobian(self.positions)
+            JH = np.conj(np.swapaxes(J, -1, -2))
+            G = J @ JH
+            _require_regular(self.variety, self.positions,
+                             np.sqrt(np.abs(np.linalg.det(G))))
+            self._projector = np.eye(J.shape[-1]) - JH @ np.linalg.solve(G, J)
+        return self._projector
 
     def norms(self) -> np.ndarray:
         return np.sqrt(np.sum(np.abs(self.positions) ** 2, axis=-1))
@@ -476,6 +481,13 @@ class SamplingPlan:
     experiment_id: str = "quad"
     allocation: str = "bound"
     min_per_stratum: int = 128
+
+    def __post_init__(self):
+        if not self.r_min > 0:
+            raise ValueError(f"r_min must be positive, got {self.r_min!r}")
+        if not self.shell_ratio >= 1.05:
+            raise ValueError(
+                f"shell_ratio must be at least 1.05, got {self.shell_ratio!r}")
 
     def with_(self, **kw) -> "SamplingPlan":
         d = self.__dict__ | kw
@@ -574,7 +586,7 @@ def _build_strata(v: ConeVariety, region: Region, chart: Chart, poles,
     base_c = region.center[list(chart.base)]
     R = region.r_outer
     strata: list[_Stratum] = []
-    ratio = max(plan.shell_ratio, 1.05)
+    ratio = plan.shell_ratio
 
     if region.kind == "annulus":
         # region cover: shells must reach below r_inner by the chart stretch
@@ -708,7 +720,7 @@ def integrate(v: ConeVariety, region: Region, integrand, plan: SamplingPlan,
             flat = inside.reshape(-1)
             if np.any(flat):
                 sel = pts.reshape(B * S, -1)[flat]
-                gsel = np.real(gram_factors(v, chart, sel))
+                gsel = gram_factors(v, chart, sel)
                 fv = np.asarray(integrand(PointBatch(v, sel, gsel)))
                 if fv.ndim == 1:
                     fv = fv[:, None]
@@ -751,19 +763,17 @@ def integrate(v: ConeVariety, region: Region, integrand, plan: SamplingPlan,
                             strata=strata_stats, discarded=discarded)
 
 
-def estimate_v(v: ConeVariety, r: float, z, plan: SamplingPlan,
-               chart: Chart | None = None) -> QuadratureResult:
+def estimate_v(v: ConeVariety, r: float, z, plan: SamplingPlan) -> QuadratureResult:
     """Volume ratio Vol(X cap B_r(z)) / r^(2n)."""
     if r <= 0:
         raise EmptyRegionError("radius must be positive")
     region = Region.ball(z, r)
-    res = integrate(v, region, lambda b: np.ones(len(b), dtype=complex), plan,
-                    chart=chart)
+    res = integrate(v, region, lambda b: np.ones(len(b), dtype=complex), plan)
     return res.scaled(1.0 / r ** (2 * v.dim))
 
 
-def layer_cake_integral(v: ConeVariety, g, z, r_max: float, plan: SamplingPlan,
-                        chart: Chart | None = None) -> QuadratureResult:
+def layer_cake_integral(v: ConeVariety, g, z, r_max: float,
+                        plan: SamplingPlan) -> QuadratureResult:
     """Integral of a nonincreasing radial profile via its distribution function.
 
     Estimates the volume function V(r) = Vol(X cap B_r(z)) on a geometric
@@ -772,7 +782,6 @@ def layer_cake_integral(v: ConeVariety, g, z, r_max: float, plan: SamplingPlan,
     power-law core extrapolation.  Serves as an independent oracle for the
     direct estimator on radial integrands.
     """
-    chart = chart or default_chart(v)
     n = v.dim
     z = np.asarray(z, dtype=complex)
     ratio = min(plan.shell_ratio, math.sqrt(2.0))
@@ -792,13 +801,12 @@ def layer_cake_integral(v: ConeVariety, g, z, r_max: float, plan: SamplingPlan,
     one = lambda b: np.ones(len(b), dtype=complex)
     sub = plan.with_(samples=per, allocation="equal")
     core = integrate(v, Region.ball(z, radii[0]), one,
-                     sub.with_(experiment_id=plan.experiment_id + "|lc0"), chart=chart)
+                     sub.with_(experiment_id=plan.experiment_id + "|lc0"))
     masses[0], errs[0] = np.real(core.value), core.stderr
     for i in range(m):
         sh = integrate(
             v, Region.annulus(z, radii[i], radii[i + 1]), one,
-            sub.with_(experiment_id=plan.experiment_id + f"|lc{i + 1}"), chart=chart,
-        )
+            sub.with_(experiment_id=plan.experiment_id + f"|lc{i + 1}"))
         masses[i + 1], errs[i + 1] = np.real(sh.value), sh.stderr
 
     def _interval(ta, la, tb, lb, trapezoid):
@@ -846,10 +854,9 @@ def layer_cake_integral(v: ConeVariety, g, z, r_max: float, plan: SamplingPlan,
 # ---------------------------------------------------------------------------
 
 
-def surface_point_with_norm(v: ConeVariety, norm: float, seed: int = 0,
-                            chart: Chart | None = None) -> np.ndarray:
+def surface_point_with_norm(v: ConeVariety, norm: float, seed: int = 0) -> np.ndarray:
     """Deterministic point on X with the requested norm (cone rescaling)."""
-    chart = chart or default_chart(v)
+    chart = default_chart(v)
     rng = _stream(seed, f"spn|{v.name}", 0)
     for _ in range(64):
         g = rng.standard_normal((1, 2 * v.dim))

@@ -158,12 +158,13 @@ class ConeVariety:
         Column sets I run in lexicographic order, as in minor_complements.
         """
         J = self.jacobian(pts)
-        nu, N = self.nu, self.ambient_dim
-        if nu == 1:
+        if self.nu == 1:
             return J[..., 0, :]
-        cols = list(itertools.combinations(range(N), nu))
-        out = [np.linalg.det(J[..., idx]) for idx in cols]
-        return np.stack(out, axis=-1)
+        if self.nu > 2:
+            raise NotImplementedError("codimension > 2 minors are out of scope")
+        cols = itertools.combinations(range(self.ambient_dim), 2)
+        return np.stack([J[..., 0, i] * J[..., 1, j] - J[..., 0, j] * J[..., 1, i]
+                         for i, j in cols], axis=-1)
 
     def minors_norm(self, pts) -> np.ndarray:
         """Euclidean norm of the minor tuple; (d - nu)-homogeneous."""
@@ -317,6 +318,10 @@ def get_variety(name: str) -> ConeVariety:
     raise KeyError(f"unknown variety {name!r}; catalog: {', '.join(catalog_names())}")
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def variety_from_json(path_or_obj) -> ConeVariety:
     """Load a custom variety from a JSON document.
 
@@ -332,15 +337,23 @@ def variety_from_json(path_or_obj) -> ConeVariety:
         obj = path_or_obj
     if not isinstance(obj, dict):
         raise ValueError("variety JSON must be an object")
-    N = int(obj["ambient_dim"])
+    N = obj["ambient_dim"]
+    if not _is_int(N):
+        raise ValueError(f"ambient_dim must be an integer, got {N!r}")
     specs = obj["polys"]
     if not isinstance(specs, list) or len(specs) not in (1, 2):
         raise ValueError("polys must be a list of one or two polynomials")
     polys = []
     for spec in specs:
+        if not isinstance(spec, list) or not all(isinstance(t, dict) for t in spec):
+            raise ValueError(f"a polynomial must be a list of term objects, "
+                             f"got {spec!r}")
         terms = {}
         for t in spec:
-            exp = tuple(int(e) for e in t["exp"])
+            exp = t["exp"]
+            if not isinstance(exp, list) or not all(_is_int(e) for e in exp):
+                raise ValueError(f"exp must be a list of integers, got {exp!r}")
+            exp = tuple(exp)
             if len(exp) != N:
                 raise ValueError("exponent vector length does not match ambient_dim")
             parts = (t.get("re", 0.0), t.get("im", 0.0))

@@ -9,13 +9,12 @@ are deterministic given the sampling plan seed.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels, operators
-from .forms import TestForm, pointwise_norm
+from .forms import TestForm
 from .kernels import WeightConfig, annulus_bounds
 from .sampling import (
     Region,
@@ -97,7 +96,6 @@ class ExperimentReport:
     rows: list = field(default_factory=list)
     checks: dict = field(default_factory=dict)
     verdict: bool = True
-    runtime: float = 0.0
     seed: int = 0
 
     def record_fit(self, key: str, fit: FitResult, predicted, tol=None,
@@ -132,8 +130,6 @@ class ExperimentReport:
         self.verdict = self.verdict and bool(ok)
 
     def to_json_dict(self) -> dict:
-        # runtime is wall clock and deliberately left out of serialized output
-        # so identical seeds give byte-identical report files
         return {
             "name": self.name,
             "variety": self.variety,
@@ -233,7 +229,6 @@ def run_radial_scaling(v: ConeVariety, plan: SamplingPlan,
                        r_hi: float = 1.0, n_grid: int = 9,
                        z=None) -> ExperimentReport:
     """Radial integrals around a center: power laws below 2n, log law at 2n."""
-    t0 = time.time()
     n = v.dim
     if r_hi / r_lo < 99.0:
         raise InsufficientDecadesError("radial grid must span at least 2 decades")
@@ -298,7 +293,6 @@ def run_radial_scaling(v: ConeVariety, plan: SamplingPlan,
     for k in range(n_grid - 1):
         report.rows.append({"alpha": alpha_log, "r": float(radii[k]),
                             "outer_integral": float(ys[k])})
-    report.runtime = time.time() - t0
     return report
 
 
@@ -313,7 +307,6 @@ def run_two_pole(v: ConeVariety, plan: SamplingPlan,
                  delta_lo: float = 5e-3, delta_hi: float = 0.64,
                  n_grid: int = 9, domain_radius: float = 1.0) -> ExperimentReport:
     """Product of two radial poles: bounded, log, or power regime in |z - w|."""
-    t0 = time.time()
     n = v.dim
     deltas = np.geomspace(delta_lo, delta_hi, n_grid)
     per = max(plan.samples // n_grid, plan.min_per_stratum)
@@ -354,7 +347,6 @@ def run_two_pole(v: ConeVariety, plan: SamplingPlan,
     for d, val, e in zip(seps, vals, errv):
         report.rows.append({"separation": float(d), "integral": float(val),
                             "stderr": float(e)})
-    report.runtime = time.time() - t0
     return report
 
 
@@ -369,7 +361,6 @@ def run_log_annulus(v: ConeVariety, plan: SamplingPlan,
                     beta: float = 0.0, m_list=(0, 1, 2),
                     z_norms=(0.3, 0.45, 0.6, 0.75, 0.9)) -> ExperimentReport:
     """Uniformity in m of the log-weighted annulus integrals, and the |z| law."""
-    t0 = time.time()
     n = v.dim
     per = max(plan.samples // (len(m_list) * (1 if alpha + beta <= 2 * n else len(z_norms))),
               plan.min_per_stratum)
@@ -449,7 +440,6 @@ def run_log_annulus(v: ConeVariety, plan: SamplingPlan,
                             "stderr": float(qr.stderr)})
     spread = max(ll_vals) / max(min(ll_vals), 1e-300)
     report.record_check("loglog_uniform", spread < 3.0 * tolerance_scale)
-    report.runtime = time.time() - t0
     return report
 
 
@@ -464,7 +454,6 @@ def run_offcenter_ball(v: ConeVariety, plan: SamplingPlan,
                        r_list=(0.025, 0.05, 0.1, 0.2, 0.4),
                        z_norm: float = 0.5) -> ExperimentReport:
     """Ball integrals of an off-center pole: bound r^(2n - alpha) uniform in w."""
-    t0 = time.time()
     n = v.dim
     z = surface_point_with_norm(v, z_norm, seed=plan.seed)
     fr = tangent_frame(v, z)
@@ -506,7 +495,6 @@ def run_offcenter_ball(v: ConeVariety, plan: SamplingPlan,
     worst = max(ratios.values())
     report.record_value("normalized_spread", worst, 1.0)
     report.record_check("uniform_bound", worst < 5.0 * tolerance_scale)
-    report.runtime = time.time() - t0
     return report
 
 
@@ -566,7 +554,6 @@ def run_hoelder_modulus(v: ConeVariety, plan: SamplingPlan,
     only: the log-log power-law slope, whose local value 1 - 1/(a/b + |log
     delta|) stays below 0.9 on [1e-3, 1e-1] for the measured a/b of 1.1-1.4.
     """
-    t0 = time.time()
     n = v.dim
     if not 0 <= gamma <= v.total_degree - v.nu:
         raise operators.ExponentRangeError("gamma outside [0, d - nu]")
@@ -612,7 +599,6 @@ def run_hoelder_modulus(v: ConeVariety, plan: SamplingPlan,
     for d, val, e in zip(seps, vals, errs):
         report.rows.append({"separation": float(d), "modulus": float(val),
                             "stderr": float(e)})
-    report.runtime = time.time() - t0
     return report
 
 
@@ -626,21 +612,16 @@ def run_cutoff_decay(v: ConeVariety, plan: SamplingPlan,
                      tolerance_scale: float = 1.0, k_list=(1, 2, 3, 4),
                      p: float = 4.0) -> ExperimentReport:
     """Decay of the dbar mass of the double-exponential cut-offs."""
-    t0 = time.time()
     n = v.dim
     per = max(plan.samples // len(k_list), plan.min_per_stratum)
     report = ExperimentReport("cutoff_decay", v.name,
                               {"k_list": list(k_list), "p": p}, seed=plan.seed)
 
     def dbar_mu_norm(batch, k):
-        # intrinsic norm of dbar mu_k from its tangent coframe components;
-        # FormValue.frame_components sums in another order, so the reported
-        # norms would move in the last bits
+        # dbar mu_k is radial and P zeta = zeta (Euler), so its intrinsic
+        # (0,1) norm is the ambient one times 2^(1/4); no projector needed
         coeffs = kernels.dbar_mu_coeffs(batch.positions, k)
-        fr = batch.frames
-        comps = {(j,): np.einsum("bi,bi->b", coeffs, np.conj(fr[:, j, :]))
-                 for j in range(n)}
-        return pointwise_norm(comps, 1)
+        return 2.0 ** 0.25 * np.linalg.norm(coeffs, axis=-1)
 
     norms = []
     for k in k_list:
@@ -693,7 +674,6 @@ def run_cutoff_decay(v: ConeVariety, plan: SamplingPlan,
     report.record_check("lambda_norm_decreasing",
                         all(lam_norms[i + 1] < lam_norms[i]
                             for i in range(len(lam_norms) - 1)))
-    report.runtime = time.time() - t0
     return report
 
 
@@ -756,7 +736,6 @@ def run_koppelman_q0(v: ConeVariety, plan: SamplingPlan,
     function's scale over the whole grid ("grid") or |phi(z)| pointwise
     ("pointwise"); the statistical floor 3 * stderr applies either way.
     """
-    t0 = time.time()
     cfg = cfg or WeightConfig()
     N = v.ambient_dim
     consts = kernels.default_calibration(v.nu)
@@ -804,7 +783,6 @@ def run_koppelman_q0(v: ConeVariety, plan: SamplingPlan,
                                 "pass": bool(ok)})
         report.record_check(f"identity_{phi.label}", all_ok)
         report.record_value(f"worst_ratio_{phi.label}", worst, 1.0)
-    report.runtime = time.time() - t0
     return report
 
 
@@ -818,7 +796,6 @@ def run_koppelman_q1_loose(v: ConeVariety, plan: SamplingPlan,
     All shifted evaluations reuse one random stream (common random numbers),
     otherwise the finite differences are noise-dominated.
     """
-    t0 = time.time()
     cfg = cfg or WeightConfig()
     N, n = v.ambient_dim, v.dim
     consts = kernels.default_calibration(v.nu)
@@ -868,7 +845,6 @@ def run_koppelman_q1_loose(v: ConeVariety, plan: SamplingPlan,
     # informational: recorded but never gates the run
     report.checks["q1_loose_within_tol"] = bool(resid <= rel_tol * scale
                                                 * tolerance_scale * 3)
-    report.runtime = time.time() - t0
     return report
 
 
@@ -884,7 +860,6 @@ def run_lp_threshold(v: ConeVariety, plan: SamplingPlan,
                      r_min_list=(4e-2, 2e-2, 1e-2, 5e-3),
                      z_norm: float = 0.5) -> ExperimentReport:
     """Kernel-mass stability above the exponent threshold, growth below it."""
-    t0 = time.time()
     n = v.dim
     gamma = float(v.total_degree - v.nu) if gamma is None else gamma
     z = surface_point_with_norm(v, z_norm, seed=plan.seed)
@@ -934,7 +909,6 @@ def run_lp_threshold(v: ConeVariety, plan: SamplingPlan,
     pstar = p_divergent / (p_divergent - 1.0)
     predicted = max(pstar * gamma - 2 * n, 0.0)
     report.record_fit("divergence_exponent", fit, predicted, tol=None)
-    report.runtime = time.time() - t0
     return report
 
 
@@ -943,7 +917,6 @@ def run_tm_decay(v: ConeVariety, plan: SamplingPlan,
                  gamma: float = 1.0, m_list=(0, 1, 2, 3, 4),
                  z_norms=(0.3, 0.5, 0.7)) -> ExperimentReport:
     """Decay of the cut-off model operators on the double-exponential annuli."""
-    t0 = time.time()
     per = max(plan.samples // (len(m_list) * len(z_norms)), plan.min_per_stratum)
     zs = _z_grid(v, z_norms, plan.seed)
     one = lambda b: np.ones(len(b), dtype=complex)
@@ -963,7 +936,6 @@ def run_tm_decay(v: ConeVariety, plan: SamplingPlan,
         report.rows.append({"m": m, "rms_over_grid": rms[-1]})
     report.record_check("tm_decreasing",
                         all(rms[i + 1] < rms[i] for i in range(len(rms) - 1)))
-    report.runtime = time.time() - t0
     return report
 
 
@@ -973,7 +945,6 @@ def run_truncation(v: ConeVariety, plan: SamplingPlan,
                    j_list=(10.0, 100.0, 1000.0),
                    z_norms=(0.3, 0.5, 0.7)) -> ExperimentReport:
     """Convergence of the level-truncated model operators to the full one."""
-    t0 = time.time()
     n = v.dim
     per = max(plan.samples // (len(j_list) * len(z_norms)), plan.min_per_stratum)
     zs = _z_grid(v, z_norms, plan.seed)
@@ -998,7 +969,6 @@ def run_truncation(v: ConeVariety, plan: SamplingPlan,
         report.rows.append({"j": float(j), "tail_rms": norms[-1]})
     report.record_check("truncation_tail_decreasing",
                         all(norms[i + 1] < norms[i] for i in range(len(norms) - 1)))
-    report.runtime = time.time() - t0
     return report
 
 
@@ -1012,7 +982,6 @@ def run_v_bounds(v: ConeVariety, plan: SamplingPlan,
                  z_norms=(0.0, 0.35, 0.5, 0.65, 0.8),
                  r_grid=(0.05, 0.1, 0.2, 0.4, 0.8)) -> ExperimentReport:
     """Monotonicity and positivity of the volume ratio, cone scale invariance."""
-    t0 = time.time()
     n = v.dim
     per = max(plan.samples // (len(z_norms) * len(r_grid)), plan.min_per_stratum)
     report = ExperimentReport("v_bounds", v.name,
@@ -1060,7 +1029,6 @@ def run_v_bounds(v: ConeVariety, plan: SamplingPlan,
         for a in range(3) for b in range(a + 1, 3)
     )
     report.record_check("cone_scale_invariance", ok)
-    report.runtime = time.time() - t0
     return report
 
 
@@ -1068,7 +1036,6 @@ def run_calibrate(v: ConeVariety, plan: SamplingPlan,
                   cfg: WeightConfig | None = None,
                   tolerance_scale: float = 1.0) -> ExperimentReport:
     """Run the flat-model calibration and compare with the frozen defaults."""
-    t0 = time.time()
     cfg = cfg or WeightConfig()
     report = ExperimentReport("calibrate", "hyperplane", {}, seed=plan.seed)
     consts = kernels.calibrate(cfg, plan.with_(experiment_id=plan.experiment_id
@@ -1083,7 +1050,6 @@ def run_calibrate(v: ConeVariety, plan: SamplingPlan,
     report.record_value("c_P_rel_dev", dev_P, 0.0)
     report.record_check("c_K_near_default", dev_K < 0.10 * tolerance_scale)
     report.record_check("c_P_near_default", dev_P < 0.10 * tolerance_scale)
-    report.runtime = time.time() - t0
     return report
 
 

@@ -75,6 +75,11 @@ def test_cli_tolerance_scale_flag(tmp_path):
     assert code == 0
 
 
+QUADRIC = {"ambient_dim": 3, "polys": [[
+    {"exp": [2, 0, 0], "re": 1.0},
+    {"exp": [0, 2, 0], "re": 1.0},
+    {"exp": [0, 0, 2], "re": 1.0},
+]]}
 XY_PLANES = {"ambient_dim": 3, "name": "xy_planes",
              "polys": [[{"exp": [1, 1, 0], "re": 1.0}]]}
 # three diagonal quadrics in C^4: a cone of codimension 3, beyond the solver
@@ -83,6 +88,12 @@ THREE_QUADRICS = {"ambient_dim": 4, "polys": [
     [{"exp": [0, 2, 0, 0], "re": 1.0}, {"exp": [0, 0, 2, 0], "re": 1.0}],
     [{"exp": [0, 0, 2, 0], "re": 1.0}, {"exp": [0, 0, 0, 2], "re": 1.0}],
 ]}
+
+
+def _quadric_with_first_exp(exp):
+    """QUADRIC with a malformed exponent that int() would silently accept."""
+    terms = QUADRIC["polys"][0]
+    return {**QUADRIC, "polys": [[{**terms[0], "exp": exp}] + terms[1:]]}
 
 
 def _custom(doc):
@@ -96,15 +107,23 @@ def _custom(doc):
     {"rho1": 1.5, "rho2": 1.2},
     {"r_min": 0},
     {"shell_ratio": 0.5},
+    {"shell_ratio": 1.01},
     _custom(XY_PLANES),
     _custom([1, 2]),
     _custom({"ambient_dim": 3, "polys": 5}),
     _custom({"ambient_dim": 3, "polys": [[{"exp": [2, 0, 0], "re": "x"}]]}),
     _custom({"ambient_dim": 3, "polys": []}),
     _custom(THREE_QUADRICS),
+    _custom({**QUADRIC, "ambient_dim": 3.7}),
+    _custom({"ambient_dim": 3, "polys": [5]}),
+    _custom({"ambient_dim": 3, "polys": [[5]]}),
+    _custom(_quadric_with_first_exp([2.5, 0, 0])),
+    _custom(_quadric_with_first_exp("200")),
 ], ids=["samples_string", "samples_fraction", "rho1_above_rho2", "r_min_zero",
-        "shell_ratio_below_1", "no_admissible_chart", "variety_not_object",
-        "polys_not_list", "coefficient_not_number", "no_polys", "codim_3"])
+        "shell_ratio_below_1", "shell_ratio_below_1_05", "no_admissible_chart",
+        "variety_not_object", "polys_not_list", "coefficient_not_number",
+        "no_polys", "codim_3", "ambient_dim_fraction", "poly_not_list",
+        "term_not_object", "exp_fraction", "exp_string"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, raw):
     if "variety_doc" in raw:
         vpath = tmp_path / "variety.json"

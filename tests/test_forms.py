@@ -9,9 +9,9 @@ from conekop.forms import (
     TestForm,
     UniverseMismatchError,
     WrongDegreeError,
-    pointwise_norm,
 )
-from conekop.sampling import default_chart, frames_for, plucker_for, solve_fiber
+from conekop.sampling import (PointBatch, default_chart, frames_for, plucker_for,
+                              solve_fiber)
 from conekop.varieties import catalog_names, get_variety
 
 N = 3
@@ -240,27 +240,64 @@ def test_minors_pullback_matches_frame_determinants(name):
         assert np.max(np.abs(got[key] - w)) <= 1e-12 * np.max(np.abs(w))
 
 
-def test_pointwise_norm_values():
-    assert pointwise_norm({(): 3.0 + 4.0j}, 0) == pytest.approx(5.0)
-    assert pointwise_norm({(0,): 1.0}, 1) == pytest.approx(2.0 ** 0.25)
+def identity_projector(batch):
+    """Projectors onto the plane spanned by e_0 and e_1."""
+    return np.broadcast_to(np.diag([1.0, 1.0, 0.0]).astype(complex), (batch, N, N))
+
+
+def test_tangent_norm_values():
+    P = identity_projector(1)
+    assert FormValue.scalar(N, 3.0 + 4.0j).tangent_norm(P) == pytest.approx(5.0)
+    assert a(0).tangent_norm(P) == pytest.approx(2.0 ** 0.25)
     rng = np.random.default_rng(9)
-    coeffs = {(0,): complex(rng.standard_normal()), (1,): complex(rng.standard_normal())}
+    c = [complex(rng.standard_normal()), complex(rng.standard_normal())]
     m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     q, _ = np.linalg.qr(m)
-    rotated = {
-        (0,): q[0, 0] * coeffs[(0,)] + q[0, 1] * coeffs[(1,)],
-        (1,): q[1, 0] * coeffs[(0,)] + q[1, 1] * coeffs[(1,)],
-    }
-    assert pointwise_norm(rotated, 1) == pytest.approx(pointwise_norm(coeffs, 1),
-                                                       abs=1e-10)
+    rotated = (a(0, q[0, 0] * c[0] + q[0, 1] * c[1])
+               + a(1, q[1, 0] * c[0] + q[1, 1] * c[1]))
+    assert rotated.tangent_norm(P) == pytest.approx(
+        (a(0, c[0]) + a(1, c[1])).tangent_norm(P), abs=1e-10)
 
 
-def test_frame_components_identity_frame():
-    frames = np.stack([np.eye(N)[:2] for _ in range(2)]).astype(complex)
+def test_tangent_norm_identity_plane():
+    # coframe coefficients 2 and -i on the coordinate plane of e_0, e_1
+    P = identity_projector(2)
+    assert np.allclose(a(0, 2.0).tangent_norm(P), 2.0 * 2.0 ** 0.25)
+    assert np.allclose(a(1, -1.0j).tangent_norm(P), 2.0 ** 0.25)
     phi = a(0, 2.0) + a(1, -1.0j)
-    comps = phi.frame_components(frames)
-    assert np.allclose(comps[(0,)], 2.0)
-    assert np.allclose(comps[(1,)], -1.0j)
+    assert np.allclose(phi.tangent_norm(P), 5.0 ** 0.5 * 2.0 ** 0.25)
+    # the normal differential restricts to zero on the plane
+    assert np.allclose((phi + a(2, 7.0)).tangent_norm(P), phi.tangent_norm(P))
+    with pytest.raises(WrongDegreeError):
+        (phi + e(0)).tangent_norm(P)
+
+
+@pytest.mark.parametrize("q", [0, 1, 2])
+@pytest.mark.parametrize("name", catalog_names())
+def test_projector_norm_matches_frame_coefficients(name, q):
+    # reference: coefficients c_K = sum_I c_I det conj(F)[K, I] in the
+    # coframe of the SVD tangent frame F, summed as sqrt(2)^q sum_K |c_K|^2
+    v = get_variety(name)
+    Nv, n = v.ambient_dim, v.dim
+    rng = np.random.default_rng(32 + q)
+    bases = rng.standard_normal((60, n)) + 1j * rng.standard_normal((60, n))
+    pts, valid = solve_fiber(v, default_chart(v), bases)
+    sel = pts[valid]
+    subsets = list(itertools.combinations(range(Nv), q))
+    coeffs = [rng.standard_normal(len(sel)) + 1j * rng.standard_normal(len(sel))
+              for _ in subsets]
+    form = FormValue(Nv, {sum(1 << (Nv + j) for j in I): c
+                          for I, c in zip(subsets, coeffs)})
+    fr = np.conj(frames_for(v, sel))
+    tot = 0.0
+    for K in itertools.combinations(range(n), q):
+        cK = sum(c * np.linalg.det(fr[:, list(K)][..., list(I)])
+                 for I, c in zip(subsets, coeffs))
+        tot = tot + np.abs(cK) ** 2
+    want = np.sqrt(np.sqrt(2.0) ** q * tot)
+    got = form.tangent_norm(PointBatch(v, sel, np.ones(len(sel))).projector)
+    tol = 1e-12 if q <= 1 else 1e-10
+    assert np.max(np.abs(got - want)) <= tol * np.max(want)
 
 
 @pytest.mark.parametrize("maker", [

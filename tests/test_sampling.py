@@ -23,7 +23,7 @@ from conekop.sampling import (
     surface_point_with_norm,
     tangent_frame,
 )
-from conekop.varieties import get_variety
+from conekop.varieties import catalog_names, get_variety
 
 HP = get_variety("hyperplane")
 A1 = get_variety("a1")
@@ -41,6 +41,25 @@ def _sheets(v, base, chart):
     pts, valid = solve_fiber(v, chart, np.asarray(base, dtype=complex)[None, :])
     sel = pts[valid]
     return sel, np.real(gram_factors(v, chart, sel))
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_gram_factors_match_graph_metric(name):
+    # the minors formula against det(I + A^H A) for the derivative
+    # A = -Jf^-1 Jb of the graph map, on every admissible chart
+    v = get_variety(name)
+    rng = np.random.default_rng(5)
+    bases = rng.standard_normal((80, v.dim)) + 1j * rng.standard_normal((80, v.dim))
+    for chart in admissible_charts(v):
+        pts, valid = solve_fiber(v, chart, bases)
+        sel = pts[valid]
+        assert len(sel) > 0
+        J = v.jacobian(sel)
+        A = -np.linalg.solve(J[..., chart.fiber], J[..., chart.base])
+        AHA = np.conj(np.swapaxes(A, -1, -2)) @ A
+        want = np.real(np.linalg.det(np.eye(v.dim) + AHA))
+        got = gram_factors(v, chart, sel)
+        assert np.max(np.abs(got - want) / want) <= 1e-12
 
 
 def test_solve_fiber_a1_two_sheets():
@@ -104,6 +123,37 @@ def test_tangent_frame_orthonormal_and_in_kernel():
 def test_tangent_frame_near_singular_error():
     with pytest.raises(NearSingularError):
         tangent_frame(A1, np.zeros(3, dtype=complex))
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_projector_fixes_positions(name):
+    # Euler: J(zeta) zeta = deg * f(zeta) = 0, so every point lies in its own
+    # tangent plane, and a radial (0,1) form keeps its full norm on X
+    v = get_variety(name)
+    rng = np.random.default_rng(6)
+    bases = rng.standard_normal((60, v.dim)) + 1j * rng.standard_normal((60, v.dim))
+    pts, valid = solve_fiber(v, default_chart(v), bases)
+    sel = pts[valid]
+    P = PointBatch(v, sel, np.ones(len(sel))).projector
+    scale = np.max(np.abs(sel))
+    assert np.max(np.abs(np.einsum("bij,bj->bi", P, sel) - sel)) <= 1e-12 * scale
+    assert np.max(np.abs(P @ P - P)) <= 1e-12
+    assert np.allclose(np.trace(P, axis1=-2, axis2=-1), v.dim, atol=1e-12)
+
+
+def test_projector_near_singular_error():
+    pts = np.array([[0.5, 0.5j, 0.0], [0.0, 0.0, 0.0]], dtype=complex)
+    with pytest.raises(NearSingularError):
+        PointBatch(A1, pts, np.ones(2)).projector
+
+
+def test_sampling_plan_rejects_bad_radii():
+    with pytest.raises(ValueError):
+        SamplingPlan(r_min=0.0)
+    with pytest.raises(ValueError):
+        SamplingPlan(shell_ratio=1.01)
+    with pytest.raises(ValueError):
+        SamplingPlan().with_(shell_ratio=float("nan"))
 
 
 def test_plucker_near_singular_error():
