@@ -89,16 +89,18 @@ class CalibrationConstants:
     provenance: str = "default"
 
 
-def default_calibration(nu: int = 1) -> CalibrationConstants:
+def default_calibration(ambient_dim: int, nu: int) -> CalibrationConstants:
     """Scale constants pinned by the flat-model reproducing identities.
 
-    One factor 1/(2 pi i) enters per Hefer factor and the top extraction
-    contributes a parity sign per antiholomorphic degree; both are undone
-    here so that the hyperplane kernel coincides with the flat
-    Bochner-Martinelli kernel.  Verified numerically by calibrate().
+    One factor 1/(2 pi i) enters per Hefer factor, and the top extraction
+    contributes the parity (-1)^(N |S|) for S of size n - 1 in K and n in P.
+    Both are undone here, c_K / c_P = (-1)^N, so that the hyperplane kernel
+    coincides with the flat Bochner-Martinelli kernel in every ambient
+    dimension N.  Verified numerically by calibrate().
     """
+    scale = TWO_PI_I ** nu
     return CalibrationConstants(
-        c_K=-((TWO_PI_I) ** nu), c_P=(TWO_PI_I) ** nu, provenance="default"
+        c_K=-scale if ambient_dim % 2 else scale, c_P=scale, provenance="default"
     )
 
 
@@ -273,7 +275,7 @@ def kernel_K(v: ConeVariety, zeta: np.ndarray, z: np.ndarray, cfg: WeightConfig,
     generators; the pole at zeta = z has order 2n - 1 and the structure form
     contributes |zeta|^(nu - d) growth at the origin.
     """
-    consts = consts or default_calibration(v.nu)
+    consts = consts or default_calibration(v.ambient_dim, v.nu)
     N, n = v.ambient_dim, v.dim
     zeta = np.asarray(zeta, dtype=complex)
     z = np.asarray(z, dtype=complex)
@@ -290,7 +292,7 @@ def kernel_K(v: ConeVariety, zeta: np.ndarray, z: np.ndarray, cfg: WeightConfig,
 def kernel_P(v: ConeVariety, zeta: np.ndarray, z: np.ndarray, cfg: WeightConfig,
              consts: CalibrationConstants | None = None) -> FormValue:
     """Projection kernel; supported on the cut-off annulus, holomorphic in z."""
-    consts = consts or default_calibration(v.nu)
+    consts = consts or default_calibration(v.ambient_dim, v.nu)
     N, n = v.ambient_dim, v.dim
     zeta = np.asarray(zeta, dtype=complex)
     z = np.asarray(z, dtype=complex)
@@ -422,8 +424,8 @@ def dbar_mu_coeffs(zeta, k: int) -> np.ndarray:
 
 
 def calibrate(cfg: WeightConfig | None = None, plan=None,
-              tol_factor: float = 5.0) -> CalibrationConstants:
-    """Fix c_P and c_K on the hyperplane model and freeze them.
+              tol_factor: float = 5.0, ambient_dim: int = 3) -> CalibrationConstants:
+    """Fix c_P and c_K on the hyperplane model {z_N = 0} in C^N and freeze them.
 
     c_P makes P reproduce the constant 1; c_K is fitted from the q = 0
     homotopy identity for a non-holomorphic bump.  Raises CalibrationError
@@ -432,14 +434,15 @@ def calibrate(cfg: WeightConfig | None = None, plan=None,
     from . import operators
     from .forms import TestForm
     from .sampling import SamplingPlan
-    from .varieties import get_variety
+    from .varieties import hyperplane
 
     cfg = cfg or WeightConfig()
     plan = plan or SamplingPlan(samples=200_000, experiment_id="calibrate")
-    v = get_variety("hyperplane")
+    v = hyperplane(ambient_dim)
     raw = CalibrationConstants(c_K=1.0, c_P=1.0, provenance="raw")
+    pad = [0.0] * (ambient_dim - 2)
 
-    zs = [np.array([w, 0.12 - 0.2j, 0.0]) for w in (0.25, -0.3 + 0.1j, 0.45j)]
+    zs = [np.array([w, 0.12 - 0.2j] + pad) for w in (0.25, -0.3 + 0.1j, 0.45j)]
     one = TestForm.constant(v.ambient_dim)
     p_vals = []
     p_errs = []
@@ -473,7 +476,7 @@ def calibrate(cfg: WeightConfig | None = None, plan=None,
     consts = CalibrationConstants(c_K=complex(c_K), c_P=complex(c_P),
                                   provenance="calibrated")
     # verify the identity round-trip at one fresh point
-    z = np.array([0.2 + 0.3j, -0.25, 0.0])
+    z = np.array([0.2 + 0.3j, -0.25] + pad)
     phi_z = bump.eval_scalar(z[None, :])[0]
     pv, p_qr = operators.apply_P(v, bump, z, cfg,
                                  plan.with_(experiment_id="calchk_p"), consts=consts)

@@ -94,7 +94,7 @@ def apply_K(v: ConeVariety, phi: TestForm, z, cfg: WeightConfig,
     if np.sqrt(np.sum(np.abs(z) ** 2)) < 10 * plan.r_min:
         warnings.warn("evaluation point is within 10 r_min of the cone point",
                       RuntimeWarning)
-    consts = consts or kernels.default_calibration(v.nu)
+    consts = consts or kernels.default_calibration(v.ambient_dim, v.nu)
     subsets = output_subsets(v.ambient_dim, phi.q - 1)
     region = Region.domain(cfg.omega_prime_radius, v.ambient_dim)
     poles = [(z, 2 * n - 1), (np.zeros(v.ambient_dim), v.total_degree - v.nu)]
@@ -114,7 +114,7 @@ def apply_P(v: ConeVariety, phi: TestForm, z, cfg: WeightConfig,
     z = np.asarray(z, dtype=complex)
     if phi.q != 0:
         raise ValueError("apply_P expects a (0,0) input")
-    consts = consts or kernels.default_calibration(v.nu)
+    consts = consts or kernels.default_calibration(v.ambient_dim, v.nu)
     region = Region.annulus(np.zeros(v.ambient_dim), cfg.rho1, cfg.rho2)
     integrand = _kernel_integrand(v, phi, z, cfg, consts, [()], "P")
     qr = integrate(v, region, integrand, plan)

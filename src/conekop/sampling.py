@@ -182,6 +182,54 @@ def _polyval_and_deriv(cs: np.ndarray, t: np.ndarray):
     return pv, dv
 
 
+ABERTH_MAX_ITERS = 40
+ABERTH_TOL = 1e-14
+# a double root comes out split by about sqrt(eps) of the scale, so gaps
+# below CLUSTER_TOL mark a multiple or nearly multiple root
+CLUSTER_TOL = 1e-7
+
+
+def _aberth_roots(cs: np.ndarray) -> np.ndarray:
+    """All d roots of each row of cs (B, d+1), ascending powers, d >= 3.
+
+    Vectorized Aberth-Ehrlich iteration (Aberth 1973, Ehrlich 1967; Bini
+    1996) started on the circle of radius max_k |a_k/a_d|^(1/(d-k)).  A row
+    stops once every correction is below ABERTH_TOL times that radius, the
+    scale of its roots.  Rows that have not converged by ABERTH_MAX_ITERS
+    (non-finite iterates included) or whose roots cluster within CLUSTER_TOL
+    of their scale (the base point 0, the branch locus) are solved by the
+    companion eigensolver instead, so every row keeps all d sheets.
+    """
+    B, dp1 = cs.shape
+    d = dp1 - 1
+    k = np.arange(d)
+    radius = np.max(np.abs(cs[:, :-1] / cs[:, -1:]) ** (1.0 / (d - k)), axis=1)
+    z = radius[:, None] * np.exp(1j * (2.0 * np.pi * k / d + 0.4))
+    fallback = radius == 0
+    idx = np.flatnonzero(~fallback)
+    za, ca, tol = z[idx], cs[idx], ABERTH_TOL * radius[idx, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(ABERTH_MAX_ITERS):
+            if idx.size == 0:
+                break
+            pv, dv = _polyval_and_deriv(ca, za)
+            # sum over j != i of 1 / (z_i - z_j), by cyclic shifts of the row
+            s = sum(1.0 / (za - za[:, (k + j) % d]) for j in range(1, d))
+            # (p/p') / (1 - (p/p') s) without dividing by p' alone
+            w = pv / (dv - pv * s)
+            za = za - w
+            # NaN never compares true: such rows run to the cap, then fall back
+            done = np.all(np.abs(w) <= tol, axis=1)
+            z[idx[done]] = za[done]
+            idx, za, ca, tol = idx[~done], za[~done], ca[~done], tol[~done]
+        fallback[idx] = True
+        gaps = np.abs(z[:, :, None] - z[:, None, :])[:, ~np.eye(d, dtype=bool)]
+        fallback |= ~(np.min(gaps, axis=1) > CLUSTER_TOL * radius)
+    if np.any(fallback):
+        z[fallback] = _companion_roots(cs[fallback])
+    return z
+
+
 def _solve_fiber_nu1(v: ConeVariety, chart: Chart, bases: np.ndarray):
     """All fiber roots over each base point; returns (t, valid) of shape (B, d)."""
     table = _fiber_poly_coeffs(v, chart)
@@ -197,11 +245,14 @@ def _solve_fiber_nu1(v: ConeVariety, chart: Chart, bases: np.ndarray):
         disc = np.sqrt(b * b - 4.0 * a * c + 0j)
         t = np.stack([(-b + disc) / (2 * a), (-b - disc) / (2 * a)], axis=-1)
     else:
-        t = _companion_roots(cs)
+        t = _aberth_roots(cs)
     # two Newton polishing passes on the fiber polynomial
     for _ in range(2):
         pv, dv = _polyval_and_deriv(cs, t)
         t = t - np.where(np.abs(dv) > 0, pv / np.where(dv == 0, 1.0, dv), 0.0)
+    if d >= 3:
+        # canonical sheet order: by argument, whichever solver found the roots
+        t = np.take_along_axis(t, np.argsort(np.angle(t), axis=1), axis=1)
     # branch-locus guard: derivative small relative to the homogeneous scale
     _, dv = _polyval_and_deriv(cs, t)
     scale = np.sqrt(
@@ -855,7 +906,11 @@ def layer_cake_integral(v: ConeVariety, g, z, r_max: float,
 
 
 def surface_point_with_norm(v: ConeVariety, norm: float, seed: int = 0) -> np.ndarray:
-    """Deterministic point on X with the requested norm (cone rescaling)."""
+    """Deterministic point on X with the requested norm (cone rescaling).
+
+    Takes the first valid sheet in solve_fiber's order over a seeded base
+    point; for fibers of degree d >= 3 that order is canonical (by angle).
+    """
     chart = default_chart(v)
     rng = _stream(seed, f"spn|{v.name}", 0)
     for _ in range(64):

@@ -28,6 +28,7 @@ __all__ = [
     "DegenerateExponentError",
     "catalog_names",
     "get_variety",
+    "hyperplane",
     "minor_complements",
     "variety_from_json",
 ]
@@ -269,9 +270,11 @@ def _fermat(d: int) -> ConeVariety:
     return ConeVariety(f"fermat{d}", 3, (poly,))
 
 
-def _hyperplane() -> ConeVariety:
-    poly = MultiIndexPoly.from_dict(3, {(0, 0, 1): 1.0})
-    return ConeVariety("hyperplane", 3, (poly,))
+def hyperplane(ambient_dim: int = 3) -> ConeVariety:
+    """The flat model {z_N = 0} in C^N; the catalog entry is N = 3."""
+    poly = MultiIndexPoly.from_dict(ambient_dim, {(0,) * (ambient_dim - 1) + (1,): 1.0})
+    name = "hyperplane" if ambient_dim == 3 else f"hyperplane{ambient_dim}"
+    return ConeVariety(name, ambient_dim, (poly,))
 
 
 def _ci22() -> ConeVariety:
@@ -300,7 +303,7 @@ def get_variety(name: str) -> ConeVariety:
     catalog, including fermat degrees violating the low-degree hypothesis.
     """
     if name == "hyperplane":
-        return _hyperplane()
+        return hyperplane()
     if name == "a1":
         v = _fermat(2)
         return ConeVariety("a1", 3, v.polys)

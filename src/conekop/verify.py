@@ -738,7 +738,7 @@ def run_koppelman_q0(v: ConeVariety, plan: SamplingPlan,
     """
     cfg = cfg or WeightConfig()
     N = v.ambient_dim
-    consts = kernels.default_calibration(v.nu)
+    consts = kernels.default_calibration(v.ambient_dim, v.nu)
     report = ExperimentReport("koppelman_q0", v.name,
                               {"z_norms": list(z_norms), "rel_tol": rel_tol,
                                "scale_mode": scale_mode,
@@ -798,7 +798,7 @@ def run_koppelman_q1_loose(v: ConeVariety, plan: SamplingPlan,
     """
     cfg = cfg or WeightConfig()
     N, n = v.ambient_dim, v.dim
-    consts = kernels.default_calibration(v.nu)
+    consts = kernels.default_calibration(v.ambient_dim, v.nu)
     phi = TestForm.one_form_bump(N, comp=0, j_bar=1, r_lo=0.6 * cfg.rho2,
                                  r_hi=0.95 * cfg.rho2)
     z = surface_point_with_norm(v, z_norm, seed=plan.seed)
@@ -1040,7 +1040,7 @@ def run_calibrate(v: ConeVariety, plan: SamplingPlan,
     report = ExperimentReport("calibrate", "hyperplane", {}, seed=plan.seed)
     consts = kernels.calibrate(cfg, plan.with_(experiment_id=plan.experiment_id
                                                + "|cal"))
-    defaults = kernels.default_calibration(1)
+    defaults = kernels.default_calibration(3, 1)
     report.rows.append({"c_K": _plain(consts.c_K), "c_P": _plain(consts.c_P),
                         "default_c_K": _plain(defaults.c_K),
                         "default_c_P": _plain(defaults.c_P)})

@@ -5,7 +5,7 @@ from conekop import kernels as K
 from conekop.forms import FormValue
 from conekop.kernels import WeightConfig, annulus_bounds
 from conekop.sampling import plucker_for, surface_point_with_norm
-from conekop.varieties import get_variety
+from conekop.varieties import get_variety, hyperplane
 
 HP = get_variety("hyperplane")
 A1 = get_variety("a1")
@@ -220,22 +220,27 @@ def test_structure_form_singular_origin():
 
 def test_kernel_K_hyperplane_matches_flat_bm():
     # with chi identically 1 at interior points, the assembled kernel equals
-    # the flat two-dimensional Bochner-Martinelli form
+    # the flat Bochner-Martinelli form of the hyperplane z_N = 0, for odd and
+    # even ambient dimension N (the sign of c_K depends on the parity of N)
     rng = np.random.default_rng(10)
-    z = np.array([0.2, -0.1, 0.0], dtype=complex)
-    zeta = _rand(rng, 40)
-    zeta[:, 2] = 0.0
-    zeta *= 0.3 / np.sqrt(np.sum(np.abs(zeta) ** 2, -1))[:, None]
-    plucker = plucker_for(HP, zeta)  # the flat chart: p_{01} = 1, others 0
-    ker = K.kernel_K(HP, zeta, z, CFG)
-    Bflat = K.bm_B(zeta - z, 3, 2)
-    for phi_idx in range(2):  # wedge against each dzeta-bar slot
-        probe = FormValue(3, {1 << (3 + phi_idx): np.ones(40)})
-        dens_K = ker.wedge(probe).restricted_to_dim(2).pullback_surface(plucker)
-        dens_B = Bflat.wedge(probe).restricted_to_dim(2).pullback_surface(plucker)
-        got = dens_K.get(0, np.zeros(40))
-        want = dens_B.get(0, np.zeros(40))
-        assert np.max(np.abs(got - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
+    for N in (3, 4):
+        n = N - 1
+        flat = hyperplane(N)
+        z = np.array([0.2, -0.1, 0.05][: N - 1] + [0.0], dtype=complex)
+        zeta = _rand(rng, 40, N)
+        zeta[:, -1] = 0.0
+        zeta *= 0.3 / np.sqrt(np.sum(np.abs(zeta) ** 2, -1))[:, None]
+        plucker = plucker_for(flat, zeta)  # the flat chart: p_{0..n-1} = 1
+        ker = K.kernel_K(flat, zeta, z, CFG)
+        Bflat = K.bm_B(zeta - z, N, n)
+        for phi_idx in range(n):  # wedge against each dzeta-bar slot
+            probe = FormValue(N, {1 << (N + phi_idx): np.ones(40)})
+            dens_K = ker.wedge(probe).restricted_to_dim(n).pullback_surface(plucker)
+            dens_B = Bflat.wedge(probe).restricted_to_dim(n).pullback_surface(plucker)
+            got = dens_K.get(0, np.zeros(40))
+            want = dens_B.get(0, np.zeros(40))
+            assert np.max(np.abs(want)) > 0
+            assert np.max(np.abs(got - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
 
 
 def test_kernel_P_vanishes_inside_cutoff():
@@ -362,9 +367,14 @@ def test_mu_support_and_underflow():
 
 
 def test_default_calibration_constants():
-    c = K.default_calibration(1)
+    c = K.default_calibration(3, 1)
     assert c.c_K == pytest.approx(-TWO_PI_I)
     assert c.c_P == pytest.approx(TWO_PI_I)
+    # c_K / c_P = (-1)^N undoes the parity of the top extraction
+    even = K.default_calibration(4, 1)
+    assert even.c_K == pytest.approx(TWO_PI_I)
+    assert even.c_P == pytest.approx(TWO_PI_I)
+    assert K.default_calibration(4, 2).c_K == pytest.approx(TWO_PI_I**2)
 
 
 def test_structure_form_link_bound_reported():
@@ -396,6 +406,18 @@ def test_calibrate_recovers_default_constants():
     consts = K.calibrate(plan=SamplingPlan(samples=120_000, seed=31,
                                            experiment_id="tcal"))
     assert consts.provenance == "calibrated"
-    d = K.default_calibration(1)
+    d = K.default_calibration(3, 1)
+    assert abs(consts.c_K - d.c_K) / abs(d.c_K) < 0.1
+    assert abs(consts.c_P - d.c_P) / abs(d.c_P) < 0.05
+
+
+def test_calibrate_flat_c4_recovers_default_constants():
+    # the fit on the hyperplane z_4 = 0 in C^4 lands on +2 pi i for c_K,
+    # the opposite sign from C^3
+    from conekop.sampling import SamplingPlan
+
+    consts = K.calibrate(plan=SamplingPlan(samples=8192, seed=31,
+                                           experiment_id="tcal4"), ambient_dim=4)
+    d = K.default_calibration(4, 1)
     assert abs(consts.c_K - d.c_K) / abs(d.c_K) < 0.1
     assert abs(consts.c_P - d.c_P) / abs(d.c_P) < 0.05

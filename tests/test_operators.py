@@ -192,3 +192,25 @@ def test_kernel_mass_uniform_bound_stability():
         v1, e1 = mass(z, 30_000, f"km{i}")
         v2, e2 = mass(z, 60_000, f"km{i}b")
         assert abs(v1 - v2) <= 4 * np.hypot(e1, e2) + 0.02 * abs(v1)
+
+
+def test_fiber_solvers_agree_at_fixed_z(monkeypatch):
+    # P and K on the cubic cone at one fixed z: solving every fiber with the
+    # companion eigensolver instead of the Aberth iteration reorders only
+    # rounding, because both return the sheets sorted by angle
+    from conekop import sampling
+
+    v = get_variety("fermat3")
+    z = surface_point_with_norm(v, 0.5, seed=4)
+    bump = TestForm.zbar_bump(3, 0, 0.6 * CFG.rho2, 0.95 * CFG.rho2)
+
+    def both():
+        pv, _ = O.apply_P(v, bump, z, CFG, plan(6_000, "agreeP"))
+        kv, _ = O.apply_K(v, bump.dbar(), z, CFG, plan(6_000, "agreeK"))
+        return pv, kv[0]
+
+    new = both()
+    monkeypatch.setattr(sampling, "_aberth_roots", sampling._companion_roots)
+    old = both()
+    for a, b in zip(new, old):
+        assert abs(a - b) <= 1e-12 * abs(b)

@@ -23,7 +23,7 @@ from conekop.sampling import (
     surface_point_with_norm,
     tangent_frame,
 )
-from conekop.varieties import catalog_names, get_variety
+from conekop.varieties import ConeVariety, MultiIndexPoly, catalog_names, get_variety
 
 HP = get_variety("hyperplane")
 A1 = get_variety("a1")
@@ -369,3 +369,111 @@ def test_ci22_fiber_solving_and_volume():
     v2 = integrate(ci, Region.ball(np.zeros(4), 1.0), ONE,
                    plan.with_(experiment_id="tci22b"))
     assert abs(v2.value.real / v1.value.real - 16.0) < 2.0
+
+
+# ---------------------------------------------------------------------------
+# the nu = 1 root finder for degree >= 3
+# ---------------------------------------------------------------------------
+
+
+def _random_quartic():
+    # dense quartic with random complex coefficients; the pure power z_0^4
+    # is present, so the chart with fiber z_0 is admissible
+    rng = np.random.default_rng(21)
+    terms = {}
+    for a in range(5):
+        for b in range(5 - a):
+            c = complex(rng.standard_normal(), rng.standard_normal())
+            terms[(a, b, 4 - a - b)] = c
+    return ConeVariety("quartic", 3, (MultiIndexPoly.from_dict(3, terms),))
+
+
+def _degree3_plus():
+    return [get_variety("fermat3"), get_variety("fermat4"), _random_quartic()]
+
+
+def _fiber_coeffs(v, bases):
+    table = sampling._fiber_poly_coeffs(v, default_chart(v))
+    return np.stack([sampling._eval_base_poly(e, c, bases) for e, c in table],
+                    axis=-1)
+
+
+@pytest.fixture
+def fallback_rows(monkeypatch):
+    """Count the rows the root finder hands to the companion eigensolver."""
+    rows = []
+    companion = sampling._companion_roots
+
+    def counted(cs):
+        rows.append(len(cs))
+        return companion(cs)
+
+    monkeypatch.setattr(sampling, "_companion_roots", counted)
+    return rows
+
+
+def _set_distance(a, b):
+    """Largest distance from a root in one row set to the other set."""
+    dist = np.abs(a[:, :, None] - b[:, None, :])
+    return np.maximum(np.max(np.min(dist, axis=2), axis=1),
+                      np.max(np.min(dist, axis=1), axis=1))
+
+
+@pytest.mark.parametrize("v", _degree3_plus(), ids=lambda v: v.name)
+def test_aberth_roots_match_companion(v, fallback_rows):
+    rng = np.random.default_rng(22)
+    bases = rng.standard_normal((2000, 2)) + 1j * rng.standard_normal((2000, 2))
+    cs = _fiber_coeffs(v, bases)
+    got = sampling._aberth_roots(cs)
+    assert sum(fallback_rows) == 0
+    want = sampling._companion_roots(cs)
+    scale = np.max(np.abs(want), axis=1)
+    assert np.max(_set_distance(got, want) / scale) <= 1e-12
+
+
+@pytest.mark.parametrize("v", _degree3_plus(), ids=lambda v: v.name)
+def test_solve_fiber_all_sheets_sorted_by_angle(v):
+    # away from the branch locus every one of the d sheets is valid, and the
+    # sheets come out in canonical order: by the argument of the fiber root
+    rng = np.random.default_rng(23)
+    bases = rng.standard_normal((2000, 2)) + 1j * rng.standard_normal((2000, 2))
+    chart = default_chart(v)
+    pts, valid = solve_fiber(v, chart, bases)
+    assert pts.shape[1] == v.polys[0].degree
+    assert np.all(valid)
+    ang = np.angle(pts[..., chart.fiber[0]])
+    assert np.all(np.diff(ang, axis=1) >= 0)
+
+
+def test_aberth_falls_back_on_double_root_and_cone_point(fallback_rows):
+    # (t - 1)^2 (t + 2) = t^3 - 3t + 2, next to a row with simple roots
+    cs = np.array([[2.0, -3.0, 0.0, 1.0], [-6.0, 11.0, -6.0, 1.0]], dtype=complex)
+    t = sampling._aberth_roots(cs)
+    assert fallback_rows == [1]
+    assert np.max(_set_distance(t[:1], np.array([[1.0, 1.0, -2.0]]))) < 1e-6
+    assert np.max(_set_distance(t[1:], np.array([[1.0, 2.0, 3.0]]))) < 1e-13
+    # over the base point 0 the fiber polynomial is t^3: all sheets meet at
+    # the cone point and the branch guard discards them, but none is lost
+    v = get_variety("fermat3")
+    pts, valid = solve_fiber(v, default_chart(v), np.zeros((1, 2)))
+    assert fallback_rows == [1, 1]
+    assert pts.shape == (1, 3, 3)
+    assert np.all(pts == 0) and not np.any(valid)
+
+
+@pytest.mark.parametrize("name", ["fermat3", "fermat4"])
+def test_sampled_batches_need_no_fallback(name, fallback_rows):
+    # one 20k-sample integral draws its base points from every stratum,
+    # the cone-point shells included
+    v = get_variety(name)
+    calls = []
+
+    def integrand(batch):
+        calls.append(len(batch))
+        return np.ones(len(batch), dtype=complex)
+
+    integrate(v, Region.ball(np.zeros(3), 1.0), integrand,
+              SamplingPlan(samples=20_000, seed=3, experiment_id="nofallback"),
+              poles=[(np.zeros(3), 2)])
+    assert sum(calls) > 20_000
+    assert fallback_rows == []

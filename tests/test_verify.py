@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from conekop.sampling import SamplingPlan
-from conekop.varieties import get_variety
+from conekop.sampling import SamplingPlan, attach_link_margin
+from conekop.varieties import get_variety, hyperplane
 from conekop.verify import (
     EXPERIMENTS,
     ExperimentReport,
@@ -191,3 +191,11 @@ def test_koppelman_q1_loose_runs_and_reports():
     rep = run_koppelman_q1_loose(HP, plan(60_000, "q1"), fd_step=0.03)
     assert "q1_residual_over_scale" in rep.fitted
     assert rep.rows and "fd" in rep.rows[0]
+
+
+def test_koppelman_q0_flat_even_ambient_dimension():
+    # the q = 0 homotopy identity on the hyperplane z_4 = 0 in C^4; with the
+    # odd-N sign of c_K the bump rows miss by 2-4x their tolerance
+    v = attach_link_margin(hyperplane(4), samples=2000)
+    rep = run_experiment("koppelman_q0", v, SamplingPlan(samples=4096, seed=7))
+    assert rep.checks == {"identity_holo1100": True, "identity_zbar0_bump": True}
