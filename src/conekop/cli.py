@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .kernels import WeightConfig
-from .sampling import (FiberDegenerateError, NearSingularError, SamplingPlan,
-                       attach_link_margin)
-from .varieties import get_variety, variety_from_json
+from .sampling import FiberDegenerateError, SamplingPlan, attach_link_margin
+from .varieties import NearSingularError, get_variety, variety_from_json
 from .verify import EXPERIMENTS, run_experiment
 
 __all__ = ["RunConfig", "main"]

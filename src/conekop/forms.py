@@ -69,6 +69,11 @@ def _wedge_sign(ma: int, mb: int) -> int:
     return s
 
 
+def _volume_constant(n: int) -> complex:
+    """c_vol in dV = c_vol dw_1..dw_n ^ dwbar_1..dwbar_n, w unitary coordinates."""
+    return (0.5j) ** n * (-1.0 if (n * (n - 1) // 2) & 1 else 1.0)
+
+
 def _is_zero(c) -> bool:
     if isinstance(c, np.ndarray):
         return False  # batch coefficients are kept even if momentarily zero
@@ -230,19 +235,15 @@ class FormValue:
         plucker maps the bit mask of each n-subset A of the ambient
         coordinates to the batched Plücker coordinate p_A of the tangent
         plane, det F[:, A] for an orthonormal tangent frame F up to a unit
-        phase per point (see sampling.plucker_for).  A term
-        c e_A ^ a_B ^ (dz-bar) has density c p_A conj(p_B) / c_vol; z-bar
-        generators survive as output indices.  The normalization is fixed so
-        that the pullback of the induced volume form of X has density
-        exactly 1 at the empty dz-bar subset.
+        phase per point.  A term c e_A ^ a_B ^ (dz-bar) has density
+        c p_A conj(p_B) / c_vol; z-bar generators survive as output indices.
+        The normalization is fixed so that the pullback of the induced volume
+        form of X has density exactly 1 at the empty dz-bar subset.
         """
         n = next(iter(plucker)).bit_count()
-        nb = np.size(next(iter(plucker.values())))
         emask = self.e_mask()
         amask = emask << self.N
-        # volume form in frame coordinates: dV = c_vol * dw_top ^ dwbar_top
-        c_vol = (0.5j) ** n * (-1.0 if (n * (n - 1) // 2) & 1 else 1.0)
-        conj: dict[int, np.ndarray] = {}
+        c_vol = _volume_constant(n)
         out: dict[int, np.ndarray] = {}
         for m, c in self.terms.items():
             ae = m & emask
@@ -251,15 +252,35 @@ class FormValue:
                 raise DegreeOverflowError("zeta-bar degree exceeds dim X")
             if ae.bit_count() != n or aa.bit_count() != n:
                 continue  # only the (n,n) part in zeta survives integration
-            pb = conj.get(aa)
-            if pb is None:
-                pb = conj[aa] = np.conj(plucker[aa])
-            dens = c * plucker[ae] * pb / c_vol
+            dens = c * plucker[ae] * np.conj(plucker[aa]) / c_vol
             bkey = m >> (2 * self.N)
-            if bkey in out:
-                out[bkey] = out[bkey] + dens
-            else:
-                out[bkey] = dens * np.ones(nb) if np.ndim(dens) == 0 else dens
+            out[bkey] = out[bkey] + dens if bkey in out else dens
+        return out
+
+    def surface_density(self, omega: "FormValue") -> dict[int, np.ndarray]:
+        """pullback_surface of omega ^ self, for the structure form omega of X.
+
+        self carries no dzeta generators.  By Hodge duality the tangent plane's
+        Plücker coordinates satisfy sum_A omega_A p_A = 1/|m| and conj(p_B) =
+        |m| omega_B, so a term c a_B ^ (dz-bar) has density c omega_B / c_vol.
+        """
+        self._check(omega)
+        n = next(iter(omega.terms)).bit_count()
+        emask = self.e_mask()
+        amask = emask << self.N
+        c_vol = _volume_constant(n)
+        out: dict[int, np.ndarray] = {}
+        for m, c in self.terms.items():
+            if m & emask:
+                raise WrongDegreeError("surface density of a form with dzeta generators")
+            aa = (m & amask) >> self.N
+            if aa.bit_count() > n:
+                raise DegreeOverflowError("zeta-bar degree exceeds dim X")
+            if aa.bit_count() != n:
+                continue  # only the (n,n) part in zeta survives integration
+            dens = c * omega.terms[aa] / c_vol
+            bkey = m >> (2 * self.N)
+            out[bkey] = out[bkey] + dens if bkey in out else dens
         return out
 
     def tangent_norm(self, proj: np.ndarray) -> np.ndarray:

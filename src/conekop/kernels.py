@@ -14,11 +14,12 @@ differential are built in:
              squared minors norm,
     h        Hefer form from divided differences.
 
-The kernels are
-    K = c_K * omega ^ top_extract(h ^ (g ^ B)_n)
-    P = c_P * omega ^ top_extract(h ^ g_n)
-with the scalar constants c_K, c_P fixed once by reproducing the flat model
-identities (see calibrate).
+The kernels are K = omega ^ k and P = omega ^ p, and kernel_K, kernel_P
+return the z-dependent factors
+    k = c_K * top_extract(h ^ (g ^ B)_n)
+    p = c_P * top_extract(h ^ g_n)
+(FormValue.surface_density contracts omega in), with the scalar constants
+c_K, c_P fixed once by reproducing the flat model identities (see calibrate).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import FormValue, TWO_PI_I, Window, smoothstep, smoothstep_deriv
-from .varieties import ConeVariety, minor_complements
+from .varieties import ConeVariety, _require_regular, minor_complements
 
 __all__ = [
     "WeightConfig",
@@ -249,13 +250,14 @@ def structure_form(v: ConeVariety, zeta: np.ndarray) -> FormValue:
 
     The minor m_I sits on e_{I^c} with the sign of the permutation (I, I^c).
     Coefficient norms scale like |zeta|^(nu - d); the origin is a genuine
-    singularity whenever d > nu.
+    singularity whenever d > nu.  Near-singular points raise NearSingularError.
     """
     zeta = np.asarray(zeta, dtype=complex)
     m = v.minors(zeta)
     msq = np.sum(np.abs(m) ** 2, axis=-1)
     if np.any(msq == 0):
         raise PoleError("structure form evaluated at a singular point")
+    _require_regular(v, zeta, np.sqrt(msq))
     terms = {}
     for k, (mask, sgn) in enumerate(minor_complements(v.ambient_dim, v.nu)):
         terms[mask] = sgn * np.conj(m[..., k]) / msq
@@ -269,11 +271,11 @@ def structure_form(v: ConeVariety, zeta: np.ndarray) -> FormValue:
 
 def kernel_K(v: ConeVariety, zeta: np.ndarray, z: np.ndarray, cfg: WeightConfig,
              consts: CalibrationConstants | None = None) -> FormValue:
-    """Full solution kernel at (zeta, z), as a batched FormValue.
+    """Anti-generator factor k of the solution kernel K = omega ^ k at (zeta, z).
 
-    Carries dzeta generators (from the structure form), dzeta-bar and dz-bar
-    generators; the pole at zeta = z has order 2n - 1 and the structure form
-    contributes |zeta|^(nu - d) growth at the origin.
+    A batched FormValue over dzeta-bar and dz-bar generators only; the pole
+    at zeta = z has order 2n - 1.  The structure form omega, which
+    contributes |zeta|^(nu - d) growth at the origin, is left to the caller.
     """
     consts = consts or default_calibration(v.ambient_dim, v.nu)
     N, n = v.ambient_dim, v.dim
@@ -284,14 +286,12 @@ def kernel_K(v: ConeVariety, zeta: np.ndarray, z: np.ndarray, cfg: WeightConfig,
     g = weight_g(zeta, z, cfg, n, N)
     part = g.wedge(Bf).bidegree_part(n)
     h = hefer_form(v, zeta, z)
-    ktilde = h.wedge(part).extract_top_eta()
-    omega = structure_form(v, zeta)
-    return consts.c_K * omega.wedge(ktilde)
+    return consts.c_K * h.wedge(part).extract_top_eta()
 
 
 def kernel_P(v: ConeVariety, zeta: np.ndarray, z: np.ndarray, cfg: WeightConfig,
              consts: CalibrationConstants | None = None) -> FormValue:
-    """Projection kernel; supported on the cut-off annulus, holomorphic in z."""
+    """Factor p of P = omega ^ p; zero off the cut-off annulus, holomorphic in z."""
     consts = consts or default_calibration(v.ambient_dim, v.nu)
     N, n = v.ambient_dim, v.dim
     zeta = np.asarray(zeta, dtype=complex)
@@ -299,9 +299,7 @@ def kernel_P(v: ConeVariety, zeta: np.ndarray, z: np.ndarray, cfg: WeightConfig,
     g = weight_g(zeta, z, cfg, n, N)
     part = g.bidegree_part(n)
     h = hefer_form(v, zeta, z)
-    ptilde = h.wedge(part).extract_top_eta()
-    omega = structure_form(v, zeta)
-    return consts.c_P * omega.wedge(ptilde)
+    return consts.c_P * h.wedge(part).extract_top_eta()
 
 
 # ---------------------------------------------------------------------------

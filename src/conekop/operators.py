@@ -47,8 +47,9 @@ def output_subsets(N: int, q_out: int) -> list[tuple[int, ...]]:
 
 
 def _kernel_integrand(v: ConeVariety, phi: TestForm, z, cfg, consts, subsets,
-                      which: str):
-    # pullback densities are keyed by the dz-bar mask alone (low bits)
+                      kernel):
+    """Batch integrand of omega ^ kernel ^ phi; kernel is kernel_K or kernel_P."""
+    # surface densities are keyed by the dz-bar mask alone (low bits)
     masks = []
     for s in subsets:
         m = 0
@@ -65,12 +66,9 @@ def _kernel_integrand(v: ConeVariety, phi: TestForm, z, cfg, consts, subsets,
         if not np.any(ok):
             return out
         pts = zeta[ok]
-        if which == "K":
-            ker = kernels.kernel_K(v, pts, z, cfg, consts)
-        else:
-            ker = kernels.kernel_P(v, pts, z, cfg, consts)
-        total = ker.wedge(phi.form_value(pts)).restricted_to_dim(v.dim)
-        dens = total.pullback_surface({A: p[ok] for A, p in batch.plucker.items()})
+        total = kernel(v, pts, z, cfg, consts).wedge(phi.form_value(pts))
+        dens = total.restricted_to_dim(v.dim).surface_density(
+            kernels.structure_form(v, pts))
         for i, m in enumerate(masks):
             if m in dens:
                 out[ok, i] = dens[m]
@@ -98,7 +96,8 @@ def apply_K(v: ConeVariety, phi: TestForm, z, cfg: WeightConfig,
     subsets = output_subsets(v.ambient_dim, phi.q - 1)
     region = Region.domain(cfg.omega_prime_radius, v.ambient_dim)
     poles = [(z, 2 * n - 1), (np.zeros(v.ambient_dim), v.total_degree - v.nu)]
-    integrand = _kernel_integrand(v, phi, z, cfg, consts, subsets, "K")
+    integrand = _kernel_integrand(v, phi, z, cfg, consts, subsets,
+                                  kernels.kernel_K)
     qr = integrate(v, region, integrand, plan, poles=poles)
     coeffs = np.atleast_1d(np.asarray(qr.value))
     return coeffs, qr
@@ -116,7 +115,8 @@ def apply_P(v: ConeVariety, phi: TestForm, z, cfg: WeightConfig,
         raise ValueError("apply_P expects a (0,0) input")
     consts = consts or kernels.default_calibration(v.ambient_dim, v.nu)
     region = Region.annulus(np.zeros(v.ambient_dim), cfg.rho1, cfg.rho2)
-    integrand = _kernel_integrand(v, phi, z, cfg, consts, [()], "P")
+    integrand = _kernel_integrand(v, phi, z, cfg, consts, [()],
+                                  kernels.kernel_P)
     qr = integrate(v, region, integrand, plan)
     value = complex(np.atleast_1d(np.asarray(qr.value))[0])
     return value, qr

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .varieties import ConeVariety, minor_complements
+from .varieties import (ConeVariety, NearSingularError, _require_regular,
+                        minor_complements)
 
 __all__ = [
     "Chart",
@@ -36,7 +37,6 @@ __all__ = [
     "ProfileError",
     "admissible_charts",
     "default_chart",
-    "plucker_for",
     "tangent_frame",
     "integrate",
     "estimate_v",
@@ -48,7 +48,6 @@ __all__ = [
 
 POINT_TOL = 1e-10
 BRANCH_TOL = 1e-8
-FRAME_TOL = 1e-8
 
 
 class EmptyRegionError(ValueError):
@@ -57,10 +56,6 @@ class EmptyRegionError(ValueError):
 
 class FiberDegenerateError(RuntimeError):
     """Projection direction tangent to the cone at infinity for this chart."""
-
-
-class NearSingularError(RuntimeError):
-    pass
 
 
 class ProfileError(ValueError):
@@ -392,13 +387,6 @@ def gram_factors(v: ConeVariety, chart: Chart, pts: np.ndarray) -> np.ndarray:
     return np.sum(m2, axis=-1) / np.maximum(m2[..., k], 1e-300)
 
 
-def _require_regular(v: ConeVariety, pts: np.ndarray, minors_norm: np.ndarray):
-    nrm = np.sqrt(np.sum(np.abs(pts) ** 2, axis=-1))
-    thresh = FRAME_TOL * np.maximum(nrm, 1e-300) ** (v.total_degree - v.nu)
-    if np.any(minors_norm <= thresh):
-        raise NearSingularError("tangent plane requested too close to the branch locus")
-
-
 def frames_for(v: ConeVariety, pts: np.ndarray) -> np.ndarray:
     """Orthonormal bases of the holomorphic tangent spaces, batched.
 
@@ -411,49 +399,22 @@ def frames_for(v: ConeVariety, pts: np.ndarray) -> np.ndarray:
     return np.conj(Vh[..., v.nu:, :])
 
 
-def plucker_for(v: ConeVariety, pts: np.ndarray) -> dict[int, np.ndarray]:
-    """Plücker coordinates of the holomorphic tangent planes, batched.
-
-    Keyed by the bit mask of each n-subset A of the coordinates.  Up to one
-    unit phase per point, p_A = det F[:, A] for any orthonormal tangent frame
-    F; densities p_A conj(p_B) do not see that phase.  By Hodge duality
-    (Griffiths & Harris, ch. 1) p_{I^c} = sel(I) m_I / |m| for the Jacobian
-    minors m_I, where sel(I) is the sign of the permutation (I, I^c), so no
-    frame is needed.
-    """
-    m = v.minors(pts)
-    mn = np.sqrt(np.sum(np.abs(m) ** 2, axis=-1))
-    _require_regular(v, pts, mn)
-    return {mask: sgn * m[..., k] / mn
-            for k, (mask, sgn) in enumerate(minor_complements(v.ambient_dim, v.nu))}
-
-
 # ---------------------------------------------------------------------------
 # points
 # ---------------------------------------------------------------------------
 
 
 class PointBatch:
-    """Vectorized view of surface sample points.
-
-    Plücker coordinates and tangent projectors are computed on demand.
-    """
+    """Vectorized view of surface sample points; tangent projectors on demand."""
 
     def __init__(self, variety, positions, grams):
         self.variety = variety
         self.positions = positions
         self.grams = grams
-        self._plucker = None
         self._projector = None
 
     def __len__(self):
         return self.positions.shape[0]
-
-    @property
-    def plucker(self) -> dict[int, np.ndarray]:
-        if self._plucker is None:
-            self._plucker = plucker_for(self.variety, self.positions)
-        return self._plucker
 
     @property
     def projector(self) -> np.ndarray:

@@ -26,6 +26,7 @@ __all__ = [
     "ConeVariety",
     "Thresholds",
     "DegenerateExponentError",
+    "NearSingularError",
     "catalog_names",
     "get_variety",
     "hyperplane",
@@ -34,8 +35,15 @@ __all__ = [
 ]
 
 
+FRAME_TOL = 1e-8
+
+
 class DegenerateExponentError(ValueError):
     """The pole degree d - nu reaches 2n, outside the operator hypotheses."""
+
+
+class NearSingularError(RuntimeError):
+    """Tangent data requested where the minors norm is too small to trust."""
 
 
 class MultiIndexPoly:
@@ -237,6 +245,14 @@ class ConeVariety:
 
     def with_link_margin(self, margin: float) -> "ConeVariety":
         return ConeVariety(self.name, self.ambient_dim, self.polys, margin)
+
+
+def _require_regular(v: ConeVariety, pts, minors_norm: np.ndarray):
+    """Raise NearSingularError where |m| <= FRAME_TOL |zeta|^(d - nu) (scale-free)."""
+    nrm = np.sqrt(np.sum(np.abs(pts) ** 2, axis=-1))
+    thresh = FRAME_TOL * np.maximum(nrm, 1e-300) ** (v.total_degree - v.nu)
+    if np.any(minors_norm <= thresh):
+        raise NearSingularError("tangent plane requested too close to the branch locus")
 
 
 @functools.lru_cache(maxsize=None)

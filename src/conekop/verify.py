@@ -27,7 +27,7 @@ from .sampling import (
     surface_point_with_norm,
     tangent_frame,
 )
-from .varieties import ConeVariety
+from .varieties import ConeVariety, minor_complements
 
 __all__ = [
     "ExperimentReport",
@@ -211,12 +211,6 @@ def _pair_along(v: ConeVariety, p: np.ndarray, e: np.ndarray, delta: float):
     return z, w, float(np.sqrt(np.sum(np.abs(z - w) ** 2)))
 
 
-def _surface_pair(v: ConeVariety, base_norm: float, delta: float, seed: int):
-    """Two nearby points of X separated by approximately delta."""
-    p = surface_point_with_norm(v, base_norm, seed=seed)
-    return _pair_along(v, p, tangent_frame(v, p)[0], delta)
-
-
 # ---------------------------------------------------------------------------
 # radial scaling
 # ---------------------------------------------------------------------------
@@ -311,9 +305,13 @@ def run_two_pole(v: ConeVariety, plan: SamplingPlan,
     deltas = np.geomspace(delta_lo, delta_hi, n_grid)
     per = max(plan.samples // n_grid, plan.min_per_stratum)
     region = Region.domain(domain_radius, v.ambient_dim)
+    # one base point and one direction for every separation, as in the Hölder
+    # experiments, so the fitted slope sees only the separation
+    p = surface_point_with_norm(v, 0.45, seed=plan.seed)
+    e = tangent_frame(v, p)[0]
     vals, errv, seps = [], [], []
     for i, d in enumerate(deltas):
-        z, w, sep = _surface_pair(v, 0.45, d, seed=plan.seed + i)
+        z, w, sep = _pair_along(v, p, e, d)
 
         def integrand(batch, z=z, w=w):
             dz = np.maximum(np.sqrt(np.sum(np.abs(batch.positions - z) ** 2, -1)), 1e-300)
@@ -693,6 +691,9 @@ def flat_bm_residuals(plan: SamplingPlan, z_norms=(0.1, 0.2, 0.3, 0.38, 0.44),
 
     v = get_variety("hyperplane")
     n = v.dim
+    # {z_N = 0}: the tangent plane is spanned by the first n coordinates
+    flat_coords = {A: float(A == (1 << n) - 1)
+                   for A, _ in minor_complements(v.ambient_dim, v.nu)}
     phi = TestForm.radial_bump(v.ambient_dim, bump_lo, bump_hi)
     dphi = phi.dbar()
     rows = []
@@ -710,8 +711,7 @@ def flat_bm_residuals(plan: SamplingPlan, z_norms=(0.1, 0.2, 0.3, 0.38, 0.44),
                 pts = zeta[ok]
                 B = kernels.bm_B(pts - z, v.ambient_dim, n)
                 total = B.wedge(dphi.form_value(pts)).restricted_to_dim(n)
-                dens = total.pullback_surface(
-                    {A: p[ok] for A, p in batch.plucker.items()})
+                dens = total.pullback_surface(flat_coords)
                 out[ok] = dens.get(0, 0.0)
             return out
 

@@ -10,8 +10,8 @@ from conekop.forms import (
     UniverseMismatchError,
     WrongDegreeError,
 )
-from conekop.sampling import (PointBatch, default_chart, frames_for, plucker_for,
-                              solve_fiber)
+from conekop.kernels import structure_form
+from conekop.sampling import PointBatch, default_chart, frames_for, solve_fiber
 from conekop.varieties import catalog_names, get_variety
 
 N = 3
@@ -215,10 +215,21 @@ def test_pullback_unitary_frame_invariance():
     assert np.allclose(dens[0], 1.0)
 
 
+def test_surface_density_degree_errors():
+    omega = FormValue(N, {0b011: 1.0, 0b101: 0.5, 0b110: 0.25})
+    with pytest.raises(WrongDegreeError):
+        e(0).wedge(a(1)).wedge(a(2)).surface_density(omega)
+    with pytest.raises(DegreeOverflowError):
+        a(0).wedge(a(1)).wedge(a(2)).surface_density(omega)
+    assert a(0).surface_density(omega) == {}  # zeta-bar degree below n
+
+
 @pytest.mark.parametrize("name", catalog_names())
 def test_minors_pullback_matches_frame_determinants(name):
-    # Plücker coordinates from the Jacobian minors against det F[:, A] of the
-    # SVD frame rows, on a random (n,n) form with several dz-bar keys
+    # contraction with the structure form (Jacobian minors) against the
+    # pullback of omega ^ kappa through det F[:, A] of the SVD frame rows, on
+    # a random dzeta-free kappa with several dz-bar keys and some terms of
+    # zeta-bar degree n - 1, which vanish on X
     v = get_variety(name)
     Nv, n = v.ambient_dim, v.dim
     rng = np.random.default_rng(31)
@@ -228,13 +239,16 @@ def test_minors_pullback_matches_frame_determinants(name):
     subsets = [sum(1 << j for j in A) for A in itertools.combinations(range(Nv), n)]
     terms = {}
     for _ in range(12):
-        A, B = rng.choice(subsets, size=2)
+        B = int(rng.choice(subsets))
+        if rng.random() < 0.2:
+            B &= B - 1
         C = 0 if rng.random() < 0.3 else 1 << int(rng.integers(Nv))
-        mask = int(A) | int(B) << Nv | C << 2 * Nv
+        mask = B << Nv | C << 2 * Nv
         terms[mask] = rng.standard_normal(len(sel)) + 1j * rng.standard_normal(len(sel))
-    form = FormValue(Nv, terms)
-    got = form.pullback_surface(plucker_for(v, sel))
-    want = form.pullback_surface(frame_plucker(frames_for(v, sel)))
+    kappa = FormValue(Nv, terms)
+    omega = structure_form(v, sel)
+    got = kappa.surface_density(omega)
+    want = omega.wedge(kappa).pullback_surface(frame_plucker(frames_for(v, sel)))
     assert set(got) == set(want) and len(want) > 1
     for key, w in want.items():
         assert np.max(np.abs(got[key] - w)) <= 1e-12 * np.max(np.abs(w))

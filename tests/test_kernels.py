@@ -4,8 +4,9 @@ import pytest
 from conekop import kernels as K
 from conekop.forms import FormValue
 from conekop.kernels import WeightConfig, annulus_bounds
-from conekop.sampling import plucker_for, surface_point_with_norm
-from conekop.varieties import get_variety, hyperplane
+from conekop.sampling import surface_point_with_norm
+from conekop.varieties import (ConeVariety, MultiIndexPoly, NearSingularError,
+                               get_variety, hyperplane, minor_complements)
 
 HP = get_variety("hyperplane")
 A1 = get_variety("a1")
@@ -218,6 +219,22 @@ def test_structure_form_singular_origin():
         K.structure_form(A1, np.zeros((1, 3), dtype=complex))
 
 
+def test_structure_form_near_singular_error():
+    # z0 z1 = 0 is singular along its z2 axis: at (1e-12, 0, 1) the minors
+    # norm is 1e-12 > 0, below FRAME_TOL |zeta|^(d - nu) = 1e-8
+    planes = ConeVariety("planes", 3, (MultiIndexPoly.from_dict(3, {(1, 1, 0): 1.0}),))
+    pts = np.array([[0.5, 0.0, 0.3], [1e-12, 0.0, 1.0]], dtype=complex)
+    assert 0.0 < planes.minors_norm(pts[1]) <= 1e-8
+    K.structure_form(planes, pts[:1])
+    with pytest.raises(NearSingularError):
+        K.structure_form(planes, pts)
+
+
+def _omega_kernel(v, zeta, z):
+    """The full kernel omega ^ kappa, with omega wedged in explicitly."""
+    return K.structure_form(v, zeta).wedge(K.kernel_K(v, zeta, z, CFG))
+
+
 def test_kernel_K_hyperplane_matches_flat_bm():
     # with chi identically 1 at interior points, the assembled kernel equals
     # the flat Bochner-Martinelli form of the hyperplane z_N = 0, for odd and
@@ -230,8 +247,10 @@ def test_kernel_K_hyperplane_matches_flat_bm():
         zeta = _rand(rng, 40, N)
         zeta[:, -1] = 0.0
         zeta *= 0.3 / np.sqrt(np.sum(np.abs(zeta) ** 2, -1))[:, None]
-        plucker = plucker_for(flat, zeta)  # the flat chart: p_{0..n-1} = 1
-        ker = K.kernel_K(flat, zeta, z, CFG)
+        # the flat chart: p_{0..n-1} = 1, every other Plücker coordinate 0
+        plucker = {A: np.full(40, 1.0 if A == (1 << n) - 1 else 0.0)
+                   for A, _ in minor_complements(N, 1)}
+        ker = _omega_kernel(flat, zeta, z)
         Bflat = K.bm_B(zeta - z, N, n)
         for phi_idx in range(n):  # wedge against each dzeta-bar slot
             probe = FormValue(N, {1 << (N + phi_idx): np.ones(40)})
@@ -264,7 +283,7 @@ def test_kernel_pole_order_audit():
 
         zeta = np.stack([project_to_surface(A1, z + eps * tau),
                          project_to_surface(A1, z - eps * tau)])
-        ker = K.kernel_K(A1, zeta, z, CFG)
+        ker = _omega_kernel(A1, zeta, z)
         dist = np.sqrt(np.sum(np.abs(zeta - z) ** 2, -1))
         mag = np.zeros(2)
         for c in ker.terms.values():
@@ -286,7 +305,7 @@ def test_kernel_decomposition_bound():
     nz = np.sqrt(np.sum(np.abs(zeta) ** 2, -1))
     keep = (nz > 1e-3) & (nz < 2.0)
     zeta = zeta[keep][:10_000]
-    ker = K.kernel_K(A1, zeta, z, CFG)
+    ker = _omega_kernel(A1, zeta, z)
     mag = np.zeros(len(zeta))
     for c in ker.terms.values():
         mag = np.maximum(mag, np.abs(c))

@@ -156,13 +156,6 @@ def test_sampling_plan_rejects_bad_radii():
         SamplingPlan().with_(shell_ratio=float("nan"))
 
 
-def test_plucker_near_singular_error():
-    pts = np.array([[0.5, 0.5j, 0.0], [0.0, 0.0, 0.0]], dtype=complex)
-    batch = PointBatch(A1, pts, np.ones(2))
-    with pytest.raises(NearSingularError):
-        batch.plucker
-
-
 def test_flat_ball_volume():
     plan = SamplingPlan(samples=50_000, seed=2, experiment_id="tv")
     res = integrate(HP, Region.ball(np.zeros(3), 1.0), ONE, plan)

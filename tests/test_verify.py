@@ -68,6 +68,28 @@ def test_radial_scaling_volume_slope():
     assert rep.fitted["slope_alpha_0"]["value"] == pytest.approx(4.0, abs=0.05)
 
 
+def test_two_pole_pairs_share_one_midpoint(monkeypatch):
+    # every separation straddles the same base point along the same
+    # direction: the midpoints (z + w) / 2 differ only by the O(delta^2)
+    # correction of projecting p +- delta e / 2 back onto X
+    from conekop import verify
+
+    captured = []
+    real = verify.integrate
+
+    def spy(v, region, integrand, plan_, poles=(), chart=None):
+        captured.append(poles)
+        return real(v, region, integrand, plan_, poles=poles, chart=chart)
+
+    monkeypatch.setattr(verify, "integrate", spy)
+    run_two_pole(A1, plan(9_000, "tpmid"))
+    assert len(captured) == 9
+    mid0 = (captured[0][0][0] + captured[0][1][0]) / 2
+    for (z, _), (w, _) in captured:
+        sep = np.sqrt(np.sum(np.abs(z - w) ** 2))
+        assert np.sqrt(np.sum(np.abs((z + w) / 2 - mid0) ** 2)) <= 0.25 * sep**2
+
+
 def test_two_pole_trivial_volume():
     rep = run_two_pole(A1, plan(30_000, "tp0"), alpha=0.0, beta=0.0)
     from conekop.sampling import Region, integrate
