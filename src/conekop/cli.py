@@ -15,9 +15,10 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import load_variety
 from .kernels import WeightConfig
-from .sampling import FiberDegenerateError, SamplingPlan, attach_link_margin
-from .varieties import NearSingularError, get_variety, variety_from_json
+from .sampling import FiberDegenerateError, SamplingPlan
+from .varieties import NearSingularError
 from .verify import EXPERIMENTS, run_experiment
 
 __all__ = ["RunConfig", "main"]
@@ -119,15 +120,6 @@ def _parse_args(argv) -> RunConfig:
     return cfg
 
 
-def _load(cfg: RunConfig):
-    path = Path(cfg.variety)
-    if path.suffix == ".json" and path.exists():
-        v = variety_from_json(str(path))
-    else:
-        v = get_variety(cfg.variety)
-    return attach_link_margin(v)
-
-
 def main(argv=None) -> int:
     try:
         cfg = _parse_args(argv)
@@ -136,7 +128,7 @@ def main(argv=None) -> int:
                                   omega_prime_radius=cfg.omega_prime)
         plan = SamplingPlan(samples=cfg.samples, seed=cfg.seed, r_min=cfg.r_min,
                             shell_ratio=cfg.shell_ratio)
-        v = _load(cfg)
+        v = load_variety(cfg.variety)
     except (ConfigError, KeyError, ValueError, OSError, FiberDegenerateError,
             NearSingularError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

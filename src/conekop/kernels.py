@@ -245,15 +245,15 @@ def hefer_form(v: ConeVariety, zeta: np.ndarray, z: np.ndarray) -> FormValue:
     return out
 
 
-def structure_form(v: ConeVariety, zeta: np.ndarray) -> FormValue:
+def structure_form(v: ConeVariety, zeta: np.ndarray, m: np.ndarray) -> FormValue:
     """(n,0) form of conjugated Jacobian minors over the squared minors norm.
 
-    The minor m_I sits on e_{I^c} with the sign of the permutation (I, I^c).
-    Coefficient norms scale like |zeta|^(nu - d); the origin is a genuine
-    singularity whenever d > nu.  Near-singular points raise NearSingularError.
+    m = v.minors(zeta); m_I sits on e_{I^c} with the sign of the permutation
+    (I, I^c).  Coefficient norms scale like |zeta|^(nu - d); the origin is a
+    genuine singularity whenever d > nu.  Near-singular points raise
+    NearSingularError.
     """
     zeta = np.asarray(zeta, dtype=complex)
-    m = v.minors(zeta)
     msq = np.sum(np.abs(m) ** 2, axis=-1)
     if np.any(msq == 0):
         raise PoleError("structure form evaluated at a singular point")

@@ -68,7 +68,7 @@ def _kernel_integrand(v: ConeVariety, phi: TestForm, z, cfg, consts, subsets,
         pts = zeta[ok]
         total = kernel(v, pts, z, cfg, consts).wedge(phi.form_value(pts))
         dens = total.restricted_to_dim(v.dim).surface_density(
-            kernels.structure_form(v, pts))
+            kernels.structure_form(v, pts, batch.minors[ok]))
         for i, m in enumerate(masks):
             if m in dens:
                 out[ok, i] = dens[m]

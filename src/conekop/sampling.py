@@ -225,6 +225,18 @@ def _aberth_roots(cs: np.ndarray) -> np.ndarray:
     return z
 
 
+def _poly_roots(cs: np.ndarray) -> np.ndarray:
+    """All d roots (B, d) of each row of cs (B, d+1), ascending powers."""
+    d = cs.shape[1] - 1
+    if d == 1:
+        return (-cs[:, 0] / cs[:, 1])[:, None]
+    if d == 2:
+        a, b, c = cs[:, 2], cs[:, 1], cs[:, 0]
+        disc = np.sqrt(b * b - 4.0 * a * c + 0j)
+        return np.stack([(-b + disc) / (2 * a), (-b - disc) / (2 * a)], axis=-1)
+    return _aberth_roots(cs)
+
+
 def _solve_fiber_nu1(v: ConeVariety, chart: Chart, bases: np.ndarray):
     """All fiber roots over each base point; returns (t, valid) of shape (B, d)."""
     table = _fiber_poly_coeffs(v, chart)
@@ -233,14 +245,7 @@ def _solve_fiber_nu1(v: ConeVariety, chart: Chart, bases: np.ndarray):
     lead = cs[:, -1]
     if np.any(np.abs(lead) == 0.0):
         raise FiberDegenerateError("fiber polynomial leading coefficient vanished")
-    if d == 1:
-        t = (-cs[:, 0] / cs[:, 1])[:, None]
-    elif d == 2:
-        a, b, c = cs[:, 2], cs[:, 1], cs[:, 0]
-        disc = np.sqrt(b * b - 4.0 * a * c + 0j)
-        t = np.stack([(-b + disc) / (2 * a), (-b - disc) / (2 * a)], axis=-1)
-    else:
-        t = _aberth_roots(cs)
+    t = _poly_roots(cs)
     # two Newton polishing passes on the fiber polynomial
     for _ in range(2):
         pv, dv = _polyval_and_deriv(cs, t)
@@ -259,90 +264,93 @@ def _solve_fiber_nu1(v: ConeVariety, chart: Chart, bases: np.ndarray):
     return t, valid
 
 
-def _solve_fiber_nu2(v: ConeVariety, chart: Chart, bases: np.ndarray,
-                     steps: int = 60):
-    """Total-degree homotopy for nu = 2 fiber systems, tracked per base point.
+# unitary fiber coordinates t = R u for nu = 2: a diagonal pencil (ci22) has
+# sheets (+-t1, +-t2), so every root of its resultant in t1 is double
+FIBER_ROTATION = np.array([[0.8, 0.6j], [0.6j, 0.8]])
+
+
+def _chart_points(v: ConeVariety, chart: Chart, bases: np.ndarray,
+                  t: np.ndarray) -> np.ndarray:
+    """Ambient points over bases (B, n) with fiber coordinates t (B, ..., nu)."""
+    pts = np.zeros(t.shape[:-1] + (v.ambient_dim,), dtype=complex)
+    pts[..., list(chart.base)] = bases.reshape(
+        (len(bases),) + (1,) * (t.ndim - 2) + (v.dim,))
+    pts[..., list(chart.fiber)] = t
+    return pts
+
+
+def _coeffs_in_u2(v: ConeVariety, chart: Chart, bases: np.ndarray,
+                  u1: np.ndarray) -> np.ndarray:
+    """Coefficients (B, S, K, nu) of f_i(base, R (u1, u2)) in u2 for u1 (B, S).
+
+    Interpolation at K = max d_i + 1 roots of unity in u2, by one FFT.
+    """
+    K = max(v.degrees) + 1
+    w = np.exp(2j * np.pi * np.arange(K) / K)
+    u = np.stack(np.broadcast_arrays(u1[..., None], w), axis=-1)
+    vals = v.eval_tuple(_chart_points(v, chart, bases, u @ FIBER_ROTATION.T))
+    return np.fft.fft(vals, axis=-2) / K
+
+
+def _solve2(Jm: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Batched 2x2 solve by Cramer's rule, the determinant kept off zero."""
+    det = Jm[..., 0, 0] * Jm[..., 1, 1] - Jm[..., 0, 1] * Jm[..., 1, 0]
+    det = np.where(np.abs(det) < 1e-300, 1e-300, det)
+    x0 = (Jm[..., 1, 1] * rhs[..., 0] - Jm[..., 0, 1] * rhs[..., 1]) / det
+    x1 = (-Jm[..., 1, 0] * rhs[..., 0] + Jm[..., 0, 0] * rhs[..., 1]) / det
+    return np.stack([x0, x1], axis=-1)
+
+
+def _solve_fiber_nu2(v: ConeVariety, chart: Chart, bases: np.ndarray):
+    """All d1 d2 solutions of the nu = 2 fiber system, by elimination.
 
     The defining tuple is homogeneous, so fibers are solved over unit-norm
-    base points and rescaled; tracking then happens at a uniform scale.
-    Best effort: paths that fail to converge are dropped (flagged invalid).
+    base points and rescaled.  In the coordinates u = R^-1 t the resultant
+    of f_1 and f_2 in u2 is a polynomial of degree d1 d2 in u1, with a
+    constant top coefficient; its roots, sorted by angle, give the sheets in
+    canonical order.  u2 is the root of f_2(u1, .) at which |f_1| is least.
+    Three Newton passes on the full system polish t = R u.  Returns
+    (t (B, d1 d2, 2), valid (B, d1 d2)).
     """
-    d1, d2 = (v.polys[0].degree, v.polys[1].degree)
-    npaths = d1 * d2
-    N = v.ambient_dim
+    d1, d2 = v.degrees
     fi = list(chart.fiber)
-
     base_norms = np.sqrt(np.sum(np.abs(bases) ** 2, axis=-1))
     degenerate = base_norms < 1e-300
     bases = np.where(degenerate[:, None], 1.0,
                      bases / np.maximum(base_norms, 1e-300)[:, None])
-
-    g_const = np.array([1.3 - 0.4j, 0.8 + 0.9j])
-
-    def full_points(t):
-        pts = np.zeros(t.shape[:-1] + (N,), dtype=complex)
-        pts[..., chart.base] = bases[:, None, :]
-        pts[..., fi[0]] = t[..., 0]
-        pts[..., fi[1]] = t[..., 1]
-        return pts
-
-    def target(t):
-        return v.eval_tuple(full_points(t))
-
-    def target_jac(t):
-        J = v.jacobian(full_points(t))
-        return J[..., fi]
-
-    # start system roots: t_i^{d_i} = g_i
-    B = bases.shape[0]
-    r1 = g_const[0] ** (1.0 / d1) * np.exp(2j * np.pi * np.arange(d1) / d1)
-    r2 = g_const[1] ** (1.0 / d2) * np.exp(2j * np.pi * np.arange(d2) / d2)
-    t = np.zeros((B, npaths, 2), dtype=complex)
-    t[..., 0] = np.tile(np.repeat(r1, d2), (B, 1))
-    t[..., 1] = np.tile(np.tile(r2, d1), (B, 1))
-    gamma = 0.6 + 0.8j  # generic path rotation
-
-    def start(t):
-        return np.stack([t[..., 0] ** d1 - g_const[0], t[..., 1] ** d2 - g_const[1]],
-                        axis=-1)
-
-    def start_jac(t):
-        J = np.zeros(t.shape[:-1] + (2, 2), dtype=complex)
-        J[..., 0, 0] = d1 * t[..., 0] ** (d1 - 1)
-        J[..., 1, 1] = d2 * t[..., 1] ** (d2 - 1)
-        return J
-
-    def solve2(Jm, rhs):
-        det = Jm[..., 0, 0] * Jm[..., 1, 1] - Jm[..., 0, 1] * Jm[..., 1, 0]
-        det = np.where(np.abs(det) < 1e-300, 1e-300, det)
-        x0 = (Jm[..., 1, 1] * rhs[..., 0] - Jm[..., 0, 1] * rhs[..., 1]) / det
-        x1 = (-Jm[..., 1, 0] * rhs[..., 0] + Jm[..., 0, 0] * rhs[..., 1]) / det
-        return np.stack([x0, x1], axis=-1)
-
-    svals = np.linspace(0.0, 1.0, steps + 1)
-    for a, b in zip(svals[:-1], svals[1:]):
-        # Euler predictor along the homotopy parameter, then Newton correct
-        Hs = target(t) - gamma * start(t)
-        J = (1 - b) * gamma * start_jac(t) + b * target_jac(t)
-        t = t - (b - a) * solve2(J, Hs)
-        for _ in range(2):
-            H = (1 - b) * gamma * start(t) + b * target(t)
-            J = (1 - b) * gamma * start_jac(t) + b * target_jac(t)
-            t = t - solve2(J, H)
-    for _ in range(4):  # endpoint polish on the target system
-        t = t - solve2(target_jac(t), target(t))
-    res = np.sqrt(np.sum(np.abs(target(t)) ** 2, axis=-1))
-    valid = np.isfinite(res) & (res < 1e-9)
+    B, M = len(bases), d1 * d2 + 1
+    # the resultant from its Sylvester determinants at M roots of unity in u1
+    w = np.exp(2j * np.pi * np.arange(M) / M)
+    cs = _coeffs_in_u2(v, chart, bases, np.broadcast_to(w, (B, M)))
+    syl = np.zeros((B, M, d1 + d2, d1 + d2), dtype=complex)
+    for r in range(d2):
+        syl[..., r, r:r + d1 + 1] = cs[..., :d1 + 1, 0]
+    for r in range(d1):
+        syl[..., d2 + r, r:r + d2 + 1] = cs[..., :d2 + 1, 1]
+    resultant = np.fft.fft(np.linalg.det(syl), axis=-1) / M
+    lead = np.abs(resultant[:, -1])
+    if np.any(lead <= 1e-12 * np.max(np.abs(resultant), axis=1)):
+        raise FiberDegenerateError(
+            f"fiber system of {v.name!r} has solutions at infinity")
+    u1 = _poly_roots(resultant)
+    u1 = np.take_along_axis(u1, np.argsort(np.angle(u1), axis=1), axis=1)
+    cs = _coeffs_in_u2(v, chart, bases, u1).reshape(u1.size, -1, 2)
+    u2 = _poly_roots(cs[:, :d2 + 1, 1])
+    f1, _ = _polyval_and_deriv(cs[:, :d1 + 1, 0], u2)
+    u2 = np.take_along_axis(u2, np.argmin(np.abs(f1), axis=1)[:, None], axis=1)
+    t = np.stack([u1, u2.reshape(u1.shape)], axis=-1) @ FIBER_ROTATION.T
+    for _ in range(3):
+        pts = _chart_points(v, chart, bases, t)
+        t = t - _solve2(v.jacobian(pts)[..., fi], v.eval_tuple(pts))
+    pts = _chart_points(v, chart, bases, t)
+    res = np.sqrt(np.sum(np.abs(v.eval_tuple(pts)) ** 2, axis=-1))
     # near-branch sheets: fiber Jacobian close to singular at unit scale
-    Jf = target_jac(t)
-    det = np.abs(Jf[..., 0, 0] * Jf[..., 1, 1] - Jf[..., 0, 1] * Jf[..., 1, 0])
-    valid &= det > BRANCH_TOL
-    # deduplicate collided paths
-    for i in range(npaths):
-        for j in range(i + 1, npaths):
-            same = np.sum(np.abs(t[:, i] - t[:, j]) ** 2, axis=-1) < 1e-20
-            valid[:, j] &= ~same
-    valid &= ~degenerate[:, None]
+    det = np.abs(np.linalg.det(v.jacobian(pts)[..., fi]))
+    valid = (np.isfinite(res) & (res < 1e-9) & (det > BRANCH_TOL)
+             & ~degenerate[:, None])
+    # duplicate sheets: keep the first
+    gap = np.sum(np.abs(t[:, :, None] - t[:, None, :]) ** 2, axis=-1)
+    valid &= ~np.any(np.triu(gap < 1e-20, 1), axis=1)
     return t * base_norms[:, None, None], valid
 
 
@@ -354,19 +362,12 @@ def solve_fiber(v: ConeVariety, chart: Chart, bases: np.ndarray):
     bases = np.asarray(bases, dtype=complex).reshape(-1, v.dim)
     if v.nu == 1:
         t, valid = _solve_fiber_nu1(v, chart, bases)
-        B, S = t.shape
-        pts = np.zeros((B, S, v.ambient_dim), dtype=complex)
-        pts[..., chart.base] = bases[:, None, :]
-        pts[..., chart.fiber[0]] = t
+        t = t[..., None]
     elif v.nu == 2:
         t, valid = _solve_fiber_nu2(v, chart, bases)
-        B, S = t.shape[:2]
-        pts = np.zeros((B, S, v.ambient_dim), dtype=complex)
-        pts[..., chart.base] = bases[:, None, :]
-        pts[..., chart.fiber[0]] = t[..., 0]
-        pts[..., chart.fiber[1]] = t[..., 1]
     else:
         raise NotImplementedError("codimension > 2 fibers are out of scope")
+    pts = _chart_points(v, chart, bases, t)
     # residual guard
     fres = np.sqrt(np.sum(np.abs(v.eval_tuple(pts)) ** 2, axis=-1))
     nrm = np.sqrt(np.sum(np.abs(pts) ** 2, axis=-1))
@@ -375,13 +376,13 @@ def solve_fiber(v: ConeVariety, chart: Chart, bases: np.ndarray):
     return pts, valid
 
 
-def gram_factors(v: ConeVariety, chart: Chart, pts: np.ndarray) -> np.ndarray:
+def gram_factors(v: ConeVariety, chart: Chart, m: np.ndarray) -> np.ndarray:
     """Volume density det(I + (Dg)^* Dg) of the graph chart, per sheet.
 
-    By Cauchy-Binet it equals |m|^2 / |m_F|^2 for the Jacobian minors m and
-    the minor m_F on the chart's fiber columns.
+    By Cauchy-Binet it equals |m|^2 / |m_F|^2 for the Jacobian minors m
+    (v.minors of the points) and the minor m_F on the chart's fiber columns.
     """
-    m2 = np.abs(v.minors(pts)) ** 2
+    m2 = np.abs(m) ** 2
     base = sum(1 << j for j in chart.base)
     k = [mask for mask, _ in minor_complements(v.ambient_dim, v.nu)].index(base)
     return np.sum(m2, axis=-1) / np.maximum(m2[..., k], 1e-300)
@@ -405,12 +406,13 @@ def frames_for(v: ConeVariety, pts: np.ndarray) -> np.ndarray:
 
 
 class PointBatch:
-    """Vectorized view of surface sample points; tangent projectors on demand."""
+    """Sample points, their Gram factors and minors; projectors on demand."""
 
-    def __init__(self, variety, positions, grams):
+    def __init__(self, variety, positions, grams, minors):
         self.variety = variety
         self.positions = positions
         self.grams = grams
+        self.minors = minors
         self._projector = None
 
     def __len__(self):
@@ -732,8 +734,9 @@ def integrate(v: ConeVariety, region: Region, integrand, plan: SamplingPlan,
             flat = inside.reshape(-1)
             if np.any(flat):
                 sel = pts.reshape(B * S, -1)[flat]
-                gsel = gram_factors(v, chart, sel)
-                fv = np.asarray(integrand(PointBatch(v, sel, gsel)))
+                m = v.minors(sel)
+                gsel = gram_factors(v, chart, m)
+                fv = np.asarray(integrand(PointBatch(v, sel, gsel, m)))
                 if fv.ndim == 1:
                     fv = fv[:, None]
                 K = fv.shape[1]
@@ -870,7 +873,8 @@ def surface_point_with_norm(v: ConeVariety, norm: float, seed: int = 0) -> np.nd
     """Deterministic point on X with the requested norm (cone rescaling).
 
     Takes the first valid sheet in solve_fiber's order over a seeded base
-    point; for fibers of degree d >= 3 that order is canonical (by angle).
+    point.  That order is canonical for nu = 1 fibers of degree d >= 3 (by
+    the angle of the root) and for every nu = 2 fiber (by the angle of u1).
     """
     chart = default_chart(v)
     rng = _stream(seed, f"spn|{v.name}", 0)

@@ -77,8 +77,8 @@ def test_criterion_01_algebraic_exactness():
             from conekop.kernels import structure_form
 
             lam = 1.0 + 1.0j
-            o1 = structure_form(v, ze[:50])
-            o2 = structure_form(v, lam * ze[:50])
+            o1 = structure_form(v, ze[:50], v.minors(ze[:50]))
+            o2 = structure_form(v, lam * ze[:50], v.minors(lam * ze[:50]))
             n1 = np.zeros(50)
             n2 = np.zeros(50)
             for m in o1.terms:

@@ -90,6 +90,16 @@ THREE_QUADRICS = {"ambient_dim": 4, "polys": [
 ]}
 
 
+# two quadrics whose parts in the fiber coordinates (z0, z1) of the default
+# chart are z0^2 - z1^2 and its negative: fibers have solutions at infinity
+NU2_AT_INFINITY = {"ambient_dim": 4, "polys": [
+    [{"exp": [2, 0, 0, 0], "re": 1.0}, {"exp": [0, 2, 0, 0], "re": -1.0},
+     {"exp": [0, 0, 2, 0], "re": 1.0}, {"exp": [0, 0, 0, 2], "re": 1.0}],
+    [{"exp": [0, 2, 0, 0], "re": 1.0}, {"exp": [2, 0, 0, 0], "re": -1.0},
+     {"exp": [0, 0, 2, 0], "re": 2.0}, {"exp": [0, 0, 0, 2], "re": 3.0}],
+]}
+
+
 def _quadric_with_first_exp(exp):
     """QUADRIC with a malformed exponent that int() would silently accept."""
     terms = QUADRIC["polys"][0]
@@ -119,11 +129,13 @@ def _custom(doc):
     _custom({"ambient_dim": 3, "polys": [[5]]}),
     _custom(_quadric_with_first_exp([2.5, 0, 0])),
     _custom(_quadric_with_first_exp("200")),
+    _custom(NU2_AT_INFINITY),
 ], ids=["samples_string", "samples_fraction", "rho1_above_rho2", "r_min_zero",
         "shell_ratio_below_1", "shell_ratio_below_1_05", "no_admissible_chart",
         "variety_not_object", "polys_not_list", "coefficient_not_number",
         "no_polys", "codim_3", "ambient_dim_fraction", "poly_not_list",
-        "term_not_object", "exp_fraction", "exp_string"])
+        "term_not_object", "exp_fraction", "exp_string",
+        "nu2_solutions_at_infinity"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, raw):
     if "variety_doc" in raw:
         vpath = tmp_path / "variety.json"

@@ -246,7 +246,7 @@ def test_minors_pullback_matches_frame_determinants(name):
         mask = B << Nv | C << 2 * Nv
         terms[mask] = rng.standard_normal(len(sel)) + 1j * rng.standard_normal(len(sel))
     kappa = FormValue(Nv, terms)
-    omega = structure_form(v, sel)
+    omega = structure_form(v, sel, v.minors(sel))
     got = kappa.surface_density(omega)
     want = omega.wedge(kappa).pullback_surface(frame_plucker(frames_for(v, sel)))
     assert set(got) == set(want) and len(want) > 1
@@ -309,7 +309,7 @@ def test_projector_norm_matches_frame_coefficients(name, q):
                  for I, c in zip(subsets, coeffs))
         tot = tot + np.abs(cK) ** 2
     want = np.sqrt(np.sqrt(2.0) ** q * tot)
-    got = form.tangent_norm(PointBatch(v, sel, np.ones(len(sel))).projector)
+    got = form.tangent_norm(PointBatch(v, sel, np.ones(len(sel)), v.minors(sel)).projector)
     tol = 1e-12 if q <= 1 else 1e-10
     assert np.max(np.abs(got - want)) <= tol * np.max(want)
 

@@ -170,7 +170,7 @@ def test_hefer_growth_bound():
 def test_structure_form_hyperplane_constant():
     rng = np.random.default_rng(8)
     zeta = _rand(rng, 10)
-    om = K.structure_form(HP, zeta)
+    om = K.structure_form(HP, zeta, HP.minors(zeta))
     live = {m for m, c in om.terms.items() if np.max(np.abs(c)) > 0}
     assert live == {0b011}  # e_0 ^ e_1, constant coefficient
     assert np.allclose(om.terms[0b011], 1.0)
@@ -180,8 +180,8 @@ def test_structure_form_homogeneity():
     rng = np.random.default_rng(9)
     zeta = _rand(rng, 50)
     for lam in (3.0, 0.5, 1.0 + 2.0j):
-        om1 = K.structure_form(A1, zeta)
-        om2 = K.structure_form(A1, lam * zeta)
+        om1 = K.structure_form(A1, zeta, A1.minors(zeta))
+        om2 = K.structure_form(A1, lam * zeta, A1.minors(lam * zeta))
         n1 = np.zeros(50)
         n2 = np.zeros(50)
         for m in om1.terms:
@@ -215,8 +215,9 @@ def test_structure_form_sign_convention():
 
 
 def test_structure_form_singular_origin():
+    origin = np.zeros((1, 3), dtype=complex)
     with pytest.raises(K.PoleError):
-        K.structure_form(A1, np.zeros((1, 3), dtype=complex))
+        K.structure_form(A1, origin, A1.minors(origin))
 
 
 def test_structure_form_near_singular_error():
@@ -225,14 +226,14 @@ def test_structure_form_near_singular_error():
     planes = ConeVariety("planes", 3, (MultiIndexPoly.from_dict(3, {(1, 1, 0): 1.0}),))
     pts = np.array([[0.5, 0.0, 0.3], [1e-12, 0.0, 1.0]], dtype=complex)
     assert 0.0 < planes.minors_norm(pts[1]) <= 1e-8
-    K.structure_form(planes, pts[:1])
+    K.structure_form(planes, pts[:1], planes.minors(pts[:1]))
     with pytest.raises(NearSingularError):
-        K.structure_form(planes, pts)
+        K.structure_form(planes, pts, planes.minors(pts))
 
 
 def _omega_kernel(v, zeta, z):
     """The full kernel omega ^ kappa, with omega wedged in explicitly."""
-    return K.structure_form(v, zeta).wedge(K.kernel_K(v, zeta, z, CFG))
+    return K.structure_form(v, zeta, v.minors(zeta)).wedge(K.kernel_K(v, zeta, z, CFG))
 
 
 def test_kernel_K_hyperplane_matches_flat_bm():
@@ -409,7 +410,7 @@ def test_structure_form_link_bound_reported():
         nrm = np.sqrt(np.sum(np.abs(pts) ** 2, -1))
         unit = (pts[valid & (nrm > 1e-9)]
                 / nrm[valid & (nrm > 1e-9)][:, None])[:2000]
-        om = K.structure_form(v, unit)
+        om = K.structure_form(v, unit, v.minors(unit))
         mag = np.zeros(len(unit))
         for c in om.terms.values():
             mag += np.abs(c) ** 2

@@ -236,7 +236,8 @@ def test_kernel_densities_match_the_frame_pullback():
             fr = frames_for(A1, pts)
             coords = {sum(1 << j for j in A): np.linalg.det(fr[..., list(A)])
                       for A in itertools.combinations(range(3), 2)}
-            total = kernels.structure_form(A1, pts).wedge(kernel(A1, pts, z, CFG))
+            omega = kernels.structure_form(A1, pts, A1.minors(pts))
+            total = omega.wedge(kernel(A1, pts, z, CFG))
             total = total.wedge(phi.form_value(pts)).restricted_to_dim(2)
             dens = total.pullback_surface(coords)
             out = np.zeros(len(batch), dtype=complex)
@@ -255,9 +256,10 @@ def test_kernel_densities_match_the_frame_pullback():
     assert abs(kv[0] - want_k.value) <= 1e-12 * abs(want_k.value)
 
 
-def test_one_kernel_batch_evaluates_the_minors_twice(monkeypatch):
-    # one apply_K batch on a1 needs the Jacobian minors twice: for the Gram
-    # factors and for the structure form
+def test_one_kernel_batch_evaluates_the_minors_once(monkeypatch):
+    # one apply_K batch on a1 needs the Jacobian minors once: integrate
+    # evaluates them for the Gram factors and hands them to the integrand in
+    # the PointBatch, where the structure form takes them
     from conekop import sampling
     from conekop.varieties import ConeVariety
 
@@ -272,10 +274,11 @@ def test_one_kernel_batch_evaluates_the_minors_twice(monkeypatch):
         bases = rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))
         pts, valid = sampling.solve_fiber(v, chart, bases)
         sel = pts[valid]
-        integrand(sampling.PointBatch(v, sel, sampling.gram_factors(v, chart, sel)))
+        m = v.minors(sel)
+        integrand(sampling.PointBatch(v, sel, sampling.gram_factors(v, chart, m), m))
         return sampling.QuadratureResult(value=0j, stderr=0.0, samples=len(sel))
 
     monkeypatch.setattr(O, "integrate", one_batch)
     z = surface_point_with_norm(A1, 0.5, seed=0)
     O.apply_K(A1, TestForm.one_form_bump(3, 0, 1, 1.1, 1.6), z, CFG, plan(2_000, "mc"))
-    assert len(calls) == 2
+    assert len(calls) == 1

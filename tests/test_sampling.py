@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -40,7 +42,7 @@ def _sheets(v, base, chart):
     """Valid sheets over one base point and their Gram factors."""
     pts, valid = solve_fiber(v, chart, np.asarray(base, dtype=complex)[None, :])
     sel = pts[valid]
-    return sel, np.real(gram_factors(v, chart, sel))
+    return sel, np.real(gram_factors(v, chart, v.minors(sel)))
 
 
 @pytest.mark.parametrize("name", catalog_names())
@@ -58,7 +60,7 @@ def test_gram_factors_match_graph_metric(name):
         A = -np.linalg.solve(J[..., chart.fiber], J[..., chart.base])
         AHA = np.conj(np.swapaxes(A, -1, -2)) @ A
         want = np.real(np.linalg.det(np.eye(v.dim) + AHA))
-        got = gram_factors(v, chart, sel)
+        got = gram_factors(v, chart, v.minors(sel))
         assert np.max(np.abs(got - want) / want) <= 1e-12
 
 
@@ -134,7 +136,7 @@ def test_projector_fixes_positions(name):
     bases = rng.standard_normal((60, v.dim)) + 1j * rng.standard_normal((60, v.dim))
     pts, valid = solve_fiber(v, default_chart(v), bases)
     sel = pts[valid]
-    P = PointBatch(v, sel, np.ones(len(sel))).projector
+    P = PointBatch(v, sel, np.ones(len(sel)), v.minors(sel)).projector
     scale = np.max(np.abs(sel))
     assert np.max(np.abs(np.einsum("bij,bj->bi", P, sel) - sel)) <= 1e-12 * scale
     assert np.max(np.abs(P @ P - P)) <= 1e-12
@@ -144,7 +146,7 @@ def test_projector_fixes_positions(name):
 def test_projector_near_singular_error():
     pts = np.array([[0.5, 0.5j, 0.0], [0.0, 0.0, 0.0]], dtype=complex)
     with pytest.raises(NearSingularError):
-        PointBatch(A1, pts, np.ones(2)).projector
+        PointBatch(A1, pts, np.ones(2), A1.minors(pts)).projector
 
 
 def test_sampling_plan_rejects_bad_radii():
@@ -345,16 +347,19 @@ def test_ci22_fiber_solving_and_volume():
     rng = np.random.default_rng(3)
     bases = rng.standard_normal((40, 2)) + 1j * rng.standard_normal((40, 2))
     pts, valid = solve_fiber(ci, chart, bases)
-    assert valid.sum() > 0.9 * valid.size  # generic bases give 4 sheets
-    res = np.sqrt(np.sum(np.abs(ci.eval_tuple(pts[valid])) ** 2, axis=-1))
+    assert np.all(valid)  # generic bases give all 4 sheets
+    res = np.sqrt(np.sum(np.abs(ci.eval_tuple(pts)) ** 2, axis=-1))
     assert np.max(res) < 1e-7 * np.maximum(
-        1.0, np.max(np.abs(pts[valid]))) ** ci.total_degree
-    # closed-form oracle: the diagonal pencil solves linearly in the squares
+        1.0, np.max(np.abs(pts))) ** ci.total_degree
+    # closed-form oracle: the diagonal pencil solves linearly in the squares,
+    # so every row's sheets are (+-sqrt(-3 s0^2 - 2 s1^2), +-sqrt(2 s0^2 + s1^2))
     s2 = bases**2
-    t1sq = -3 * s2[:, 0] - 2 * s2[:, 1]
-    t2sq = 2 * s2[:, 0] + s2[:, 1]
-    assert np.allclose(pts[0, valid[0], 2] ** 2, t1sq[0])
-    assert np.allclose(pts[0, valid[0], 3] ** 2, t2sq[0])
+    t1 = np.sqrt(-3 * s2[:, 0] - 2 * s2[:, 1])
+    t2 = np.sqrt(2 * s2[:, 0] + s2[:, 1])
+    want = np.stack([np.stack([a * t1, b * t2], axis=-1)
+                     for a in (1, -1) for b in (1, -1)], axis=1)
+    scale = np.max(np.sqrt(np.sum(np.abs(pts) ** 2, axis=-1)), axis=1)
+    assert np.max(_set_distance(pts[..., 2:], want) / scale) <= 1e-12
     # scale invariance of the cone volume
     plan = SamplingPlan(samples=6_000, seed=5, experiment_id="tci22",
                         batch_size=2_000)
@@ -406,8 +411,12 @@ def fallback_rows(monkeypatch):
 
 
 def _set_distance(a, b):
-    """Largest distance from a root in one row set to the other set."""
-    dist = np.abs(a[:, :, None] - b[:, None, :])
+    """Largest distance from a root in one row set to the other set.
+
+    Rows hold roots (B, S) or root vectors (B, S, k).
+    """
+    diff = a[:, :, None] - b[:, None, :]
+    dist = np.sqrt(np.sum(np.abs(diff) ** 2, axis=tuple(range(3, diff.ndim))))
     return np.maximum(np.max(np.min(dist, axis=2), axis=1),
                       np.max(np.min(dist, axis=1), axis=1))
 
@@ -470,3 +479,68 @@ def test_sampled_batches_need_no_fallback(name, fallback_rows):
               poles=[(np.zeros(3), 2)])
     assert sum(calls) > 20_000
     assert fallback_rows == []
+
+
+# ---------------------------------------------------------------------------
+# nu = 2 fibers by elimination
+# ---------------------------------------------------------------------------
+
+
+def _random_ci(rng, d1, d2):
+    """Complete intersection in C^4 of two dense polynomials, seeded."""
+    polys = []
+    for d in (d1, d2):
+        terms = {e: complex(*rng.standard_normal(2))
+                 for e in itertools.product(range(d + 1), repeat=4) if sum(e) == d}
+        polys.append(MultiIndexPoly.from_dict(4, terms))
+    return ConeVariety(f"ci{d1}{d2}", 4, tuple(polys))
+
+
+@pytest.mark.parametrize("degrees", [(2, 2), (3, 2)],
+                         ids=["pencil22", "cubic_quadric"])
+def test_solve_fiber_nu2_bezout(degrees):
+    # away from the branch locus all d1 d2 sheets are valid and distinct,
+    # solve the system to rounding, and come out sorted by the angle of u1
+    rng = np.random.default_rng(31)
+    v = _random_ci(rng, *degrees)
+    chart = default_chart(v)
+    bases = rng.standard_normal((2000, 2)) + 1j * rng.standard_normal((2000, 2))
+    pts, valid = solve_fiber(v, chart, bases)
+    assert pts.shape[1] == degrees[0] * degrees[1]
+    assert np.all(valid)
+    scale = np.sqrt(np.sum(np.abs(pts) ** 2, axis=-1))
+    res = np.abs(v.eval_tuple(pts)) / scale[..., None] ** np.array(v.degrees)
+    assert np.max(res) <= 1e-12
+    gap = np.sqrt(np.sum(np.abs(pts[:, :, None] - pts[:, None, :]) ** 2, axis=-1))
+    off = ~np.eye(pts.shape[1], dtype=bool)
+    assert np.min(gap[:, off] / np.max(scale, axis=1)[:, None]) > 1e-8
+    u1 = (pts[..., list(chart.fiber)] @ np.conj(sampling.FIBER_ROTATION))[..., 0]
+    assert np.all(np.diff(np.angle(u1), axis=1) >= 0)
+
+
+def test_solve_fiber_nu2_solutions_at_infinity():
+    # f1 = z0^2 - z1^2 + z2^2 + z3^2 and f2 = z1^2 - z0^2 + 2 z2^2 + 3 z3^2:
+    # in the default chart's fiber (z0, z1) their top parts are proportional
+    f1 = MultiIndexPoly.from_dict(4, {(2, 0, 0, 0): 1.0, (0, 2, 0, 0): -1.0,
+                                      (0, 0, 2, 0): 1.0, (0, 0, 0, 2): 1.0})
+    f2 = MultiIndexPoly.from_dict(4, {(0, 2, 0, 0): 1.0, (2, 0, 0, 0): -1.0,
+                                      (0, 0, 2, 0): 2.0, (0, 0, 0, 2): 3.0})
+    v = ConeVariety("at_infinity", 4, (f1, f2))
+    with pytest.raises(FiberDegenerateError):
+        solve_fiber(v, default_chart(v), np.ones((3, 2)))
+
+
+def test_nu2_fiber_solve_evaluates_the_system_a_few_times(monkeypatch):
+    # elimination evaluates the whole batch a fixed number of times; a path
+    # tracker evaluates it at every step (about 186 times for 60 steps)
+    calls = {"eval_tuple": 0, "jacobian": 0}
+    for name in calls:
+        def counted(self, pts, _name=name, _orig=getattr(ConeVariety, name)):
+            calls[_name] += 1
+            return _orig(self, pts)
+        monkeypatch.setattr(ConeVariety, name, counted)
+    ci = get_variety("ci22")
+    rng = np.random.default_rng(32)
+    bases = rng.standard_normal((100, 2)) + 1j * rng.standard_normal((100, 2))
+    solve_fiber(ci, default_chart(ci), bases)
+    assert calls["eval_tuple"] <= 10 and calls["jacobian"] <= 5
