@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -29,6 +30,12 @@ CSV_COLUMNS = ["experiment", "variety", "param", "predicted", "fitted",
 
 class ConfigError(ValueError):
     pass
+
+
+# config file keys and the RunConfig fields they set
+CONFIG_KEYS = {"out": "out_dir", **{key: key for key in (
+    "variety", "experiments", "samples", "seed", "tolerance_scale", "rho1",
+    "rho2", "omega_prime", "r_min", "shell_ratio")}}
 
 
 @dataclass
@@ -53,18 +60,21 @@ class RunConfig:
         for key in ("tolerance_scale", "rho1", "rho2", "omega_prime", "r_min",
                     "shell_ratio"):
             val = getattr(self, key)
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
-                raise ConfigError(f"{key} must be a number, got {val!r}")
+            if (isinstance(val, bool) or not isinstance(val, (int, float))
+                    or not math.isfinite(val)):
+                raise ConfigError(f"{key} must be a finite number, got {val!r}")
         for key in ("variety", "out_dir"):
             val = getattr(self, key)
             if not isinstance(val, str):
                 raise ConfigError(f"{key} must be a string, got {val!r}")
-        if not all(isinstance(e, str) for e in self.experiments):
+        if not (isinstance(self.experiments, list)
+                and all(isinstance(e, str) for e in self.experiments)):
             raise ConfigError("experiments must be a list of names")
         if self.samples < 1000:
             raise ConfigError("samples must be at least 1000")
-        if self.tolerance_scale <= 0:
-            raise ConfigError("tolerance_scale must be positive")
+        if not self.tolerance_scale > 0:
+            raise ConfigError(f"tolerance_scale must be positive, got "
+                              f"{self.tolerance_scale!r}")
         bad = [e for e in self.experiments if e not in EXPERIMENTS]
         if bad:
             raise ConfigError(
@@ -95,14 +105,15 @@ def _parse_args(argv) -> RunConfig:
     if args.config:
         with open(args.config) as fh:
             raw = json.load(fh)
-        for key in ("variety", "samples", "seed", "tolerance_scale", "rho1",
-                    "rho2", "omega_prime", "r_min", "shell_ratio"):
-            if key in raw:
-                setattr(cfg, key, raw[key])
-        if "experiments" in raw:
-            cfg.experiments = list(raw["experiments"])
-        if "out" in raw:
-            cfg.out_dir = raw["out"]
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config file must hold a JSON object, got {raw!r}")
+        unknown = sorted(set(raw) - set(CONFIG_KEYS))
+        if unknown:
+            raise ConfigError(f"unknown config key(s) "
+                              f"{', '.join(map(repr, unknown))}; "
+                              f"known: {', '.join(sorted(CONFIG_KEYS))}")
+        for key, val in raw.items():
+            setattr(cfg, CONFIG_KEYS[key], val)
     if args.variety is not None:
         cfg.variety = args.variety
     if args.experiment:

@@ -215,16 +215,17 @@ class FormValue:
         )
 
     def extract_top_eta(self) -> "FormValue":
-        """Solve u = kappa ^ (e_1 ^ ... ^ e_N) for the anti-generator form kappa."""
+        """Solve u = (e_1 ^ ... ^ e_N) ^ kappa for the anti-generator form kappa.
+
+        Storage is e-first, so kappa_S is the coefficient of the mask
+        e_top | S as it stands: no reordering sign.
+        """
         emask = self.e_mask()
         out: dict = {}
         for m, c in self.terms.items():
             if m & emask != emask:
                 raise WrongDegreeError("term without full e-degree in top extraction")
-            rest = m ^ emask
-            # kappa_S ^ e_top = (-1)^(N*|S|) e_top ^ kappa_S
-            sgn = -1.0 if (self.N * rest.bit_count()) & 1 else 1.0
-            out[rest] = sgn * c if sgn < 0 else c
+            out[m ^ emask] = c
         return FormValue(self.N, out)
 
     # ----- restriction to the surface ----------------------------------------

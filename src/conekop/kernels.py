@@ -7,19 +7,23 @@ differential are built in:
     b        singular support form of Bochner-Martinelli type, normalized so
              that contraction with eta gives exactly 1,
     sigma    support form of the ball weight, again contraction-normalized,
+    B        b + b dbar b + ... + b (dbar b)^(n-1),
     chi      radial cut-off (quintic smoothstep in |zeta|^2),
     g        compactly supported weight chi - dbar(chi) ^ (sigma + sigma dbar
-             sigma + ...),
+             sigma + ... + sigma (dbar sigma)^(n-1)),
     omega    structure form of the cone, conjugate Jacobian minors over the
              squared minors norm,
     h        Hefer form from divided differences.
 
-The kernels are K = omega ^ k and P = omega ^ p, and kernel_K, kernel_P
-return the z-dependent factors
-    k = c_K * top_extract(h ^ (g ^ B)_n)
+B and g come from one series builder, _support_series, which stops at the
+last power it returns.  The kernels are K = omega ^ k and P = omega ^ p, and
+kernel_K, kernel_P return the z-dependent factors
+    k = c_K * top_extract(h ^ sum_{j<n} g_j ^ B_(n-j))
     p = c_P * top_extract(h ^ g_n)
-(FormValue.surface_density contracts omega in), with the scalar constants
-c_K, c_P fixed once by reproducing the flat model identities (see calibrate).
+where the subscript is the e-degree, so only the e-degree n part of g ^ B
+is ever formed (FormValue.surface_density contracts omega in).  One constant
+c_K = c_P = (2 pi i)^nu serves every N and nu; calibrate() refits both on
+the flat model.
 """
 
 from __future__ import annotations
@@ -39,11 +43,8 @@ __all__ = [
     "CalibrationError",
     "default_calibration",
     "bm_b",
-    "bm_dbar_b",
     "bm_B",
     "sigma_form",
-    "dbar_sigma",
-    "dbar_chi_form",
     "weight_g",
     "hefer_form",
     "structure_form",
@@ -93,20 +94,18 @@ class CalibrationConstants:
 def default_calibration(ambient_dim: int, nu: int) -> CalibrationConstants:
     """Scale constants pinned by the flat-model reproducing identities.
 
-    One factor 1/(2 pi i) enters per Hefer factor, and the top extraction
-    contributes the parity (-1)^(N |S|) for S of size n - 1 in K and n in P.
-    Both are undone here, c_K / c_P = (-1)^N, so that the hyperplane kernel
-    coincides with the flat Bochner-Martinelli kernel in every ambient
-    dimension N.  Verified numerically by calibrate().
+    One factor 1/(2 pi i) enters per Hefer factor, so c_K = c_P = (2 pi i)^nu
+    in every ambient dimension: the top extraction reads kappa off
+    u = e_top ^ kappa with no reordering sign, and the flat kernel then
+    coincides with the Bochner-Martinelli kernel.  calibrate() fits c_K and
+    c_P independently as the check.
     """
     scale = TWO_PI_I ** nu
-    return CalibrationConstants(
-        c_K=-scale if ambient_dim % 2 else scale, c_P=scale, provenance="default"
-    )
+    return CalibrationConstants(c_K=scale, c_P=scale, provenance="default")
 
 
 # ---------------------------------------------------------------------------
-# Bochner-Martinelli ingredients
+# support forms: Bochner-Martinelli b and the ball weight sigma
 # ---------------------------------------------------------------------------
 
 
@@ -114,52 +113,48 @@ def _norm_sq(x):
     return np.sum(np.abs(x) ** 2, axis=-1)
 
 
+def _support_series(s, Q, eta, n: int, N: int, output_bar: bool) -> list[FormValue]:
+    """The series [u, u ^ dbar u, ..., u ^ (dbar u)^(n-1)] of a support form.
+
+    u = sum_j s_j e_j / (2 pi i Q) with Q = s . eta, so contraction with eta
+    gives exactly 1.  dbar u has coefficients (delta_jk / Q - s_j eta_k / Q^2)
+    / (2 pi i) on a_k - b_k when output_bar (b: s = conj(eta), Q = |eta|^2)
+    and on a_k alone otherwise (sigma: s = conj(zeta), Q = conj(zeta) . eta,
+    holomorphic in z).  Makes exactly n - 1 wedges; pole checks are the
+    caller's.
+    """
+    series = [FormValue(N, {1 << j: s[..., j] / (TWO_PI_I * Q) for j in range(N)})]
+    if n > 1:
+        terms = {}
+        for j in range(N):
+            for k in range(N):
+                m = ((1.0 if j == k else 0.0) / Q - s[..., j] * eta[..., k] / Q**2)
+                m = m / TWO_PI_I
+                # (a_k - b_k) ^ e_j reordered to canonical e-first storage
+                terms[(1 << j) | (1 << (N + k))] = -m
+                if output_bar:
+                    terms[(1 << j) | (1 << (2 * N + k))] = m
+        du = FormValue(N, terms)
+        for _ in range(n - 1):
+            series.append(series[-1].wedge(du))
+    return series
+
+
 def bm_b(eta: np.ndarray, N: int) -> FormValue:
     """Contraction-normalized singular (1,0) form: coefficients eta_bar / (2 pi i |eta|^2)."""
-    eta = np.asarray(eta, dtype=complex)
-    r2 = _norm_sq(eta)
-    if np.any(r2 == 0):
-        raise PoleError("b evaluated at eta = 0")
-    terms = {}
-    for j in range(N):
-        terms[1 << j] = np.conj(eta[..., j]) / (TWO_PI_I * r2)
-    return FormValue(N, terms)
-
-
-def bm_dbar_b(eta: np.ndarray, N: int) -> FormValue:
-    """Closed-form dbar of b, with d(eta_bar) expanded over the a and b generators."""
-    eta = np.asarray(eta, dtype=complex)
-    r2 = _norm_sq(eta)
-    if np.any(r2 == 0):
-        raise PoleError("dbar b evaluated at eta = 0")
-    terms = {}
-    for j in range(N):
-        for k in range(N):
-            m = (1.0 if j == k else 0.0) / r2 - np.conj(eta[..., j]) * eta[..., k] / r2**2
-            m = m / TWO_PI_I
-            # (a_k - b_k) ^ e_j reordered to canonical e-first storage
-            ma = (1 << j) | (1 << (N + k))
-            mb = (1 << j) | (1 << (2 * N + k))
-            terms[ma] = terms.get(ma, 0.0) - m
-            terms[mb] = terms.get(mb, 0.0) + m
-    return FormValue(N, terms)
+    return bm_B(eta, N, 1)
 
 
 def bm_B(eta: np.ndarray, N: int, n: int) -> FormValue:
     """Full form B = b + b dbar(b) + ... + b (dbar b)^(n-1)."""
-    b = bm_b(eta, N)
-    db = bm_dbar_b(eta, N)
+    eta = np.asarray(eta, dtype=complex)
+    r2 = _norm_sq(eta)
+    if np.any(r2 == 0):
+        raise PoleError("b evaluated at eta = 0")
     out = FormValue.zero(N)
-    term = b
-    for _ in range(n):
+    for term in _support_series(np.conj(eta), r2, eta, n, N, output_bar=True):
         out = out + term
-        term = term.wedge(db)
     return out
-
-
-# ---------------------------------------------------------------------------
-# ball weight
-# ---------------------------------------------------------------------------
 
 
 def _sigma_denominator(zeta, z):
@@ -168,64 +163,37 @@ def _sigma_denominator(zeta, z):
 
 
 def sigma_form(zeta: np.ndarray, z: np.ndarray, N: int) -> FormValue:
+    """Contraction-normalized ball-weight form: coefficients zeta_bar / (2 pi i Q)."""
     zeta = np.asarray(zeta, dtype=complex)
     z = np.asarray(z, dtype=complex)
     Q = _sigma_denominator(zeta, z)
     if np.any(Q == 0):
         raise PoleError("sigma denominator vanished (z outside the inner ball)")
-    terms = {1 << j: np.conj(zeta[..., j]) / (TWO_PI_I * Q) for j in range(N)}
-    return FormValue(N, terms)
-
-
-def dbar_sigma(zeta: np.ndarray, z: np.ndarray, N: int) -> FormValue:
-    zeta = np.asarray(zeta, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    Q = _sigma_denominator(zeta, z)
-    if np.any(Q == 0):
-        raise PoleError("sigma denominator vanished (z outside the inner ball)")
-    eta = zeta - z
-    terms = {}
-    for j in range(N):
-        for k in range(N):
-            m = (1.0 if j == k else 0.0) / Q - np.conj(zeta[..., j]) * eta[..., k] / Q**2
-            m = m / TWO_PI_I
-            ma = (1 << j) | (1 << (N + k))
-            terms[ma] = terms.get(ma, 0.0) - m  # a_k ^ e_j = -(e_j ^ a_k)
-    return FormValue(N, terms)
-
-
-def dbar_chi_form(zeta: np.ndarray, cfg: WeightConfig, N: int) -> FormValue:
-    cd = Window(cfg.rho1, cfg.rho2).value(_norm_sq(zeta), 1)
-    terms = {1 << (N + j): cd * zeta[..., j] for j in range(N)}
-    return FormValue(N, terms)
+    return _support_series(np.conj(zeta), Q, zeta - z, 1, N, output_bar=False)[0]
 
 
 def weight_g(zeta: np.ndarray, z: np.ndarray, cfg: WeightConfig, n: int,
              N: int) -> FormValue:
-    """Compactly supported weight; scalar 1 inside rho1, zero outside rho2.
+    """Compactly supported weight chi - dbar chi ^ sum_{k<n} sigma (dbar sigma)^k.
 
-    The sigma factors only matter on the support of dbar chi, so their
-    denominator is masked to 1 elsewhere to avoid spurious pole evaluations
-    at zeta near z.
+    Scalar 1 inside rho1, zero outside rho2.  The sigma factors only matter
+    on the support of dbar chi, so zeta is replaced by (1, ..., 1) elsewhere
+    to avoid spurious pole evaluations at zeta near z.
     """
     zeta = np.asarray(zeta, dtype=complex)
     z = np.asarray(z, dtype=complex)
     chi = Window(cfg.rho1, cfg.rho2)
     x = _norm_sq(zeta)
     cd = chi.value(x, 1)
-    live = cd != 0.0
-    Q = _sigma_denominator(zeta, z)
-    if np.any(live & (np.abs(Q) == 0.0)):
+    zeta_safe = np.where((cd != 0.0)[..., None], zeta, np.ones_like(zeta))
+    Q = _sigma_denominator(zeta_safe, z)
+    if np.any(Q == 0):
         raise PoleError("sigma denominator vanished on supp dbar chi")
-    zeta_safe = np.where(live[..., None], zeta, np.ones_like(zeta))
-    sig = sigma_form(zeta_safe, z, N)
-    dsig = dbar_sigma(zeta_safe, z, N)
+    dchi = FormValue(N, {1 << (N + j): cd * zeta[..., j] for j in range(N)})
     g = FormValue.scalar(N, chi.value(x, 0) + 0j)
-    dchi = dbar_chi_form(zeta, cfg, N)
-    cum = sig
-    for _ in range(n):
-        g = g - dchi.wedge(cum)
-        cum = cum.wedge(dsig)
+    for term in _support_series(np.conj(zeta_safe), Q, zeta_safe - z, n, N,
+                                output_bar=False):
+        g = g - dchi.wedge(term)
     return g
 
 
@@ -284,7 +252,10 @@ def kernel_K(v: ConeVariety, zeta: np.ndarray, z: np.ndarray, cfg: WeightConfig,
     eta = zeta - z
     Bf = bm_B(eta, N, n)
     g = weight_g(zeta, z, cfg, n, N)
-    part = g.wedge(Bf).bidegree_part(n)
+    # (g ^ B)_n graded: B has no e-degree 0 part, so g_k for k < n suffices
+    part = FormValue.zero(N)
+    for k in range(n):
+        part = part + g.bidegree_part(k).wedge(Bf.bidegree_part(n - k))
     h = hefer_form(v, zeta, z)
     return consts.c_K * h.wedge(part).extract_top_eta()
 

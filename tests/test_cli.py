@@ -130,21 +130,42 @@ def _custom(doc):
     _custom(_quadric_with_first_exp([2.5, 0, 0])),
     _custom(_quadric_with_first_exp("200")),
     _custom(NU2_AT_INFINITY),
+    "about",
+    [1, 2],
+    {"tolerance_scale": float("nan")},
+    {"tolerance_scale": float("inf")},
+    {"sample": 30000},
+    {"experiments": "v_bounds"},
 ], ids=["samples_string", "samples_fraction", "rho1_above_rho2", "r_min_zero",
         "shell_ratio_below_1", "shell_ratio_below_1_05", "no_admissible_chart",
         "variety_not_object", "polys_not_list", "coefficient_not_number",
         "no_polys", "codim_3", "ambient_dim_fraction", "poly_not_list",
         "term_not_object", "exp_fraction", "exp_string",
-        "nu2_solutions_at_infinity"])
+        "nu2_solutions_at_infinity", "config_string", "config_list",
+        "tolerance_scale_nan", "tolerance_scale_inf", "unknown_key", "experiments_string"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, raw):
-    if "variety_doc" in raw:
-        vpath = tmp_path / "variety.json"
-        vpath.write_text(json.dumps(raw["variety_doc"]))
-        raw = {"variety": str(vpath)}
+    args = []
+    if isinstance(raw, dict):
+        if "variety_doc" in raw:
+            vpath = tmp_path / "variety.json"
+            vpath.write_text(json.dumps(raw["variety_doc"]))
+            raw = {"variety": str(vpath)}
+        raw = {"experiments": ["v_bounds"], "samples": 30000,
+               "out": str(tmp_path / "out"), **raw}
+    else:  # a config document that is not a JSON object
+        args = ["--experiment", "v_bounds", "--samples", "30000",
+                "--out", str(tmp_path / "out")]
     cpath = tmp_path / "cfg.json"
-    cpath.write_text(json.dumps({"experiments": ["v_bounds"], "samples": 30000,
-                                 "out": str(tmp_path / "out"), **raw}))
-    assert main(["--config", str(cpath)]) == 2
+    cpath.write_text(json.dumps(raw))
+    assert main(["--config", str(cpath)] + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_nan_tolerance_scale_flag_exits_2(tmp_path, capsys):
+    assert main(["--variety", "a1", "--experiment", "v_bounds",
+                 "--tolerance-scale", "nan", "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()

@@ -139,14 +139,14 @@ def test_extract_top_roundtrip():
             mask |= 1 << (N + int(g))
         kappa = FormValue(N, {mask: complex(rng.standard_normal(),
                                             rng.standard_normal())})
-        back = kappa.wedge(evol).extract_top_eta()
+        back = evol.wedge(kappa).extract_top_eta()
         diff = back + (-1.0) * kappa
         assert max((abs(complex(c)) for c in diff.terms.values()), default=0.0) < 1e-14
 
 
 def test_extract_top_scalar_and_simple():
     evol = e(0).wedge(e(1)).wedge(e(2))
-    u = a(0, 5.0).wedge(evol)
+    u = evol.wedge(a(0, 5.0))
     assert as_dict(u.extract_top_eta()) == {1 << N: 5.0}
     assert as_dict(evol.extract_top_eta()) == {0: 1.0}
 

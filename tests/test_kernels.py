@@ -6,7 +6,8 @@ from conekop.forms import FormValue
 from conekop.kernels import WeightConfig, annulus_bounds
 from conekop.sampling import surface_point_with_norm
 from conekop.varieties import (ConeVariety, MultiIndexPoly, NearSingularError,
-                               get_variety, hyperplane, minor_complements)
+                               get_variety, hyperplane, minor_complements,
+                               variety_from_json)
 
 HP = get_variety("hyperplane")
 A1 = get_variety("a1")
@@ -236,21 +237,28 @@ def _omega_kernel(v, zeta, z):
     return K.structure_form(v, zeta, v.minors(zeta)).wedge(K.kernel_K(v, zeta, z, CFG))
 
 
+def _coordinate_plane(N, nu):
+    """{z_{N-nu} = ... = z_{N-1} = 0} in C^N, loaded as a custom variety."""
+    polys = [[{"exp": [int(j == i) for j in range(N)], "re": 1.0}]
+             for i in range(N - nu, N)]
+    return variety_from_json({"ambient_dim": N, "polys": polys})
+
+
 def test_kernel_K_hyperplane_matches_flat_bm():
     # with chi identically 1 at interior points, the assembled kernel equals
-    # the flat Bochner-Martinelli form of the hyperplane z_N = 0, for odd and
-    # even ambient dimension N (the sign of c_K depends on the parity of N)
+    # the flat Bochner-Martinelli form of the coordinate plane, with the one
+    # constant c_K = (2 pi i)^nu for either parity of N and nu = 1, 2
     rng = np.random.default_rng(10)
-    for N in (3, 4):
-        n = N - 1
-        flat = hyperplane(N)
-        z = np.array([0.2, -0.1, 0.05][: N - 1] + [0.0], dtype=complex)
+    for N, nu in ((3, 1), (4, 1), (4, 2), (5, 2)):
+        n = N - nu
+        flat = hyperplane(N) if nu == 1 else _coordinate_plane(N, nu)
+        z = np.array([0.2, -0.1, 0.05][:n] + [0.0] * nu, dtype=complex)
         zeta = _rand(rng, 40, N)
-        zeta[:, -1] = 0.0
+        zeta[:, n:] = 0.0
         zeta *= 0.3 / np.sqrt(np.sum(np.abs(zeta) ** 2, -1))[:, None]
         # the flat chart: p_{0..n-1} = 1, every other Plücker coordinate 0
         plucker = {A: np.full(40, 1.0 if A == (1 << n) - 1 else 0.0)
-                   for A, _ in minor_complements(N, 1)}
+                   for A, _ in minor_complements(N, nu)}
         ker = _omega_kernel(flat, zeta, z)
         Bflat = K.bm_B(zeta - z, N, n)
         for phi_idx in range(n):  # wedge against each dzeta-bar slot
@@ -387,14 +395,11 @@ def test_mu_support_and_underflow():
 
 
 def test_default_calibration_constants():
-    c = K.default_calibration(3, 1)
-    assert c.c_K == pytest.approx(-TWO_PI_I)
-    assert c.c_P == pytest.approx(TWO_PI_I)
-    # c_K / c_P = (-1)^N undoes the parity of the top extraction
-    even = K.default_calibration(4, 1)
-    assert even.c_K == pytest.approx(TWO_PI_I)
-    assert even.c_P == pytest.approx(TWO_PI_I)
-    assert K.default_calibration(4, 2).c_K == pytest.approx(TWO_PI_I**2)
+    # one constant per codimension: no parity of N to undo
+    for N, nu in ((3, 1), (4, 1), (4, 2), (5, 2)):
+        c = K.default_calibration(N, nu)
+        assert c.c_K == pytest.approx(TWO_PI_I**nu)
+        assert c.c_P == pytest.approx(TWO_PI_I**nu)
 
 
 def test_structure_form_link_bound_reported():
@@ -433,7 +438,7 @@ def test_calibrate_recovers_default_constants():
 
 def test_calibrate_flat_c4_recovers_default_constants():
     # the fit on the hyperplane z_4 = 0 in C^4 lands on +2 pi i for c_K,
-    # the opposite sign from C^3
+    # the same constant as in C^3
     from conekop.sampling import SamplingPlan
 
     consts = K.calibrate(plan=SamplingPlan(samples=8192, seed=31,

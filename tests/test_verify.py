@@ -216,8 +216,8 @@ def test_koppelman_q1_loose_runs_and_reports():
 
 
 def test_koppelman_q0_flat_even_ambient_dimension():
-    # the q = 0 homotopy identity on the hyperplane z_4 = 0 in C^4; with the
-    # odd-N sign of c_K the bump rows miss by 2-4x their tolerance
+    # the q = 0 homotopy identity on the hyperplane z_4 = 0 in C^4; with c_K
+    # of the wrong sign the bump rows miss by 2-4x their tolerance
     v = attach_link_margin(hyperplane(4), samples=2000)
     rep = run_experiment("koppelman_q0", v, SamplingPlan(samples=4096, seed=7))
     assert rep.checks == {"identity_holo1100": True, "identity_zbar0_bump": True}
