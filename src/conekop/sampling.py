@@ -11,6 +11,13 @@ the full-mixture density in the weights, which keeps the estimator unbiased
 regardless of component overlap).  Random streams are counter-based, keyed by
 (seed, experiment id, stratum index), so results are reproducible and
 independent of evaluation order.
+
+The strata around one center form a chain of shells tiling [lo, hi], so the
+mixture density needs one distance per chain and a bisection on its radii.
+Each stratum draws in batch_size chunks from its own stream; consecutive
+chunks, across strata, are packed into work units of at most PACK_ROWS base
+points, which share one fiber solve and one integrand call.  Sums still
+accumulate chunk by chunk, so packing changes no result.
 """
 
 from __future__ import annotations
@@ -48,6 +55,10 @@ __all__ = [
 
 POINT_TOL = 1e-10
 BRANCH_TOL = 1e-8
+# base rows per work unit: consecutive small stratum chunks share one fiber
+# solve and one integrand call; larger units raise the peak memory and run
+# no faster
+PACK_ROWS = 4096
 
 
 class EmptyRegionError(ValueError):
@@ -522,15 +533,12 @@ def _sphere_area(n: int) -> float:
     return 2.0 * math.pi**n / math.factorial(n - 1)
 
 
-def _stratum_density(st: _Stratum, r: np.ndarray, n: int) -> np.ndarray:
+def _radial_norm(st: _Stratum, n: int) -> float:
+    """Normalizer of the stratum's radial density r^(-power) on [r_lo, r_hi]."""
     beta = 2 * n - st.power
     if st.r_lo > 0:
-        norm = beta / (st.r_hi**beta - st.r_lo**beta)
-    else:
-        norm = beta / st.r_hi**beta
-    inside = (r >= st.r_lo) & (r <= st.r_hi)
-    rr = np.where(inside, np.maximum(r, 1e-300), 1.0)
-    return np.where(inside, norm * rr ** (-st.power) / _sphere_area(n), 0.0)
+        return beta / (st.r_hi**beta - st.r_lo**beta)
+    return beta / st.r_hi**beta
 
 
 def _sample_stratum(st: _Stratum, n: int, count: int, rng) -> np.ndarray:
@@ -654,6 +662,88 @@ def _stream(seed: int, experiment_id: str, stratum: int):
     return np.random.Generator(np.random.Philox(key=int.from_bytes(h, "little")))
 
 
+@dataclass(frozen=True)
+class _Chain:
+    """Consecutive strata around one center object, tiling [edges[0], edges[-1]].
+
+    Shell s spans [edges[s], edges[s + 1]]; shells run innermost first, the
+    reverse of stratum order.  const[s] = f norm / area is the shell's
+    mixture term where its radial power is 0; powered lists (shell, power,
+    f, norm) for the others (a pole's inner disc).
+    """
+
+    center: np.ndarray
+    edges: np.ndarray
+    const: np.ndarray
+    powered: tuple
+
+
+def _chains(strata, fracs, n: int) -> list[_Chain]:
+    chains, start = [], 0
+    for k in range(1, len(strata) + 1):
+        if k < len(strata) and strata[k].center is strata[start].center:
+            continue
+        run = strata[start:k][::-1]
+        f = fracs[start:k][::-1]
+        assert all(a.r_hi == b.r_lo for a, b in zip(run, run[1:]))
+        norm = [_radial_norm(st, n) for st in run]
+        chains.append(_Chain(
+            center=run[0].center,
+            edges=np.array([run[0].r_lo] + [st.r_hi for st in run]),
+            const=np.array([f[s] * (norm[s] / _sphere_area(n))
+                            for s in range(len(run))]),
+            powered=tuple((s, st.power, f[s], norm[s])
+                          for s, st in enumerate(run) if st.power)))
+        start = k
+    return chains
+
+
+def _mixture_density(chains: list[_Chain], bases: np.ndarray, n: int) -> np.ndarray:
+    """Sum over strata k of f_k times stratum k's density, at each base.
+
+    One distance per chain; bisection on its edges finds the shells that hold
+    it.  A base on a shared radius lies in two shells, added outer first, so
+    the nonzero terms are added in stratum order, and the sum equals the
+    stratum-by-stratum one bit for bit (the terms skipped are exact zeros).
+    """
+    p = np.zeros(len(bases))
+    for ch in chains:
+        r = np.sqrt(np.sum(np.abs(bases - ch.center) ** 2, axis=-1))
+        hit = (r >= ch.edges[0]) & (r <= ch.edges[-1])
+        top = len(ch.const) - 1
+        outer = np.clip(np.searchsorted(ch.edges, r, "right") - 1, 0, top)
+        inner = np.clip(np.searchsorted(ch.edges, r, "left") - 1, 0, top)
+        for shell, rows in ((outer, hit), (inner, hit & (inner != outer))):
+            term = ch.const[shell]
+            for s, power, f, norm in ch.powered:
+                on = rows & (shell == s)
+                rr = np.maximum(r[on], 1e-300)
+                term[on] = f * (norm * rr ** (-power) / _sphere_area(n))
+            p += np.where(rows, term, 0.0)
+    return p
+
+
+def _units(counts, batch_size: int) -> list[list[tuple[int, int]]]:
+    """Work units as lists of (stratum index, chunk size).
+
+    Each stratum draws in chunks of batch_size from its own stream.
+    Consecutive chunks, across strata, share a unit of at most PACK_ROWS
+    base rows; a larger chunk forms a unit alone.
+    """
+    units, rows = [], 0
+    for si, cnt in enumerate(counts):
+        done = 0
+        while done < cnt:
+            bs = int(min(batch_size, cnt - done))
+            if not units or rows + bs > PACK_ROWS:
+                units.append([])
+                rows = 0
+            units[-1].append((si, bs))
+            rows += bs
+            done += bs
+    return units
+
+
 # ---------------------------------------------------------------------------
 # results
 # ---------------------------------------------------------------------------
@@ -705,65 +795,61 @@ def integrate(v: ConeVariety, region: Region, integrand, plan: SamplingPlan,
     counts = _allocate(strata, plan, n)
     total = int(counts.sum())
     fracs = counts / total
+    chains = _chains(strata, fracs, n)
 
-    sums = None
-    sqsums = None
+    # per-stratum sums start at width 1 and broadcast once K is known
+    s_sum = [np.zeros(1, dtype=complex)] * len(strata)
+    s_sq = [np.zeros(1)] * len(strata)
+    got_valid = np.zeros(len(strata), dtype=bool)
     K = 1
-    stats = []
     discarded = 0
 
-    for si, (st, cnt) in enumerate(zip(strata, counts)):
-        rng = _stream(plan.seed, plan.experiment_id, si)
-        s_sum = None
-        s_sq = None
-        done = 0
-        got_valid = False
-        while done < cnt:
-            bs = int(min(plan.batch_size, cnt - done))
-            bases = _sample_stratum(st, n, bs, rng)
-            # mixture density over all components
-            p = np.zeros(bs)
-            for other, f in zip(strata, fracs):
-                r = np.sqrt(np.sum(np.abs(bases - other.center) ** 2, axis=-1))
-                p += f * _stratum_density(other, r, n)
-            pts, valid = solve_fiber(v, chart, bases)
-            discarded += int(pts.shape[1] * bs - valid.sum())
-            got_valid = got_valid or bool(np.any(valid))
-            inside = valid & region.indicator(pts)
-            B, S = inside.shape
-            flat = inside.reshape(-1)
-            if np.any(flat):
-                sel = pts.reshape(B * S, -1)[flat]
-                m = v.minors(sel)
-                gsel = gram_factors(v, chart, m)
-                fv = np.asarray(integrand(PointBatch(v, sel, gsel, m)))
-                if fv.ndim == 1:
-                    fv = fv[:, None]
-                K = fv.shape[1]
-                vals = np.zeros((B * S, K), dtype=complex)
-                vals[flat] = fv * gsel[:, None]
-                Y = vals.reshape(B, S, K).sum(axis=1) / p[:, None]
-            else:
-                Y = np.zeros((B, K), dtype=complex)
-            if s_sum is None:
-                s_sum = np.zeros(K, dtype=complex)
-                s_sq = np.zeros(K)
-            s_sum += Y.sum(axis=0)
-            s_sq += np.sum(np.abs(Y) ** 2, axis=0)
-            done += bs
-        if not got_valid:
+    rngs = [_stream(plan.seed, plan.experiment_id, si) for si in range(len(strata))]
+    for unit in _units(counts, plan.batch_size):
+        draws = [_sample_stratum(strata[si], n, bs, rngs[si]) for si, bs in unit]
+        # a lone chunk is used as drawn: a copy would raise the peak memory
+        bases = draws[0] if len(draws) == 1 else np.concatenate(draws)
+        p = _mixture_density(chains, bases, n)
+        pts, valid = solve_fiber(v, chart, bases)
+        discarded += int(valid.size - valid.sum())
+        inside = valid & region.indicator(pts)
+        B, S = inside.shape
+        flat = inside.reshape(-1)
+        if np.any(flat):
+            sel = pts.reshape(B * S, -1)[flat]
+            m = v.minors(sel)
+            gsel = gram_factors(v, chart, m)
+            fv = np.asarray(integrand(PointBatch(v, sel, gsel, m)))
+            if fv.ndim == 1:
+                fv = fv[:, None]
+            K = fv.shape[1]
+            vals = np.zeros((B * S, K), dtype=complex)
+            vals[flat] = fv * gsel[:, None]
+            Y = vals.reshape(B, S, K).sum(axis=1) / p[:, None]
+        else:
+            Y = np.zeros((B, K), dtype=complex)
+        a = 0
+        for si, bs in unit:
+            e = a + bs
+            got_valid[si] |= bool(np.any(valid[a:e]))
+            s_sum[si] = s_sum[si] + Y[a:e].sum(axis=0)
+            s_sq[si] = s_sq[si] + np.sum(np.abs(Y[a:e]) ** 2, axis=0)
+            a = e
+
+    sums = np.zeros(K, dtype=complex)
+    sqsums = np.zeros(K)
+    stats = []
+    for si, cnt in enumerate(counts):
+        if not got_valid[si]:
             warnings.warn(
                 f"stratum {si} received no admissible fiber points",
                 RuntimeWarning,
             )
-        mean = s_sum / cnt
-        var = np.maximum(s_sq / cnt - np.abs(mean) ** 2, 0.0)
+        mean = np.broadcast_to(s_sum[si], (K,)) / cnt
+        var = np.maximum(s_sq[si] / cnt - np.abs(mean) ** 2, 0.0)
         var = var * cnt / max(cnt - 1, 1)
         se = np.sqrt(var / cnt)
         stats.append((mean, se, int(cnt)))
-        if sums is None:
-            sums = np.zeros(K, dtype=complex)
-            sqsums = np.zeros(K)
         sums += fracs[si] * mean
         sqsums += (fracs[si] * se) ** 2
 

@@ -1,9 +1,14 @@
 import itertools
+import re
+import warnings
 
 import numpy as np
 import pytest
 
+from conekop import operators as O
 from conekop import sampling
+from conekop.forms import TestForm
+from conekop.kernels import WeightConfig, annulus_bounds
 from conekop.sampling import (
     Chart,
     EmptyRegionError,
@@ -30,6 +35,7 @@ from conekop.varieties import ConeVariety, MultiIndexPoly, catalog_names, get_va
 HP = get_variety("hyperplane")
 A1 = get_variety("a1")
 ONE = lambda b: np.ones(len(b), dtype=complex)
+CFG = WeightConfig()
 
 
 def test_admissible_charts():
@@ -544,3 +550,208 @@ def test_nu2_fiber_solve_evaluates_the_system_a_few_times(monkeypatch):
     bases = rng.standard_normal((100, 2)) + 1j * rng.standard_normal((100, 2))
     solve_fiber(ci, default_chart(ci), bases)
     assert calls["eval_tuple"] <= 10 and calls["jacobian"] <= 5
+
+
+# ---------------------------------------------------------------------------
+# the batch loop: mixture density by shell chain, packed work units
+# ---------------------------------------------------------------------------
+
+
+def _stratum_by_stratum_density(strata, fracs, bases, n):
+    """The mixture density summed one stratum at a time: the reference."""
+    p = np.zeros(len(bases))
+    for st, f in zip(strata, fracs):
+        r = np.sqrt(np.sum(np.abs(bases - st.center) ** 2, axis=-1))
+        beta = 2 * n - st.power
+        if st.r_lo > 0:
+            norm = beta / (st.r_hi**beta - st.r_lo**beta)
+        else:
+            norm = beta / st.r_hi**beta
+        inside = (r >= st.r_lo) & (r <= st.r_hi)
+        rr = np.where(inside, np.maximum(r, 1e-300), 1.0)
+        p += f * np.where(inside,
+                          norm * rr ** (-st.power) / sampling._sphere_area(n), 0.0)
+    return p
+
+
+def _tm_decay_annulus():
+    # _build_strata drops a pole within 1e-8 of an annulus center, so the
+    # pole sits at the largest norm run_log_annulus gives one, hi / 3
+    lo, hi = annulus_bounds(2)
+    z = surface_point_with_norm(A1, hi / 3, seed=1)
+    return Region.annulus(np.zeros(3), lo, hi), [(z, 1.0)], 0.3 * lo
+
+
+def _density_cases():
+    z = surface_point_with_norm(A1, 0.5, seed=1)
+    annulus, poles, r_min = _tm_decay_annulus()
+    return {
+        "apply_K": (Region.domain(CFG.omega_prime_radius, 3),
+                    [(z, 3), (np.zeros(3), 1)], 1e-4),
+        "apply_P": (Region.annulus(np.zeros(3), CFG.rho1, CFG.rho2), [], 1e-4),
+        "tm_decay": (annulus, poles, r_min),
+    }
+
+
+@pytest.mark.parametrize("case", ["apply_K", "apply_P", "tm_decay"])
+def test_mixture_density_by_chain_is_bit_identical(case):
+    region, poles, r_min = _density_cases()[case]
+    plan = SamplingPlan(samples=20_000, r_min=r_min)
+    strata = sampling._build_strata(A1, region, default_chart(A1), poles, plan)
+    counts = sampling._allocate(strata, plan, A1.dim)
+    fracs = counts / counts.sum()
+    rng = np.random.default_rng(11)
+    bases = [sampling._sample_stratum(st, A1.dim, 200, rng) for st in strata]
+    # every center (r = 0: the pole discs' r^-a term at its cap), and bases
+    # on the edges of the chains around the origin, shared radii included:
+    # an axis point has the edge as its computed distance exactly
+    edges = {0.0}
+    for st in strata:
+        bases.append(st.center[None, :])
+        if not np.any(st.center):
+            edges |= {st.r_lo, st.r_hi}
+    for j, unit in itertools.product(range(A1.dim), (1.0, 1j)):
+        axis = np.zeros((len(edges), A1.dim), dtype=complex)
+        axis[:, j] = unit * np.array(sorted(edges))
+        assert np.array_equal(np.sqrt(np.sum(np.abs(axis) ** 2, axis=-1)),
+                              sorted(edges))
+        bases.append(axis)
+    bases = np.concatenate(bases)
+    chains = sampling._chains(strata, fracs, A1.dim)
+    assert len(chains) == 1 + len(poles)
+    with np.errstate(over="ignore"):
+        want = _stratum_by_stratum_density(strata, fracs, bases, A1.dim)
+        got = sampling._mixture_density(chains, bases, A1.dim)
+    assert np.array_equal(got, want)
+    # the origin chains have shared radii: some edge bases lie in two shells
+    assert ({st.r_lo for st in strata if not np.any(st.center)}
+            & {st.r_hi for st in strata if not np.any(st.center)})
+
+
+def _same_result(a, b):
+    assert np.array_equal(a.value, b.value)
+    assert np.array_equal(a.stderr, b.stderr)
+    assert (a.samples, a.discarded) == (b.samples, b.discarded)
+    assert len(a.strata) == len(b.strata)
+    for sa, sb in zip(a.strata, b.strata):
+        assert np.array_equal(sa.value, sb.value)
+        assert np.array_equal(sa.stderr, sb.stderr)
+        assert sa.count == sb.count
+
+
+def _run_with_pack(monkeypatch, pack, run):
+    """run() with PACK_ROWS = pack (None: the default), and the stratum
+    indices of its 'no admissible fiber points' warnings.  Every patch,
+    run()'s own included, is undone afterwards."""
+    if pack is not None:
+        monkeypatch.setattr(sampling, "PACK_ROWS", pack)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = run()
+    monkeypatch.undo()
+    empty = [int(re.match(r"stratum (\d+) received", str(w.message)).group(1))
+             for w in caught if "no admissible fiber points" in str(w.message)]
+    return out, empty
+
+
+def _apply_K_a1():
+    phi = TestForm.one_form_bump(3, 0, 1, 1.1, 1.6)
+    z = surface_point_with_norm(A1, 0.4, seed=1)
+    return O.apply_K(A1, phi, z, CFG, SamplingPlan(
+        samples=6_000, seed=3, experiment_id="packK"))[1]
+
+
+def _apply_P_fermat3():
+    v = get_variety("fermat3")
+    z = surface_point_with_norm(v, 0.5, seed=2)
+    return O.apply_P(v, TestForm.constant(3), z, CFG, SamplingPlan(
+        samples=6_000, seed=3, experiment_id="packP"))[1]
+
+
+def _radial_ci22():
+    ci = get_variety("ci22")
+    z = surface_point_with_norm(ci, 0.5, seed=4)
+    return integrate(ci, Region.domain(1.0, 4), lambda b: b.norms() ** -1 + 0j,
+                     SamplingPlan(samples=4_000, seed=3, experiment_id="packci"),
+                     poles=[(z, 3), (np.zeros(4), 2)])
+
+
+@pytest.mark.parametrize("run", [_apply_K_a1, _apply_P_fermat3, _radial_ci22],
+                         ids=["apply_K_a1", "apply_P_fermat3", "nu2_ci22"])
+def test_packing_does_not_change_results(monkeypatch, run):
+    # PACK_ROWS = 1 runs every chunk alone, the schedule without packing
+    alone, alone_empty = _run_with_pack(monkeypatch, 1, run)
+    packed, packed_empty = _run_with_pack(monkeypatch, None, run)
+    _same_result(packed, alone)
+    assert packed_empty == alone_empty
+
+
+def test_packing_keeps_empty_stratum_warnings(monkeypatch):
+    # sheets over bases within 1e-3 of the cone point made invalid: the
+    # innermost cone-point strata draw no admissible point, and each packed
+    # unit must hand its valid flags back to the right strata
+    solve = sampling.solve_fiber
+
+    def blind_near_origin(v, chart, bases):
+        pts, valid = solve(v, chart, bases)
+        near = np.sqrt(np.sum(np.abs(bases) ** 2, axis=-1)) < 1e-3
+        return pts, valid & ~near[:, None]
+
+    def run():
+        monkeypatch.setattr(sampling, "solve_fiber", blind_near_origin)
+        return integrate(A1, Region.domain(1.0, 3), ONE,
+                         SamplingPlan(samples=4_000, seed=5, experiment_id="blind"),
+                         poles=[(np.zeros(3), 1)])
+
+    alone, alone_empty = _run_with_pack(monkeypatch, 1, run)
+    packed, packed_empty = _run_with_pack(monkeypatch, None, run)
+    _same_result(packed, alone)
+    assert packed_empty == alone_empty
+    assert len(packed_empty) >= 2
+
+
+def test_small_strata_share_fiber_solves(monkeypatch):
+    # many 128-sample strata: their chunks pack into a few units, each with
+    # one fiber solve
+    region, poles, r_min = _tm_decay_annulus()
+    plan = SamplingPlan(samples=4_000, seed=1, r_min=r_min, shell_ratio=1.25,
+                        experiment_id="pack")
+    calls = []
+    solve = sampling.solve_fiber
+
+    def counted(v, chart, bases):
+        calls.append(len(bases))
+        return solve(v, chart, bases)
+
+    monkeypatch.setattr(sampling, "solve_fiber", counted)
+    integrate(A1, region, ONE, plan, poles=poles)
+    strata = sampling._build_strata(A1, region, default_chart(A1), poles, plan)
+    counts = sampling._allocate(strata, plan, A1.dim)
+    units, rows = 0, 0
+    for cnt in counts:
+        for done in range(0, cnt, plan.batch_size):
+            bs = min(plan.batch_size, cnt - done)
+            if rows == 0 or rows + bs > sampling.PACK_ROWS:
+                units, rows = units + 1, 0
+            rows += bs
+    assert len(calls) == units
+    assert sum(calls) == counts.sum()
+    assert units < len(strata) / 10
+
+
+@pytest.mark.parametrize("pack", [1, None], ids=["alone", "packed"])
+def test_vector_integrand_with_empty_first_batch(monkeypatch, pack):
+    # one-row batches: on seeds 1, 5, 6 and 7 the first holds no point of
+    # the ball, so K is not known until a later batch
+    if pack is not None:
+        monkeypatch.setattr(sampling, "PACK_ROWS", pack)
+    region = Region.ball(surface_point_with_norm(A1, 0.8, seed=3), 0.3)
+    for seed in range(8):
+        plan = SamplingPlan(samples=256, batch_size=1, seed=seed,
+                            experiment_id="x")
+        vec = integrate(A1, region, lambda b: np.ones((len(b), 3)), plan)
+        one = integrate(A1, region, ONE, plan)
+        assert np.array_equal(vec.value, np.full(3, one.value))
+        assert np.array_equal(vec.stderr, np.full(3, one.stderr))
+        for sv, so in zip(vec.strata, one.strata):
+            assert np.array_equal(sv.value, np.full(3, so.value))
