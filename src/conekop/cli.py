@@ -20,12 +20,9 @@ from . import load_variety
 from .kernels import WeightConfig
 from .sampling import FiberDegenerateError, SamplingPlan
 from .varieties import NearSingularError
-from .verify import EXPERIMENTS, run_experiment
+from .verify import CSV_COLUMNS, EXPERIMENTS, run_experiment
 
 __all__ = ["RunConfig", "main"]
-
-CSV_COLUMNS = ["experiment", "variety", "param", "predicted", "fitted",
-               "ci_lo", "ci_hi", "verdict"]
 
 
 class ConfigError(ValueError):

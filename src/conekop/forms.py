@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .varieties import eval_monomials
+
 __all__ = [
     "FormValue",
     "TestForm",
@@ -350,7 +352,11 @@ class Window:
 
 
 class _PolyZZbar:
-    """Polynomial in (zeta, zeta_bar) with sparse complex coefficients."""
+    """Polynomial in (zeta, zeta_bar) with sparse complex coefficients.
+
+    Exponent columns interleave as (zeta_0, zeta_bar_0, zeta_1, ...), the
+    order in which the factors multiply.
+    """
 
     __slots__ = ("N", "exps", "coeffs")
 
@@ -362,41 +368,24 @@ class _PolyZZbar:
     @classmethod
     def from_terms(cls, N: int, terms: dict) -> "_PolyZZbar":
         """terms maps (zeta_exp tuple, zetabar_exp tuple) -> coefficient."""
-        exps = []
-        coeffs = []
-        for (ez, ezb), c in terms.items():
-            exps.append(list(ez) + list(ezb))
-            coeffs.append(c)
-        if not exps:
-            exps = np.zeros((0, 2 * N), dtype=np.int64)
-        return cls(N, np.asarray(exps), np.asarray(coeffs))
+        exps = [np.ravel(np.column_stack([ez, ezb])) for ez, ezb in terms]
+        return cls(N, np.asarray(exps), np.asarray(list(terms.values())))
 
     def __call__(self, pts: np.ndarray):
-        if self.coeffs.size == 0:
-            return np.zeros(pts.shape[:-1], dtype=complex)
-        z = pts
         zb = np.conj(pts)
-        vals = 0.0
-        for e, c in zip(self.exps, self.coeffs):
-            term = c * np.ones(pts.shape[:-1], dtype=complex)
-            for j in range(self.N):
-                if e[j]:
-                    term = term * z[..., j] ** int(e[j])
-                if e[self.N + j]:
-                    term = term * zb[..., j] ** int(e[self.N + j])
-            vals = vals + term
-        return vals
+        return eval_monomials(self.exps, self.coeffs, [
+            col for j in range(self.N) for col in (pts[..., j], zb[..., j])])
 
     def dzbar(self, j: int) -> "_PolyZZbar":
-        keep = self.exps[:, self.N + j] > 0
+        keep = self.exps[:, 2 * j + 1] > 0
         exps = self.exps[keep].copy()
-        coeffs = self.coeffs[keep] * exps[:, self.N + j]
-        exps[:, self.N + j] -= 1
+        coeffs = self.coeffs[keep] * exps[:, 2 * j + 1]
+        exps[:, 2 * j + 1] -= 1
         return _PolyZZbar(self.N, exps, coeffs)
 
     def mul_z(self, j: int) -> "_PolyZZbar":
         exps = self.exps.copy()
-        exps[:, j] += 1
+        exps[:, 2 * j] += 1
         return _PolyZZbar(self.N, exps, self.coeffs.copy())
 
     def is_zero(self) -> bool:

@@ -278,6 +278,14 @@ def kernel_P(v: ConeVariety, zeta: np.ndarray, z: np.ndarray, cfg: WeightConfig,
 # ---------------------------------------------------------------------------
 
 
+def _radial_weight(zeta, z, gamma: float):
+    """(|z| / |zeta|)^gamma; zeta = 0 is a pole."""
+    nz = np.sqrt(_norm_sq(zeta))
+    if np.any(nz == 0):
+        raise PoleError("model kernel at zeta = 0 with gamma > 0")
+    return (np.sqrt(_norm_sq(z)) / nz) ** gamma
+
+
 def model_k_gamma(zeta, z, gamma: float, n: int):
     """|z|^gamma / (|zeta|^gamma |zeta - z|^(2n-1)), the model pole kernel."""
     zeta = np.asarray(zeta, dtype=complex)
@@ -287,10 +295,7 @@ def model_k_gamma(zeta, z, gamma: float, n: int):
         raise PoleError("model kernel at zeta = z")
     out = dz ** -(2 * n - 1)
     if gamma != 0:
-        nz = np.sqrt(_norm_sq(zeta))
-        if np.any(nz == 0):
-            raise PoleError("model kernel at zeta = 0 with gamma > 0")
-        out = out * (np.sqrt(_norm_sq(z)) / nz) ** gamma
+        out = out * _radial_weight(zeta, z, gamma)
     return out
 
 
@@ -304,10 +309,7 @@ def model_k_tilde(zeta, z, gamma: float, i: int, n: int):
         raise PoleError("model kernel at zeta = z")
     out = np.conj(diff[..., i]) / dz2**n
     if gamma != 0:
-        nz = np.sqrt(_norm_sq(zeta))
-        if np.any(nz == 0):
-            raise PoleError("model kernel at zeta = 0 with gamma > 0")
-        out = out * (np.sqrt(_norm_sq(z)) / nz) ** gamma
+        out = out * _radial_weight(zeta, z, gamma)
     return out
 
 
@@ -392,13 +394,17 @@ def dbar_mu_coeffs(zeta, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# calibration residuals may reach this many standard errors
+CALIBRATION_TOL = 5.0
+
+
 def calibrate(cfg: WeightConfig | None = None, plan=None,
-              tol_factor: float = 5.0, ambient_dim: int = 3) -> CalibrationConstants:
+              ambient_dim: int = 3) -> CalibrationConstants:
     """Fix c_P and c_K on the hyperplane model {z_N = 0} in C^N and freeze them.
 
     c_P makes P reproduce the constant 1; c_K is fitted from the q = 0
     homotopy identity for a non-holomorphic bump.  Raises CalibrationError
-    if either residual exceeds tol_factor times its standard error.
+    if either residual exceeds CALIBRATION_TOL times its standard error.
     """
     from . import operators
     from .forms import TestForm
@@ -423,7 +429,7 @@ def calibrate(cfg: WeightConfig | None = None, plan=None,
         p_errs.append(qr.stderr)
     c_P = 1.0 / np.mean(p_vals)
     rel = np.std(p_vals) / abs(np.mean(p_vals))
-    if rel > tol_factor * np.mean(p_errs) / abs(np.mean(p_vals)) + 0.05:
+    if rel > CALIBRATION_TOL * np.mean(p_errs) / abs(np.mean(p_vals)) + 0.05:
         raise CalibrationError(f"projection calibration unstable: spread {rel:.3g}")
 
     bump = TestForm.zbar_bump(v.ambient_dim, 0, 0.55 * cfg.rho1, 0.9 * cfg.rho1)
@@ -453,7 +459,7 @@ def calibrate(cfg: WeightConfig | None = None, plan=None,
                                      plan.with_(experiment_id="calchk_k"),
                                      consts=consts)
     resid = abs(phi_z - pv - coeffs[0])
-    err = tol_factor * math.hypot(p_qr.stderr, float(np.max(k_qr.stderr)))
+    err = CALIBRATION_TOL * math.hypot(p_qr.stderr, float(np.max(k_qr.stderr)))
     if resid > max(err, 0.02 * max(abs(phi_z), 1e-9)):
         raise CalibrationError(
             f"flat homotopy residual {resid:.3g} exceeds tolerance {err:.3g}"

@@ -14,7 +14,7 @@ independent of evaluation order.
 
 The strata around one center form a chain of shells tiling [lo, hi], so the
 mixture density needs one distance per chain and a bisection on its radii.
-Each stratum draws in batch_size chunks from its own stream; consecutive
+Each stratum draws in BATCH_SIZE chunks from its own stream; consecutive
 chunks, across strata, are packed into work units of at most PACK_ROWS base
 points, which share one fiber solve and one integrand call.  Sums still
 accumulate chunk by chunk, so packing changes no result.
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .varieties import (ConeVariety, NearSingularError, _require_regular,
-                        minor_complements)
+                        eval_monomials, minor_complements)
 
 __all__ = [
     "Chart",
@@ -55,6 +55,10 @@ __all__ = [
 
 POINT_TOL = 1e-10
 BRANCH_TOL = 1e-8
+# base rows per draw from a stratum's stream, and the fewest samples any
+# stratum gets
+BATCH_SIZE = 20_000
+MIN_PER_STRATUM = 128
 # base rows per work unit: consecutive small stratum chunks share one fiber
 # solve and one integrand call; larger units raise the peak memory and run
 # no faster
@@ -110,19 +114,6 @@ def _fiber_poly_coeffs(v: ConeVariety, chart: Chart):
             coeffs = np.zeros(0, dtype=complex)
         out.append((exps, coeffs))
     return out
-
-
-def _eval_base_poly(exps, coeffs, s):
-    if coeffs.size == 0:
-        return np.zeros(s.shape[:-1], dtype=complex)
-    vals = np.zeros(s.shape[:-1], dtype=complex)
-    for e, c in zip(exps, coeffs):
-        term = np.full(s.shape[:-1], c)
-        for j in range(s.shape[-1]):
-            if e[j]:
-                term = term * s[..., j] ** int(e[j])
-        vals += term
-    return vals
 
 
 def admissible_charts(v: ConeVariety) -> list[Chart]:
@@ -252,7 +243,7 @@ def _solve_fiber_nu1(v: ConeVariety, chart: Chart, bases: np.ndarray):
     """All fiber roots over each base point; returns (t, valid) of shape (B, d)."""
     table = _fiber_poly_coeffs(v, chart)
     d = len(table) - 1
-    cs = np.stack([_eval_base_poly(e, c, bases) for e, c in table], axis=-1)
+    cs = np.stack([eval_monomials(e, c, bases.T) for e, c in table], axis=-1)
     lead = cs[:, -1]
     if np.any(np.abs(lead) == 0.0):
         raise FiberDegenerateError("fiber polynomial leading coefficient vanished")
@@ -431,21 +422,23 @@ class PointBatch:
 
     @property
     def projector(self) -> np.ndarray:
-        """Orthogonal projectors I - J^H (J J^H)^-1 J onto the tangent planes.
+        """Orthogonal projectors F^T conj(F) onto the tangent planes, (B, N, N).
 
-        Shape (B, N, N).  The guard uses det(J J^H) = |m|^2 (Cauchy-Binet).
+        F holds the orthonormal tangent frames of frames_for, which also
+        guards against points near the branch locus.
         """
         if self._projector is None:
-            J = self.variety.jacobian(self.positions)
-            JH = np.conj(np.swapaxes(J, -1, -2))
-            G = J @ JH
-            _require_regular(self.variety, self.positions,
-                             np.sqrt(np.abs(np.linalg.det(G))))
-            self._projector = np.eye(J.shape[-1]) - JH @ np.linalg.solve(G, J)
+            F = frames_for(self.variety, self.positions)
+            self._projector = np.swapaxes(F, -1, -2) @ np.conj(F)
         return self._projector
 
     def norms(self) -> np.ndarray:
         return np.sqrt(np.sum(np.abs(self.positions) ** 2, axis=-1))
+
+    def dist(self, w) -> np.ndarray:
+        """|zeta - w| per point, floored at 1e-300 so poles at w stay finite."""
+        return np.maximum(
+            np.sqrt(np.sum(np.abs(self.positions - w) ** 2, axis=-1)), 1e-300)
 
 
 def tangent_frame(v: ConeVariety, zeta) -> np.ndarray:
@@ -480,9 +473,8 @@ class Region:
 
     @classmethod
     def domain(cls, r_outer: float, ambient_dim: int = 3) -> "Region":
-        if r_outer <= 0:
-            raise EmptyRegionError("domain radius must be positive")
-        return cls("domain", np.zeros(ambient_dim, dtype=complex), 0.0, float(r_outer))
+        """The ball of radius r_outer about the origin of C^ambient_dim."""
+        return cls.ball(np.zeros(ambient_dim, dtype=complex), r_outer)
 
     def indicator(self, pts: np.ndarray) -> np.ndarray:
         d = np.sqrt(np.sum(np.abs(pts - self.center) ** 2, axis=-1))
@@ -502,10 +494,8 @@ class SamplingPlan:
     seed: int = 0
     r_min: float = 1e-4
     shell_ratio: float = 2.0
-    batch_size: int = 20_000
     experiment_id: str = "quad"
     allocation: str = "bound"
-    min_per_stratum: int = 128
 
     def __post_init__(self):
         if not self.r_min > 0:
@@ -517,6 +507,10 @@ class SamplingPlan:
     def with_(self, **kw) -> "SamplingPlan":
         d = self.__dict__ | kw
         return SamplingPlan(**d)
+
+    def sub(self, tag: str, **kw) -> "SamplingPlan":
+        """Plan of a sub-integral, with its own streams: experiment_id|tag."""
+        return self.with_(experiment_id=f"{self.experiment_id}|{tag}", **kw)
 
 
 @dataclass(frozen=True)
@@ -551,6 +545,12 @@ def _sample_stratum(st: _Stratum, n: int, count: int, rng) -> np.ndarray:
     hi_b = st.r_hi**beta
     r = (lo_b + u * (hi_b - lo_b)) ** (1.0 / beta)
     return st.center + dirs * r[:, None]
+
+
+def _complex_normal(rng, count: int, n: int) -> np.ndarray:
+    """count standard complex Gaussian points of C^n."""
+    g = rng.standard_normal((count, 2 * n))
+    return g[:, :n] + 1j * g[:, n:]
 
 
 def _geometric_radii(hi: float, lo: float, ratio: float) -> list[float]:
@@ -591,9 +591,7 @@ def chart_stretch(v: ConeVariety, chart: Chart) -> float:
                 C = max(C, 2.0 * (S / lead) ** (1.0 / (d - k)))
         out = math.sqrt(1.0 + C * C)
     else:
-        rng = _stream(0, f"stretch|{v.name}", 0)
-        g = rng.standard_normal((512, 2 * v.dim))
-        bases = g[:, : v.dim] + 1j * g[:, v.dim :]
+        bases = _complex_normal(_stream(0, f"stretch|{v.name}", 0), 512, v.dim)
         bases /= np.sqrt(np.sum(np.abs(bases) ** 2, axis=-1, keepdims=True))
         pts, valid = solve_fiber(v, chart, bases)
         nrm = np.sqrt(np.sum(np.abs(pts) ** 2, axis=-1))
@@ -610,7 +608,8 @@ def _build_strata(v: ConeVariety, region: Region, chart: Chart, poles,
     strata: list[_Stratum] = []
     ratio = plan.shell_ratio
 
-    if region.kind == "annulus":
+    annulus = region.kind == "annulus"
+    if annulus:
         # region cover: shells must reach below r_inner by the chart stretch
         # (sheets with norm >= r_inner can sit over shallower base points),
         # whatever r_min says
@@ -626,8 +625,8 @@ def _build_strata(v: ConeVariety, region: Region, chart: Chart, poles,
         dist = float(np.sqrt(np.sum(np.abs(pc - base_c) ** 2)))
         if dist > 2.0 * R:  # cannot host region points
             continue
-        if region.kind == "annulus" and np.allclose(pc, base_c):
-            continue  # region shells already resolve this center
+        if annulus and dist <= 1e-9 * lo:
+            continue  # at the center, on the cover's scale: region shells suffice
         hi = min(dist + R, 2.0 * R) if dist > 0 else R
         if hi <= plan.r_min:
             continue
@@ -651,7 +650,7 @@ def _allocate(strata, plan: SamplingPlan, n: int) -> np.ndarray:
         w /= w.max()
         w = np.maximum(w, 1e-3)
     counts = np.maximum(
-        plan.min_per_stratum, (plan.samples * w / w.sum()).astype(int)
+        MIN_PER_STRATUM, (plan.samples * w / w.sum()).astype(int)
     )
     return counts
 
@@ -723,10 +722,10 @@ def _mixture_density(chains: list[_Chain], bases: np.ndarray, n: int) -> np.ndar
     return p
 
 
-def _units(counts, batch_size: int) -> list[list[tuple[int, int]]]:
+def _units(counts) -> list[list[tuple[int, int]]]:
     """Work units as lists of (stratum index, chunk size).
 
-    Each stratum draws in chunks of batch_size from its own stream.
+    Each stratum draws in chunks of BATCH_SIZE from its own stream.
     Consecutive chunks, across strata, share a unit of at most PACK_ROWS
     base rows; a larger chunk forms a unit alone.
     """
@@ -734,7 +733,7 @@ def _units(counts, batch_size: int) -> list[list[tuple[int, int]]]:
     for si, cnt in enumerate(counts):
         done = 0
         while done < cnt:
-            bs = int(min(batch_size, cnt - done))
+            bs = int(min(BATCH_SIZE, cnt - done))
             if not units or rows + bs > PACK_ROWS:
                 units.append([])
                 rows = 0
@@ -805,7 +804,7 @@ def integrate(v: ConeVariety, region: Region, integrand, plan: SamplingPlan,
     discarded = 0
 
     rngs = [_stream(plan.seed, plan.experiment_id, si) for si in range(len(strata))]
-    for unit in _units(counts, plan.batch_size):
+    for unit in _units(counts):
         draws = [_sample_stratum(strata[si], n, bs, rngs[si]) for si, bs in unit]
         # a lone chunk is used as drawn: a copy would raise the peak memory
         bases = draws[0] if len(draws) == 1 else np.concatenate(draws)
@@ -896,18 +895,16 @@ def layer_cake_integral(v: ConeVariety, g, z, r_max: float,
     if np.any(np.diff(t) > 1e-12 * np.maximum(np.abs(t[:-1]), 1.0)):
         raise ProfileError("layer-cake evaluation requires a nonincreasing profile")
 
-    per = max(plan.samples // (m + 1), plan.min_per_stratum)
+    per = max(plan.samples // (m + 1), MIN_PER_STRATUM)
     masses = np.zeros(m + 1)
     errs = np.zeros(m + 1)
     one = lambda b: np.ones(len(b), dtype=complex)
-    sub = plan.with_(samples=per, allocation="equal")
     core = integrate(v, Region.ball(z, radii[0]), one,
-                     sub.with_(experiment_id=plan.experiment_id + "|lc0"))
+                     plan.sub("lc0", samples=per, allocation="equal"))
     masses[0], errs[0] = np.real(core.value), core.stderr
     for i in range(m):
-        sh = integrate(
-            v, Region.annulus(z, radii[i], radii[i + 1]), one,
-            sub.with_(experiment_id=plan.experiment_id + f"|lc{i + 1}"))
+        sh = integrate(v, Region.annulus(z, radii[i], radii[i + 1]), one,
+                       plan.sub(f"lc{i + 1}", samples=per, allocation="equal"))
         masses[i + 1], errs[i + 1] = np.real(sh.value), sh.stderr
 
     def _interval(ta, la, tb, lb, trapezoid):
@@ -965,9 +962,7 @@ def surface_point_with_norm(v: ConeVariety, norm: float, seed: int = 0) -> np.nd
     chart = default_chart(v)
     rng = _stream(seed, f"spn|{v.name}", 0)
     for _ in range(64):
-        g = rng.standard_normal((1, 2 * v.dim))
-        base = g[:, : v.dim] + 1j * g[:, v.dim:]
-        pts, valid = solve_fiber(v, chart, base)
+        pts, valid = solve_fiber(v, chart, _complex_normal(rng, 1, v.dim))
         for s in range(pts.shape[1]):
             if valid[0, s]:
                 p = pts[0, s]
@@ -1001,9 +996,7 @@ def attach_link_margin(v: ConeVariety, samples: int = 10_000,
     m_min = math.inf
     while remaining > 0:
         bs = min(remaining, 4096)
-        g = rng.standard_normal((bs, 2 * n))
-        bases = g[:, :n] + 1j * g[:, n:]
-        pts, valid = solve_fiber(v, chart, bases)
+        pts, valid = solve_fiber(v, chart, _complex_normal(rng, bs, n))
         nrm = np.sqrt(np.sum(np.abs(pts) ** 2, axis=-1))
         ok = valid & (nrm > 1e-9)
         if np.any(ok):

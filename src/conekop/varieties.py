@@ -28,6 +28,7 @@ __all__ = [
     "DegenerateExponentError",
     "NearSingularError",
     "catalog_names",
+    "eval_monomials",
     "get_variety",
     "hyperplane",
     "minor_complements",
@@ -44,6 +45,23 @@ class DegenerateExponentError(ValueError):
 
 class NearSingularError(RuntimeError):
     """Tangent data requested where the minors norm is too small to trust."""
+
+
+def eval_monomials(exps, coeffs, cols) -> np.ndarray:
+    """Sum over rows (e, c) of c * prod_j cols[j]^e_j.
+
+    cols[j] holds the values of variable j, all of one shape.  Factors
+    multiply in column order, so the order of cols fixes the floating-point
+    result.
+    """
+    vals = np.zeros(np.shape(cols[0]), dtype=complex)
+    for e, c in zip(exps.tolist(), coeffs):
+        term = np.full(vals.shape, c)
+        for j, k in enumerate(e):
+            if k:
+                term = term * cols[j] ** k
+        vals += term
+    return vals
 
 
 class MultiIndexPoly:
@@ -74,14 +92,7 @@ class MultiIndexPoly:
 
     def __call__(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=complex)
-        vals = np.zeros(pts.shape[:-1], dtype=complex)
-        for e, c in zip(self.exps, self.coeffs):
-            term = np.full(pts.shape[:-1], c)
-            for j in range(self.num_vars):
-                if e[j]:
-                    term = term * pts[..., j] ** int(e[j])
-            vals += term
-        return vals
+        return eval_monomials(self.exps, self.coeffs, np.moveaxis(pts, -1, 0))
 
     def partial(self, j: int) -> "MultiIndexPoly | None":
         keep = self.exps[:, j] > 0

@@ -17,8 +17,10 @@ from . import kernels, operators
 from .forms import TestForm
 from .kernels import WeightConfig, annulus_bounds
 from .sampling import (
+    MIN_PER_STRATUM,
     Region,
     SamplingPlan,
+    _complex_normal,
     _sphere_area,
     _stream,
     integrate,
@@ -30,6 +32,7 @@ from .sampling import (
 from .varieties import ConeVariety, minor_complements
 
 __all__ = [
+    "CSV_COLUMNS",
     "ExperimentReport",
     "FitResult",
     "InsufficientDecadesError",
@@ -38,6 +41,10 @@ __all__ = [
     "EXPERIMENTS",
     "run_experiment",
 ]
+
+
+CSV_COLUMNS = ["experiment", "variety", "param", "predicted", "fitted",
+               "ci_lo", "ci_hi", "verdict"]
 
 
 class InsufficientDecadesError(ValueError):
@@ -98,8 +105,7 @@ class ExperimentReport:
     verdict: bool = True
     seed: int = 0
 
-    def record_fit(self, key: str, fit: FitResult, predicted, tol=None,
-                   one_sided: str | None = None):
+    def record_fit(self, key: str, fit: FitResult, predicted, tol=None):
         """Store a fitted quantity and fold its check into the verdict."""
         self.fitted[key] = {
             "value": fit.slope,
@@ -110,12 +116,7 @@ class ExperimentReport:
         }
         self.predicted[key] = predicted
         if tol is not None:
-            if one_sided == "ge":
-                ok = fit.slope >= predicted - tol
-            elif one_sided == "le":
-                ok = fit.slope <= predicted + tol
-            else:
-                ok = abs(fit.slope - predicted) <= tol
+            ok = abs(fit.slope - predicted) <= tol
             self.checks[key] = bool(ok)
             self.verdict = self.verdict and ok
 
@@ -143,35 +144,17 @@ class ExperimentReport:
         }
 
     def csv_rows(self) -> list[dict]:
-        out = []
-        for key, f in self.fitted.items():
-            out.append(
-                {
-                    "experiment": self.name,
-                    "variety": self.variety,
-                    "param": key,
-                    "predicted": self.predicted.get(key, ""),
-                    "fitted": f["value"],
-                    "ci_lo": f["ci_lo"],
-                    "ci_hi": f["ci_hi"],
-                    "verdict": "pass" if self.checks.get(key, self.verdict) else "fail",
-                }
-            )
-        for key, ok in self.checks.items():
-            if key in self.fitted:
-                continue
-            out.append(
-                {
-                    "experiment": self.name,
-                    "variety": self.variety,
-                    "param": key,
-                    "predicted": "",
-                    "fitted": "",
-                    "ci_lo": "",
-                    "ci_hi": "",
-                    "verdict": "pass" if ok else "fail",
-                }
-            )
+        """One row per fitted quantity, then one per check without a fit."""
+        def row(key, predicted, fitted, ci_lo, ci_hi, ok):
+            return dict(zip(CSV_COLUMNS, (self.name, self.variety, key, predicted,
+                                          fitted, ci_lo, ci_hi,
+                                          "pass" if ok else "fail")))
+
+        out = [row(key, self.predicted.get(key, ""), f["value"], f["ci_lo"],
+                   f["ci_hi"], self.checks.get(key, self.verdict))
+               for key, f in self.fitted.items()]
+        out += [row(key, "", "", "", "", ok) for key, ok in self.checks.items()
+                if key not in self.fitted]
         return out
 
 
@@ -232,33 +215,26 @@ def run_radial_scaling(v: ConeVariety, plan: SamplingPlan,
     radii = np.geomspace(r_lo, r_hi, n_grid)
 
     def shell_integrand(batch):
-        d = np.sqrt(np.sum(np.abs(batch.positions - z) ** 2, axis=-1))
-        d = np.maximum(d, 1e-300)
+        d = batch.dist(z)
         return np.stack([d**-a for a in all_alphas], axis=-1) + 0j
 
     def core_integrand(batch):
         # the alpha = 2n component is not integrable over the core ball and
         # is never needed there, so the core estimates only the true alphas
-        d = np.sqrt(np.sum(np.abs(batch.positions - z) ** 2, axis=-1))
-        d = np.maximum(d, 1e-300)
+        d = batch.dist(z)
         return np.stack([d**-a for a in alphas], axis=-1) + 0j
 
-    per = max(plan.samples // (n_grid + 1), plan.min_per_stratum)
-    sub = plan.with_(samples=per, allocation="equal")
+    per = max(plan.samples // (n_grid + 1), MIN_PER_STRATUM)
     masses = np.zeros((n_grid, len(all_alphas)))
     errs = np.zeros_like(masses)
-    core = integrate(
-        v, Region.ball(z, radii[0]), core_integrand,
-        sub.with_(experiment_id=plan.experiment_id + "|rs_core"),
-        poles=[(z, max(alphas))],
-    )
+    core = integrate(v, Region.ball(z, radii[0]), core_integrand,
+                     plan.sub("rs_core", samples=per, allocation="equal"),
+                     poles=[(z, max(alphas))])
     masses[0, : len(alphas)] = np.real(np.atleast_1d(core.value))
     errs[0, : len(alphas)] = np.atleast_1d(core.stderr)
     for i in range(n_grid - 1):
-        qr = integrate(
-            v, Region.annulus(z, radii[i], radii[i + 1]), shell_integrand,
-            sub.with_(experiment_id=plan.experiment_id + f"|rs{i}"),
-        )
+        qr = integrate(v, Region.annulus(z, radii[i], radii[i + 1]), shell_integrand,
+                       plan.sub(f"rs{i}", samples=per, allocation="equal"))
         masses[i + 1] = np.real(np.atleast_1d(qr.value))
         errs[i + 1] = np.atleast_1d(qr.stderr)
 
@@ -303,7 +279,7 @@ def run_two_pole(v: ConeVariety, plan: SamplingPlan,
     """Product of two radial poles: bounded, log, or power regime in |z - w|."""
     n = v.dim
     deltas = np.geomspace(delta_lo, delta_hi, n_grid)
-    per = max(plan.samples // n_grid, plan.min_per_stratum)
+    per = max(plan.samples // n_grid, MIN_PER_STRATUM)
     region = Region.domain(domain_radius, v.ambient_dim)
     # one base point and one direction for every separation, as in the Hölder
     # experiments, so the fitted slope sees only the separation
@@ -314,12 +290,9 @@ def run_two_pole(v: ConeVariety, plan: SamplingPlan,
         z, w, sep = _pair_along(v, p, e, d)
 
         def integrand(batch, z=z, w=w):
-            dz = np.maximum(np.sqrt(np.sum(np.abs(batch.positions - z) ** 2, -1)), 1e-300)
-            dw = np.maximum(np.sqrt(np.sum(np.abs(batch.positions - w) ** 2, -1)), 1e-300)
-            return dz**-alpha * dw**-beta + 0j
+            return batch.dist(z) ** -alpha * batch.dist(w) ** -beta + 0j
 
-        qr = integrate(v, region, integrand,
-                       plan.with_(samples=per, experiment_id=plan.experiment_id + f"|tp{i}"),
+        qr = integrate(v, region, integrand, plan.sub(f"tp{i}", samples=per),
                        poles=[(z, alpha), (w, beta)])
         vals.append(np.real(qr.value))
         errv.append(qr.stderr)
@@ -361,7 +334,7 @@ def run_log_annulus(v: ConeVariety, plan: SamplingPlan,
     """Uniformity in m of the log-weighted annulus integrals, and the |z| law."""
     n = v.dim
     per = max(plan.samples // (len(m_list) * (1 if alpha + beta <= 2 * n else len(z_norms))),
-              plan.min_per_stratum)
+              MIN_PER_STRATUM)
     report = ExperimentReport("log_annulus", v.name,
                               {"alpha": alpha, "beta": beta, "m_list": list(m_list)},
                               seed=plan.seed)
@@ -371,9 +344,7 @@ def run_log_annulus(v: ConeVariety, plan: SamplingPlan,
             nz = np.maximum(batch.norms(), 1e-300)
             out = nz**-alpha / np.abs(np.log(nz))
             if beta != 0:
-                dz = np.maximum(np.sqrt(np.sum(np.abs(batch.positions - z) ** 2, -1)),
-                                1e-300)
-                out = out * dz**-beta
+                out = out * batch.dist(z) ** -beta
             return out + 0j
         return integrand
 
@@ -383,8 +354,7 @@ def run_log_annulus(v: ConeVariety, plan: SamplingPlan,
         for m in m_list:
             lo, hi = annulus_bounds(m)
             qr = integrate(v, Region.annulus(_origin(v), lo, hi), make_integrand(z),
-                           plan.with_(samples=per,
-                                      experiment_id=plan.experiment_id + f"|la{m}"),
+                           plan.sub(f"la{m}", samples=per),
                            poles=[(z, beta)] if beta else [])
             vals.append(np.real(qr.value))
             report.rows.append({"m": m, "integral": float(np.real(qr.value)),
@@ -405,8 +375,7 @@ def run_log_annulus(v: ConeVariety, plan: SamplingPlan,
                 z = surface_point_with_norm(v, d, seed=plan.seed + 31 * m + i)
                 qr = integrate(
                     v, Region.annulus(_origin(v), lo, hi), make_integrand(z),
-                    plan.with_(samples=per, r_min=0.3 * lo,
-                               experiment_id=plan.experiment_id + f"|laz{m}_{i}"),
+                    plan.sub(f"laz{m}_{i}", samples=per, r_min=0.3 * lo),
                     poles=[(z, beta)])
                 val = np.real(qr.value) * abs(math.log(d))
                 vals.append(val)
@@ -423,16 +392,14 @@ def run_log_annulus(v: ConeVariety, plan: SamplingPlan,
     zc = surface_point_with_norm(v, 0.5, seed=plan.seed + 7)
 
     def loglog_integrand(batch):
-        d = np.sqrt(np.sum(np.abs(batch.positions - zc) ** 2, axis=-1))
-        d = np.maximum(d, 1e-300)
+        d = batch.dist(zc)
         return d ** -(2 * n) / np.abs(np.log(d)) + 0j
 
     ll_vals = []
     for m in m_list:
         lo, hi = annulus_bounds(m)
         qr = integrate(v, Region.annulus(zc, lo, hi), loglog_integrand,
-                       plan.with_(samples=per, r_min=0.3 * lo,
-                                  experiment_id=plan.experiment_id + f"|ll{m}"))
+                       plan.sub(f"ll{m}", samples=per, r_min=0.3 * lo))
         ll_vals.append(np.real(qr.value))
         report.rows.append({"m": m, "loglog_integral": float(np.real(qr.value)),
                             "stderr": float(qr.stderr)})
@@ -455,7 +422,7 @@ def run_offcenter_ball(v: ConeVariety, plan: SamplingPlan,
     n = v.dim
     z = surface_point_with_norm(v, z_norm, seed=plan.seed)
     fr = tangent_frame(v, z)
-    per = max(plan.samples // (3 * len(r_list)), plan.min_per_stratum)
+    per = max(plan.samples // (3 * len(r_list)), MIN_PER_STRATUM)
     report = ExperimentReport("offcenter_ball", v.name,
                               {"alpha": alpha, "z_norm": z_norm,
                                "r_list": list(r_list)}, seed=plan.seed)
@@ -471,14 +438,10 @@ def run_offcenter_ball(v: ConeVariety, plan: SamplingPlan,
                 w = project_to_surface(v, z + 0.5 * r * fr[0])
 
             def integrand(batch, w=w):
-                dw = np.maximum(np.sqrt(np.sum(np.abs(batch.positions - w) ** 2, -1)),
-                                1e-300)
-                return dw**-alpha + 0j
+                return batch.dist(w) ** -alpha + 0j
 
             qr = integrate(v, Region.ball(z, r), integrand,
-                           plan.with_(samples=per,
-                                      experiment_id=plan.experiment_id + f"|oc{mode}{i}"),
-                           poles=[(w, alpha)])
+                           plan.sub(f"oc{mode}{i}", samples=per), poles=[(w, alpha)])
             vals.append(np.real(qr.value))
             report.rows.append({"mode": mode, "r": float(r),
                                 "integral": float(np.real(qr.value)),
@@ -526,9 +489,7 @@ def hoelder_log_coefficient(v: ConeVariety, p: np.ndarray, e: np.ndarray,
     rng = _stream(seed, f"hoelder_b|{v.name}", 0)
     total = 0.0
     for start in range(0, samples, batch):
-        m = min(batch, samples - start)
-        g = rng.standard_normal((m, 2 * n))
-        c = g[:, :n] + 1j * g[:, n:]
+        c = _complex_normal(rng, min(batch, samples - start), n)
         c /= np.sqrt(np.sum(np.abs(c) ** 2, axis=1))[:, None]
         total += float(np.sum(np.abs(kernel_direction_derivative(c @ fr, e,
                                                                  comp, n))))
@@ -556,7 +517,7 @@ def run_hoelder_modulus(v: ConeVariety, plan: SamplingPlan,
     if not 0 <= gamma <= v.total_degree - v.nu:
         raise operators.ExponentRangeError("gamma outside [0, d - nu]")
     deltas = np.geomspace(delta_lo, delta_hi, n_grid)
-    per = max(plan.samples // n_grid, plan.min_per_stratum)
+    per = max(plan.samples // n_grid, MIN_PER_STRATUM)
     region = Region.domain(1.0, v.ambient_dim)
     p = surface_point_with_norm(v, 0.5, seed=plan.seed)
     e = tangent_frame(v, p)[0]
@@ -572,9 +533,7 @@ def run_hoelder_modulus(v: ConeVariety, plan: SamplingPlan,
             kw = kernels.model_k_tilde(zeta, w, gamma, comp, n)
             return np.where(ok, np.abs(kz - kw), 0.0) + 0j
 
-        qr = integrate(v, region, integrand,
-                       plan.with_(samples=per,
-                                  experiment_id=plan.experiment_id + f"|hm{i}"),
+        qr = integrate(v, region, integrand, plan.sub(f"hm{i}", samples=per),
                        poles=[(z, 2 * n - 1), (w, 2 * n - 1), (_origin(v), gamma)])
         vals.append(np.real(qr.value))
         seps.append(sep)
@@ -611,7 +570,7 @@ def run_cutoff_decay(v: ConeVariety, plan: SamplingPlan,
                      p: float = 4.0) -> ExperimentReport:
     """Decay of the dbar mass of the double-exponential cut-offs."""
     n = v.dim
-    per = max(plan.samples // len(k_list), plan.min_per_stratum)
+    per = max(plan.samples // len(k_list), MIN_PER_STRATUM)
     report = ExperimentReport("cutoff_decay", v.name,
                               {"k_list": list(k_list), "p": p}, seed=plan.seed)
 
@@ -626,8 +585,7 @@ def run_cutoff_decay(v: ConeVariety, plan: SamplingPlan,
         lo, hi = annulus_bounds(k)
         qr = integrate(v, Region.annulus(_origin(v), lo, hi),
                        lambda batch, k=k: dbar_mu_norm(batch, k) ** (2 * n) + 0j,
-                       plan.with_(samples=per,
-                                  experiment_id=plan.experiment_id + f"|cd{k}"))
+                       plan.sub(f"cd{k}", samples=per))
         val = max(np.real(qr.value), 0.0) ** (1.0 / (2 * n))
         norms.append(val)
         report.rows.append({"k": k, "dbar_mu_l2n_norm": float(val),
@@ -664,8 +622,7 @@ def run_cutoff_decay(v: ConeVariety, plan: SamplingPlan,
         lo, hi = annulus_bounds(k)
         qr = integrate(v, Region.annulus(_origin(v), lo, hi),
                        lambda batch, k=k: dbar_mu_norm(batch, k) ** lam + 0j,
-                       plan.with_(samples=per // 2,
-                                  experiment_id=plan.experiment_id + f"|cdl{k}"))
+                       plan.sub(f"cdl{k}", samples=per // 2))
         lam_norms.append(max(np.real(qr.value), 0.0) ** (1.0 / lam))
         report.rows.append({"k": k, "lambda": lam,
                             "dbar_mu_wedge_llambda": float(lam_norms[-1])})
@@ -716,7 +673,7 @@ def flat_bm_residuals(plan: SamplingPlan, z_norms=(0.1, 0.2, 0.3, 0.38, 0.44),
             return out
 
         qr = integrate(v, Region.domain(bump_hi * 1.05, v.ambient_dim), integrand,
-                       plan.with_(experiment_id=plan.experiment_id + f"|bm{i}"),
+                       plan.sub(f"bm{i}"),
                        poles=[(z, 2 * n - 1)])
         est = complex(np.atleast_1d(qr.value)[0])
         rows.append({"z_norm": znorm, "phi_z": phi_z, "estimate": est,
@@ -758,16 +715,13 @@ def run_koppelman_q0(v: ConeVariety, plan: SamplingPlan,
             phi_z = complex(phi.eval_scalar(z[None, :])[0])
             pv, pqr = operators.apply_P(
                 v, phi, z, cfg,
-                plan.with_(samples=max(plan.samples // 4, 4096),
-                           experiment_id=plan.experiment_id + f"|kopP{phi.label}{i}"),
+                plan.sub(f"kopP{phi.label}{i}", samples=max(plan.samples // 4, 4096)),
                 consts=consts)
             se = pqr.stderr
             kv = 0.0 + 0j
             if dphi is not None:
                 kc, kqr = operators.apply_K(
-                    v, dphi, z, cfg,
-                    plan.with_(experiment_id=plan.experiment_id + f"|kopK{phi.label}{i}"),
-                    consts=consts)
+                    v, dphi, z, cfg, plan.sub(f"kopK{phi.label}{i}"), consts=consts)
                 kv = complex(kc[0])
                 se = math.hypot(se, float(np.max(np.atleast_1d(kqr.stderr))))
             resid = abs(phi_z - pv - kv)
@@ -805,9 +759,7 @@ def run_koppelman_q1_loose(v: ConeVariety, plan: SamplingPlan,
     fr = tangent_frame(v, z)
 
     def kphi(zz):
-        c, _ = operators.apply_K(
-            v, phi, zz, cfg,
-            plan.with_(experiment_id=plan.experiment_id + "|q1crn"), consts=consts)
+        c, _ = operators.apply_K(v, phi, zz, cfg, plan.sub("q1crn"), consts=consts)
         return complex(c[0])
 
     h = fd_step
@@ -823,9 +775,8 @@ def run_koppelman_q1_loose(v: ConeVariety, plan: SamplingPlan,
         fd.append(0.5 * (dx + 1j * dy))
     fd = np.array(fd)
 
-    kc, _ = operators.apply_K(
-        v, phi.dbar(), z, cfg,
-        plan.with_(experiment_id=plan.experiment_id + "|q1kd"), consts=consts)
+    kc, _ = operators.apply_K(v, phi.dbar(), z, cfg, plan.sub("q1kd"),
+                              consts=consts)
     amb = np.zeros(N, dtype=complex)
     for s, c in zip(operators.output_subsets(N, 1), kc):
         amb[s[0]] = c
@@ -864,7 +815,7 @@ def run_lp_threshold(v: ConeVariety, plan: SamplingPlan,
     gamma = float(v.total_degree - v.nu) if gamma is None else gamma
     z = surface_point_with_norm(v, z_norm, seed=plan.seed)
     nz_z = float(np.sqrt(np.sum(np.abs(z) ** 2)))
-    per = max(plan.samples // (2 * len(r_min_list)), plan.min_per_stratum)
+    per = max(plan.samples // (2 * len(r_min_list)), MIN_PER_STRATUM)
     report = ExperimentReport("lp_threshold", v.name,
                               {"gamma": gamma, "p_stable": p_stable,
                                "p_divergent": p_divergent,
@@ -877,14 +828,10 @@ def run_lp_threshold(v: ConeVariety, plan: SamplingPlan,
 
         def integrand(batch):
             nz = np.maximum(batch.norms(), 1e-300)
-            dz = np.maximum(np.sqrt(np.sum(np.abs(batch.positions - z) ** 2, -1)),
-                            1e-300)
-            return (nz_z / nz) ** (pstar * gamma) * dz ** -(2 * n - 1) + 0j
+            return (nz_z / nz) ** (pstar * gamma) * batch.dist(z) ** -(2 * n - 1) + 0j
 
         qr = integrate(v, Region.annulus(_origin(v), r_min, 1.0), integrand,
-                       plan.with_(samples=per,
-                                  experiment_id=plan.experiment_id + f"|lp{tag}"),
-                       poles=[(z, 2 * n - 1)])
+                       plan.sub(f"lp{tag}", samples=per), poles=[(z, 2 * n - 1)])
         return float(np.real(qr.value)), float(qr.stderr)
 
     stable_vals = []
@@ -917,7 +864,7 @@ def run_tm_decay(v: ConeVariety, plan: SamplingPlan,
                  gamma: float = 1.0, m_list=(0, 1, 2, 3, 4),
                  z_norms=(0.3, 0.5, 0.7)) -> ExperimentReport:
     """Decay of the cut-off model operators on the double-exponential annuli."""
-    per = max(plan.samples // (len(m_list) * len(z_norms)), plan.min_per_stratum)
+    per = max(plan.samples // (len(m_list) * len(z_norms)), MIN_PER_STRATUM)
     zs = _z_grid(v, z_norms, plan.seed)
     one = lambda b: np.ones(len(b), dtype=complex)
     report = ExperimentReport("tm_decay", v.name,
@@ -927,10 +874,8 @@ def run_tm_decay(v: ConeVariety, plan: SamplingPlan,
     for m in m_list:
         vals = []
         for i, z in enumerate(zs):
-            qr = operators.apply_T_m(
-                v, one, z, gamma, m,
-                plan.with_(samples=per,
-                           experiment_id=plan.experiment_id + f"|tm{m}z{i}"))
+            qr = operators.apply_T_m(v, one, z, gamma, m,
+                                     plan.sub(f"tm{m}z{i}", samples=per))
             vals.append(np.real(qr.value))
         rms.append(float(np.sqrt(np.mean(np.square(vals)))))
         report.rows.append({"m": m, "rms_over_grid": rms[-1]})
@@ -946,7 +891,7 @@ def run_truncation(v: ConeVariety, plan: SamplingPlan,
                    z_norms=(0.3, 0.5, 0.7)) -> ExperimentReport:
     """Convergence of the level-truncated model operators to the full one."""
     n = v.dim
-    per = max(plan.samples // (len(j_list) * len(z_norms)), plan.min_per_stratum)
+    per = max(plan.samples // (len(j_list) * len(z_norms)), MIN_PER_STRATUM)
     zs = _z_grid(v, z_norms, plan.seed)
     report = ExperimentReport("truncation", v.name,
                               {"gamma": gamma, "j_list": list(j_list)},
@@ -961,8 +906,7 @@ def run_truncation(v: ConeVariety, plan: SamplingPlan,
                 return np.where(k > j, k, 0.0) + 0j
 
             qr = integrate(v, Region.domain(1.0, v.ambient_dim), integrand,
-                           plan.with_(samples=per,
-                                      experiment_id=plan.experiment_id + f"|tr{j}z{i}"),
+                           plan.sub(f"tr{j}z{i}", samples=per),
                            poles=[(z, 2 * n - 1), (_origin(v), gamma)])
             vals.append(np.real(qr.value))
         norms.append(float(np.sqrt(np.mean(np.square(vals)))))
@@ -983,7 +927,7 @@ def run_v_bounds(v: ConeVariety, plan: SamplingPlan,
                  r_grid=(0.05, 0.1, 0.2, 0.4, 0.8)) -> ExperimentReport:
     """Monotonicity and positivity of the volume ratio, cone scale invariance."""
     n = v.dim
-    per = max(plan.samples // (len(z_norms) * len(r_grid)), plan.min_per_stratum)
+    per = max(plan.samples // (len(z_norms) * len(r_grid)), MIN_PER_STRATUM)
     report = ExperimentReport("v_bounds", v.name,
                               {"z_norms": list(z_norms), "r_grid": list(r_grid)},
                               seed=plan.seed)
@@ -994,9 +938,7 @@ def run_v_bounds(v: ConeVariety, plan: SamplingPlan,
                                                                   seed=plan.seed + i)
         vals, errs = [], []
         for k, r in enumerate(r_grid):
-            qr = estimate_v(v, r, z,
-                            plan.with_(samples=per,
-                                       experiment_id=plan.experiment_id + f"|v{i}r{k}"))
+            qr = estimate_v(v, r, z, plan.sub(f"v{i}r{k}", samples=per))
             vals.append(np.real(qr.value))
             errs.append(qr.stderr)
             report.rows.append({"z_norm": znorm, "r": float(r),
@@ -1016,9 +958,7 @@ def run_v_bounds(v: ConeVariety, plan: SamplingPlan,
     # scale invariance at the cone point
     scale_vals, scale_errs = [], []
     for k, r in enumerate((0.25, 0.5, 1.0)):
-        qr = estimate_v(v, r, _origin(v),
-                        plan.with_(samples=per,
-                                   experiment_id=plan.experiment_id + f"|vs{k}"))
+        qr = estimate_v(v, r, _origin(v), plan.sub(f"vs{k}", samples=per))
         scale_vals.append(np.real(qr.value))
         scale_errs.append(qr.stderr)
         report.rows.append({"z_norm": 0.0, "r": float(r), "v": float(np.real(qr.value)),
@@ -1038,8 +978,7 @@ def run_calibrate(v: ConeVariety, plan: SamplingPlan,
     """Run the flat-model calibration and compare with the frozen defaults."""
     cfg = cfg or WeightConfig()
     report = ExperimentReport("calibrate", "hyperplane", {}, seed=plan.seed)
-    consts = kernels.calibrate(cfg, plan.with_(experiment_id=plan.experiment_id
-                                               + "|cal"))
+    consts = kernels.calibrate(cfg, plan.sub("cal"))
     defaults = kernels.default_calibration(3, 1)
     report.rows.append({"c_K": _plain(consts.c_K), "c_P": _plain(consts.c_P),
                         "default_c_K": _plain(defaults.c_K),

@@ -9,6 +9,7 @@ from conekop.forms import (
     TestForm,
     UniverseMismatchError,
     WrongDegreeError,
+    _PolyZZbar,
 )
 from conekop.kernels import structure_form
 from conekop.sampling import PointBatch, default_chart, frames_for, solve_fiber
@@ -343,6 +344,27 @@ def test_testform_gradient_check(maker):
             fd_total += sgn * ((fp - fm) + 1j * (gp - gm)) / (4 * h)
         scale = max(float(np.max(np.abs(closed[newI]))), 1e-6)
         assert np.max(np.abs(fd_total - closed[newI])) < 1e-6 * max(scale, 1.0)
+
+
+def test_polynomial_in_zeta_zetabar_is_bit_identical_to_interleaved_loop():
+    # factors multiply as zeta_0, zeta_bar_0, zeta_1, ...: the order of the
+    # loop before eval_monomials, kept here.  Complex products are not
+    # associative bit for bit, so taking all zeta factors first would differ.
+    terms = {((2, 1, 0), (1, 0, 3)): 0.7 - 1.3j,
+             ((0, 1, 2), (1, 2, 0)): -0.4 + 2.1j}
+    rng = np.random.default_rng(12)
+    pts = rng.standard_normal((2000, 3)) + 1j * rng.standard_normal((2000, 3))
+    zb = np.conj(pts)
+    want = 0.0
+    for (ez, ezb), c in terms.items():
+        term = c * np.ones(len(pts), dtype=complex)
+        for j in range(3):
+            if ez[j]:
+                term = term * pts[:, j] ** ez[j]
+            if ezb[j]:
+                term = term * zb[:, j] ** ezb[j]
+        want = want + term
+    assert np.array_equal(_PolyZZbar.from_terms(3, terms)(pts), want)
 
 
 def test_testform_holomorphic_has_zero_dbar():

@@ -30,7 +30,8 @@ from conekop.sampling import (
     surface_point_with_norm,
     tangent_frame,
 )
-from conekop.varieties import ConeVariety, MultiIndexPoly, catalog_names, get_variety
+from conekop.varieties import (ConeVariety, MultiIndexPoly, catalog_names,
+                               eval_monomials, get_variety)
 
 HP = get_variety("hyperplane")
 A1 = get_variety("a1")
@@ -155,6 +156,24 @@ def test_projector_near_singular_error():
         PointBatch(A1, pts, np.ones(2), A1.minors(pts)).projector
 
 
+@pytest.mark.parametrize("name", ["a1", "fermat3", "ci22"])
+def test_projector_matches_jacobian_formula(name):
+    # the frame projector F^T conj(F) against I - J^H (J J^H)^-1 J
+    v = get_variety(name)
+    rng = np.random.default_rng(8)
+    bases = rng.standard_normal((200, v.dim)) + 1j * rng.standard_normal((200, v.dim))
+    pts, valid = solve_fiber(v, default_chart(v), bases)
+    sel = pts[valid]
+    J = v.jacobian(sel)
+    JH = np.conj(np.swapaxes(J, -1, -2))
+    want = np.eye(v.ambient_dim) - JH @ np.linalg.solve(J @ JH, J)
+    got = PointBatch(v, sel, np.ones(len(sel)), v.minors(sel)).projector
+    assert np.max(np.abs(got - want)) <= 1e-13
+    cone_point = np.zeros((1, v.ambient_dim), dtype=complex)
+    with pytest.raises(NearSingularError):
+        PointBatch(v, cone_point, np.ones(1), v.minors(cone_point)).projector
+
+
 def test_sampling_plan_rejects_bad_radii():
     with pytest.raises(ValueError):
         SamplingPlan(r_min=0.0)
@@ -267,7 +286,7 @@ def test_layer_cake_rejects_bad_profiles():
                             0.5, plan)
 
 
-def test_reproducibility_bit_identical():
+def test_reproducibility_bit_identical(monkeypatch):
     plan = SamplingPlan(samples=30_000, seed=12, experiment_id="trep")
     f = lambda b: 1.0 / np.maximum(b.norms(), 1e-300) + 0j
     r1 = integrate(A1, Region.ball(np.zeros(3), 1.0), f, plan,
@@ -275,8 +294,9 @@ def test_reproducibility_bit_identical():
     r2 = integrate(A1, Region.ball(np.zeros(3), 1.0), f, plan,
                    poles=[(np.zeros(3), 1.0)])
     assert r1.value == r2.value and r1.stderr == r2.stderr
-    r3 = integrate(A1, Region.ball(np.zeros(3), 1.0), f,
-                   plan.with_(batch_size=7_777), poles=[(np.zeros(3), 1.0)])
+    monkeypatch.setattr(sampling, "BATCH_SIZE", 7_777)
+    r3 = integrate(A1, Region.ball(np.zeros(3), 1.0), f, plan,
+                   poles=[(np.zeros(3), 1.0)])
     # same per-stratum streams, different batch splits: estimates agree closely
     assert abs(r3.value - r1.value) <= 5 * np.hypot(r1.stderr, r3.stderr) + 1e-9
 
@@ -346,7 +366,7 @@ def test_comparability_with_flat_radial_integrals():
         assert 0.8 * lo / flat_v <= ratio <= 1.2 * hi / flat_v
 
 
-def test_ci22_fiber_solving_and_volume():
+def test_ci22_fiber_solving_and_volume(monkeypatch):
     ci = get_variety("ci22")
     chart = Chart((0, 1), (2, 3))
     assert chart in admissible_charts(ci)
@@ -367,8 +387,8 @@ def test_ci22_fiber_solving_and_volume():
     scale = np.max(np.sqrt(np.sum(np.abs(pts) ** 2, axis=-1)), axis=1)
     assert np.max(_set_distance(pts[..., 2:], want) / scale) <= 1e-12
     # scale invariance of the cone volume
-    plan = SamplingPlan(samples=6_000, seed=5, experiment_id="tci22",
-                        batch_size=2_000)
+    monkeypatch.setattr(sampling, "BATCH_SIZE", 2_000)
+    plan = SamplingPlan(samples=6_000, seed=5, experiment_id="tci22")
     v1 = integrate(ci, Region.ball(np.zeros(4), 0.5), ONE, plan)
     v2 = integrate(ci, Region.ball(np.zeros(4), 1.0), ONE,
                    plan.with_(experiment_id="tci22b"))
@@ -396,10 +416,31 @@ def _degree3_plus():
     return [get_variety("fermat3"), get_variety("fermat4"), _random_quartic()]
 
 
+def _monomial_loop(exps, coeffs, pts):
+    """The per-module monomial loop that eval_monomials replaced."""
+    vals = np.zeros(pts.shape[:-1], dtype=complex)
+    for e, c in zip(exps, coeffs):
+        term = np.full(pts.shape[:-1], c)
+        for j in range(pts.shape[-1]):
+            if e[j]:
+                term = term * pts[..., j] ** int(e[j])
+        vals += term
+    return vals
+
+
+@pytest.mark.parametrize("name", ["a1", "fermat3", "fermat4", "quartic"])
+def test_fiber_coefficient_table_is_bit_identical_to_loop(name):
+    v = _random_quartic() if name == "quartic" else get_variety(name)
+    rng = np.random.default_rng(9)
+    bases = rng.standard_normal((500, v.dim)) + 1j * rng.standard_normal((500, v.dim))
+    table = sampling._fiber_poly_coeffs(v, default_chart(v))
+    want = np.stack([_monomial_loop(e, c, bases) for e, c in table], axis=-1)
+    assert np.array_equal(_fiber_coeffs(v, bases), want)
+
+
 def _fiber_coeffs(v, bases):
     table = sampling._fiber_poly_coeffs(v, default_chart(v))
-    return np.stack([sampling._eval_base_poly(e, c, bases) for e, c in table],
-                    axis=-1)
+    return np.stack([eval_monomials(e, c, bases.T) for e, c in table], axis=-1)
 
 
 @pytest.fixture
@@ -575,8 +616,7 @@ def _stratum_by_stratum_density(strata, fracs, bases, n):
 
 
 def _tm_decay_annulus():
-    # _build_strata drops a pole within 1e-8 of an annulus center, so the
-    # pole sits at the largest norm run_log_annulus gives one, hi / 3
+    # the pole sits at the largest norm run_log_annulus gives one, hi / 3
     lo, hi = annulus_bounds(2)
     z = surface_point_with_norm(A1, hi / 3, seed=1)
     return Region.annulus(np.zeros(3), lo, hi), [(z, 1.0)], 0.3 * lo
@@ -710,6 +750,23 @@ def test_packing_keeps_empty_stratum_warnings(monkeypatch):
     assert len(packed_empty) >= 2
 
 
+def test_pole_near_annulus_center_gets_its_own_chain():
+    # the region shells stand in only for a pole at the annulus center
+    # itself, measured on the cover's scale: a pole at 3 lo (|z| ~ 6e-9,
+    # inside an absolute 1e-8) still gets its own chain of shells
+    lo, hi = annulus_bounds(2)
+    region = Region.annulus(np.zeros(3), lo, hi)
+    plan = SamplingPlan(r_min=0.3 * lo)
+
+    def chains(center):
+        strata = sampling._build_strata(A1, region, default_chart(A1),
+                                        [(center, 1.0)], plan)
+        return len(sampling._chains(strata, np.ones(len(strata)), A1.dim))
+
+    assert chains(surface_point_with_norm(A1, 3 * lo, seed=1)) == 2
+    assert chains(np.zeros(3)) == 1
+
+
 def test_small_strata_share_fiber_solves(monkeypatch):
     # many 128-sample strata: their chunks pack into a few units, each with
     # one fiber solve
@@ -729,8 +786,8 @@ def test_small_strata_share_fiber_solves(monkeypatch):
     counts = sampling._allocate(strata, plan, A1.dim)
     units, rows = 0, 0
     for cnt in counts:
-        for done in range(0, cnt, plan.batch_size):
-            bs = min(plan.batch_size, cnt - done)
+        for done in range(0, cnt, sampling.BATCH_SIZE):
+            bs = min(sampling.BATCH_SIZE, cnt - done)
             if rows == 0 or rows + bs > sampling.PACK_ROWS:
                 units, rows = units + 1, 0
             rows += bs
@@ -745,10 +802,10 @@ def test_vector_integrand_with_empty_first_batch(monkeypatch, pack):
     # the ball, so K is not known until a later batch
     if pack is not None:
         monkeypatch.setattr(sampling, "PACK_ROWS", pack)
+    monkeypatch.setattr(sampling, "BATCH_SIZE", 1)
     region = Region.ball(surface_point_with_norm(A1, 0.8, seed=3), 0.3)
     for seed in range(8):
-        plan = SamplingPlan(samples=256, batch_size=1, seed=seed,
-                            experiment_id="x")
+        plan = SamplingPlan(samples=256, seed=seed, experiment_id="x")
         vec = integrate(A1, region, lambda b: np.ones((len(b), 3)), plan)
         one = integrate(A1, region, ONE, plan)
         assert np.array_equal(vec.value, np.full(3, one.value))

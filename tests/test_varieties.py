@@ -35,6 +35,24 @@ def test_eval_tuple_fermat3_direct_sum():
     assert f3.eval_tuple(np.array([1.0, 1.0, 1.0]))[0] == pytest.approx(3.0)
 
 
+def test_poly_evaluation_is_bit_identical_to_monomial_loop():
+    # a dense quartic with complex coefficients against the loop that
+    # MultiIndexPoly.__call__ ran before it shared eval_monomials
+    rng = np.random.default_rng(4)
+    terms = {(a, b, 4 - a - b): complex(rng.standard_normal(), rng.standard_normal())
+             for a in range(5) for b in range(5 - a)}
+    p = MultiIndexPoly.from_dict(3, terms)
+    pts = _random_points(rng, 500, 3)
+    want = np.zeros(500, dtype=complex)
+    for e, c in zip(p.exps, p.coeffs):
+        term = np.full(500, c)
+        for j in range(3):
+            if e[j]:
+                term = term * pts[:, j] ** int(e[j])
+        want += term
+    assert np.array_equal(p(pts), want)
+
+
 def test_jacobian_quadric_gradient():
     a1 = get_variety("a1")
     J = a1.jacobian(np.array([1.0, 2.0, 3.0], dtype=complex))
