@@ -24,14 +24,7 @@ from .sampling import (
     tangent_frame,
 )
 from .forms import FormValue, TestForm
-from .kernels import (
-    CalibrationConstants,
-    WeightConfig,
-    calibrate,
-    default_calibration,
-    kernel_K,
-    kernel_P,
-)
+from .kernels import WeightConfig, kernel_K, kernel_P
 from .operators import apply_K, apply_P, apply_model_T, apply_T_m, lp_norm
 
 __version__ = "0.1.0"

@@ -21,9 +21,12 @@ kernel_K, kernel_P return the z-dependent factors
     k = c_K * top_extract(h ^ sum_{j<n} g_j ^ B_(n-j))
     p = c_P * top_extract(h ^ g_n)
 where the subscript is the e-degree, so only the e-degree n part of g ^ B
-is ever formed (FormValue.surface_density contracts omega in).  One constant
-c_K = c_P = (2 pi i)^nu serves every N and nu; calibrate() refits both on
-the flat model.
+is ever formed (FormValue.surface_density contracts omega in).  One factor
+1/(2 pi i) enters per Hefer factor, so c_K = c_P = (2 pi i)^nu in every
+ambient dimension: the top extraction reads kappa off u = e_top ^ kappa with
+no reordering sign, and the flat kernel then coincides with the
+Bochner-Martinelli kernel.  The calibrate experiment (verify.run_calibrate)
+refits both constants on the flat model as the check.
 """
 
 from __future__ import annotations
@@ -38,10 +41,7 @@ from .varieties import ConeVariety, _require_regular, minor_complements
 
 __all__ = [
     "WeightConfig",
-    "CalibrationConstants",
     "PoleError",
-    "CalibrationError",
-    "default_calibration",
     "bm_b",
     "bm_B",
     "sigma_form",
@@ -59,15 +59,10 @@ __all__ = [
     "dbar_mu_coeffs",
     "rho_transition",
     "radial_transfer",
-    "calibrate",
 ]
 
 
 class PoleError(ValueError):
-    pass
-
-
-class CalibrationError(RuntimeError):
     pass
 
 
@@ -82,26 +77,6 @@ class WeightConfig:
     def __post_init__(self):
         if not 0 < self.rho1 < self.rho2 <= self.omega_prime_radius:
             raise ValueError("need 0 < rho1 < rho2 <= omega_prime_radius")
-
-
-@dataclass(frozen=True)
-class CalibrationConstants:
-    c_K: complex
-    c_P: complex
-    provenance: str = "default"
-
-
-def default_calibration(ambient_dim: int, nu: int) -> CalibrationConstants:
-    """Scale constants pinned by the flat-model reproducing identities.
-
-    One factor 1/(2 pi i) enters per Hefer factor, so c_K = c_P = (2 pi i)^nu
-    in every ambient dimension: the top extraction reads kappa off
-    u = e_top ^ kappa with no reordering sign, and the flat kernel then
-    coincides with the Bochner-Martinelli kernel.  calibrate() fits c_K and
-    c_P independently as the check.
-    """
-    scale = TWO_PI_I ** nu
-    return CalibrationConstants(c_K=scale, c_P=scale, provenance="default")
 
 
 # ---------------------------------------------------------------------------
@@ -237,15 +212,19 @@ def structure_form(v: ConeVariety, zeta: np.ndarray, m: np.ndarray) -> FormValue
 # ---------------------------------------------------------------------------
 
 
-def kernel_K(v: ConeVariety, zeta: np.ndarray, z: np.ndarray, cfg: WeightConfig,
-             consts: CalibrationConstants | None = None) -> FormValue:
+def _top_with_hefer(v: ConeVariety, zeta, z, part: FormValue) -> FormValue:
+    """(2 pi i)^nu * top_extract(h ^ part), the tail shared by k and p."""
+    return TWO_PI_I ** v.nu * hefer_form(v, zeta, z).wedge(part).extract_top_eta()
+
+
+def kernel_K(v: ConeVariety, zeta: np.ndarray, z: np.ndarray,
+             cfg: WeightConfig) -> FormValue:
     """Anti-generator factor k of the solution kernel K = omega ^ k at (zeta, z).
 
     A batched FormValue over dzeta-bar and dz-bar generators only; the pole
     at zeta = z has order 2n - 1.  The structure form omega, which
     contributes |zeta|^(nu - d) growth at the origin, is left to the caller.
     """
-    consts = consts or default_calibration(v.ambient_dim, v.nu)
     N, n = v.ambient_dim, v.dim
     zeta = np.asarray(zeta, dtype=complex)
     z = np.asarray(z, dtype=complex)
@@ -256,21 +235,17 @@ def kernel_K(v: ConeVariety, zeta: np.ndarray, z: np.ndarray, cfg: WeightConfig,
     part = FormValue.zero(N)
     for k in range(n):
         part = part + g.bidegree_part(k).wedge(Bf.bidegree_part(n - k))
-    h = hefer_form(v, zeta, z)
-    return consts.c_K * h.wedge(part).extract_top_eta()
+    return _top_with_hefer(v, zeta, z, part)
 
 
-def kernel_P(v: ConeVariety, zeta: np.ndarray, z: np.ndarray, cfg: WeightConfig,
-             consts: CalibrationConstants | None = None) -> FormValue:
+def kernel_P(v: ConeVariety, zeta: np.ndarray, z: np.ndarray,
+             cfg: WeightConfig) -> FormValue:
     """Factor p of P = omega ^ p; zero off the cut-off annulus, holomorphic in z."""
-    consts = consts or default_calibration(v.ambient_dim, v.nu)
     N, n = v.ambient_dim, v.dim
     zeta = np.asarray(zeta, dtype=complex)
     z = np.asarray(z, dtype=complex)
     g = weight_g(zeta, z, cfg, n, N)
-    part = g.bidegree_part(n)
-    h = hefer_form(v, zeta, z)
-    return consts.c_P * h.wedge(part).extract_top_eta()
+    return _top_with_hefer(v, zeta, z, g.bidegree_part(n))
 
 
 # ---------------------------------------------------------------------------
@@ -387,81 +362,3 @@ def dbar_mu_coeffs(zeta, k: int) -> np.ndarray:
     pref = _rho_deriv(y, k) * _radial_transfer_deriv(nz) / (r * logr)
     pref = pref / (2.0 * nz_safe)
     return pref[..., None] * zeta
-
-
-# ---------------------------------------------------------------------------
-# calibration against the flat model
-# ---------------------------------------------------------------------------
-
-
-# calibration residuals may reach this many standard errors
-CALIBRATION_TOL = 5.0
-
-
-def calibrate(cfg: WeightConfig | None = None, plan=None,
-              ambient_dim: int = 3) -> CalibrationConstants:
-    """Fix c_P and c_K on the hyperplane model {z_N = 0} in C^N and freeze them.
-
-    c_P makes P reproduce the constant 1; c_K is fitted from the q = 0
-    homotopy identity for a non-holomorphic bump.  Raises CalibrationError
-    if either residual exceeds CALIBRATION_TOL times its standard error.
-    """
-    from . import operators
-    from .forms import TestForm
-    from .sampling import SamplingPlan
-    from .varieties import hyperplane
-
-    cfg = cfg or WeightConfig()
-    plan = plan or SamplingPlan(samples=200_000, experiment_id="calibrate")
-    v = hyperplane(ambient_dim)
-    raw = CalibrationConstants(c_K=1.0, c_P=1.0, provenance="raw")
-    pad = [0.0] * (ambient_dim - 2)
-
-    zs = [np.array([w, 0.12 - 0.2j] + pad) for w in (0.25, -0.3 + 0.1j, 0.45j)]
-    one = TestForm.constant(v.ambient_dim)
-    p_vals = []
-    p_errs = []
-    for i, z in enumerate(zs):
-        val, qr = operators.apply_P(
-            v, one, z, cfg, plan.with_(experiment_id=f"calP{i}"), consts=raw
-        )
-        p_vals.append(val)
-        p_errs.append(qr.stderr)
-    c_P = 1.0 / np.mean(p_vals)
-    rel = np.std(p_vals) / abs(np.mean(p_vals))
-    if rel > CALIBRATION_TOL * np.mean(p_errs) / abs(np.mean(p_vals)) + 0.05:
-        raise CalibrationError(f"projection calibration unstable: spread {rel:.3g}")
-
-    bump = TestForm.zbar_bump(v.ambient_dim, 0, 0.55 * cfg.rho1, 0.9 * cfg.rho1)
-    num = 0.0 + 0j
-    den = 0.0
-    for i, z in enumerate(zs):
-        phi_z = bump.eval_scalar(z[None, :])[0]
-        pv, _ = operators.apply_P(
-            v, bump, z, cfg, plan.with_(experiment_id=f"calPb{i}"), consts=raw
-        )
-        coeffs, _ = operators.apply_K(
-            v, bump.dbar(), z, cfg, plan.with_(experiment_id=f"calK{i}"), consts=raw
-        )
-        kv = coeffs[0]
-        target = phi_z - c_P * pv
-        num += np.conj(kv) * target
-        den += abs(kv) ** 2
-    c_K = num / den
-    consts = CalibrationConstants(c_K=complex(c_K), c_P=complex(c_P),
-                                  provenance="calibrated")
-    # verify the identity round-trip at one fresh point
-    z = np.array([0.2 + 0.3j, -0.25] + pad)
-    phi_z = bump.eval_scalar(z[None, :])[0]
-    pv, p_qr = operators.apply_P(v, bump, z, cfg,
-                                 plan.with_(experiment_id="calchk_p"), consts=consts)
-    coeffs, k_qr = operators.apply_K(v, bump.dbar(), z, cfg,
-                                     plan.with_(experiment_id="calchk_k"),
-                                     consts=consts)
-    resid = abs(phi_z - pv - coeffs[0])
-    err = CALIBRATION_TOL * math.hypot(p_qr.stderr, float(np.max(k_qr.stderr)))
-    if resid > max(err, 0.02 * max(abs(phi_z), 1e-9)):
-        raise CalibrationError(
-            f"flat homotopy residual {resid:.3g} exceeds tolerance {err:.3g}"
-        )
-    return consts

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import kernels
 from .forms import TestForm
-from .kernels import CalibrationConstants, WeightConfig
+from .kernels import WeightConfig
 from .sampling import (
     PointBatch,
     QuadratureResult,
@@ -46,8 +46,7 @@ def output_subsets(N: int, q_out: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(N), q_out))
 
 
-def _kernel_integrand(v: ConeVariety, phi: TestForm, z, cfg, consts, subsets,
-                      kernel):
+def _kernel_integrand(v: ConeVariety, phi: TestForm, z, cfg, subsets, kernel):
     """Batch integrand of omega ^ kernel ^ phi; kernel is kernel_K or kernel_P."""
     # surface densities are keyed by the dz-bar mask alone (low bits)
     masks = []
@@ -58,15 +57,12 @@ def _kernel_integrand(v: ConeVariety, phi: TestForm, z, cfg, consts, subsets,
         masks.append(m)
 
     def integrand(batch: PointBatch):
-        zeta = batch.positions
-        nz = batch.norms()
-        ne = np.sqrt(np.sum(np.abs(zeta - z) ** 2, axis=-1))
-        ok = (nz > _TINY) & (ne > _TINY)
+        ok = (batch.norms() > _TINY) & (batch.dist(z) > _TINY)
         out = np.zeros((len(batch), len(masks)), dtype=complex)
         if not np.any(ok):
             return out
-        pts = zeta[ok]
-        total = kernel(v, pts, z, cfg, consts).wedge(phi.form_value(pts))
+        pts = batch.positions[ok]
+        total = kernel(v, pts, z, cfg).wedge(phi.form_value(pts))
         dens = total.restricted_to_dim(v.dim).surface_density(
             kernels.structure_form(v, pts, batch.minors[ok]))
         for i, m in enumerate(masks):
@@ -78,7 +74,7 @@ def _kernel_integrand(v: ConeVariety, phi: TestForm, z, cfg, consts, subsets,
 
 
 def apply_K(v: ConeVariety, phi: TestForm, z, cfg: WeightConfig,
-            plan: SamplingPlan, consts: CalibrationConstants | None = None):
+            plan: SamplingPlan):
     """Estimate (K phi)(z) for a (0,q) input, 1 <= q <= n.
 
     Returns (coefficient vector over dz-bar multi-indices of size q-1,
@@ -92,19 +88,17 @@ def apply_K(v: ConeVariety, phi: TestForm, z, cfg: WeightConfig,
     if np.sqrt(np.sum(np.abs(z) ** 2)) < 10 * plan.r_min:
         warnings.warn("evaluation point is within 10 r_min of the cone point",
                       RuntimeWarning)
-    consts = consts or kernels.default_calibration(v.ambient_dim, v.nu)
     subsets = output_subsets(v.ambient_dim, phi.q - 1)
     region = Region.domain(cfg.omega_prime_radius, v.ambient_dim)
     poles = [(z, 2 * n - 1), (np.zeros(v.ambient_dim), v.total_degree - v.nu)]
-    integrand = _kernel_integrand(v, phi, z, cfg, consts, subsets,
-                                  kernels.kernel_K)
+    integrand = _kernel_integrand(v, phi, z, cfg, subsets, kernels.kernel_K)
     qr = integrate(v, region, integrand, plan, poles=poles)
     coeffs = np.atleast_1d(np.asarray(qr.value))
     return coeffs, qr
 
 
 def apply_P(v: ConeVariety, phi: TestForm, z, cfg: WeightConfig,
-            plan: SamplingPlan, consts: CalibrationConstants | None = None):
+            plan: SamplingPlan):
     """Estimate (P phi)(z) for a (0,0) input; reproduces holomorphic values.
 
     The kernel vanishes off the cut-off annulus, so the integral runs there
@@ -113,10 +107,8 @@ def apply_P(v: ConeVariety, phi: TestForm, z, cfg: WeightConfig,
     z = np.asarray(z, dtype=complex)
     if phi.q != 0:
         raise ValueError("apply_P expects a (0,0) input")
-    consts = consts or kernels.default_calibration(v.ambient_dim, v.nu)
     region = Region.annulus(np.zeros(v.ambient_dim), cfg.rho1, cfg.rho2)
-    integrand = _kernel_integrand(v, phi, z, cfg, consts, [()],
-                                  kernels.kernel_P)
+    integrand = _kernel_integrand(v, phi, z, cfg, [()], kernels.kernel_P)
     qr = integrate(v, region, integrand, plan)
     value = complex(np.atleast_1d(np.asarray(qr.value))[0])
     return value, qr
@@ -131,13 +123,10 @@ def apply_model_T(v: ConeVariety, f, z, gamma: float, plan: SamplingPlan,
     z = np.asarray(z, dtype=complex)
 
     def integrand(batch: PointBatch):
-        zeta = batch.positions
-        nz = batch.norms()
-        ne = np.sqrt(np.sum(np.abs(zeta - z) ** 2, axis=-1))
-        ok = (nz > _TINY) & (ne > _TINY)
+        ok = (batch.norms() > _TINY) & (batch.dist(z) > _TINY)
         out = np.zeros(len(batch), dtype=complex)
         if np.any(ok):
-            base = kernels.model_k_gamma(zeta[ok], z, gamma, n)
+            base = kernels.model_k_gamma(batch.positions[ok], z, gamma, n)
             out[ok] = base * np.asarray(f(batch))[ok]
         return out
 

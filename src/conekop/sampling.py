@@ -453,7 +453,8 @@ def tangent_frame(v: ConeVariety, zeta) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Region:
-    kind: str
+    """Points with r_inner <= |zeta - center| <= r_outer; a ball has r_inner = 0."""
+
     center: np.ndarray
     r_inner: float
     r_outer: float
@@ -462,14 +463,13 @@ class Region:
     def ball(cls, center, radius: float) -> "Region":
         if radius <= 0:
             raise EmptyRegionError("ball radius must be positive")
-        return cls("ball", np.asarray(center, dtype=complex), 0.0, float(radius))
+        return cls(np.asarray(center, dtype=complex), 0.0, float(radius))
 
     @classmethod
     def annulus(cls, center, r_inner: float, r_outer: float) -> "Region":
         if not 0 < r_inner < r_outer:
             raise EmptyRegionError("annulus radii must satisfy 0 < r_inner < r_outer")
-        return cls("annulus", np.asarray(center, dtype=complex), float(r_inner),
-                   float(r_outer))
+        return cls(np.asarray(center, dtype=complex), float(r_inner), float(r_outer))
 
     @classmethod
     def domain(cls, r_outer: float, ambient_dim: int = 3) -> "Region":
@@ -478,9 +478,7 @@ class Region:
 
     def indicator(self, pts: np.ndarray) -> np.ndarray:
         d = np.sqrt(np.sum(np.abs(pts - self.center) ** 2, axis=-1))
-        if self.kind == "annulus":
-            return (d >= self.r_inner) & (d <= self.r_outer)
-        return d <= self.r_outer
+        return (d >= self.r_inner) & (d <= self.r_outer)
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +606,7 @@ def _build_strata(v: ConeVariety, region: Region, chart: Chart, poles,
     strata: list[_Stratum] = []
     ratio = plan.shell_ratio
 
-    annulus = region.kind == "annulus"
+    annulus = region.r_inner > 0
     if annulus:
         # region cover: shells must reach below r_inner by the chart stretch
         # (sheets with norm >= r_inner can sit over shallower base points),

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels, operators
-from .forms import TestForm
+from .forms import TWO_PI_I, TestForm
 from .kernels import WeightConfig, annulus_bounds
 from .sampling import (
     MIN_PER_STRATUM,
@@ -29,7 +29,7 @@ from .sampling import (
     surface_point_with_norm,
     tangent_frame,
 )
-from .varieties import ConeVariety, minor_complements
+from .varieties import ConeVariety, hyperplane, minor_complements
 
 __all__ = [
     "CSV_COLUMNS",
@@ -660,12 +660,10 @@ def flat_bm_residuals(plan: SamplingPlan, z_norms=(0.1, 0.2, 0.3, 0.38, 0.44),
         phi_z = complex(phi.eval_scalar(z[None, :])[0])
 
         def integrand(batch, z=z):
-            zeta = batch.positions
-            ne = np.sqrt(np.sum(np.abs(zeta - z) ** 2, axis=-1))
-            ok = ne > 1e-13
+            ok = batch.dist(z) > 1e-13
             out = np.zeros(len(batch), dtype=complex)
             if np.any(ok):
-                pts = zeta[ok]
+                pts = batch.positions[ok]
                 B = kernels.bm_B(pts - z, v.ambient_dim, n)
                 total = B.wedge(dphi.form_value(pts)).restricted_to_dim(n)
                 dens = total.pullback_surface(flat_coords)
@@ -695,7 +693,6 @@ def run_koppelman_q0(v: ConeVariety, plan: SamplingPlan,
     """
     cfg = cfg or WeightConfig()
     N = v.ambient_dim
-    consts = kernels.default_calibration(v.ambient_dim, v.nu)
     report = ExperimentReport("koppelman_q0", v.name,
                               {"z_norms": list(z_norms), "rel_tol": rel_tol,
                                "scale_mode": scale_mode,
@@ -715,13 +712,12 @@ def run_koppelman_q0(v: ConeVariety, plan: SamplingPlan,
             phi_z = complex(phi.eval_scalar(z[None, :])[0])
             pv, pqr = operators.apply_P(
                 v, phi, z, cfg,
-                plan.sub(f"kopP{phi.label}{i}", samples=max(plan.samples // 4, 4096)),
-                consts=consts)
+                plan.sub(f"kopP{phi.label}{i}", samples=max(plan.samples // 4, 4096)))
             se = pqr.stderr
             kv = 0.0 + 0j
             if dphi is not None:
                 kc, kqr = operators.apply_K(
-                    v, dphi, z, cfg, plan.sub(f"kopK{phi.label}{i}"), consts=consts)
+                    v, dphi, z, cfg, plan.sub(f"kopK{phi.label}{i}"))
                 kv = complex(kc[0])
                 se = math.hypot(se, float(np.max(np.atleast_1d(kqr.stderr))))
             resid = abs(phi_z - pv - kv)
@@ -752,14 +748,13 @@ def run_koppelman_q1_loose(v: ConeVariety, plan: SamplingPlan,
     """
     cfg = cfg or WeightConfig()
     N, n = v.ambient_dim, v.dim
-    consts = kernels.default_calibration(v.ambient_dim, v.nu)
     phi = TestForm.one_form_bump(N, comp=0, j_bar=1, r_lo=0.6 * cfg.rho2,
                                  r_hi=0.95 * cfg.rho2)
     z = surface_point_with_norm(v, z_norm, seed=plan.seed)
     fr = tangent_frame(v, z)
 
     def kphi(zz):
-        c, _ = operators.apply_K(v, phi, zz, cfg, plan.sub("q1crn"), consts=consts)
+        c, _ = operators.apply_K(v, phi, zz, cfg, plan.sub("q1crn"))
         return complex(c[0])
 
     h = fd_step
@@ -775,8 +770,7 @@ def run_koppelman_q1_loose(v: ConeVariety, plan: SamplingPlan,
         fd.append(0.5 * (dx + 1j * dy))
     fd = np.array(fd)
 
-    kc, _ = operators.apply_K(v, phi.dbar(), z, cfg, plan.sub("q1kd"),
-                              consts=consts)
+    kc, _ = operators.apply_K(v, phi.dbar(), z, cfg, plan.sub("q1kd"))
     amb = np.zeros(N, dtype=complex)
     for s, c in zip(operators.output_subsets(N, 1), kc):
         amb[s[0]] = c
@@ -974,21 +968,76 @@ def run_v_bounds(v: ConeVariety, plan: SamplingPlan,
 
 def run_calibrate(v: ConeVariety, plan: SamplingPlan,
                   cfg: WeightConfig | None = None,
-                  tolerance_scale: float = 1.0) -> ExperimentReport:
-    """Run the flat-model calibration and compare with the frozen defaults."""
+                  tolerance_scale: float = 1.0,
+                  ambient_dim: int = 3) -> ExperimentReport:
+    """Refit the constants of P and K on the hyperplane {z_N = 0} in C^N.
+
+    The fit ignores v.  f_P makes P reproduce the constant 1, and f_K is
+    fitted from the q = 0 homotopy identity for a non-holomorphic bump.  Both
+    are factors on the kernels' own constant c = 2 pi i, so the reported
+    c = f * 2 pi i should land on it.  Two checks gate the fit itself: the
+    spread of P1 over three points, and the identity residual at a fresh
+    point, each within 5 standard errors.
+    """
     cfg = cfg or WeightConfig()
-    report = ExperimentReport("calibrate", "hyperplane", {}, seed=plan.seed)
-    consts = kernels.calibrate(cfg, plan.sub("cal"))
-    defaults = kernels.default_calibration(3, 1)
-    report.rows.append({"c_K": _plain(consts.c_K), "c_P": _plain(consts.c_P),
-                        "default_c_K": _plain(defaults.c_K),
-                        "default_c_P": _plain(defaults.c_P)})
-    dev_K = abs(consts.c_K - defaults.c_K) / abs(defaults.c_K)
-    dev_P = abs(consts.c_P - defaults.c_P) / abs(defaults.c_P)
+    tol_se = 5.0
+    flat = hyperplane(ambient_dim)
+    report = ExperimentReport("calibrate", flat.name, {}, seed=plan.seed)
+    pad = [0.0] * (ambient_dim - 2)
+    zs = [np.array([w, 0.12 - 0.2j] + pad) for w in (0.25, -0.3 + 0.1j, 0.45j)]
+
+    one = TestForm.constant(ambient_dim)
+    p_vals = []
+    p_errs = []
+    for i, z in enumerate(zs):
+        val, qr = operators.apply_P(flat, one, z, cfg,
+                                    plan.with_(experiment_id=f"calP{i}"))
+        p_vals.append(val)
+        p_errs.append(qr.stderr)
+    f_P = 1.0 / np.mean(p_vals)
+    spread = np.std(p_vals) / abs(np.mean(p_vals))
+    p_tol = tol_se * np.mean(p_errs) / abs(np.mean(p_vals)) + 0.05
+
+    bump = TestForm.zbar_bump(ambient_dim, 0, 0.55 * cfg.rho1, 0.9 * cfg.rho1)
+    num = 0.0 + 0j
+    den = 0.0
+    for i, z in enumerate(zs):
+        phi_z = bump.eval_scalar(z[None, :])[0]
+        pv, _ = operators.apply_P(flat, bump, z, cfg,
+                                  plan.with_(experiment_id=f"calPb{i}"))
+        coeffs, _ = operators.apply_K(flat, bump.dbar(), z, cfg,
+                                      plan.with_(experiment_id=f"calK{i}"))
+        kv = coeffs[0]
+        target = phi_z - f_P * pv
+        num += np.conj(kv) * target
+        den += abs(kv) ** 2
+    f_K = num / den
+
+    # the identity round-trip at one fresh point, with the fitted factors
+    z = np.array([0.2 + 0.3j, -0.25] + pad)
+    phi_z = bump.eval_scalar(z[None, :])[0]
+    pv, p_qr = operators.apply_P(flat, bump, z, cfg,
+                                 plan.with_(experiment_id="calchk_p"))
+    coeffs, k_qr = operators.apply_K(flat, bump.dbar(), z, cfg,
+                                     plan.with_(experiment_id="calchk_k"))
+    resid = abs(phi_z - f_P * pv - f_K * coeffs[0])
+    err = tol_se * math.hypot(abs(f_P) * p_qr.stderr,
+                              abs(f_K) * float(np.max(k_qr.stderr)))
+
+    c_K, c_P = complex(f_K * TWO_PI_I), complex(f_P * TWO_PI_I)
+    report.rows.append({"c_K": _plain(c_K), "c_P": _plain(c_P),
+                        "default_c_K": _plain(TWO_PI_I),
+                        "default_c_P": _plain(TWO_PI_I)})
+    dev_K = abs(c_K - TWO_PI_I) / abs(TWO_PI_I)
+    dev_P = abs(c_P - TWO_PI_I) / abs(TWO_PI_I)
     report.record_value("c_K_rel_dev", dev_K, 0.0)
     report.record_value("c_P_rel_dev", dev_P, 0.0)
     report.record_check("c_K_near_default", dev_K < 0.10 * tolerance_scale)
     report.record_check("c_P_near_default", dev_P < 0.10 * tolerance_scale)
+    report.record_check("P_spread_within_tol", spread <= p_tol * tolerance_scale)
+    report.record_check("flat_identity_within_tol",
+                        resid <= max(err, 0.02 * max(abs(phi_z), 1e-9))
+                        * tolerance_scale)
     return report
 
 

@@ -14,7 +14,6 @@ import pytest
 from conekop.forms import TestForm
 from conekop.kernels import (
     WeightConfig,
-    default_calibration,
     dbar_mu_coeffs,
     sigma_form,
 )

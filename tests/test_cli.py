@@ -169,3 +169,27 @@ def test_cli_nan_tolerance_scale_flag_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_unstable_calibration_fails_with_report(tmp_path, monkeypatch):
+    # P1 skewed by 1, 1.5 and 2 at the three fit points: the calibrate
+    # experiment reports FAIL and the run still writes its reports
+    from conekop import operators
+
+    apply_P = operators.apply_P
+    skew = {"calP1": 1.5, "calP2": 2.0}
+
+    def skewed(*args, **kwargs):
+        val, qr = apply_P(*args, **kwargs)
+        return val * skew.get(args[4].experiment_id, 1.0), qr
+
+    monkeypatch.setattr(operators, "apply_P", skewed)
+    out = tmp_path / "run"
+    code = main(["--variety", "hyperplane", "--experiment", "calibrate",
+                 "--samples", "8192", "--seed", "31", "--out", str(out)])
+    assert code == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["all_pass"] is False
+    (rep,) = report["reports"]
+    assert rep["checks"]["P_spread_within_tol"] is False
+    assert (out / "tables.csv").exists()

@@ -12,7 +12,6 @@ from conekop.varieties import (ConeVariety, MultiIndexPoly, NearSingularError,
 HP = get_variety("hyperplane")
 A1 = get_variety("a1")
 CFG = WeightConfig()
-TWO_PI_I = 2j * np.pi
 
 
 def _rand(rng, n, N=3):
@@ -394,14 +393,6 @@ def test_mu_support_and_underflow():
     assert np.all(np.isfinite(K.dbar_mu_coeffs(tiny, 1)))
 
 
-def test_default_calibration_constants():
-    # one constant per codimension: no parity of N to undo
-    for N, nu in ((3, 1), (4, 1), (4, 2), (5, 2)):
-        c = K.default_calibration(N, nu)
-        assert c.c_K == pytest.approx(TWO_PI_I**nu)
-        assert c.c_P == pytest.approx(TWO_PI_I**nu)
-
-
 def test_structure_form_link_bound_reported():
     # sup over the unit link of |omega coefficients| * |zeta|^(d - nu) is
     # finite; on the link it is 1 / minors_norm, bounded by the margin
@@ -425,24 +416,27 @@ def test_structure_form_link_bound_reported():
         assert sup <= 2.0 / margin  # coefficient norm is 1 / minors norm
 
 
-def test_calibrate_recovers_default_constants():
+def _calibration(samples, tag, **params):
+    # the calibrate experiment ignores its variety argument
     from conekop.sampling import SamplingPlan
+    from conekop.verify import run_calibrate
 
-    consts = K.calibrate(plan=SamplingPlan(samples=120_000, seed=31,
-                                           experiment_id="tcal"))
-    assert consts.provenance == "calibrated"
-    d = K.default_calibration(3, 1)
-    assert abs(consts.c_K - d.c_K) / abs(d.c_K) < 0.1
-    assert abs(consts.c_P - d.c_P) / abs(d.c_P) < 0.05
+    rep = run_calibrate(HP, SamplingPlan(samples=samples, seed=31, experiment_id=tag),
+                        **params)
+    assert rep.checks["P_spread_within_tol"]
+    assert rep.checks["flat_identity_within_tol"]
+    return rep.fitted["c_K_rel_dev"]["value"], rep.fitted["c_P_rel_dev"]["value"]
+
+
+def test_calibrate_recovers_default_constants():
+    dev_K, dev_P = _calibration(120_000, "tcal")
+    assert dev_K < 0.1
+    assert dev_P < 0.05
 
 
 def test_calibrate_flat_c4_recovers_default_constants():
     # the fit on the hyperplane z_4 = 0 in C^4 lands on +2 pi i for c_K,
     # the same constant as in C^3
-    from conekop.sampling import SamplingPlan
-
-    consts = K.calibrate(plan=SamplingPlan(samples=8192, seed=31,
-                                           experiment_id="tcal4"), ambient_dim=4)
-    d = K.default_calibration(4, 1)
-    assert abs(consts.c_K - d.c_K) / abs(d.c_K) < 0.1
-    assert abs(consts.c_P - d.c_P) / abs(d.c_P) < 0.05
+    dev_K, dev_P = _calibration(8192, "tcal4", ambient_dim=4)
+    assert dev_K < 0.1
+    assert dev_P < 0.05
