@@ -21,7 +21,11 @@ kernel_K, kernel_P return the z-dependent factors
     k = c_K * top_extract(h ^ sum_{j<n} g_j ^ B_(n-j))
     p = c_P * top_extract(h ^ g_n)
 where the subscript is the e-degree, so only the e-degree n part of g ^ B
-is ever formed (FormValue.surface_density contracts omega in).  One factor
+is ever formed (FormValue.surface_density contracts omega in).  Nothing
+else that no output reads is formed either: weight_g builds g_0 ... g_(n-1)
+for k and g_n alone for p, B keeps the dz-bar degrees up to the one K's
+output reads (none for a (0,1) input), and on rows within rho1, where g is
+the scalar 1, k is formed from B_n with no sigma series.  One factor
 1/(2 pi i) enters per Hefer factor, so c_K = c_P = (2 pi i)^nu in every
 ambient dimension: the top extraction reads kappa off u = e_top ^ kappa with
 no reordering sign, and the flat kernel then coincides with the
@@ -78,6 +82,11 @@ class WeightConfig:
         if not 0 < self.rho1 < self.rho2 <= self.omega_prime_radius:
             raise ValueError("need 0 < rho1 < rho2 <= omega_prime_radius")
 
+    @property
+    def chi(self) -> Window:
+        """The cut-off chi as a window in |zeta|^2: 1 up to x0, 0 from x1."""
+        return Window(self.rho1, self.rho2)
+
 
 # ---------------------------------------------------------------------------
 # support forms: Bochner-Martinelli b and the ball weight sigma
@@ -88,15 +97,15 @@ def _norm_sq(x):
     return np.sum(np.abs(x) ** 2, axis=-1)
 
 
-def _support_series(s, Q, eta, n: int, N: int, output_bar: bool) -> list[FormValue]:
+def _support_series(s, Q, eta, n: int, N: int, zbar_degree: int) -> list[FormValue]:
     """The series [u, u ^ dbar u, ..., u ^ (dbar u)^(n-1)] of a support form.
 
     u = sum_j s_j e_j / (2 pi i Q) with Q = s . eta, so contraction with eta
     gives exactly 1.  dbar u has coefficients (delta_jk / Q - s_j eta_k / Q^2)
-    / (2 pi i) on a_k - b_k when output_bar (b: s = conj(eta), Q = |eta|^2)
-    and on a_k alone otherwise (sigma: s = conj(zeta), Q = conj(zeta) . eta,
-    holomorphic in z).  Makes exactly n - 1 wedges; pole checks are the
-    caller's.
+    / (2 pi i) on a_k - b_k for b (s = conj(eta), Q = |eta|^2) and on a_k
+    alone for sigma (s = conj(zeta), Q = conj(zeta) . eta, holomorphic in z:
+    zbar_degree 0).  Terms of dz-bar degree above zbar_degree are never
+    formed.  Makes exactly n - 1 wedges; pole checks are the caller's.
     """
     series = [FormValue(N, {1 << j: s[..., j] / (TWO_PI_I * Q) for j in range(N)})]
     if n > 1:
@@ -107,11 +116,16 @@ def _support_series(s, Q, eta, n: int, N: int, output_bar: bool) -> list[FormVal
                 m = m / TWO_PI_I
                 # (a_k - b_k) ^ e_j reordered to canonical e-first storage
                 terms[(1 << j) | (1 << (N + k))] = -m
-                if output_bar:
+                if zbar_degree > 0:
                     terms[(1 << j) | (1 << (2 * N + k))] = m
         du = FormValue(N, terms)
-        for _ in range(n - 1):
-            series.append(series[-1].wedge(du))
+        bmask = ((1 << N) - 1) << (2 * N)
+        for k in range(1, n):
+            term = series[-1].wedge(du)
+            if 0 < zbar_degree < k:
+                term = FormValue(N, {m: c for m, c in term.terms.items()
+                                     if (m & bmask).bit_count() <= zbar_degree})
+            series.append(term)
     return series
 
 
@@ -120,14 +134,20 @@ def bm_b(eta: np.ndarray, N: int) -> FormValue:
     return bm_B(eta, N, 1)
 
 
-def bm_B(eta: np.ndarray, N: int, n: int) -> FormValue:
-    """Full form B = b + b dbar(b) + ... + b (dbar b)^(n-1)."""
+def bm_B(eta: np.ndarray, N: int, n: int,
+         zbar_degree: int | None = None) -> FormValue:
+    """Full form B = b + b dbar(b) + ... + b (dbar b)^(n-1).
+
+    Only its terms of dz-bar degree <= zbar_degree are formed; the default
+    n - 1 keeps them all.
+    """
     eta = np.asarray(eta, dtype=complex)
     r2 = _norm_sq(eta)
     if np.any(r2 == 0):
         raise PoleError("b evaluated at eta = 0")
+    zbar_degree = n - 1 if zbar_degree is None else zbar_degree
     out = FormValue.zero(N)
-    for term in _support_series(np.conj(eta), r2, eta, n, N, output_bar=True):
+    for term in _support_series(np.conj(eta), r2, eta, n, N, zbar_degree):
         out = out + term
     return out
 
@@ -144,31 +164,36 @@ def sigma_form(zeta: np.ndarray, z: np.ndarray, N: int) -> FormValue:
     Q = _sigma_denominator(zeta, z)
     if np.any(Q == 0):
         raise PoleError("sigma denominator vanished (z outside the inner ball)")
-    return _support_series(np.conj(zeta), Q, zeta - z, 1, N, output_bar=False)[0]
+    return _support_series(np.conj(zeta), Q, zeta - z, 1, N, 0)[0]
 
 
 def weight_g(zeta: np.ndarray, z: np.ndarray, cfg: WeightConfig, n: int,
-             N: int) -> FormValue:
+             N: int, degrees=None) -> FormValue:
     """Compactly supported weight chi - dbar chi ^ sum_{k<n} sigma (dbar sigma)^k.
 
-    Scalar 1 inside rho1, zero outside rho2.  The sigma factors only matter
-    on the support of dbar chi, so zeta is replaced by (1, ..., 1) elsewhere
-    to avoid spurious pole evaluations at zeta near z.
+    Scalar 1 inside rho1, zero outside rho2.  Only the parts of e-degree in
+    degrees are formed (default all, 0..n): g_0 = chi and g_k = -dbar chi ^
+    sigma (dbar sigma)^(k-1), so the sigma series stops at the highest
+    degree asked for.  The sigma factors only matter on the support of
+    dbar chi, so zeta is replaced by (1, ..., 1) elsewhere to avoid spurious
+    pole evaluations at zeta near z.
     """
+    degrees = range(n + 1) if degrees is None else degrees
     zeta = np.asarray(zeta, dtype=complex)
     z = np.asarray(z, dtype=complex)
-    chi = Window(cfg.rho1, cfg.rho2)
+    chi = cfg.chi
     x = _norm_sq(zeta)
+    g = FormValue.scalar(N, chi.value(x, 0) + 0j) if 0 in degrees else FormValue.zero(N)
     cd = chi.value(x, 1)
     zeta_safe = np.where((cd != 0.0)[..., None], zeta, np.ones_like(zeta))
     Q = _sigma_denominator(zeta_safe, z)
     if np.any(Q == 0):
         raise PoleError("sigma denominator vanished on supp dbar chi")
     dchi = FormValue(N, {1 << (N + j): cd * zeta[..., j] for j in range(N)})
-    g = FormValue.scalar(N, chi.value(x, 0) + 0j)
-    for term in _support_series(np.conj(zeta_safe), Q, zeta_safe - z, n, N,
-                                output_bar=False):
-        g = g - dchi.wedge(term)
+    series = _support_series(np.conj(zeta_safe), Q, zeta_safe - z, max(degrees), N, 0)
+    for k, term in enumerate(series, 1):
+        if k in degrees:
+            g = g - dchi.wedge(term)
     return g
 
 
@@ -218,20 +243,24 @@ def _top_with_hefer(v: ConeVariety, zeta, z, part: FormValue) -> FormValue:
 
 
 def kernel_K(v: ConeVariety, zeta: np.ndarray, z: np.ndarray,
-             cfg: WeightConfig) -> FormValue:
+             cfg: WeightConfig, zbar_degree: int | None = None) -> FormValue:
     """Anti-generator factor k of the solution kernel K = omega ^ k at (zeta, z).
 
     A batched FormValue over dzeta-bar and dz-bar generators only; the pole
     at zeta = z has order 2n - 1.  The structure form omega, which
     contributes |zeta|^(nu - d) growth at the origin, is left to the caller.
+    Only terms of dz-bar degree <= zbar_degree are formed (default all);
+    K applied to a (0, q) form reads degree q - 1.  When every row lies
+    within rho1, g is the scalar 1 there and k is formed from B_n alone.
     """
     N, n = v.ambient_dim, v.dim
     zeta = np.asarray(zeta, dtype=complex)
     z = np.asarray(z, dtype=complex)
-    eta = zeta - z
-    Bf = bm_B(eta, N, n)
-    g = weight_g(zeta, z, cfg, n, N)
+    Bf = bm_B(zeta - z, N, n, zbar_degree)
+    if np.all(_norm_sq(zeta) <= cfg.chi.x0):
+        return _top_with_hefer(v, zeta, z, Bf.bidegree_part(n))
     # (g ^ B)_n graded: B has no e-degree 0 part, so g_k for k < n suffices
+    g = weight_g(zeta, z, cfg, n, N, range(n))
     part = FormValue.zero(N)
     for k in range(n):
         part = part + g.bidegree_part(k).wedge(Bf.bidegree_part(n - k))
@@ -244,8 +273,8 @@ def kernel_P(v: ConeVariety, zeta: np.ndarray, z: np.ndarray,
     N, n = v.ambient_dim, v.dim
     zeta = np.asarray(zeta, dtype=complex)
     z = np.asarray(z, dtype=complex)
-    g = weight_g(zeta, z, cfg, n, N)
-    return _top_with_hefer(v, zeta, z, g.bidegree_part(n))
+    g = weight_g(zeta, z, cfg, n, N, (n,))
+    return _top_with_hefer(v, zeta, z, g)
 
 
 # ---------------------------------------------------------------------------

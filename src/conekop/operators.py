@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 
 from . import kernels
-from .forms import TestForm
+from .forms import FormValue, TestForm
 from .kernels import WeightConfig
 from .sampling import (
     PointBatch,
@@ -46,8 +46,18 @@ def output_subsets(N: int, q_out: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(N), q_out))
 
 
+def _rows(form: FormValue, sel) -> FormValue:
+    return FormValue(form.N, {m: c[sel] for m, c in form.terms.items()})
+
+
 def _kernel_integrand(v: ConeVariety, phi: TestForm, z, cfg, subsets, kernel):
-    """Batch integrand of omega ^ kernel ^ phi; kernel is kernel_K or kernel_P."""
+    """Batch integrand of omega ^ kernel(zeta) ^ phi, kernel being kernel_K or
+    kernel_P bound to v, z and cfg.
+
+    Rows with |zeta| >= min(rho2, r_hi of phi's window), where every term is
+    exactly +-0, are skipped.  Rows within rho1 go to the kernel apart from
+    the rest, so kernel_K can form them from B alone.
+    """
     # surface densities are keyed by the dz-bar mask alone (low bits)
     masks = []
     for s in subsets:
@@ -55,19 +65,30 @@ def _kernel_integrand(v: ConeVariety, phi: TestForm, z, cfg, subsets, kernel):
         for idx in s:
             m |= 1 << idx
         masks.append(m)
+    chi = cfg.chi
+    x_end = chi.x1 if phi.window is None else min(chi.x1, phi.window.x1)
 
     def integrand(batch: PointBatch):
         ok = (batch.norms() > _TINY) & (batch.dist(z) > _TINY)
         out = np.zeros((len(batch), len(masks)), dtype=complex)
         if not np.any(ok):
             return out
-        pts = batch.positions[ok]
-        total = kernel(v, pts, z, cfg).wedge(phi.form_value(pts))
-        dens = total.restricted_to_dim(v.dim).surface_density(
-            kernels.structure_form(v, pts, batch.minors[ok]))
-        for i, m in enumerate(masks):
-            if m in dens:
-                out[ok, i] = dens[m]
+        rows = np.flatnonzero(ok)
+        pts = batch.positions[rows]
+        # both on every ok row: structure_form's regularity guard must see
+        # dead rows too, and form_value is not bit-stable under row subsets
+        omega = kernels.structure_form(v, pts, batch.minors[rows])
+        phi_val = phi.form_value(pts)
+        x = np.sum(np.abs(pts) ** 2, axis=-1)
+        inner = x <= chi.x0
+        for sel in (inner, ~inner & (x < x_end)):
+            if not np.any(sel):
+                continue
+            total = kernel(pts[sel]).wedge(_rows(phi_val, sel))
+            dens = total.restricted_to_dim(v.dim).surface_density(_rows(omega, sel))
+            for i, m in enumerate(masks):
+                if m in dens:
+                    out[rows[sel], i] = dens[m]
         return out
 
     return integrand
@@ -91,7 +112,9 @@ def apply_K(v: ConeVariety, phi: TestForm, z, cfg: WeightConfig,
     subsets = output_subsets(v.ambient_dim, phi.q - 1)
     region = Region.domain(cfg.omega_prime_radius, v.ambient_dim)
     poles = [(z, 2 * n - 1), (np.zeros(v.ambient_dim), v.total_degree - v.nu)]
-    integrand = _kernel_integrand(v, phi, z, cfg, subsets, kernels.kernel_K)
+    integrand = _kernel_integrand(
+        v, phi, z, cfg, subsets,
+        lambda zeta: kernels.kernel_K(v, zeta, z, cfg, phi.q - 1))
     qr = integrate(v, region, integrand, plan, poles=poles)
     coeffs = np.atleast_1d(np.asarray(qr.value))
     return coeffs, qr
@@ -108,7 +131,8 @@ def apply_P(v: ConeVariety, phi: TestForm, z, cfg: WeightConfig,
     if phi.q != 0:
         raise ValueError("apply_P expects a (0,0) input")
     region = Region.annulus(np.zeros(v.ambient_dim), cfg.rho1, cfg.rho2)
-    integrand = _kernel_integrand(v, phi, z, cfg, [()], kernels.kernel_P)
+    integrand = _kernel_integrand(v, phi, z, cfg, [()],
+                                  lambda zeta: kernels.kernel_P(v, zeta, z, cfg))
     qr = integrate(v, region, integrand, plan)
     value = complex(np.atleast_1d(np.asarray(qr.value))[0])
     return value, qr

@@ -9,14 +9,8 @@ see the criterion's docstring.
 """
 
 import numpy as np
-import pytest
 
-from conekop.forms import TestForm
-from conekop.kernels import (
-    WeightConfig,
-    dbar_mu_coeffs,
-    sigma_form,
-)
+from conekop.kernels import WeightConfig, sigma_form
 from conekop.sampling import SamplingPlan
 from conekop.varieties import get_variety
 from conekop.verify import (

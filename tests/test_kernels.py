@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from conekop import kernels as K
-from conekop.forms import FormValue
+from conekop import operators as O
+from conekop.forms import FormValue, TestForm
 from conekop.kernels import WeightConfig, annulus_bounds
-from conekop.sampling import surface_point_with_norm
+from conekop.sampling import (PointBatch, QuadratureResult, SamplingPlan,
+                              default_chart, solve_fiber, surface_point_with_norm)
 from conekop.varieties import (ConeVariety, MultiIndexPoly, NearSingularError,
                                get_variety, hyperplane, minor_complements,
                                variety_from_json)
@@ -12,6 +14,7 @@ from conekop.varieties import (ConeVariety, MultiIndexPoly, NearSingularError,
 HP = get_variety("hyperplane")
 A1 = get_variety("a1")
 CFG = WeightConfig()
+PLAN = SamplingPlan(samples=4096)
 
 
 def _rand(rng, n, N=3):
@@ -231,6 +234,25 @@ def test_structure_form_near_singular_error():
         K.structure_form(planes, pts, planes.minors(pts))
 
 
+def test_near_branch_locus_point_on_a_dead_row_still_raises(monkeypatch):
+    # K and P skip the row outside rho2, yet the structure form's regularity
+    # guard still sees it
+    planes = ConeVariety("planes", 3, (MultiIndexPoly.from_dict(3, {(1, 1, 0): 1.0}),))
+    pts = np.array([[0.5, 0.0, 0.3], [1e-12, 0.0, 1.9]], dtype=complex)
+    assert np.sum(np.abs(pts[1]) ** 2) > CFG.rho2**2
+    z = np.array([0.1, 0.0, 0.2], dtype=complex)
+    phi = TestForm.zbar_bump(3, 0, 0.6 * CFG.rho2, 0.95 * CFG.rho2)
+    for rows in (1, 2):
+        batch = PointBatch(planes, pts[:rows], np.ones(rows), planes.minors(pts[:rows]))
+        _on_batch(monkeypatch, batch)
+        for apply, form in ((O.apply_P, phi), (O.apply_K, phi.dbar())):
+            if rows == 1:
+                apply(planes, form, z, CFG, PLAN)
+            else:
+                with pytest.raises(NearSingularError):
+                    apply(planes, form, z, CFG, PLAN)
+
+
 def _omega_kernel(v, zeta, z):
     """The full kernel omega ^ kappa, with omega wedged in explicitly."""
     return K.structure_form(v, zeta, v.minors(zeta)).wedge(K.kernel_K(v, zeta, z, CFG))
@@ -243,12 +265,15 @@ def _coordinate_plane(N, nu):
     return variety_from_json({"ambient_dim": N, "polys": polys})
 
 
+FLAT_CASES = ((3, 1), (4, 1), (4, 2), (5, 2))
+
+
 def test_kernel_K_hyperplane_matches_flat_bm():
     # with chi identically 1 at interior points, the assembled kernel equals
     # the flat Bochner-Martinelli form of the coordinate plane, with the one
     # constant c_K = (2 pi i)^nu for either parity of N and nu = 1, 2
     rng = np.random.default_rng(10)
-    for N, nu in ((3, 1), (4, 1), (4, 2), (5, 2)):
+    for N, nu in FLAT_CASES:
         n = N - nu
         flat = hyperplane(N) if nu == 1 else _coordinate_plane(N, nu)
         z = np.array([0.2, -0.1, 0.05][:n] + [0.0] * nu, dtype=complex)
@@ -268,6 +293,127 @@ def test_kernel_K_hyperplane_matches_flat_bm():
             want = dens_B.get(0, np.zeros(40))
             assert np.max(np.abs(want)) > 0
             assert np.max(np.abs(got - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
+
+
+def _unpruned_k(v, zeta, z):
+    """k assembled from every degree of g and of B, with no row shortcut."""
+    N, n = v.ambient_dim, v.dim
+    Bf = K.bm_B(zeta - z, N, n)
+    g = K.weight_g(zeta, z, CFG, n, N)
+    part = FormValue.zero(N)
+    for k in range(n):
+        part = part + g.bidegree_part(k).wedge(Bf.bidegree_part(n - k))
+    return K._top_with_hefer(v, zeta, z, part)
+
+
+def _unpruned_p(v, zeta, z):
+    g = K.weight_g(zeta, z, CFG, v.dim, v.ambient_dim)
+    return K._top_with_hefer(v, zeta, z, g.bidegree_part(v.dim))
+
+
+def _bits(f: FormValue, keep=lambda m: True):
+    return {m: np.asarray(c).tobytes() for m, c in f.terms.items() if keep(m)}
+
+
+@pytest.mark.parametrize("N, nu", FLAT_CASES)
+def test_pruned_kernel_pieces_match_unpruned(N, nu):
+    # every pruned piece holds exactly the unpruned terms it keeps, bit for bit
+    rng = np.random.default_rng(16)
+    n = N - nu
+    v = hyperplane(N) if nu == 1 else _coordinate_plane(N, nu)
+    z = np.array([0.2, -0.1, 0.05][:n] + [0.0] * nu, dtype=complex)
+    zeta = _rand(rng, 60, N)
+    # |zeta| from 0.3 to 2: inside rho1, across the transition, outside rho2
+    zeta *= (np.linspace(0.3, 2.0, 60)
+             / np.sqrt(np.sum(np.abs(zeta) ** 2, -1)))[:, None]
+    emask = (1 << N) - 1
+
+    g = K.weight_g(zeta, z, CFG, n, N)
+    assert _bits(K.weight_g(zeta, z, CFG, n, N, range(n))) == \
+        _bits(g, lambda m: (m & emask).bit_count() < n)
+    assert _bits(K.weight_g(zeta, z, CFG, n, N, (n,))) == _bits(g.bidegree_part(n))
+
+    def zbar_at_most(d):
+        return lambda m: (m >> (2 * N)).bit_count() <= d
+
+    ref_k = _unpruned_k(v, zeta, z)
+    for d in (0, 1):
+        assert _bits(K.kernel_K(v, zeta, z, CFG, d)) == _bits(ref_k, zbar_at_most(d))
+    assert _bits(K.kernel_P(v, zeta, z, CFG)) == _bits(_unpruned_p(v, zeta, z))
+
+    # within rho1 g is the scalar 1: k comes from B_n alone, and the terms of
+    # the unpruned sum that it never forms are exactly +-0
+    inner = zeta[np.sum(np.abs(zeta) ** 2, -1) <= CFG.rho1**2]
+    assert len(inner) > 5
+    ref_inner = _unpruned_k(v, inner, z)
+    for d in (0, 1):
+        got = K.kernel_K(v, inner, z, CFG, d)
+        want = _bits(ref_inner, zbar_at_most(d))
+        assert _bits(got) == {m: want[m] for m in got.terms}
+        assert all(not np.any(ref_inner.terms[m]) for m in want if m not in got.terms)
+
+
+def _on_batch(monkeypatch, batch):
+    """Make operators.integrate evaluate its integrand once, on batch."""
+    outs = []
+
+    def one_batch(v, region, integrand, plan_, poles=()):
+        outs.append(integrand(batch))
+        return QuadratureResult(value=0j, stderr=0.0, samples=len(batch))
+
+    monkeypatch.setattr(O, "integrate", one_batch)
+    return outs
+
+
+def _unpruned_integrand(v, phi, z, subsets, kernel, batch):
+    """The kernel integrand with every ok row evaluated in one piece."""
+    ok = (batch.norms() > O._TINY) & (batch.dist(z) > O._TINY)
+    pts = batch.positions[ok]
+    total = kernel(v, pts, z).wedge(phi.form_value(pts))
+    dens = total.restricted_to_dim(v.dim).surface_density(
+        K.structure_form(v, pts, batch.minors[ok]))
+    out = np.zeros((len(batch), len(subsets)), dtype=complex)
+    for i, s in enumerate(subsets):
+        m = sum(1 << j for j in s)
+        if m in dens:
+            out[ok, i] = dens[m]
+    return out
+
+
+@pytest.mark.parametrize("name", ["a1", "fermat3"])
+def test_pruned_kernel_integrand_matches_unpruned(name, monkeypatch):
+    # one batch that straddles rho1, the windows' r_hi and rho2, with over
+    # twice numpy's 8,192-element ufunc buffer in rows: at that size
+    # form_value on a row subset changes last bits (numpy 2.4, x86-64)
+    v = get_variety(name)
+    rng = np.random.default_rng(17)
+    bases = rng.standard_normal((9000, 2)) + 1j * rng.standard_normal((9000, 2))
+    pts, valid = solve_fiber(v, default_chart(v), bases)
+    pts = pts[valid]
+    pts *= (rng.uniform(0.2, 2.0, len(pts))
+            / np.sqrt(np.sum(np.abs(pts) ** 2, -1)))[:, None]
+    m = v.minors(pts)
+    batch = PointBatch(v, pts, np.ones(len(pts)), m)
+    assert len(batch) > 2 * 8192
+    z = surface_point_with_norm(v, 0.5, seed=4)
+    bump = TestForm.zbar_bump(3, 0, 0.6 * CFG.rho2, 0.95 * CFG.rho2)
+    x = np.sum(np.abs(pts) ** 2, -1)
+    for lo, hi in ((0.0, CFG.rho1), (CFG.rho1, 0.95 * CFG.rho2),
+                   (0.95 * CFG.rho2, CFG.rho2), (CFG.rho2, 2.0)):
+        assert np.sum((lo**2 < x) & (x < hi**2)) > 100
+
+    # array_equal allows no difference but the sign of zero: the skipped
+    # rows read +0 where the unpruned integrand may hold -0
+    outs = _on_batch(monkeypatch, batch)
+    for phi in (bump, TestForm.constant(3)):
+        O.apply_P(v, phi, z, CFG, PLAN)
+        want = _unpruned_integrand(v, phi, z, [()], _unpruned_p, batch)
+        assert np.any(want) and np.array_equal(outs[-1], want)
+    for phi in (bump.dbar(), TestForm.one_form_bump(3, 0, 1, 1.1, 1.6).dbar()):
+        O.apply_K(v, phi, z, CFG, PLAN)
+        want = _unpruned_integrand(v, phi, z, O.output_subsets(3, phi.q - 1),
+                                   _unpruned_k, batch)
+        assert np.any(want) and np.array_equal(outs[-1], want)
 
 
 def test_kernel_P_vanishes_inside_cutoff():
@@ -306,8 +452,6 @@ def test_kernel_decomposition_bound():
     rng = np.random.default_rng(12)
     z = surface_point_with_norm(A1, 0.5, seed=1)
     bases = rng.standard_normal((10_000, 2)) + 1j * rng.standard_normal((10_000, 2))
-    from conekop.sampling import default_chart, solve_fiber
-
     pts, valid = solve_fiber(A1, default_chart(A1), bases)
     zeta = pts[valid]
     nz = np.sqrt(np.sum(np.abs(zeta) ** 2, -1))
@@ -396,7 +540,7 @@ def test_mu_support_and_underflow():
 def test_structure_form_link_bound_reported():
     # sup over the unit link of |omega coefficients| * |zeta|^(d - nu) is
     # finite; on the link it is 1 / minors_norm, bounded by the margin
-    from conekop.sampling import attach_link_margin, default_chart, solve_fiber
+    from conekop.sampling import attach_link_margin
 
     rng = np.random.default_rng(15)
     for name in ("a1", "fermat3"):
@@ -418,7 +562,6 @@ def test_structure_form_link_bound_reported():
 
 def _calibration(samples, tag, **params):
     # the calibrate experiment ignores its variety argument
-    from conekop.sampling import SamplingPlan
     from conekop.verify import run_calibrate
 
     rep = run_calibrate(HP, SamplingPlan(samples=samples, seed=31, experiment_id=tag),
