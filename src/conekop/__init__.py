@@ -30,7 +30,7 @@ from .operators import apply_K, apply_P, apply_model_T, apply_T_m, lp_norm
 __version__ = "0.1.0"
 
 
-def load_variety(name_or_path: str, margin_samples: int = 10_000) -> ConeVariety:
+def load_variety(name_or_path: str) -> ConeVariety:
     """Catalog lookup or JSON load, with the link regularity margin attached."""
     try:
         v = get_variety(name_or_path)
@@ -39,4 +39,4 @@ def load_variety(name_or_path: str, margin_samples: int = 10_000) -> ConeVariety
             v = variety_from_json(name_or_path)
         else:
             raise
-    return attach_link_margin(v, samples=margin_samples)
+    return attach_link_margin(v)

@@ -137,6 +137,9 @@ def main(argv=None) -> int:
         plan = SamplingPlan(samples=cfg.samples, seed=cfg.seed, r_min=cfg.r_min,
                             shell_ratio=cfg.shell_ratio)
         v = load_variety(cfg.variety)
+        if v.dim < 2:
+            raise ConfigError(f"variety {v.name!r} has dim X = {v.dim}; "
+                              f"the experiments need dim X >= 2")
     except (ConfigError, KeyError, ValueError, OSError, FiberDegenerateError,
             NearSingularError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

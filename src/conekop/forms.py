@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .varieties import eval_monomials
+from .varieties import eval_monomials, row_norm_sq
 
 __all__ = [
     "FormValue",
@@ -415,13 +415,13 @@ class TestForm:
     # ----- catalog constructors -----------------------------------------
 
     @classmethod
-    def constant(cls, N: int, value=1.0) -> "TestForm":
-        p = _PolyZZbar.from_terms(N, {(tuple([0] * N), tuple([0] * N)): value})
+    def constant(cls, N: int) -> "TestForm":
+        p = _PolyZZbar.from_terms(N, {(tuple([0] * N), tuple([0] * N)): 1.0})
         return cls(N, 0, {(): [(p, 0)]}, None, label="const")
 
     @classmethod
-    def holomorphic_monomial(cls, N: int, exponents, value=1.0) -> "TestForm":
-        p = _PolyZZbar.from_terms(N, {(tuple(exponents), tuple([0] * N)): value})
+    def holomorphic_monomial(cls, N: int, exponents) -> "TestForm":
+        p = _PolyZZbar.from_terms(N, {(tuple(exponents), tuple([0] * N)): 1.0})
         return cls(N, 0, {(): [(p, 0)]}, None,
                    label="holo" + "".join(str(e) for e in exponents))
 
@@ -465,7 +465,7 @@ class TestForm:
     def eval(self, pts: np.ndarray) -> dict:
         """Coefficients per ambient dzeta-bar multi-index at pts (batch, N)."""
         pts = np.asarray(pts, dtype=complex)
-        x = np.sum(np.abs(pts) ** 2, axis=-1)
+        x = row_norm_sq(pts)
         return {I: self._coeff_value(terms, pts, x) for I, terms in self.coeffs.items()}
 
     def form_value(self, pts: np.ndarray) -> FormValue:

@@ -41,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import FormValue, TWO_PI_I, Window, smoothstep, smoothstep_deriv
-from .varieties import ConeVariety, _require_regular, minor_complements
+from .varieties import (ConeVariety, _require_regular, minor_complements, row_norm,
+                        row_norm_sq)
 
 __all__ = [
     "WeightConfig",
@@ -93,10 +94,6 @@ class WeightConfig:
 # ---------------------------------------------------------------------------
 
 
-def _norm_sq(x):
-    return np.sum(np.abs(x) ** 2, axis=-1)
-
-
 def _support_series(s, Q, eta, n: int, N: int, zbar_degree: int) -> list[FormValue]:
     """The series [u, u ^ dbar u, ..., u ^ (dbar u)^(n-1)] of a support form.
 
@@ -107,13 +104,16 @@ def _support_series(s, Q, eta, n: int, N: int, zbar_degree: int) -> list[FormVal
     zbar_degree 0).  Terms of dz-bar degree above zbar_degree are never
     formed.  Makes exactly n - 1 wedges; pole checks are the caller's.
     """
-    series = [FormValue(N, {1 << j: s[..., j] / (TWO_PI_I * Q) for j in range(N)})]
+    tq = TWO_PI_I * Q
+    series = [FormValue(N, {1 << j: s[..., j] / tq for j in range(N)})]
     if n > 1:
+        q2 = Q**2
+        # delta_jk / Q, indexed by j == k
+        delta_q = (0.0 / Q, 1.0 / Q)
         terms = {}
         for j in range(N):
             for k in range(N):
-                m = ((1.0 if j == k else 0.0) / Q - s[..., j] * eta[..., k] / Q**2)
-                m = m / TWO_PI_I
+                m = (delta_q[j == k] - s[..., j] * eta[..., k] / q2) / TWO_PI_I
                 # (a_k - b_k) ^ e_j reordered to canonical e-first storage
                 terms[(1 << j) | (1 << (N + k))] = -m
                 if zbar_degree > 0:
@@ -142,7 +142,7 @@ def bm_B(eta: np.ndarray, N: int, n: int,
     n - 1 keeps them all.
     """
     eta = np.asarray(eta, dtype=complex)
-    r2 = _norm_sq(eta)
+    r2 = row_norm_sq(eta)
     if np.any(r2 == 0):
         raise PoleError("b evaluated at eta = 0")
     zbar_degree = n - 1 if zbar_degree is None else zbar_degree
@@ -182,7 +182,7 @@ def weight_g(zeta: np.ndarray, z: np.ndarray, cfg: WeightConfig, n: int,
     zeta = np.asarray(zeta, dtype=complex)
     z = np.asarray(z, dtype=complex)
     chi = cfg.chi
-    x = _norm_sq(zeta)
+    x = row_norm_sq(zeta)
     g = FormValue.scalar(N, chi.value(x, 0) + 0j) if 0 in degrees else FormValue.zero(N)
     cd = chi.value(x, 1)
     zeta_safe = np.where((cd != 0.0)[..., None], zeta, np.ones_like(zeta))
@@ -222,7 +222,7 @@ def structure_form(v: ConeVariety, zeta: np.ndarray, m: np.ndarray) -> FormValue
     NearSingularError.
     """
     zeta = np.asarray(zeta, dtype=complex)
-    msq = np.sum(np.abs(m) ** 2, axis=-1)
+    msq = row_norm_sq(m)
     if np.any(msq == 0):
         raise PoleError("structure form evaluated at a singular point")
     _require_regular(v, zeta, np.sqrt(msq))
@@ -257,7 +257,7 @@ def kernel_K(v: ConeVariety, zeta: np.ndarray, z: np.ndarray,
     zeta = np.asarray(zeta, dtype=complex)
     z = np.asarray(z, dtype=complex)
     Bf = bm_B(zeta - z, N, n, zbar_degree)
-    if np.all(_norm_sq(zeta) <= cfg.chi.x0):
+    if np.all(row_norm_sq(zeta) <= cfg.chi.x0):
         return _top_with_hefer(v, zeta, z, Bf.bidegree_part(n))
     # (g ^ B)_n graded: B has no e-degree 0 part, so g_k for k < n suffices
     g = weight_g(zeta, z, cfg, n, N, range(n))
@@ -284,17 +284,17 @@ def kernel_P(v: ConeVariety, zeta: np.ndarray, z: np.ndarray,
 
 def _radial_weight(zeta, z, gamma: float):
     """(|z| / |zeta|)^gamma; zeta = 0 is a pole."""
-    nz = np.sqrt(_norm_sq(zeta))
+    nz = row_norm(zeta)
     if np.any(nz == 0):
         raise PoleError("model kernel at zeta = 0 with gamma > 0")
-    return (np.sqrt(_norm_sq(z)) / nz) ** gamma
+    return (row_norm(z) / nz) ** gamma
 
 
 def model_k_gamma(zeta, z, gamma: float, n: int):
     """|z|^gamma / (|zeta|^gamma |zeta - z|^(2n-1)), the model pole kernel."""
     zeta = np.asarray(zeta, dtype=complex)
     z = np.asarray(z, dtype=complex)
-    dz = np.sqrt(_norm_sq(zeta - z))
+    dz = row_norm(zeta - z)
     if np.any(dz == 0):
         raise PoleError("model kernel at zeta = z")
     out = dz ** -(2 * n - 1)
@@ -308,7 +308,7 @@ def model_k_tilde(zeta, z, gamma: float, i: int, n: int):
     zeta = np.asarray(zeta, dtype=complex)
     z = np.asarray(z, dtype=complex)
     diff = zeta - z
-    dz2 = _norm_sq(diff)
+    dz2 = row_norm_sq(diff)
     if np.any(dz2 == 0):
         raise PoleError("model kernel at zeta = z")
     out = np.conj(diff[..., i]) / dz2**n
@@ -335,7 +335,7 @@ def t_k_kernel(zeta, z, gamma: float, k: int, n: int):
     """Model cut-off kernel supported on the k-th double-exponential annulus."""
     lo, hi = annulus_bounds(k)
     zeta = np.asarray(zeta, dtype=complex)
-    nz = np.sqrt(_norm_sq(zeta))
+    nz = row_norm(zeta)
     inside = (nz >= lo) & (nz <= hi)
     base = model_k_gamma(zeta, z, gamma, n)
     nz_safe = np.where(inside, nz, 0.5)
@@ -375,7 +375,7 @@ def _radial_transfer_deriv(x):
 
 def mu_value(zeta, k: int):
     """Cut-off mu_k = rho_k(log(-log r(|zeta|))): 1 away from 0, 0 near 0."""
-    nz = np.sqrt(_norm_sq(np.asarray(zeta, dtype=complex)))
+    nz = row_norm(np.asarray(zeta, dtype=complex))
     r = np.maximum(radial_transfer(nz), 1e-300)  # underflow guard
     return rho_transition(np.log(-np.log(r)), k)
 
@@ -383,7 +383,7 @@ def mu_value(zeta, k: int):
 def dbar_mu_coeffs(zeta, k: int) -> np.ndarray:
     """Ambient dzeta-bar coefficient vector of dbar mu_k (closed form)."""
     zeta = np.asarray(zeta, dtype=complex)
-    nz = np.sqrt(_norm_sq(zeta))
+    nz = row_norm(zeta)
     nz_safe = np.maximum(nz, 1e-300)
     r = np.maximum(radial_transfer(nz), 1e-300)
     logr = np.log(r)

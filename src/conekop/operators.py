@@ -22,7 +22,7 @@ from .sampling import (
     SamplingPlan,
     integrate,
 )
-from .varieties import ConeVariety
+from .varieties import ConeVariety, row_norm, row_norm_sq
 
 __all__ = [
     "ExponentRangeError",
@@ -79,7 +79,7 @@ def _kernel_integrand(v: ConeVariety, phi: TestForm, z, cfg, subsets, kernel):
         # dead rows too, and form_value is not bit-stable under row subsets
         omega = kernels.structure_form(v, pts, batch.minors[rows])
         phi_val = phi.form_value(pts)
-        x = np.sum(np.abs(pts) ** 2, axis=-1)
+        x = row_norm_sq(pts)
         inner = x <= chi.x0
         for sel in (inner, ~inner & (x < x_end)):
             if not np.any(sel):
@@ -106,7 +106,7 @@ def apply_K(v: ConeVariety, phi: TestForm, z, cfg: WeightConfig,
     n = v.dim
     if not 1 <= phi.q <= n:
         raise ValueError(f"apply_K requires 1 <= q <= {n}, got q = {phi.q}")
-    if np.sqrt(np.sum(np.abs(z) ** 2)) < 10 * plan.r_min:
+    if row_norm(z) < 10 * plan.r_min:
         warnings.warn("evaluation point is within 10 r_min of the cone point",
                       RuntimeWarning)
     subsets = output_subsets(v.ambient_dim, phi.q - 1)
@@ -138,9 +138,9 @@ def apply_P(v: ConeVariety, phi: TestForm, z, cfg: WeightConfig,
     return value, qr
 
 
-def apply_model_T(v: ConeVariety, f, z, gamma: float, plan: SamplingPlan,
-                  radius: float = 1.0) -> QuadratureResult:
-    """T f(z) = integral over X cap B_radius of f * k_gamma."""
+def apply_model_T(v: ConeVariety, f, z, gamma: float,
+                  plan: SamplingPlan) -> QuadratureResult:
+    """T f(z) = integral over X cap B_1 of f * k_gamma."""
     n = v.dim
     if not 0 <= gamma < 2 * n:
         raise ExponentRangeError(f"gamma must lie in [0, {2 * n}) for T")
@@ -154,7 +154,7 @@ def apply_model_T(v: ConeVariety, f, z, gamma: float, plan: SamplingPlan,
             out[ok] = base * np.asarray(f(batch))[ok]
         return out
 
-    region = Region.domain(radius, v.ambient_dim)
+    region = Region.domain(1.0, v.ambient_dim)
     poles = [(z, 2 * n - 1), (np.zeros(v.ambient_dim), gamma)]
     return integrate(v, region, integrand, plan, poles=poles)
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .varieties import (ConeVariety, NearSingularError, _require_regular,
-                        eval_monomials, minor_complements)
+                        eval_monomials, minor_complements, row_norm, row_norm_sq)
 
 __all__ = [
     "Chart",
@@ -257,9 +257,7 @@ def _solve_fiber_nu1(v: ConeVariety, chart: Chart, bases: np.ndarray):
         t = np.take_along_axis(t, np.argsort(np.angle(t), axis=1), axis=1)
     # branch-locus guard: derivative small relative to the homogeneous scale
     _, dv = _polyval_and_deriv(cs, t)
-    scale = np.sqrt(
-        np.sum(np.abs(bases) ** 2, axis=-1)[:, None] + np.abs(t) ** 2
-    )
+    scale = np.sqrt(row_norm_sq(bases)[:, None] + np.abs(t) ** 2)
     valid = np.isfinite(t) & (
         np.abs(dv) > BRANCH_TOL * np.maximum(scale, 1e-300) ** (d - 1)
     )
@@ -316,7 +314,7 @@ def _solve_fiber_nu2(v: ConeVariety, chart: Chart, bases: np.ndarray):
     """
     d1, d2 = v.degrees
     fi = list(chart.fiber)
-    base_norms = np.sqrt(np.sum(np.abs(bases) ** 2, axis=-1))
+    base_norms = row_norm(bases)
     degenerate = base_norms < 1e-300
     bases = np.where(degenerate[:, None], 1.0,
                      bases / np.maximum(base_norms, 1e-300)[:, None])
@@ -345,13 +343,13 @@ def _solve_fiber_nu2(v: ConeVariety, chart: Chart, bases: np.ndarray):
         pts = _chart_points(v, chart, bases, t)
         t = t - _solve2(v.jacobian(pts)[..., fi], v.eval_tuple(pts))
     pts = _chart_points(v, chart, bases, t)
-    res = np.sqrt(np.sum(np.abs(v.eval_tuple(pts)) ** 2, axis=-1))
+    res = row_norm(v.eval_tuple(pts))
     # near-branch sheets: fiber Jacobian close to singular at unit scale
     det = np.abs(np.linalg.det(v.jacobian(pts)[..., fi]))
     valid = (np.isfinite(res) & (res < 1e-9) & (det > BRANCH_TOL)
              & ~degenerate[:, None])
     # duplicate sheets: keep the first
-    gap = np.sum(np.abs(t[:, :, None] - t[:, None, :]) ** 2, axis=-1)
+    gap = row_norm_sq(t[:, :, None] - t[:, None, :])
     valid &= ~np.any(np.triu(gap < 1e-20, 1), axis=1)
     return t * base_norms[:, None, None], valid
 
@@ -371,8 +369,8 @@ def solve_fiber(v: ConeVariety, chart: Chart, bases: np.ndarray):
         raise NotImplementedError("codimension > 2 fibers are out of scope")
     pts = _chart_points(v, chart, bases, t)
     # residual guard
-    fres = np.sqrt(np.sum(np.abs(v.eval_tuple(pts)) ** 2, axis=-1))
-    nrm = np.sqrt(np.sum(np.abs(pts) ** 2, axis=-1))
+    fres = row_norm(v.eval_tuple(pts))
+    nrm = row_norm(pts)
     tol = POINT_TOL * np.maximum(1.0, nrm) ** v.total_degree
     valid = valid & (fres <= tol)
     return pts, valid
@@ -433,12 +431,11 @@ class PointBatch:
         return self._projector
 
     def norms(self) -> np.ndarray:
-        return np.sqrt(np.sum(np.abs(self.positions) ** 2, axis=-1))
+        return row_norm(self.positions)
 
     def dist(self, w) -> np.ndarray:
         """|zeta - w| per point, floored at 1e-300 so poles at w stay finite."""
-        return np.maximum(
-            np.sqrt(np.sum(np.abs(self.positions - w) ** 2, axis=-1)), 1e-300)
+        return np.maximum(row_norm(self.positions - w), 1e-300)
 
 
 def tangent_frame(v: ConeVariety, zeta) -> np.ndarray:
@@ -472,12 +469,12 @@ class Region:
         return cls(np.asarray(center, dtype=complex), float(r_inner), float(r_outer))
 
     @classmethod
-    def domain(cls, r_outer: float, ambient_dim: int = 3) -> "Region":
+    def domain(cls, r_outer: float, ambient_dim: int) -> "Region":
         """The ball of radius r_outer about the origin of C^ambient_dim."""
         return cls.ball(np.zeros(ambient_dim, dtype=complex), r_outer)
 
     def indicator(self, pts: np.ndarray) -> np.ndarray:
-        d = np.sqrt(np.sum(np.abs(pts - self.center) ** 2, axis=-1))
+        d = row_norm(pts - self.center)
         return (d >= self.r_inner) & (d <= self.r_outer)
 
 
@@ -590,9 +587,9 @@ def chart_stretch(v: ConeVariety, chart: Chart) -> float:
         out = math.sqrt(1.0 + C * C)
     else:
         bases = _complex_normal(_stream(0, f"stretch|{v.name}", 0), 512, v.dim)
-        bases /= np.sqrt(np.sum(np.abs(bases) ** 2, axis=-1, keepdims=True))
+        bases /= row_norm(bases)[:, None]
         pts, valid = solve_fiber(v, chart, bases)
-        nrm = np.sqrt(np.sum(np.abs(pts) ** 2, axis=-1))
+        nrm = row_norm(pts)
         out = 1.5 * float(np.max(np.where(valid, nrm, 1.0)))
     _STRETCH_CACHE[key] = out
     return out
@@ -620,7 +617,7 @@ def _build_strata(v: ConeVariety, region: Region, chart: Chart, poles,
 
     for center, order in poles:
         pc = np.asarray(center, dtype=complex)[list(chart.base)]
-        dist = float(np.sqrt(np.sum(np.abs(pc - base_c) ** 2)))
+        dist = float(row_norm(pc - base_c))
         if dist > 2.0 * R:  # cannot host region points
             continue
         if annulus and dist <= 1e-9 * lo:
@@ -705,7 +702,7 @@ def _mixture_density(chains: list[_Chain], bases: np.ndarray, n: int) -> np.ndar
     """
     p = np.zeros(len(bases))
     for ch in chains:
-        r = np.sqrt(np.sum(np.abs(bases - ch.center) ** 2, axis=-1))
+        r = row_norm(bases - ch.center)
         hit = (r >= ch.edges[0]) & (r <= ch.edges[-1])
         top = len(ch.const) - 1
         outer = np.clip(np.searchsorted(ch.edges, r, "right") - 1, 0, top)
@@ -964,18 +961,18 @@ def surface_point_with_norm(v: ConeVariety, norm: float, seed: int = 0) -> np.nd
         for s in range(pts.shape[1]):
             if valid[0, s]:
                 p = pts[0, s]
-                r = np.sqrt(np.sum(np.abs(p) ** 2))
+                r = row_norm(p)
                 if r > 1e-12:
                     return p * (norm / r)
     raise RuntimeError("could not find a regular surface point")
 
 
-def project_to_surface(v: ConeVariety, z: np.ndarray, iters: int = 6) -> np.ndarray:
+def project_to_surface(v: ConeVariety, z: np.ndarray) -> np.ndarray:
     """Gauss-Newton projection of an ambient point onto X (minimal correction)."""
     z = np.asarray(z, dtype=complex).copy()
-    for _ in range(iters):
+    for _ in range(6):
         f = v.eval_tuple(z[None, :])[0]
-        if np.sqrt(np.sum(np.abs(f) ** 2)) < 1e-14 * max(1.0, np.sum(np.abs(z))):
+        if row_norm(f) < 1e-14 * max(1.0, np.sum(np.abs(z))):
             break
         J = v.jacobian(z[None, :])[0]
         JH = np.conj(J.T)
@@ -995,7 +992,7 @@ def attach_link_margin(v: ConeVariety, samples: int = 10_000,
     while remaining > 0:
         bs = min(remaining, 4096)
         pts, valid = solve_fiber(v, chart, _complex_normal(rng, bs, n))
-        nrm = np.sqrt(np.sum(np.abs(pts) ** 2, axis=-1))
+        nrm = row_norm(pts)
         ok = valid & (nrm > 1e-9)
         if np.any(ok):
             unit = pts[ok] / nrm[ok][:, None]

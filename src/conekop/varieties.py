@@ -32,6 +32,8 @@ __all__ = [
     "get_variety",
     "hyperplane",
     "minor_complements",
+    "row_norm",
+    "row_norm_sq",
     "variety_from_json",
 ]
 
@@ -45,6 +47,16 @@ class DegenerateExponentError(ValueError):
 
 class NearSingularError(RuntimeError):
     """Tangent data requested where the minors norm is too small to trust."""
+
+
+def row_norm_sq(x) -> np.ndarray:
+    """Squared Euclidean norms |x|^2 along the last axis."""
+    return np.sum(np.abs(x) ** 2, axis=-1)
+
+
+def row_norm(x) -> np.ndarray:
+    """Euclidean norms |x| along the last axis."""
+    return np.sqrt(row_norm_sq(x))
 
 
 def eval_monomials(exps, coeffs, cols) -> np.ndarray:
@@ -188,8 +200,7 @@ class ConeVariety:
 
     def minors_norm(self, pts) -> np.ndarray:
         """Euclidean norm of the minor tuple; (d - nu)-homogeneous."""
-        m = self.minors(pts)
-        return np.sqrt(np.sum(np.abs(m) ** 2, axis=-1))
+        return row_norm(self.minors(pts))
 
     # ----- divided differences --------------------------------------------
 
@@ -260,7 +271,7 @@ class ConeVariety:
 
 def _require_regular(v: ConeVariety, pts, minors_norm: np.ndarray):
     """Raise NearSingularError where |m| <= FRAME_TOL |zeta|^(d - nu) (scale-free)."""
-    nrm = np.sqrt(np.sum(np.abs(pts) ** 2, axis=-1))
+    nrm = row_norm(pts)
     thresh = FRAME_TOL * np.maximum(nrm, 1e-300) ** (v.total_degree - v.nu)
     if np.any(minors_norm <= thresh):
         raise NearSingularError("tangent plane requested too close to the branch locus")

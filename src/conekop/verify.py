@@ -29,7 +29,7 @@ from .sampling import (
     surface_point_with_norm,
     tangent_frame,
 )
-from .varieties import ConeVariety, hyperplane, minor_complements
+from .varieties import ConeVariety, hyperplane, minor_complements, row_norm
 
 __all__ = [
     "CSV_COLUMNS",
@@ -191,7 +191,7 @@ def _pair_along(v: ConeVariety, p: np.ndarray, e: np.ndarray, delta: float):
     """Two points of X about p, separated by approximately delta along e."""
     z = project_to_surface(v, p + 0.5 * delta * e)
     w = project_to_surface(v, p - 0.5 * delta * e)
-    return z, w, float(np.sqrt(np.sum(np.abs(z - w) ** 2)))
+    return z, w, float(row_norm(z - w))
 
 
 # ---------------------------------------------------------------------------
@@ -203,16 +203,15 @@ def run_radial_scaling(v: ConeVariety, plan: SamplingPlan,
                        cfg: WeightConfig | None = None,
                        tolerance_scale: float = 1.0,
                        alphas=(1.0, 2.0, 3.0), r_lo: float = 0.01,
-                       r_hi: float = 1.0, n_grid: int = 9,
-                       z=None) -> ExperimentReport:
-    """Radial integrals around a center: power laws below 2n, log law at 2n."""
+                       r_hi: float = 1.0) -> ExperimentReport:
+    """Radial integrals around the cone point: power laws below 2n, log law at 2n."""
     n = v.dim
     if r_hi / r_lo < 99.0:
         raise InsufficientDecadesError("radial grid must span at least 2 decades")
-    z = _origin(v) if z is None else np.asarray(z, dtype=complex)
+    z = _origin(v)
     alpha_log = 2.0 * n
     all_alphas = list(alphas) + [alpha_log]
-    radii = np.geomspace(r_lo, r_hi, n_grid)
+    radii = np.geomspace(r_lo, r_hi, 9)
 
     def shell_integrand(batch):
         d = batch.dist(z)
@@ -224,15 +223,15 @@ def run_radial_scaling(v: ConeVariety, plan: SamplingPlan,
         d = batch.dist(z)
         return np.stack([d**-a for a in alphas], axis=-1) + 0j
 
-    per = max(plan.samples // (n_grid + 1), MIN_PER_STRATUM)
-    masses = np.zeros((n_grid, len(all_alphas)))
+    per = max(plan.samples // (len(radii) + 1), MIN_PER_STRATUM)
+    masses = np.zeros((len(radii), len(all_alphas)))
     errs = np.zeros_like(masses)
     core = integrate(v, Region.ball(z, radii[0]), core_integrand,
                      plan.sub("rs_core", samples=per, allocation="equal"),
                      poles=[(z, max(alphas))])
     masses[0, : len(alphas)] = np.real(np.atleast_1d(core.value))
     errs[0, : len(alphas)] = np.atleast_1d(core.stderr)
-    for i in range(n_grid - 1):
+    for i in range(len(radii) - 1):
         qr = integrate(v, Region.annulus(z, radii[i], radii[i + 1]), shell_integrand,
                        plan.sub(f"rs{i}", samples=per, allocation="equal"))
         masses[i + 1] = np.real(np.atleast_1d(qr.value))
@@ -241,7 +240,7 @@ def run_radial_scaling(v: ConeVariety, plan: SamplingPlan,
     report = ExperimentReport("radial_scaling", v.name,
                               {"alphas": list(alphas), "alpha_log": alpha_log,
                                "r_lo": r_lo, "r_hi": r_hi,
-                               "z_norm": float(np.sqrt(np.sum(np.abs(z) ** 2)))},
+                               "z_norm": 0.0},
                               seed=plan.seed)
     inner = np.cumsum(masses, axis=0)  # I(0, r_k)
     suffix = np.cumsum(masses[::-1], axis=0)[::-1]  # sums of shells above index
@@ -260,7 +259,7 @@ def run_radial_scaling(v: ConeVariety, plan: SamplingPlan,
     fit_log = fit_linear(xs, ys)
     report.record_value("log_case_r2", fit_log.r2, 1.0, r2=fit_log.r2)
     report.record_check("log_case_linear", fit_log.r2 > 0.99 and fit_log.slope > 0)
-    for k in range(n_grid - 1):
+    for k in range(len(radii) - 1):
         report.rows.append({"alpha": alpha_log, "r": float(radii[k]),
                             "outer_integral": float(ys[k])})
     return report
@@ -273,14 +272,12 @@ def run_radial_scaling(v: ConeVariety, plan: SamplingPlan,
 
 def run_two_pole(v: ConeVariety, plan: SamplingPlan,
                  cfg: WeightConfig | None = None, tolerance_scale: float = 1.0,
-                 alpha: float = 1.0, beta: float = 1.0,
-                 delta_lo: float = 5e-3, delta_hi: float = 0.64,
-                 n_grid: int = 9, domain_radius: float = 1.0) -> ExperimentReport:
+                 alpha: float = 1.0, beta: float = 1.0) -> ExperimentReport:
     """Product of two radial poles: bounded, log, or power regime in |z - w|."""
     n = v.dim
-    deltas = np.geomspace(delta_lo, delta_hi, n_grid)
-    per = max(plan.samples // n_grid, MIN_PER_STRATUM)
-    region = Region.domain(domain_radius, v.ambient_dim)
+    deltas = np.geomspace(5e-3, 0.64, 9)
+    per = max(plan.samples // len(deltas), MIN_PER_STRATUM)
+    region = Region.domain(1.0, v.ambient_dim)
     # one base point and one direction for every separation, as in the Hölder
     # experiments, so the fitted slope sees only the separation
     p = surface_point_with_norm(v, 0.45, seed=plan.seed)
@@ -328,65 +325,30 @@ def run_two_pole(v: ConeVariety, plan: SamplingPlan,
 
 def run_log_annulus(v: ConeVariety, plan: SamplingPlan,
                     cfg: WeightConfig | None = None,
-                    tolerance_scale: float = 1.0, alpha: float = 4.0,
-                    beta: float = 0.0, m_list=(0, 1, 2),
-                    z_norms=(0.3, 0.45, 0.6, 0.75, 0.9)) -> ExperimentReport:
-    """Uniformity in m of the log-weighted annulus integrals, and the |z| law."""
+                    tolerance_scale: float = 1.0) -> ExperimentReport:
+    """Uniformity in m of the log-weighted annulus integrals."""
     n = v.dim
-    per = max(plan.samples // (len(m_list) * (1 if alpha + beta <= 2 * n else len(z_norms))),
-              MIN_PER_STRATUM)
+    alpha, m_list = 4.0, range(3)
+    per = max(plan.samples // len(m_list), MIN_PER_STRATUM)
     report = ExperimentReport("log_annulus", v.name,
-                              {"alpha": alpha, "beta": beta, "m_list": list(m_list)},
+                              {"alpha": alpha, "beta": 0.0, "m_list": list(m_list)},
                               seed=plan.seed)
 
-    def make_integrand(z):
-        def integrand(batch):
-            nz = np.maximum(batch.norms(), 1e-300)
-            out = nz**-alpha / np.abs(np.log(nz))
-            if beta != 0:
-                out = out * batch.dist(z) ** -beta
-            return out + 0j
-        return integrand
+    def integrand(batch):
+        nz = np.maximum(batch.norms(), 1e-300)
+        return nz**-alpha / np.abs(np.log(nz)) + 0j
 
-    if alpha + beta <= 2 * n:
-        z = surface_point_with_norm(v, 0.5, seed=plan.seed)
-        vals = []
-        for m in m_list:
-            lo, hi = annulus_bounds(m)
-            qr = integrate(v, Region.annulus(_origin(v), lo, hi), make_integrand(z),
-                           plan.sub(f"la{m}", samples=per),
-                           poles=[(z, beta)] if beta else [])
-            vals.append(np.real(qr.value))
-            report.rows.append({"m": m, "integral": float(np.real(qr.value)),
-                                "stderr": float(qr.stderr)})
-        spread = max(vals) / max(min(vals), 1e-300)
-        report.record_value("m_uniformity_ratio", spread, 1.0)
-        report.record_check("m_uniform_bounded", spread < 3.0 * tolerance_scale)
-    else:
-        # the |z|-power regime shows with the pole center inside the annulus;
-        # the kernel's own 1/|log| factor contributes |log |z||^-1 at the pole
-        # scale, so the fit runs on the log-compensated values, pooled over m
-        # to span enough decades
-        vals, seps = [], []
-        for m in m_list:
-            lo, hi = annulus_bounds(m)
-            inner_lo, inner_hi = 3.0 * lo, hi / 3.0
-            for i, d in enumerate(np.geomspace(inner_lo, inner_hi, 3)):
-                z = surface_point_with_norm(v, d, seed=plan.seed + 31 * m + i)
-                qr = integrate(
-                    v, Region.annulus(_origin(v), lo, hi), make_integrand(z),
-                    plan.sub(f"laz{m}_{i}", samples=per, r_min=0.3 * lo),
-                    poles=[(z, beta)])
-                val = np.real(qr.value) * abs(math.log(d))
-                vals.append(val)
-                seps.append(d)
-                report.rows.append({"m": m, "z_norm": float(d),
-                                    "integral": float(np.real(qr.value)),
-                                    "log_compensated": float(val),
-                                    "stderr": float(qr.stderr)})
-        fit = fit_loglog(seps, vals)
-        report.record_fit("z_slope", fit, 2 * n - alpha - beta,
-                          tol=0.15 * tolerance_scale)
+    vals = []
+    for m in m_list:
+        lo, hi = annulus_bounds(m)
+        qr = integrate(v, Region.annulus(_origin(v), lo, hi), integrand,
+                       plan.sub(f"la{m}", samples=per))
+        vals.append(np.real(qr.value))
+        report.rows.append({"m": m, "integral": float(np.real(qr.value)),
+                            "stderr": float(qr.stderr)})
+    spread = max(vals) / max(min(vals), 1e-300)
+    report.record_value("m_uniformity_ratio", spread, 1.0)
+    report.record_check("m_uniform_bounded", spread < 3.0 * tolerance_scale)
 
     # single-log annulus integrals around a surface point are m-uniform
     zc = surface_point_with_norm(v, 0.5, seed=plan.seed + 7)
@@ -415,11 +377,11 @@ def run_log_annulus(v: ConeVariety, plan: SamplingPlan,
 
 def run_offcenter_ball(v: ConeVariety, plan: SamplingPlan,
                        cfg: WeightConfig | None = None,
-                       tolerance_scale: float = 1.0, alpha: float = 1.0,
-                       r_list=(0.025, 0.05, 0.1, 0.2, 0.4),
-                       z_norm: float = 0.5) -> ExperimentReport:
+                       tolerance_scale: float = 1.0) -> ExperimentReport:
     """Ball integrals of an off-center pole: bound r^(2n - alpha) uniform in w."""
     n = v.dim
+    alpha, z_norm = 1.0, 0.5
+    r_list = (0.025, 0.05, 0.1, 0.2, 0.4)
     z = surface_point_with_norm(v, z_norm, seed=plan.seed)
     fr = tangent_frame(v, z)
     per = max(plan.samples // (3 * len(r_list)), MIN_PER_STRATUM)
@@ -476,10 +438,10 @@ def kernel_direction_derivative(theta: np.ndarray, e: np.ndarray, i: int,
 
 
 def hoelder_log_coefficient(v: ConeVariety, p: np.ndarray, e: np.ndarray,
-                            comp: int, seed: int) -> float:
+                            seed: int) -> float:
     """Sharp constant b of the modulus law delta * (a + b |log delta|).
 
-    b is the integral over the unit sphere of T_pX of |d_e K~_comp|, where e
+    b is the integral over the unit sphere of T_pX of |d_e K~_0|, where e
     is the unit direction of the separation.  Estimated as the sphere area
     times a Monte Carlo mean; 2e6 points give a relative error below 1e-3.
     """
@@ -490,20 +452,18 @@ def hoelder_log_coefficient(v: ConeVariety, p: np.ndarray, e: np.ndarray,
     total = 0.0
     for start in range(0, samples, batch):
         c = _complex_normal(rng, min(batch, samples - start), n)
-        c /= np.sqrt(np.sum(np.abs(c) ** 2, axis=1))[:, None]
-        total += float(np.sum(np.abs(kernel_direction_derivative(c @ fr, e,
-                                                                 comp, n))))
+        c /= row_norm(c)[:, None]
+        total += float(np.sum(np.abs(kernel_direction_derivative(c @ fr, e, 0, n))))
     return _sphere_area(n) * total / samples
 
 
 def run_hoelder_modulus(v: ConeVariety, plan: SamplingPlan,
                         cfg: WeightConfig | None = None,
-                        tolerance_scale: float = 1.0, gamma: float = 0.0,
-                        delta_lo: float = 1e-3, delta_hi: float = 1e-1,
-                        n_grid: int = 9, comp: int = 0) -> ExperimentReport:
-    """First-difference mass of the component kernel against the separation.
+                        tolerance_scale: float = 1.0,
+                        gamma: float = 0.0) -> ExperimentReport:
+    """First-difference mass of the component kernel K~_0 against the separation.
 
-    The modulus omega(delta) = int_X |K~(., z) - K~(., w)| over the unit ball,
+    The modulus omega(delta) = int_X |K~_0(., z) - K~_0(., w)| over the unit ball,
     with z - w = delta e at one base point p (|p| = 0.5) and one tangent
     direction e, follows the sharp law delta * (a + b |log delta|) up to
     O(delta^2 |log delta|): the kernels are C^alpha for every alpha < 1 but
@@ -516,8 +476,9 @@ def run_hoelder_modulus(v: ConeVariety, plan: SamplingPlan,
     n = v.dim
     if not 0 <= gamma <= v.total_degree - v.nu:
         raise operators.ExponentRangeError("gamma outside [0, d - nu]")
-    deltas = np.geomspace(delta_lo, delta_hi, n_grid)
-    per = max(plan.samples // n_grid, MIN_PER_STRATUM)
+    comp, delta_lo, delta_hi = 0, 1e-3, 1e-1
+    deltas = np.geomspace(delta_lo, delta_hi, 9)
+    per = max(plan.samples // len(deltas), MIN_PER_STRATUM)
     region = Region.domain(1.0, v.ambient_dim)
     p = surface_point_with_norm(v, 0.5, seed=plan.seed)
     e = tangent_frame(v, p)[0]
@@ -546,7 +507,7 @@ def run_hoelder_modulus(v: ConeVariety, plan: SamplingPlan,
     report.record_fit("modulus_slope", fit_loglog(seps, vals), 0.9)
     # log-corrected model: modulus / separation against |log separation|
     lc = fit_linear(np.abs(np.log(seps)), np.asarray(vals) / np.asarray(seps))
-    b = hoelder_log_coefficient(v, p, e, comp, plan.seed)
+    b = hoelder_log_coefficient(v, p, e, plan.seed)
     # The two-term fit leaves out the O(delta) term of omega / delta, which
     # moves the fitted b by up to ~5% on this grid; the stderr adds ~2%.  A
     # 10% band covers both and still rejects a Lipschitz modulus (b = 0).
@@ -566,10 +527,11 @@ def run_hoelder_modulus(v: ConeVariety, plan: SamplingPlan,
 
 def run_cutoff_decay(v: ConeVariety, plan: SamplingPlan,
                      cfg: WeightConfig | None = None,
-                     tolerance_scale: float = 1.0, k_list=(1, 2, 3, 4),
-                     p: float = 4.0) -> ExperimentReport:
+                     tolerance_scale: float = 1.0) -> ExperimentReport:
     """Decay of the dbar mass of the double-exponential cut-offs."""
     n = v.dim
+    k_list = (1, 2, 3, 4)
+    p = 4.0
     per = max(plan.samples // len(k_list), MIN_PER_STRATUM)
     report = ExperimentReport("cutoff_decay", v.name,
                               {"k_list": list(k_list), "p": p}, seed=plan.seed)
@@ -593,11 +555,9 @@ def run_cutoff_decay(v: ConeVariety, plan: SamplingPlan,
 
     decreasing = all(norms[i + 1] < norms[i] for i in range(len(norms) - 1))
     report.record_check("strictly_decreasing", decreasing)
-    if 1 in k_list and 3 in k_list:
-        v1 = norms[k_list.index(1)]
-        v3 = norms[k_list.index(3)]
-        report.record_check("halving", v3 < 0.5 * v1 * tolerance_scale)
-        report.record_value("decay_ratio_3_1", v3 / v1, 0.5)
+    v1, v3 = norms[0], norms[2]
+    report.record_check("halving", v3 < 0.5 * v1 * tolerance_scale)
+    report.record_value("decay_ratio_3_1", v3 / v1, 0.5)
 
     # support confinement: dbar mu_k vanishes off the stated annulus
     k = k_list[0]
@@ -637,8 +597,7 @@ def run_cutoff_decay(v: ConeVariety, plan: SamplingPlan,
 # ---------------------------------------------------------------------------
 
 
-def flat_bm_residuals(plan: SamplingPlan, z_norms=(0.1, 0.2, 0.3, 0.38, 0.44),
-                      bump_lo: float = 0.5, bump_hi: float = 0.8):
+def flat_bm_residuals(plan: SamplingPlan, z_norms=(0.1, 0.2, 0.3, 0.38, 0.44)):
     """Reproduction of a compactly supported function from its dbar via B alone.
 
     Runs on the hyperplane model, where the full weighted machinery is not
@@ -651,7 +610,7 @@ def flat_bm_residuals(plan: SamplingPlan, z_norms=(0.1, 0.2, 0.3, 0.38, 0.44),
     # {z_N = 0}: the tangent plane is spanned by the first n coordinates
     flat_coords = {A: float(A == (1 << n) - 1)
                    for A, _ in minor_complements(v.ambient_dim, v.nu)}
-    phi = TestForm.radial_bump(v.ambient_dim, bump_lo, bump_hi)
+    phi = TestForm.radial_bump(v.ambient_dim, 0.5, 0.8)
     dphi = phi.dbar()
     rows = []
     for i, znorm in enumerate(z_norms):
@@ -670,7 +629,7 @@ def flat_bm_residuals(plan: SamplingPlan, z_norms=(0.1, 0.2, 0.3, 0.38, 0.44),
                 out[ok] = dens.get(0, 0.0)
             return out
 
-        qr = integrate(v, Region.domain(bump_hi * 1.05, v.ambient_dim), integrand,
+        qr = integrate(v, Region.domain(0.8 * 1.05, v.ambient_dim), integrand,
                        plan.sub(f"bm{i}"),
                        poles=[(z, 2 * n - 1)])
         est = complex(np.atleast_1d(qr.value)[0])
@@ -681,9 +640,7 @@ def flat_bm_residuals(plan: SamplingPlan, z_norms=(0.1, 0.2, 0.3, 0.38, 0.44),
 
 def run_koppelman_q0(v: ConeVariety, plan: SamplingPlan,
                      cfg: WeightConfig | None = None,
-                     tolerance_scale: float = 1.0,
-                     z_norms=(0.25, 0.4, 0.55, 0.7, 0.85),
-                     rel_tol: float = 0.05,
+                     tolerance_scale: float = 1.0, rel_tol: float = 0.05,
                      scale_mode: str = "grid") -> ExperimentReport:
     """Residual of the q = 0 homotopy identity for the test form catalog.
 
@@ -693,6 +650,7 @@ def run_koppelman_q0(v: ConeVariety, plan: SamplingPlan,
     """
     cfg = cfg or WeightConfig()
     N = v.ambient_dim
+    z_norms = (0.25, 0.4, 0.55, 0.7, 0.85)
     report = ExperimentReport("koppelman_q0", v.name,
                               {"z_norms": list(z_norms), "rel_tol": rel_tol,
                                "scale_mode": scale_mode,
@@ -739,8 +697,7 @@ def run_koppelman_q0(v: ConeVariety, plan: SamplingPlan,
 def run_koppelman_q1_loose(v: ConeVariety, plan: SamplingPlan,
                            cfg: WeightConfig | None = None,
                            tolerance_scale: float = 1.0,
-                           z_norm: float = 0.45, fd_step: float = 0.02,
-                           rel_tol: float = 0.10) -> ExperimentReport:
+                           fd_step: float = 0.02) -> ExperimentReport:
     """Loose finite-difference probe of the q = 1 identity (not a gate).
 
     All shifted evaluations reuse one random stream (common random numbers),
@@ -750,6 +707,7 @@ def run_koppelman_q1_loose(v: ConeVariety, plan: SamplingPlan,
     N, n = v.ambient_dim, v.dim
     phi = TestForm.one_form_bump(N, comp=0, j_bar=1, r_lo=0.6 * cfg.rho2,
                                  r_hi=0.95 * cfg.rho2)
+    z_norm, rel_tol = 0.45, 0.10
     z = surface_point_with_norm(v, z_norm, seed=plan.seed)
     fr = tangent_frame(v, z)
 
@@ -800,15 +758,14 @@ def run_koppelman_q1_loose(v: ConeVariety, plan: SamplingPlan,
 
 def run_lp_threshold(v: ConeVariety, plan: SamplingPlan,
                      cfg: WeightConfig | None = None,
-                     tolerance_scale: float = 1.0, gamma: float | None = None,
-                     p_stable: float = 2.0, p_divergent: float = 1.2,
-                     r_min_list=(4e-2, 2e-2, 1e-2, 5e-3),
-                     z_norm: float = 0.5) -> ExperimentReport:
+                     tolerance_scale: float = 1.0,
+                     r_min_list=(4e-2, 2e-2, 1e-2, 5e-3)) -> ExperimentReport:
     """Kernel-mass stability above the exponent threshold, growth below it."""
     n = v.dim
-    gamma = float(v.total_degree - v.nu) if gamma is None else gamma
-    z = surface_point_with_norm(v, z_norm, seed=plan.seed)
-    nz_z = float(np.sqrt(np.sum(np.abs(z) ** 2)))
+    gamma = float(v.total_degree - v.nu)
+    p_stable, p_divergent = 2.0, 1.2
+    z = surface_point_with_norm(v, 0.5, seed=plan.seed)
+    nz_z = float(row_norm(z))
     per = max(plan.samples // (2 * len(r_min_list)), MIN_PER_STRATUM)
     report = ExperimentReport("lp_threshold", v.name,
                               {"gamma": gamma, "p_stable": p_stable,
@@ -854,12 +811,13 @@ def run_lp_threshold(v: ConeVariety, plan: SamplingPlan,
 
 
 def run_tm_decay(v: ConeVariety, plan: SamplingPlan,
-                 cfg: WeightConfig | None = None, tolerance_scale: float = 1.0,
-                 gamma: float = 1.0, m_list=(0, 1, 2, 3, 4),
-                 z_norms=(0.3, 0.5, 0.7)) -> ExperimentReport:
+                 cfg: WeightConfig | None = None,
+                 tolerance_scale: float = 1.0) -> ExperimentReport:
     """Decay of the cut-off model operators on the double-exponential annuli."""
-    per = max(plan.samples // (len(m_list) * len(z_norms)), MIN_PER_STRATUM)
-    zs = _z_grid(v, z_norms, plan.seed)
+    gamma = 1.0
+    m_list = range(5)
+    zs = _z_grid(v, (0.3, 0.5, 0.7), plan.seed)
+    per = max(plan.samples // (len(m_list) * len(zs)), MIN_PER_STRATUM)
     one = lambda b: np.ones(len(b), dtype=complex)
     report = ExperimentReport("tm_decay", v.name,
                               {"gamma": gamma, "m_list": list(m_list)},
@@ -880,13 +838,13 @@ def run_tm_decay(v: ConeVariety, plan: SamplingPlan,
 
 def run_truncation(v: ConeVariety, plan: SamplingPlan,
                    cfg: WeightConfig | None = None,
-                   tolerance_scale: float = 1.0, gamma: float = 1.0,
-                   j_list=(10.0, 100.0, 1000.0),
-                   z_norms=(0.3, 0.5, 0.7)) -> ExperimentReport:
+                   tolerance_scale: float = 1.0) -> ExperimentReport:
     """Convergence of the level-truncated model operators to the full one."""
     n = v.dim
-    per = max(plan.samples // (len(j_list) * len(z_norms)), MIN_PER_STRATUM)
-    zs = _z_grid(v, z_norms, plan.seed)
+    gamma = 1.0
+    j_list = (10.0, 100.0, 1000.0)
+    zs = _z_grid(v, (0.3, 0.5, 0.7), plan.seed)
+    per = max(plan.samples // (len(j_list) * len(zs)), MIN_PER_STRATUM)
     report = ExperimentReport("truncation", v.name,
                               {"gamma": gamma, "j_list": list(j_list)},
                               seed=plan.seed)
@@ -916,11 +874,11 @@ def run_truncation(v: ConeVariety, plan: SamplingPlan,
 
 
 def run_v_bounds(v: ConeVariety, plan: SamplingPlan,
-                 cfg: WeightConfig | None = None, tolerance_scale: float = 1.0,
-                 z_norms=(0.0, 0.35, 0.5, 0.65, 0.8),
-                 r_grid=(0.05, 0.1, 0.2, 0.4, 0.8)) -> ExperimentReport:
+                 cfg: WeightConfig | None = None,
+                 tolerance_scale: float = 1.0) -> ExperimentReport:
     """Monotonicity and positivity of the volume ratio, cone scale invariance."""
-    n = v.dim
+    z_norms = (0.0, 0.35, 0.5, 0.65, 0.8)
+    r_grid = (0.05, 0.1, 0.2, 0.4, 0.8)
     per = max(plan.samples // (len(z_norms) * len(r_grid)), MIN_PER_STRATUM)
     report = ExperimentReport("v_bounds", v.name,
                               {"z_norms": list(z_norms), "r_grid": list(r_grid)},
@@ -1060,10 +1018,10 @@ EXPERIMENTS = {
 
 def run_experiment(name: str, v: ConeVariety, plan: SamplingPlan,
                    cfg: WeightConfig | None = None,
-                   tolerance_scale: float = 1.0, **params) -> ExperimentReport:
+                   tolerance_scale: float = 1.0) -> ExperimentReport:
     if name not in EXPERIMENTS:
         raise KeyError(f"unknown experiment {name!r}; "
                        f"registered: {', '.join(sorted(EXPERIMENTS))}")
     fn = EXPERIMENTS[name]
     return fn(v, plan.with_(experiment_id=f"{name}:{v.name}"), cfg=cfg,
-              tolerance_scale=tolerance_scale, **params)
+              tolerance_scale=tolerance_scale)

@@ -90,6 +90,12 @@ THREE_QUADRICS = {"ambient_dim": 4, "polys": [
 ]}
 
 
+# two lines through 0 in C^2: a smooth cone of dimension 1, below the
+# dimension every experiment needs
+LINES = {"ambient_dim": 2, "name": "lines", "polys": [[
+    {"exp": [2, 0], "re": 1.0}, {"exp": [0, 2], "re": 1.0}]]}
+
+
 # two quadrics whose parts in the fiber coordinates (z0, z1) of the default
 # chart are z0^2 - z1^2 and its negative: fibers have solutions at infinity
 NU2_AT_INFINITY = {"ambient_dim": 4, "polys": [
@@ -130,6 +136,7 @@ def _custom(doc):
     _custom(_quadric_with_first_exp([2.5, 0, 0])),
     _custom(_quadric_with_first_exp("200")),
     _custom(NU2_AT_INFINITY),
+    _custom(LINES),
     "about",
     [1, 2],
     {"tolerance_scale": float("nan")},
@@ -141,7 +148,7 @@ def _custom(doc):
         "variety_not_object", "polys_not_list", "coefficient_not_number",
         "no_polys", "codim_3", "ambient_dim_fraction", "poly_not_list",
         "term_not_object", "exp_fraction", "exp_string",
-        "nu2_solutions_at_infinity", "config_string", "config_list",
+        "nu2_solutions_at_infinity", "dim_1", "config_string", "config_list",
         "tolerance_scale_nan", "tolerance_scale_inf", "unknown_key", "experiments_string"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, raw):
     args = []

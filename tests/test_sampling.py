@@ -307,7 +307,7 @@ def test_region_validation():
     with pytest.raises(EmptyRegionError):
         Region.annulus(np.zeros(3), 0.5, 0.25)
     with pytest.raises(EmptyRegionError):
-        Region.domain(-1.0)
+        Region.domain(-1.0, 3)
 
 
 def test_pointwise_adapter():

@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -37,6 +38,27 @@ def test_registry_names():
     }
     with pytest.raises(KeyError):
         run_experiment("nonsense", A1, plan(2_000))
+
+
+# the parameters a test or the acceptance gate sets, each a different
+# checked configuration; every other grid value is a constant
+KEPT_PARAMETERS = {
+    "radial_scaling": ["alphas", "r_lo", "r_hi"],
+    "two_pole": ["alpha", "beta"],
+    "hoelder": ["gamma"],
+    "koppelman_q0": ["rel_tol", "scale_mode"],
+    "koppelman_q1_loose": ["fd_step"],
+    "lp_threshold": ["r_min_list"],
+    "calibrate": ["ambient_dim"],
+}
+
+
+def test_experiments_take_only_the_set_parameters():
+    common = ["v", "plan", "cfg", "tolerance_scale"]
+    got = {name: list(inspect.signature(fn).parameters)
+           for name, fn in EXPERIMENTS.items()}
+    assert got == {name: common + KEPT_PARAMETERS.get(name, [])
+                   for name in EXPERIMENTS}
 
 
 def test_fit_loglog_recovers_exponent():
