@@ -239,15 +239,32 @@ def _poly_roots(cs: np.ndarray) -> np.ndarray:
     return _aberth_roots(cs)
 
 
+def _lacunary_step(table) -> int:
+    """The gcd g of the powers of t in a fiber table, so that p(t) = q(t^g)."""
+    return math.gcd(*(k for k, (_, c) in enumerate(table) if np.any(c != 0)))
+
+
 def _solve_fiber_nu1(v: ConeVariety, chart: Chart, bases: np.ndarray):
-    """All fiber roots over each base point; returns (t, valid) of shape (B, d)."""
+    """All fiber roots over each base point; returns (t, valid) of shape (B, d).
+
+    A lacunary fiber polynomial p(t) = q(t^g) of degree d >= 3 (the Fermat
+    cones, where q is linear) is solved through q: each root u of q gives
+    the g roots |u|^(1/g) e^(i arg(u)/g) e^(2 pi i j/g), which are 0, not
+    NaN, where u = 0.
+    """
     table = _fiber_poly_coeffs(v, chart)
     d = len(table) - 1
     cs = np.stack([eval_monomials(e, c, bases.T) for e, c in table], axis=-1)
     lead = cs[:, -1]
     if np.any(np.abs(lead) == 0.0):
         raise FiberDegenerateError("fiber polynomial leading coefficient vanished")
-    t = _poly_roots(cs)
+    g = _lacunary_step(table)
+    if d >= 3 and g > 1:
+        u = _poly_roots(cs[:, ::g])[:, :, None]
+        t = (np.abs(u) ** (1.0 / g) * np.exp(1j * np.angle(u) / g)
+             * np.exp(2j * np.pi * np.arange(g) / g)).reshape(len(cs), d)
+    else:
+        t = _poly_roots(cs)
     # two Newton polishing passes on the fiber polynomial
     for _ in range(2):
         pv, dv = _polyval_and_deriv(cs, t)

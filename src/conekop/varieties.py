@@ -50,8 +50,16 @@ class NearSingularError(RuntimeError):
 
 
 def row_norm_sq(x) -> np.ndarray:
-    """Squared Euclidean norms |x|^2 along the last axis."""
-    return np.sum(np.abs(x) ** 2, axis=-1)
+    """Squared Euclidean norms |x|^2 along the last axis.
+
+    np.sum adds fewer than 8 terms one after another, so for a last axis of
+    length 1 to 7 the column sums give its bits, faster.
+    """
+    a = np.abs(x) ** 2
+    N = a.shape[-1]
+    if not 0 < N < 8:
+        return np.sum(a, axis=-1)
+    return sum((a[..., j] for j in range(1, N)), a[..., 0])
 
 
 def row_norm(x) -> np.ndarray:

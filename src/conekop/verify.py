@@ -614,8 +614,7 @@ def flat_bm_residuals(plan: SamplingPlan, z_norms=(0.1, 0.2, 0.3, 0.38, 0.44)):
     dphi = phi.dbar()
     rows = []
     for i, znorm in enumerate(z_norms):
-        z = surface_point_with_norm(v, znorm, seed=plan.seed + i) if znorm > 0 \
-            else _origin(v)
+        z = surface_point_with_norm(v, znorm, seed=plan.seed + i)
         phi_z = complex(phi.eval_scalar(z[None, :])[0])
 
         def integrand(batch, z=z):

@@ -412,8 +412,19 @@ def _random_quartic():
     return ConeVariety("quartic", 3, (MultiIndexPoly.from_dict(3, terms),))
 
 
+def _lacunary_quartic():
+    # t^4 + a(s) t^2 + b(s) in t = z_0: p(t) = q(t^2) with q quadratic
+    rng = np.random.default_rng(24)
+    terms = {(4, 0, 0): 1.0}
+    for a in (2, 0):
+        for b in range(5 - a):
+            terms[(a, b, 4 - a - b)] = complex(*rng.standard_normal(2))
+    return ConeVariety("lacunary", 3, (MultiIndexPoly.from_dict(3, terms),))
+
+
 def _degree3_plus():
-    return [get_variety("fermat3"), get_variety("fermat4"), _random_quartic()]
+    return [get_variety("fermat3"), get_variety("fermat4"), _random_quartic(),
+            _lacunary_quartic()]
 
 
 def _monomial_loop(exps, coeffs, pts):
@@ -483,15 +494,35 @@ def test_aberth_roots_match_companion(v, fallback_rows):
 @pytest.mark.parametrize("v", _degree3_plus(), ids=lambda v: v.name)
 def test_solve_fiber_all_sheets_sorted_by_angle(v):
     # away from the branch locus every one of the d sheets is valid, and the
-    # sheets come out in canonical order: by the argument of the fiber root
+    # sheets come out in canonical order: by the argument of the fiber root;
+    # every fiber, solved through q(t^g) where it is lacunary (Fermat,
+    # t^4 + a t^2 + b), matches the companion eigensolver on the full
+    # polynomial
     rng = np.random.default_rng(23)
     bases = rng.standard_normal((2000, 2)) + 1j * rng.standard_normal((2000, 2))
     chart = default_chart(v)
     pts, valid = solve_fiber(v, chart, bases)
     assert pts.shape[1] == v.polys[0].degree
     assert np.all(valid)
-    ang = np.angle(pts[..., chart.fiber[0]])
-    assert np.all(np.diff(ang, axis=1) >= 0)
+    t = pts[..., chart.fiber[0]]
+    assert np.all(np.diff(np.angle(t), axis=1) >= 0)
+    want = sampling._companion_roots(_fiber_coeffs(v, bases))
+    scale = np.max(np.abs(want), axis=1)
+    assert np.max(_set_distance(t, want) / scale) <= 1e-12
+
+
+@pytest.mark.parametrize("base", [(0.0, 0.0), (1.0, -1.0)])
+def test_fermat_cone_point_and_branch_locus_sheets(base):
+    # over the base point 0 and over (1, -1), where 1 + (-1)^3 = 0, the
+    # fiber polynomial is t^3: q(u) = u has the root 0, every sheet is 0,
+    # and the branch guard discards them all
+    v = get_variety("fermat3")
+    chart = default_chart(v)
+    pts, valid = solve_fiber(v, chart, np.array([base]))
+    t = pts[..., chart.fiber[0]]
+    assert t.shape == (1, 3)
+    assert np.all(np.isfinite(t)) and np.all(t == 0)
+    assert not np.any(valid)
 
 
 def test_aberth_falls_back_on_double_root_and_cone_point(fallback_rows):
@@ -501,21 +532,30 @@ def test_aberth_falls_back_on_double_root_and_cone_point(fallback_rows):
     assert fallback_rows == [1]
     assert np.max(_set_distance(t[:1], np.array([[1.0, 1.0, -2.0]]))) < 1e-6
     assert np.max(_set_distance(t[1:], np.array([[1.0, 2.0, 3.0]]))) < 1e-13
-    # over the base point 0 the fiber polynomial is t^3: all sheets meet at
-    # the cone point and the branch guard discards them, but none is lost
-    v = get_variety("fermat3")
+    # over the base point 0 the dense quartic's fiber polynomial is c t^4:
+    # all sheets meet at the cone point and the branch guard discards them,
+    # but none is lost
+    v = _random_quartic()
     pts, valid = solve_fiber(v, default_chart(v), np.zeros((1, 2)))
     assert fallback_rows == [1, 1]
-    assert pts.shape == (1, 3, 3)
+    assert pts.shape == (1, 4, 3)
     assert np.all(pts == 0) and not np.any(valid)
 
 
 @pytest.mark.parametrize("name", ["fermat3", "fermat4"])
-def test_sampled_batches_need_no_fallback(name, fallback_rows):
+def test_sampled_batches_need_no_fallback(name, fallback_rows, monkeypatch):
     # one 20k-sample integral draws its base points from every stratum,
-    # the cone-point shells included
+    # the cone-point shells included; the Fermat fibers t^d + c(s) are
+    # solved in closed form, so the Aberth iteration never runs
     v = get_variety(name)
     calls = []
+    aberth, aberth_roots = [], sampling._aberth_roots
+
+    def counted(cs):
+        aberth.append(len(cs))
+        return aberth_roots(cs)
+
+    monkeypatch.setattr(sampling, "_aberth_roots", counted)
 
     def integrand(batch):
         calls.append(len(batch))
@@ -526,6 +566,7 @@ def test_sampled_batches_need_no_fallback(name, fallback_rows):
               poles=[(np.zeros(3), 2)])
     assert sum(calls) > 20_000
     assert fallback_rows == []
+    assert aberth == []
 
 
 # ---------------------------------------------------------------------------

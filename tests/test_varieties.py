@@ -9,6 +9,7 @@ from conekop.varieties import (
     MultiIndexPoly,
     catalog_names,
     get_variety,
+    row_norm_sq,
     variety_from_json,
 )
 from conekop.sampling import attach_link_margin
@@ -51,6 +52,22 @@ def test_poly_evaluation_is_bit_identical_to_monomial_loop():
                 term = term * pts[:, j] ** int(e[j])
         want += term
     assert np.array_equal(p(pts), want)
+
+
+@pytest.mark.parametrize("shape", [(9_000, N) for N in range(1, 10)] + [
+    (2_000, 4, 4, 2),  # the sheet gaps of a nu = 2 fiber, t[:, :, None] - t[:, None, :]
+    (9_000, 3, 1),     # residuals f(pts) on the nu-length axis
+    (9_000, 4, 2),
+    (3,),
+], ids=lambda shape: "x".join(map(str, shape)))
+def test_row_norm_sq_is_bit_identical_to_np_sum(shape):
+    rng = np.random.default_rng(len(shape) * 10 + shape[-1])
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    x *= np.exp(rng.uniform(-30.0, 30.0, shape))
+    got = row_norm_sq(x)
+    assert got.shape == shape[:-1]
+    assert np.array_equal(got, np.sum(np.abs(x) ** 2, axis=-1))
+    assert np.array_equal(row_norm_sq(x.real), np.sum(x.real ** 2, axis=-1))
 
 
 def test_jacobian_quadric_gradient():
