@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .varieties import eval_monomials, row_norm_sq
+from .varieties import MultiIndexPoly, eval_monomials, row_norm_sq
 
 __all__ = [
     "FormValue",
@@ -351,52 +351,25 @@ class Window:
         raise ValueError("window derivatives beyond first order are not stored")
 
 
-class _PolyZZbar:
-    """Polynomial in (zeta, zeta_bar) with sparse complex coefficients.
+def _monomial(N: int, zeta=None, zbar_j: int | None = None) -> MultiIndexPoly:
+    """Monomial zeta^zeta (times zeta_bar_j if given) in (zeta_0, zeta_bar_0, ...).
 
-    Exponent columns interleave as (zeta_0, zeta_bar_0, zeta_1, ...), the
-    order in which the factors multiply.
+    Exponent columns interleave in the order in which the factors multiply.
     """
-
-    __slots__ = ("N", "exps", "coeffs")
-
-    def __init__(self, N: int, exps: np.ndarray, coeffs: np.ndarray):
-        self.N = N
-        self.exps = np.asarray(exps, dtype=np.int64).reshape(-1, 2 * N)
-        self.coeffs = np.asarray(coeffs, dtype=complex).reshape(-1)
-
-    @classmethod
-    def from_terms(cls, N: int, terms: dict) -> "_PolyZZbar":
-        """terms maps (zeta_exp tuple, zetabar_exp tuple) -> coefficient."""
-        exps = [np.ravel(np.column_stack([ez, ezb])) for ez, ezb in terms]
-        return cls(N, np.asarray(exps), np.asarray(list(terms.values())))
-
-    def __call__(self, pts: np.ndarray):
-        zb = np.conj(pts)
-        return eval_monomials(self.exps, self.coeffs, [
-            col for j in range(self.N) for col in (pts[..., j], zb[..., j])])
-
-    def dzbar(self, j: int) -> "_PolyZZbar":
-        keep = self.exps[:, 2 * j + 1] > 0
-        exps = self.exps[keep].copy()
-        coeffs = self.coeffs[keep] * exps[:, 2 * j + 1]
-        exps[:, 2 * j + 1] -= 1
-        return _PolyZZbar(self.N, exps, coeffs)
-
-    def mul_z(self, j: int) -> "_PolyZZbar":
-        exps = self.exps.copy()
-        exps[:, 2 * j] += 1
-        return _PolyZZbar(self.N, exps, self.coeffs.copy())
-
-    def is_zero(self) -> bool:
-        return self.coeffs.size == 0
+    e = np.zeros(2 * N, dtype=np.int64)
+    if zeta is not None:
+        e[0::2] = zeta
+    if zbar_j is not None:
+        e[2 * zbar_j + 1] = 1
+    return MultiIndexPoly(2 * N, e, [1.0])
 
 
 class TestForm:
     """Smooth ambient (0,q) test input with a closed-form dbar.
 
     Coefficients are sums of terms  poly(zeta, zeta_bar) * w^(k)(|zeta|^2)
-    where w is a polynomial smoothstep window (or identically 1).  The dbar
+    where poly is a MultiIndexPoly in (zeta_0, zeta_bar_0, zeta_1, ...) and
+    w is a polynomial smoothstep window (or identically 1).  The dbar
     of such a form is again of the same shape, so differentials never have
     to be taken numerically.
     """
@@ -416,57 +389,51 @@ class TestForm:
 
     @classmethod
     def constant(cls, N: int) -> "TestForm":
-        p = _PolyZZbar.from_terms(N, {(tuple([0] * N), tuple([0] * N)): 1.0})
-        return cls(N, 0, {(): [(p, 0)]}, None, label="const")
+        return cls(N, 0, {(): [(_monomial(N), 0)]}, None, label="const")
 
     @classmethod
     def holomorphic_monomial(cls, N: int, exponents) -> "TestForm":
-        p = _PolyZZbar.from_terms(N, {(tuple(exponents), tuple([0] * N)): 1.0})
-        return cls(N, 0, {(): [(p, 0)]}, None,
+        return cls(N, 0, {(): [(_monomial(N, exponents), 0)]}, None,
                    label="holo" + "".join(str(e) for e in exponents))
 
     @classmethod
     def zbar_bump(cls, N: int, j: int, r_lo: float, r_hi: float) -> "TestForm":
         """zeta_bar_j times a radial window; the standard non-holomorphic probe."""
-        ezb = [0] * N
-        ezb[j] = 1
-        p = _PolyZZbar.from_terms(N, {(tuple([0] * N), tuple(ezb)): 1.0})
-        return cls(N, 0, {(): [(p, 0)]}, Window(r_lo, r_hi),
+        return cls(N, 0, {(): [(_monomial(N, zbar_j=j), 0)]}, Window(r_lo, r_hi),
                    label=f"zbar{j}_bump")
 
     @classmethod
     def radial_bump(cls, N: int, r_lo: float, r_hi: float) -> "TestForm":
-        p = _PolyZZbar.from_terms(N, {(tuple([0] * N), tuple([0] * N)): 1.0})
-        return cls(N, 0, {(): [(p, 0)]}, Window(r_lo, r_hi), label="radial_bump")
+        return cls(N, 0, {(): [(_monomial(N), 0)]}, Window(r_lo, r_hi),
+                   label="radial_bump")
 
     @classmethod
     def one_form_bump(cls, N: int, comp: int, j_bar: int,
                       r_lo: float, r_hi: float) -> "TestForm":
         """(0,1) probe: zeta_bar_{j_bar} * window on the d zeta_bar_comp slot."""
-        ezb = [0] * N
-        ezb[j_bar] = 1
-        p = _PolyZZbar.from_terms(N, {(tuple([0] * N), tuple(ezb)): 1.0})
-        return cls(N, 1, {(comp,): [(p, 0)]}, Window(r_lo, r_hi),
-                   label=f"oneform{comp}")
+        return cls(N, 1, {(comp,): [(_monomial(N, zbar_j=j_bar), 0)]},
+                   Window(r_lo, r_hi), label=f"oneform{comp}")
 
     # ----- evaluation ----------------------------------------------------
 
-    def _coeff_value(self, terms, pts, x):
+    def _coeff_value(self, terms, cols, x):
         val = 0.0
         for poly, order in terms:
-            pv = poly(pts)
+            pv = eval_monomials(poly.exps, poly.coeffs, cols)
             if self.window is None:
                 if order == 0:
                     val = val + pv
             else:
                 val = val + pv * self.window.value(x, order)
-        return val + np.zeros(pts.shape[:-1], dtype=complex)
+        return val + np.zeros(x.shape, dtype=complex)
 
     def eval(self, pts: np.ndarray) -> dict:
         """Coefficients per ambient dzeta-bar multi-index at pts (batch, N)."""
         pts = np.asarray(pts, dtype=complex)
         x = row_norm_sq(pts)
-        return {I: self._coeff_value(terms, pts, x) for I, terms in self.coeffs.items()}
+        zb = np.conj(pts)
+        cols = [c for j in range(self.N) for c in (pts[..., j], zb[..., j])]
+        return {I: self._coeff_value(terms, cols, x) for I, terms in self.coeffs.items()}
 
     def form_value(self, pts: np.ndarray) -> FormValue:
         """The same data as a FormValue over a-generators."""
@@ -480,30 +447,28 @@ class TestForm:
         return FormValue(self.N, terms)
 
     def dbar(self) -> "TestForm":
-        """Closed-form dbar, a (0,q+1) TestForm over the same window."""
+        """Closed-form dbar, a (0,q+1) TestForm over the same window.
+
+        d/d(zeta_bar_j) acts on the polynomial; the window's derivative
+        w'(|zeta|^2) * zeta_j raises the window order and the zeta_j exponent.
+        """
         out: dict = {}
-
-        def _add(I, poly, order):
-            if poly.is_zero():
-                return
-            out.setdefault(I, []).append((poly, order))
-
         for I, terms in self.coeffs.items():
             for poly, order in terms:
                 for j in range(self.N):
                     if j in I:
                         continue
-                    smaller = sum(1 for i in I if i < j)
-                    sgn = -1.0 if smaller & 1 else 1.0
+                    sgn = -1.0 if sum(1 for i in I if i < j) & 1 else 1.0
                     newI = tuple(sorted(I + (j,)))
-                    dp = poly.dzbar(j)
-                    if not dp.is_zero():
-                        dp.coeffs *= sgn
-                        _add(newI, dp, order)
+                    dp = poly.partial(2 * j + 1)
+                    if dp is not None:
+                        dp = MultiIndexPoly(dp.num_vars, dp.exps, sgn * dp.coeffs)
+                        out.setdefault(newI, []).append((dp, order))
                     if self.window is not None:
-                        wp = poly.mul_z(j)
-                        wp.coeffs *= sgn
-                        _add(newI, wp, order + 1)
+                        exps = poly.exps.copy()
+                        exps[:, 2 * j] += 1
+                        wp = MultiIndexPoly(poly.num_vars, exps, sgn * poly.coeffs)
+                        out.setdefault(newI, []).append((wp, order + 1))
         return TestForm(self.N, self.q + 1, out, self.window,
                         label=self.label + "_dbar")
 

@@ -524,6 +524,10 @@ class SamplingPlan:
         """Plan of a sub-integral, with its own streams: experiment_id|tag."""
         return self.with_(experiment_id=f"{self.experiment_id}|{tag}", **kw)
 
+    def part(self, tag: str, parts: int, **kw) -> "SamplingPlan":
+        """sub(tag) with a 1/parts share of the budget, at least MIN_PER_STRATUM."""
+        return self.sub(tag, samples=max(self.samples // parts, MIN_PER_STRATUM), **kw)
+
 
 @dataclass(frozen=True)
 class _Stratum:

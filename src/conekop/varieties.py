@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,7 +86,9 @@ def eval_monomials(exps, coeffs, cols) -> np.ndarray:
 
 
 class MultiIndexPoly:
-    """Homogeneous polynomial in N complex variables, sparse monomial storage."""
+    """Homogeneous polynomial in N complex variables, sparse monomial storage.
+
+    Test-form coefficients use it in the 2N variables (zeta_0, zeta_bar_0, ...)."""
 
     __slots__ = ("num_vars", "exps", "coeffs", "degree")
 
@@ -371,6 +374,12 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _key(obj: dict, key: str, what: str):
+    if key not in obj:
+        raise ValueError(f"{what} lacks the key {key!r}")
+    return obj[key]
+
+
 def variety_from_json(path_or_obj) -> ConeVariety:
     """Load a custom variety from a JSON document.
 
@@ -386,10 +395,10 @@ def variety_from_json(path_or_obj) -> ConeVariety:
         obj = path_or_obj
     if not isinstance(obj, dict):
         raise ValueError("variety JSON must be an object")
-    N = obj["ambient_dim"]
+    N = _key(obj, "ambient_dim", "variety JSON")
     if not _is_int(N):
         raise ValueError(f"ambient_dim must be an integer, got {N!r}")
-    specs = obj["polys"]
+    specs = _key(obj, "polys", "variety JSON")
     if not isinstance(specs, list) or len(specs) not in (1, 2):
         raise ValueError("polys must be a list of one or two polynomials")
     polys = []
@@ -399,16 +408,20 @@ def variety_from_json(path_or_obj) -> ConeVariety:
                              f"got {spec!r}")
         terms = {}
         for t in spec:
-            exp = t["exp"]
+            exp = _key(t, "exp", f"term {t!r}")
             if not isinstance(exp, list) or not all(_is_int(e) for e in exp):
                 raise ValueError(f"exp must be a list of integers, got {exp!r}")
             exp = tuple(exp)
             if len(exp) != N:
                 raise ValueError("exponent vector length does not match ambient_dim")
             parts = (t.get("re", 0.0), t.get("im", 0.0))
+            # NaN, infinities and ints beyond double range fail the bound
             if any(isinstance(x, bool) or not isinstance(x, (int, float))
-                   for x in parts):
-                raise ValueError(f"coefficient parts must be numbers, got {parts}")
+                   or not abs(x) <= sys.float_info.max for x in parts):
+                raise ValueError(f"coefficient parts must be finite numbers, got {parts}")
             terms[exp] = terms.get(exp, 0.0) + complex(*parts)
         polys.append(MultiIndexPoly.from_dict(N, terms))
-    return ConeVariety(str(obj.get("name", "custom")), N, tuple(polys))
+    name = obj.get("name", "custom")
+    if not isinstance(name, str):
+        raise ValueError(f"name must be a string, got {name!r}")
+    return ConeVariety(name, N, tuple(polys))

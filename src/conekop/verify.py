@@ -223,17 +223,17 @@ def run_radial_scaling(v: ConeVariety, plan: SamplingPlan,
         d = batch.dist(z)
         return np.stack([d**-a for a in alphas], axis=-1) + 0j
 
-    per = max(plan.samples // (len(radii) + 1), MIN_PER_STRATUM)
+    parts = len(radii) + 1
     masses = np.zeros((len(radii), len(all_alphas)))
     errs = np.zeros_like(masses)
     core = integrate(v, Region.ball(z, radii[0]), core_integrand,
-                     plan.sub("rs_core", samples=per, allocation="equal"),
+                     plan.part("rs_core", parts, allocation="equal"),
                      poles=[(z, max(alphas))])
     masses[0, : len(alphas)] = np.real(np.atleast_1d(core.value))
     errs[0, : len(alphas)] = np.atleast_1d(core.stderr)
     for i in range(len(radii) - 1):
         qr = integrate(v, Region.annulus(z, radii[i], radii[i + 1]), shell_integrand,
-                       plan.sub(f"rs{i}", samples=per, allocation="equal"))
+                       plan.part(f"rs{i}", parts, allocation="equal"))
         masses[i + 1] = np.real(np.atleast_1d(qr.value))
         errs[i + 1] = np.atleast_1d(qr.stderr)
 
@@ -276,7 +276,6 @@ def run_two_pole(v: ConeVariety, plan: SamplingPlan,
     """Product of two radial poles: bounded, log, or power regime in |z - w|."""
     n = v.dim
     deltas = np.geomspace(5e-3, 0.64, 9)
-    per = max(plan.samples // len(deltas), MIN_PER_STRATUM)
     region = Region.domain(1.0, v.ambient_dim)
     # one base point and one direction for every separation, as in the Hölder
     # experiments, so the fitted slope sees only the separation
@@ -289,7 +288,7 @@ def run_two_pole(v: ConeVariety, plan: SamplingPlan,
         def integrand(batch, z=z, w=w):
             return batch.dist(z) ** -alpha * batch.dist(w) ** -beta + 0j
 
-        qr = integrate(v, region, integrand, plan.sub(f"tp{i}", samples=per),
+        qr = integrate(v, region, integrand, plan.part(f"tp{i}", len(deltas)),
                        poles=[(z, alpha), (w, beta)])
         vals.append(np.real(qr.value))
         errv.append(qr.stderr)
@@ -329,7 +328,6 @@ def run_log_annulus(v: ConeVariety, plan: SamplingPlan,
     """Uniformity in m of the log-weighted annulus integrals."""
     n = v.dim
     alpha, m_list = 4.0, range(3)
-    per = max(plan.samples // len(m_list), MIN_PER_STRATUM)
     report = ExperimentReport("log_annulus", v.name,
                               {"alpha": alpha, "beta": 0.0, "m_list": list(m_list)},
                               seed=plan.seed)
@@ -342,7 +340,7 @@ def run_log_annulus(v: ConeVariety, plan: SamplingPlan,
     for m in m_list:
         lo, hi = annulus_bounds(m)
         qr = integrate(v, Region.annulus(_origin(v), lo, hi), integrand,
-                       plan.sub(f"la{m}", samples=per))
+                       plan.part(f"la{m}", len(m_list)))
         vals.append(np.real(qr.value))
         report.rows.append({"m": m, "integral": float(np.real(qr.value)),
                             "stderr": float(qr.stderr)})
@@ -361,7 +359,7 @@ def run_log_annulus(v: ConeVariety, plan: SamplingPlan,
     for m in m_list:
         lo, hi = annulus_bounds(m)
         qr = integrate(v, Region.annulus(zc, lo, hi), loglog_integrand,
-                       plan.sub(f"ll{m}", samples=per, r_min=0.3 * lo))
+                       plan.part(f"ll{m}", len(m_list), r_min=0.3 * lo))
         ll_vals.append(np.real(qr.value))
         report.rows.append({"m": m, "loglog_integral": float(np.real(qr.value)),
                             "stderr": float(qr.stderr)})
@@ -384,7 +382,6 @@ def run_offcenter_ball(v: ConeVariety, plan: SamplingPlan,
     r_list = (0.025, 0.05, 0.1, 0.2, 0.4)
     z = surface_point_with_norm(v, z_norm, seed=plan.seed)
     fr = tangent_frame(v, z)
-    per = max(plan.samples // (3 * len(r_list)), MIN_PER_STRATUM)
     report = ExperimentReport("offcenter_ball", v.name,
                               {"alpha": alpha, "z_norm": z_norm,
                                "r_list": list(r_list)}, seed=plan.seed)
@@ -403,7 +400,8 @@ def run_offcenter_ball(v: ConeVariety, plan: SamplingPlan,
                 return batch.dist(w) ** -alpha + 0j
 
             qr = integrate(v, Region.ball(z, r), integrand,
-                           plan.sub(f"oc{mode}{i}", samples=per), poles=[(w, alpha)])
+                           plan.part(f"oc{mode}{i}", 3 * len(r_list)),
+                           poles=[(w, alpha)])
             vals.append(np.real(qr.value))
             report.rows.append({"mode": mode, "r": float(r),
                                 "integral": float(np.real(qr.value)),
@@ -478,7 +476,6 @@ def run_hoelder_modulus(v: ConeVariety, plan: SamplingPlan,
         raise operators.ExponentRangeError("gamma outside [0, d - nu]")
     comp, delta_lo, delta_hi = 0, 1e-3, 1e-1
     deltas = np.geomspace(delta_lo, delta_hi, 9)
-    per = max(plan.samples // len(deltas), MIN_PER_STRATUM)
     region = Region.domain(1.0, v.ambient_dim)
     p = surface_point_with_norm(v, 0.5, seed=plan.seed)
     e = tangent_frame(v, p)[0]
@@ -494,7 +491,7 @@ def run_hoelder_modulus(v: ConeVariety, plan: SamplingPlan,
             kw = kernels.model_k_tilde(zeta, w, gamma, comp, n)
             return np.where(ok, np.abs(kz - kw), 0.0) + 0j
 
-        qr = integrate(v, region, integrand, plan.sub(f"hm{i}", samples=per),
+        qr = integrate(v, region, integrand, plan.part(f"hm{i}", len(deltas)),
                        poles=[(z, 2 * n - 1), (w, 2 * n - 1), (_origin(v), gamma)])
         vals.append(np.real(qr.value))
         seps.append(sep)
@@ -547,7 +544,7 @@ def run_cutoff_decay(v: ConeVariety, plan: SamplingPlan,
         lo, hi = annulus_bounds(k)
         qr = integrate(v, Region.annulus(_origin(v), lo, hi),
                        lambda batch, k=k: dbar_mu_norm(batch, k) ** (2 * n) + 0j,
-                       plan.sub(f"cd{k}", samples=per))
+                       plan.part(f"cd{k}", len(k_list)))
         val = max(np.real(qr.value), 0.0) ** (1.0 / (2 * n))
         norms.append(val)
         report.rows.append({"k": k, "dbar_mu_l2n_norm": float(val),
@@ -622,7 +619,8 @@ def flat_bm_residuals(plan: SamplingPlan, z_norms=(0.1, 0.2, 0.3, 0.38, 0.44)):
             out = np.zeros(len(batch), dtype=complex)
             if np.any(ok):
                 pts = batch.positions[ok]
-                B = kernels.bm_B(pts - z, v.ambient_dim, n)
+                # only the empty dz-bar density is read
+                B = kernels.bm_B(pts - z, v.ambient_dim, n, zbar_degree=0)
                 total = B.wedge(dphi.form_value(pts)).restricted_to_dim(n)
                 dens = total.pullback_surface(flat_coords)
                 out[ok] = dens.get(0, 0.0)
@@ -765,7 +763,6 @@ def run_lp_threshold(v: ConeVariety, plan: SamplingPlan,
     p_stable, p_divergent = 2.0, 1.2
     z = surface_point_with_norm(v, 0.5, seed=plan.seed)
     nz_z = float(row_norm(z))
-    per = max(plan.samples // (2 * len(r_min_list)), MIN_PER_STRATUM)
     report = ExperimentReport("lp_threshold", v.name,
                               {"gamma": gamma, "p_stable": p_stable,
                                "p_divergent": p_divergent,
@@ -781,7 +778,8 @@ def run_lp_threshold(v: ConeVariety, plan: SamplingPlan,
             return (nz_z / nz) ** (pstar * gamma) * batch.dist(z) ** -(2 * n - 1) + 0j
 
         qr = integrate(v, Region.annulus(_origin(v), r_min, 1.0), integrand,
-                       plan.sub(f"lp{tag}", samples=per), poles=[(z, 2 * n - 1)])
+                       plan.part(f"lp{tag}", 2 * len(r_min_list)),
+                       poles=[(z, 2 * n - 1)])
         return float(np.real(qr.value)), float(qr.stderr)
 
     stable_vals = []
@@ -816,7 +814,6 @@ def run_tm_decay(v: ConeVariety, plan: SamplingPlan,
     gamma = 1.0
     m_list = range(5)
     zs = _z_grid(v, (0.3, 0.5, 0.7), plan.seed)
-    per = max(plan.samples // (len(m_list) * len(zs)), MIN_PER_STRATUM)
     one = lambda b: np.ones(len(b), dtype=complex)
     report = ExperimentReport("tm_decay", v.name,
                               {"gamma": gamma, "m_list": list(m_list)},
@@ -826,7 +823,7 @@ def run_tm_decay(v: ConeVariety, plan: SamplingPlan,
         vals = []
         for i, z in enumerate(zs):
             qr = operators.apply_T_m(v, one, z, gamma, m,
-                                     plan.sub(f"tm{m}z{i}", samples=per))
+                                     plan.part(f"tm{m}z{i}", len(m_list) * len(zs)))
             vals.append(np.real(qr.value))
         rms.append(float(np.sqrt(np.mean(np.square(vals)))))
         report.rows.append({"m": m, "rms_over_grid": rms[-1]})
@@ -843,7 +840,6 @@ def run_truncation(v: ConeVariety, plan: SamplingPlan,
     gamma = 1.0
     j_list = (10.0, 100.0, 1000.0)
     zs = _z_grid(v, (0.3, 0.5, 0.7), plan.seed)
-    per = max(plan.samples // (len(j_list) * len(zs)), MIN_PER_STRATUM)
     report = ExperimentReport("truncation", v.name,
                               {"gamma": gamma, "j_list": list(j_list)},
                               seed=plan.seed)
@@ -857,7 +853,7 @@ def run_truncation(v: ConeVariety, plan: SamplingPlan,
                 return np.where(k > j, k, 0.0) + 0j
 
             qr = integrate(v, Region.domain(1.0, v.ambient_dim), integrand,
-                           plan.sub(f"tr{j}z{i}", samples=per),
+                           plan.part(f"tr{j}z{i}", len(j_list) * len(zs)),
                            poles=[(z, 2 * n - 1), (_origin(v), gamma)])
             vals.append(np.real(qr.value))
         norms.append(float(np.sqrt(np.mean(np.square(vals)))))
@@ -878,7 +874,7 @@ def run_v_bounds(v: ConeVariety, plan: SamplingPlan,
     """Monotonicity and positivity of the volume ratio, cone scale invariance."""
     z_norms = (0.0, 0.35, 0.5, 0.65, 0.8)
     r_grid = (0.05, 0.1, 0.2, 0.4, 0.8)
-    per = max(plan.samples // (len(z_norms) * len(r_grid)), MIN_PER_STRATUM)
+    parts = len(z_norms) * len(r_grid)
     report = ExperimentReport("v_bounds", v.name,
                               {"z_norms": list(z_norms), "r_grid": list(r_grid)},
                               seed=plan.seed)
@@ -889,7 +885,7 @@ def run_v_bounds(v: ConeVariety, plan: SamplingPlan,
                                                                   seed=plan.seed + i)
         vals, errs = [], []
         for k, r in enumerate(r_grid):
-            qr = estimate_v(v, r, z, plan.sub(f"v{i}r{k}", samples=per))
+            qr = estimate_v(v, r, z, plan.part(f"v{i}r{k}", parts))
             vals.append(np.real(qr.value))
             errs.append(qr.stderr)
             report.rows.append({"z_norm": znorm, "r": float(r),
@@ -909,7 +905,7 @@ def run_v_bounds(v: ConeVariety, plan: SamplingPlan,
     # scale invariance at the cone point
     scale_vals, scale_errs = [], []
     for k, r in enumerate((0.25, 0.5, 1.0)):
-        qr = estimate_v(v, r, _origin(v), plan.sub(f"vs{k}", samples=per))
+        qr = estimate_v(v, r, _origin(v), plan.part(f"vs{k}", parts))
         scale_vals.append(np.real(qr.value))
         scale_errs.append(qr.stderr)
         report.rows.append({"z_norm": 0.0, "r": float(r), "v": float(np.real(qr.value)),

@@ -112,9 +112,10 @@ def _quadric_with_first_exp(exp):
     return {**QUADRIC, "polys": [[{**terms[0], "exp": exp}] + terms[1:]]}
 
 
-def _custom(doc):
-    """Config entry standing for a custom variety file holding doc."""
-    return {"variety_doc": doc}
+def _custom(doc, cause=None):
+    """Config entry standing for a custom variety file holding doc; cause is
+    text the error message must contain."""
+    return {"variety_doc": doc, "cause": cause}
 
 
 @pytest.mark.parametrize("raw", [
@@ -137,6 +138,14 @@ def _custom(doc):
     _custom(_quadric_with_first_exp("200")),
     _custom(NU2_AT_INFINITY),
     _custom(LINES),
+    _custom({"ambient_dim": 3, "polys": [[{"exp": [2, 0, 0], "re": float("nan")}]]},
+            "finite"),
+    _custom({"ambient_dim": 3, "polys": [[{"exp": [2, 0, 0], "im": float("inf")}]]},
+            "finite"),
+    _custom({"ambient_dim": 3, "polys": [[{"re": 1.0}]]}, "lacks the key 'exp'"),
+    _custom({"polys": QUADRIC["polys"]}, "lacks the key 'ambient_dim'"),
+    _custom({"ambient_dim": 3}, "lacks the key 'polys'"),
+    _custom({**QUADRIC, "name": ["x"]}, "name must be a string"),
     "about",
     [1, 2],
     {"tolerance_scale": float("nan")},
@@ -148,15 +157,17 @@ def _custom(doc):
         "variety_not_object", "polys_not_list", "coefficient_not_number",
         "no_polys", "codim_3", "ambient_dim_fraction", "poly_not_list",
         "term_not_object", "exp_fraction", "exp_string",
-        "nu2_solutions_at_infinity", "dim_1", "config_string", "config_list",
+        "nu2_solutions_at_infinity", "dim_1", "coefficient_nan",
+        "coefficient_infinite", "term_without_exp", "no_ambient_dim", "no_polys_key",
+        "name_not_string", "config_string", "config_list",
         "tolerance_scale_nan", "tolerance_scale_inf", "unknown_key", "experiments_string"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, raw):
-    args = []
+    args, cause = [], None
     if isinstance(raw, dict):
         if "variety_doc" in raw:
             vpath = tmp_path / "variety.json"
             vpath.write_text(json.dumps(raw["variety_doc"]))
-            raw = {"variety": str(vpath)}
+            raw, cause = {"variety": str(vpath)}, raw["cause"]
         raw = {"experiments": ["v_bounds"], "samples": 30000,
                "out": str(tmp_path / "out"), **raw}
     else:  # a config document that is not a JSON object
@@ -167,6 +178,7 @@ def test_cli_bad_config_exits_2(tmp_path, capsys, raw):
     assert main(["--config", str(cpath)] + args) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert cause is None or cause in err, err
     assert not (tmp_path / "out").exists()
 
 

@@ -9,11 +9,10 @@ from conekop.forms import (
     TestForm,
     UniverseMismatchError,
     WrongDegreeError,
-    _PolyZZbar,
 )
 from conekop.kernels import structure_form
 from conekop.sampling import PointBatch, default_chart, frames_for, solve_fiber
-from conekop.varieties import catalog_names, get_variety
+from conekop.varieties import MultiIndexPoly, catalog_names, get_variety
 
 N = 3
 TWO_PI_I = 2j * np.pi
@@ -350,6 +349,7 @@ def test_polynomial_in_zeta_zetabar_is_bit_identical_to_interleaved_loop():
     # factors multiply as zeta_0, zeta_bar_0, zeta_1, ...: the order of the
     # loop before eval_monomials, kept here.  Complex products are not
     # associative bit for bit, so taking all zeta factors first would differ.
+    # The two terms differ in degree, so each is its own coefficient monomial.
     terms = {((2, 1, 0), (1, 0, 3)): 0.7 - 1.3j,
              ((0, 1, 2), (1, 2, 0)): -0.4 + 2.1j}
     rng = np.random.default_rng(12)
@@ -364,7 +364,10 @@ def test_polynomial_in_zeta_zetabar_is_bit_identical_to_interleaved_loop():
             if ezb[j]:
                 term = term * zb[:, j] ** ezb[j]
         want = want + term
-    assert np.array_equal(_PolyZZbar.from_terms(3, terms)(pts), want)
+    monomials = [(MultiIndexPoly(6, np.ravel(np.column_stack(e)), [c]), 0)
+                 for e, c in terms.items()]
+    tf = TestForm(3, 0, {(): monomials}, None)
+    assert np.array_equal(tf.eval_scalar(pts), want)
 
 
 def test_testform_holomorphic_has_zero_dbar():

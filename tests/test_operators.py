@@ -26,7 +26,7 @@ def test_apply_K_zero_input_is_zero():
 
 def test_apply_K_linearity():
     base = TestForm.one_form_bump(3, 0, 1, 1.1, 1.6)
-    double = TestForm(3, 1, {k: [(p.__class__(p.N, p.exps, 2 * p.coeffs), o)
+    double = TestForm(3, 1, {k: [(p.__class__(p.num_vars, p.exps, 2 * p.coeffs), o)
                                  for p, o in v] for k, v in base.coeffs.items()},
                       base.window, label="x2")
     z = surface_point_with_norm(A1, 0.4, seed=1)

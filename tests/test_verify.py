@@ -17,7 +17,9 @@ from conekop.verify import (
     run_experiment,
     run_hoelder_modulus,
     run_koppelman_q1_loose,
+    run_log_annulus,
     run_lp_threshold,
+    run_offcenter_ball,
     run_radial_scaling,
     run_two_pole,
 )
@@ -121,6 +123,37 @@ def test_two_pole_trivial_volume():
     for r in rep.rows:
         err = 4 * np.hypot(r["stderr"], vol.stderr)
         assert abs(r["integral"] - vol.value.real) <= err
+
+
+def test_two_pole_log_regime_is_linear_in_log_separation():
+    # alpha + beta = 2n: the integral grows like |log |z - w||
+    rep = run_two_pole(HP, SamplingPlan(samples=30_000, seed=5, experiment_id="tplog"),
+                       alpha=2.0, beta=2.0)
+    assert rep.parameters["regime"] == "log"
+    assert rep.checks["log_regime_linear"]
+    assert rep.fitted["log_fit_r2"]["value"] > 0.99
+
+
+def test_log_annulus_rows_are_two_pi_squared_on_the_hyperplane():
+    # in C^2, dV = 2 pi^2 r^3 dr, so each row is 2 pi^2 times the change of
+    # log|log r| across (e^-e^(m+1), e^-e^m): exactly 2 pi^2, for every m and
+    # about the origin and the surface point alike
+    rep = run_log_annulus(HP, SamplingPlan(samples=30_000, seed=5, experiment_id="la"))
+    assert len(rep.rows) == 6
+    for r in rep.rows:
+        val = r["integral"] if "integral" in r else r["loglog_integral"]
+        assert abs(val - 2 * np.pi**2) <= 4 * r["stderr"], r
+
+
+def test_offcenter_ball_concentric_rows_are_exact_on_the_hyperplane():
+    # int over B(z, r) of |zeta - z|^-1 dV = 2 pi^2 r^3 / 3 in C^2
+    rep = run_offcenter_ball(HP, SamplingPlan(samples=30_000, seed=5,
+                                              experiment_id="oc"))
+    rows = [r for r in rep.rows if r["mode"] == "concentric"]
+    assert len(rows) == 5
+    for r in rows:
+        err = 4 * r["stderr"] / r["r"] ** 3
+        assert abs(r["normalized"] - 2 * np.pi**2 / 3) <= err, r
 
 
 def test_hoelder_zero_separation_is_zero():
