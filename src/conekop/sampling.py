@@ -18,6 +18,11 @@ Each stratum draws in BATCH_SIZE chunks from its own stream; consecutive
 chunks, across strata, are packed into work units of at most PACK_ROWS base
 points, which share one fiber solve and one integrand call.  Sums still
 accumulate chunk by chunk, so packing changes no result.
+
+Before the fiber solve, a work unit drops the base rows whose sheets
+provably all lie outside the region (_may_reach).  Such a row adds exactly
+0 to the sums, as it would through the indicator, so results are unchanged;
+only the remaining rows are solved and enter the mixture density.
 """
 
 from __future__ import annotations
@@ -553,7 +558,7 @@ def _radial_norm(st: _Stratum, n: int) -> float:
 
 def _sample_stratum(st: _Stratum, n: int, count: int, rng) -> np.ndarray:
     g = rng.standard_normal((count, 2 * n))
-    g /= np.sqrt(np.sum(g * g, axis=-1, keepdims=True))
+    g /= np.sqrt(row_norm_sq(g))[:, None]
     dirs = g[:, :n] + 1j * g[:, n:]
     beta = 2 * n - st.power
     u = rng.random(count)
@@ -738,6 +743,37 @@ def _mixture_density(chains: list[_Chain], bases: np.ndarray, n: int) -> np.ndar
     return p
 
 
+def _may_reach(v: ConeVariety, chart: Chart, region: Region,
+               bases: np.ndarray) -> np.ndarray:
+    """False for the rows of bases (B, n) whose sheets all lie outside region.
+
+    Two rigorous bounds on |zeta - c| for the sheets zeta over a base s: the
+    chart's projection is 1-Lipschitz, so |zeta - c| >= |s - c_base|; and for
+    nu = 1 with a binomial fiber polynomial c_d t^d + c_0(s), every sheet has
+    |t| = (|c_0(s)| / |c_d|)^(1/d), which bounds |t - c_fiber| on both sides.
+    A row is dropped only when a bound clears its radius by 1e-9 relative;
+    the lower fiber bound gives up a further 1e-12 of |t| + |c_fiber|, which
+    covers the rounding of the solved sheets where |t - c_fiber| is far
+    smaller than either.  Rows at the border, and NaN rows, are kept.
+    """
+    c = region.center
+    base_sq = row_norm_sq(bases - c[list(chart.base)])
+    lo_sq, hi_sq = base_sq, None
+    if v.nu == 1:
+        table = _fiber_poly_coeffs(v, chart)
+        d = len(table) - 1
+        if _lacunary_step(table) == d:
+            c0 = np.abs(eval_monomials(*table[0], bases.T))
+            t = (c0 / abs(table[d][1].sum())) ** (1.0 / d)
+            cf = abs(c[chart.fiber[0]])
+            lo_sq = base_sq + np.maximum(np.abs(t - cf) - 1e-12 * (t + cf), 0.0) ** 2
+            hi_sq = base_sq + (t + cf) ** 2
+    keep = ~(lo_sq > (region.r_outer * (1.0 + 1e-9)) ** 2)
+    if region.r_inner > 0 and hi_sq is not None:
+        keep &= ~(hi_sq < (region.r_inner * (1.0 - 1e-9)) ** 2)
+    return keep
+
+
 def _units(counts) -> list[list[tuple[int, int]]]:
     """Work units as lists of (stratum index, chunk size).
 
@@ -773,6 +809,9 @@ class StratumStat:
 
 @dataclass
 class QuadratureResult:
+    """discarded counts the invalid sheets over the solved base rows; rows
+    dropped before the fiber solve, with no sheet in the region, add none."""
+
     value: complex
     stderr: float
     samples: int
@@ -824,29 +863,36 @@ def integrate(v: ConeVariety, region: Region, integrand, plan: SamplingPlan,
         draws = [_sample_stratum(strata[si], n, bs, rngs[si]) for si, bs in unit]
         # a lone chunk is used as drawn: a copy would raise the peak memory
         bases = draws[0] if len(draws) == 1 else np.concatenate(draws)
-        p = _mixture_density(chains, bases, n)
-        pts, valid = solve_fiber(v, chart, bases)
-        discarded += int(valid.size - valid.sum())
-        inside = valid & region.indicator(pts)
-        B, S = inside.shape
-        flat = inside.reshape(-1)
-        if np.any(flat):
-            sel = pts.reshape(B * S, -1)[flat]
-            m = v.minors(sel)
-            gsel = gram_factors(v, chart, m)
-            fv = np.asarray(integrand(PointBatch(v, sel, gsel, m)))
-            if fv.ndim == 1:
-                fv = fv[:, None]
-            K = fv.shape[1]
-            vals = np.zeros((B * S, K), dtype=complex)
-            vals[flat] = fv * gsel[:, None]
-            Y = vals.reshape(B, S, K).sum(axis=1) / p[:, None]
-        else:
-            Y = np.zeros((B, K), dtype=complex)
+        B = len(bases)
+        # rows that cannot reach the region add 0 and count as admissible
+        rows = np.flatnonzero(_may_reach(v, chart, region, bases))
+        admissible = np.ones(B, dtype=bool)
+        Y = np.zeros((B, K), dtype=complex)
+        if rows.size:
+            kept = bases if rows.size == B else bases[rows]
+            pts, valid = solve_fiber(v, chart, kept)
+            discarded += int(valid.size - valid.sum())
+            admissible[rows] = np.any(valid, axis=1)
+            inside = valid & region.indicator(pts)
+            S = inside.shape[1]
+            flat = inside.reshape(-1)
+            if np.any(flat):
+                sel = pts.reshape(-1, pts.shape[-1])[flat]
+                m = v.minors(sel)
+                gsel = gram_factors(v, chart, m)
+                fv = np.asarray(integrand(PointBatch(v, sel, gsel, m)))
+                if fv.ndim == 1:
+                    fv = fv[:, None]
+                K = fv.shape[1]
+                vals = np.zeros((flat.size, K), dtype=complex)
+                vals[flat] = fv * gsel[:, None]
+                Y = np.zeros((B, K), dtype=complex)
+                Y[rows] = (vals.reshape(-1, S, K).sum(axis=1)
+                           / _mixture_density(chains, kept, n)[:, None])
         a = 0
         for si, bs in unit:
             e = a + bs
-            got_valid[si] |= bool(np.any(valid[a:e]))
+            got_valid[si] |= bool(np.any(admissible[a:e]))
             s_sum[si] = s_sum[si] + Y[a:e].sum(axis=0)
             s_sq[si] = s_sq[si] + np.sum(np.abs(Y[a:e]) ** 2, axis=0)
             a = e

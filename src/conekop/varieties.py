@@ -40,6 +40,9 @@ __all__ = [
 
 
 FRAME_TOL = 1e-8
+# largest degree a custom variety may have: the fiber solver forms d + 1
+# coefficients and d x d root-finding matrices per base point
+MAX_DEGREE = 32
 
 
 class DegenerateExponentError(ValueError):
@@ -179,21 +182,19 @@ class ConeVariety:
         pts = np.asarray(pts, dtype=complex)
         return np.stack([p(pts) for p in self.polys], axis=-1)
 
+    @functools.cached_property
+    def _partials(self) -> tuple:
+        """p.partial(j) for each defining polynomial p and column j, built once."""
+        return tuple(tuple(p.partial(j) for j in range(self.ambient_dim))
+                     for p in self.polys)
+
     def jacobian(self, pts) -> np.ndarray:
         """Partial derivatives; shape (..., nu, N)."""
         pts = np.asarray(pts, dtype=complex)
-        N = self.ambient_dim
-        rows = []
-        for p in self.polys:
-            row = []
-            for j in range(N):
-                dp = p.partial(j)
-                if dp is None:
-                    row.append(np.zeros(pts.shape[:-1], dtype=complex))
-                else:
-                    row.append(dp(pts))
-            rows.append(np.stack(row, axis=-1))
-        return np.stack(rows, axis=-2)
+        zero = np.zeros(pts.shape[:-1], dtype=complex)
+        return np.stack([np.stack([zero if dp is None else dp(pts) for dp in row],
+                                  axis=-1)
+                         for row in self._partials], axis=-2)
 
     def minors(self, pts) -> np.ndarray:
         """All (nu x nu) minors of the Jacobian; shape (..., C(N, nu)).
@@ -386,7 +387,7 @@ def variety_from_json(path_or_obj) -> ConeVariety:
     Schema: {"ambient_dim": int, "polys": [[{"exp": [int...], "re": float,
     "im": float}, ...], ...], "name": optional str}.  Malformed documents
     raise ValueError; polys must hold one or two polynomials, the
-    codimensions the fiber solver handles.
+    codimensions the fiber solver handles, of degree at most MAX_DEGREE.
     """
     if isinstance(path_or_obj, (str,)):
         with open(path_or_obj) as fh:
@@ -414,12 +415,19 @@ def variety_from_json(path_or_obj) -> ConeVariety:
             exp = tuple(exp)
             if len(exp) != N:
                 raise ValueError("exponent vector length does not match ambient_dim")
+            if min(exp, default=0) < 0 or sum(exp) > MAX_DEGREE:
+                raise ValueError(f"exp {list(exp)} must be nonnegative with degree "
+                                 f"at most {MAX_DEGREE}")
             parts = (t.get("re", 0.0), t.get("im", 0.0))
             # NaN, infinities and ints beyond double range fail the bound
             if any(isinstance(x, bool) or not isinstance(x, (int, float))
                    or not abs(x) <= sys.float_info.max for x in parts):
                 raise ValueError(f"coefficient parts must be finite numbers, got {parts}")
             terms[exp] = terms.get(exp, 0.0) + complex(*parts)
+        for exp, c in terms.items():
+            if not np.isfinite(c):
+                raise ValueError(f"the coefficients of monomial {list(exp)} sum "
+                                 f"to {c}, not a finite number")
         polys.append(MultiIndexPoly.from_dict(N, terms))
     name = obj.get("name", "custom")
     if not isinstance(name, str):

@@ -146,6 +146,15 @@ def _custom(doc, cause=None):
     _custom({"polys": QUADRIC["polys"]}, "lacks the key 'ambient_dim'"),
     _custom({"ambient_dim": 3}, "lacks the key 'polys'"),
     _custom({**QUADRIC, "name": ["x"]}, "name must be a string"),
+    _custom(_quadric_with_first_exp([10**20, 0, 0]), "exp [100000000000000000000, 0, 0]"),
+    _custom({"ambient_dim": 3, "polys": [[{"exp": [33, 0, 0], "re": 1.0},
+                                          {"exp": [0, 33, 0], "re": 1.0},
+                                          {"exp": [0, 0, 33], "re": 1.0}]]},
+            "exp [33, 0, 0]"),
+    _custom(_quadric_with_first_exp([-1, 3, 0]), "exp [-1, 3, 0]"),
+    _custom({**QUADRIC, "polys": [QUADRIC["polys"][0]
+                                  + [{"exp": [2, 0, 0], "re": 1e308}] * 2]},
+            "monomial [2, 0, 0] sum to"),
     "about",
     [1, 2],
     {"tolerance_scale": float("nan")},
@@ -159,7 +168,8 @@ def _custom(doc, cause=None):
         "term_not_object", "exp_fraction", "exp_string",
         "nu2_solutions_at_infinity", "dim_1", "coefficient_nan",
         "coefficient_infinite", "term_without_exp", "no_ambient_dim", "no_polys_key",
-        "name_not_string", "config_string", "config_list",
+        "name_not_string", "exp_beyond_int64", "degree_above_max", "exp_negative",
+        "coefficient_sum_infinite", "config_string", "config_list",
         "tolerance_scale_nan", "tolerance_scale_inf", "unknown_key", "experiments_string"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, raw):
     args, cause = [], None

@@ -767,6 +767,106 @@ def test_packing_does_not_change_results(monkeypatch, run):
     assert packed_empty == alone_empty
 
 
+# a quartic whose fiber polynomial in z0 has the powers 0, 1, 3 and 4
+DENSE_QUARTIC = ConeVariety("dense_quartic", 3, (MultiIndexPoly.from_dict(3, {
+    (4, 0, 0): 1.0, (0, 4, 0): 1.0, (0, 0, 4): 1.0, (1, 1, 2): 0.5,
+    (3, 0, 1): 0.3, (0, 1, 3): 0.7j}),))
+
+
+def _reach_cases(v, chart, rng):
+    """(region, bases) pairs for the row-drop test.
+
+    Regions: balls and annuli at 0 and about a point z of norm 0.5, a
+    double-exponential annulus about z, and a ball of radius 1e-30 about a
+    sheet w solved over z's base, which solve_fiber finds again bit for bit.
+    Bases: 0.1 to 10 times r_outer from the region's base projection, that
+    projection itself and, about 0, bases scaled to put a sheet on a
+    boundary sphere."""
+    zero = np.zeros(v.ambient_dim)
+    z = surface_point_with_norm(v, 0.5, seed=2)
+    pts, valid = solve_fiber(v, chart, z[list(chart.base)])
+    w = pts[valid][0]
+    g = rng.standard_normal((300, 2 * v.dim))
+    s = g[:, :v.dim] + 1j * g[:, v.dim:]
+    pts, valid = solve_fiber(v, chart, s)
+    rho = np.where(valid, np.sqrt(np.sum(np.abs(pts) ** 2, axis=-1)), np.nan)
+    for region in (Region.ball(zero, 0.5), Region.annulus(zero, 0.3, 0.6),
+                   Region.ball(z, 0.2), Region.annulus(z, 0.05, 0.3),
+                   Region.annulus(z, 0.3, 0.6), Region.annulus(z, *annulus_bounds(3)),
+                   Region.ball(w, 1e-30)):
+        c_base = region.center[list(chart.base)]
+        dirs = s / np.sqrt(np.sum(np.abs(s) ** 2, axis=-1, keepdims=True))
+        radii = region.r_outer * 10.0 ** rng.uniform(-1, 1, len(s))
+        bases = [c_base + dirs * radii[:, None], c_base[None, :]]
+        if not np.any(region.center):
+            for r in {region.r_inner, region.r_outer} - {0.0}:
+                scaled = s[:, None, :] * (r / rho)[:, :, None]
+                bases.append(scaled[np.isfinite(rho)])
+        yield region, np.concatenate(bases)
+
+
+@pytest.mark.parametrize("v", [A1, get_variety("fermat3"), HP, get_variety("ci22"),
+                               DENSE_QUARTIC],
+                         ids=["a1", "fermat3", "hyperplane", "ci22", "dense_quartic"])
+def test_dropped_rows_have_no_sheet_in_the_region(v):
+    rng = np.random.default_rng(8)
+    kept = dropped = 0
+    for chart in admissible_charts(v):
+        for region, bases in _reach_cases(v, chart, rng):
+            keep = sampling._may_reach(v, chart, region, bases)
+            if not keep.all():
+                pts, _ = solve_fiber(v, chart, bases[~keep])
+                assert not np.any(region.indicator(pts))
+            kept, dropped = kept + keep.sum(), dropped + (~keep).sum()
+    assert kept > 0 and dropped > 0
+
+
+def _offcenter_ci22():
+    ci = get_variety("ci22")
+    z = surface_point_with_norm(ci, 0.5, seed=4)
+    # the origin's pole shells reach 0.6 from the origin, past the ball
+    return integrate(ci, Region.ball(z, 0.3), lambda b: b.norms() ** -1 + 0j,
+                     SamplingPlan(samples=4_000, seed=3, experiment_id="reachci"),
+                     poles=[(np.zeros(4), 2)])
+
+
+def _count_dropped(monkeypatch):
+    """Patch _may_reach to record how many rows each call drops; the list
+    of those counts fills as integrate runs."""
+    dropped = []
+    reach = sampling._may_reach
+
+    def counted(v, chart, region, bases):
+        keep = reach(v, chart, region, bases)
+        dropped.append(int(np.sum(~keep)))
+        return keep
+
+    monkeypatch.setattr(sampling, "_may_reach", counted)
+    return dropped
+
+
+@pytest.mark.parametrize("run", [_apply_K_a1, _apply_P_fermat3, _offcenter_ci22],
+                         ids=["apply_K_a1", "apply_P_fermat3", "offcenter_ci22"])
+def test_dropping_rows_does_not_change_results(monkeypatch, run):
+    # the reference solves every row and lets the indicator reject its sheets
+    dropped = []
+
+    def dropping():
+        dropped.append(_count_dropped(monkeypatch))
+        return run()
+
+    def keeping_all():
+        monkeypatch.setattr(sampling, "_may_reach",
+                            lambda v, chart, region, bases: np.ones(len(bases), dtype=bool))
+        return run()
+
+    got, got_empty = _run_with_pack(monkeypatch, None, dropping)
+    want, want_empty = _run_with_pack(monkeypatch, None, keeping_all)
+    assert sum(dropped[0]) > 0
+    _same_result(got, want)
+    assert got_empty == want_empty
+
+
 def test_packing_keeps_empty_stratum_warnings(monkeypatch):
     # sheets over bases within 1e-3 of the cone point made invalid: the
     # innermost cone-point strata draw no admissible point, and each packed
@@ -822,6 +922,7 @@ def test_small_strata_share_fiber_solves(monkeypatch):
         return solve(v, chart, bases)
 
     monkeypatch.setattr(sampling, "solve_fiber", counted)
+    dropped = _count_dropped(monkeypatch)
     integrate(A1, region, ONE, plan, poles=poles)
     strata = sampling._build_strata(A1, region, default_chart(A1), poles, plan)
     counts = sampling._allocate(strata, plan, A1.dim)
@@ -832,8 +933,9 @@ def test_small_strata_share_fiber_solves(monkeypatch):
             if rows == 0 or rows + bs > sampling.PACK_ROWS:
                 units, rows = units + 1, 0
             rows += bs
-    assert len(calls) == units
-    assert sum(calls) == counts.sum()
+    # a unit whose rows all lie outside the region skips its solve
+    assert len(dropped) == units and len(calls) <= units
+    assert sum(calls) + sum(dropped) == counts.sum()
     assert units < len(strata) / 10
 
 
