@@ -416,7 +416,7 @@ class TestForm:
 
     # ----- evaluation ----------------------------------------------------
 
-    def _coeff_value(self, terms, cols, x):
+    def _coeff_value(self, terms, cols, windows, x):
         val = 0.0
         for poly, order in terms:
             pv = eval_monomials(poly.exps, poly.coeffs, cols)
@@ -424,16 +424,24 @@ class TestForm:
                 if order == 0:
                     val = val + pv
             else:
-                val = val + pv * self.window.value(x, order)
+                val = val + pv * windows[order]
         return val + np.zeros(x.shape, dtype=complex)
 
     def eval(self, pts: np.ndarray) -> dict:
-        """Coefficients per ambient dzeta-bar multi-index at pts (batch, N)."""
+        """Coefficients per ambient dzeta-bar multi-index at pts (batch, N).
+
+        Each window order the terms use is evaluated once per call.
+        """
         pts = np.asarray(pts, dtype=complex)
         x = row_norm_sq(pts)
         zb = np.conj(pts)
         cols = [c for j in range(self.N) for c in (pts[..., j], zb[..., j])]
-        return {I: self._coeff_value(terms, cols, x) for I, terms in self.coeffs.items()}
+        windows = {}
+        if self.window is not None:
+            orders = {order for terms in self.coeffs.values() for _, order in terms}
+            windows = {k: self.window.value(x, k) for k in orders}
+        return {I: self._coeff_value(terms, cols, windows, x)
+                for I, terms in self.coeffs.items()}
 
     def form_value(self, pts: np.ndarray) -> FormValue:
         """The same data as a FormValue over a-generators."""

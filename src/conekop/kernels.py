@@ -1,6 +1,6 @@
 """Kernel ingredients and assembly for the integral operators K and P.
 
-Everything here evaluates pointwise (batched) FormValues; nothing is ever
+Everything here evaluates pointwise on batches of points; nothing is ever
 differentiated numerically.  The closed forms of every antiholomorphic
 differential are built in:
 
@@ -31,6 +31,26 @@ ambient dimension: the top extraction reads kappa off u = e_top ^ kappa with
 no reordering sign, and the flat kernel then coincides with the
 Bochner-Martinelli kernel.  The calibrate experiment (verify.run_calibrate)
 refits both constants on the flat model as the check.
+
+On a surface (n = 2) with an output of dz-bar degree 0 (K on a (0,1) input,
+P on a (0,0) input) surface_density_K and surface_density_P give the
+density of omega ^ k ^ phi and omega ^ p ^ phi in closed form, with no
+FormValue.  Each dbar of a support form carries exactly one dzeta-bar;
+contracting it with the input leaves a vector, and top(h_1 ^ ... ^ h_nu ^ x
+^ y) is the determinant with rows h_1, ..., h_nu, x, y.  With Omega_B =
+omega_B / c_vol, extended antisymmetrically to Omega~, chi = chi(|zeta|^2),
+gamma = chi'(|zeta|^2) zeta and D(s, eta, Q) x = (s (eta . x) / Q^2 - x / Q)
+/ (2 pi i):
+    K:  (2 pi i)^nu det[h, beta, chi D(s, eta, Q) Psi + (gamma . Psi) tau],
+        Psi = Omega~ phi,
+    P:  (2 pi i)^nu f det[h, tau, D(s_s, eta_s, Q_s) Omega~ gamma],
+for b's terms s = conj(eta), eta = zeta - z, Q = |eta|^2, beta = s / (2 pi
+i Q), and sigma's terms s_s = conj(zeta_s), eta_s = zeta_s - z, Q_s = s_s .
+eta_s, tau = s_s / (2 pi i Q_s) at weight_g's safe zeta_s.  The (2 pi i)^nu
+cancels the 1/(2 pi i) of each Hefer row h_i = H_i / (2 pi i), so the rows
+are the H_i of hefer_coeffs.  Within rho1 chi = 1 and gamma = +-0 exactly,
+so no row needs a branch.  Other dimensions and degrees take the FormValue
+kernels, which the tests also hold the closed form to.
 """
 
 from __future__ import annotations
@@ -40,7 +60,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import FormValue, TWO_PI_I, Window, smoothstep, smoothstep_deriv
+from .forms import (FormValue, TWO_PI_I, Window, _volume_constant, smoothstep,
+                    smoothstep_deriv)
 from .varieties import (ConeVariety, _require_regular, minor_complements, row_norm,
                         row_norm_sq)
 
@@ -53,8 +74,11 @@ __all__ = [
     "weight_g",
     "hefer_form",
     "structure_form",
+    "structure_norm_sq",
     "kernel_K",
     "kernel_P",
+    "surface_density_K",
+    "surface_density_P",
     "model_k_gamma",
     "model_k_tilde",
     "k_gamma_truncated",
@@ -213,6 +237,18 @@ def hefer_form(v: ConeVariety, zeta: np.ndarray, z: np.ndarray) -> FormValue:
     return out
 
 
+def structure_norm_sq(v: ConeVariety, zeta: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """|m|^2 for the minors m = v.minors(zeta), the denominator of omega.
+
+    Raises PoleError where m = 0 and NearSingularError near the branch locus.
+    """
+    msq = row_norm_sq(m)
+    if np.any(msq == 0):
+        raise PoleError("structure form evaluated at a singular point")
+    _require_regular(v, zeta, np.sqrt(msq))
+    return msq
+
+
 def structure_form(v: ConeVariety, zeta: np.ndarray, m: np.ndarray) -> FormValue:
     """(n,0) form of conjugated Jacobian minors over the squared minors norm.
 
@@ -222,10 +258,7 @@ def structure_form(v: ConeVariety, zeta: np.ndarray, m: np.ndarray) -> FormValue
     NearSingularError.
     """
     zeta = np.asarray(zeta, dtype=complex)
-    msq = row_norm_sq(m)
-    if np.any(msq == 0):
-        raise PoleError("structure form evaluated at a singular point")
-    _require_regular(v, zeta, np.sqrt(msq))
+    msq = structure_norm_sq(v, zeta, m)
     terms = {}
     for k, (mask, sgn) in enumerate(minor_complements(v.ambient_dim, v.nu)):
         terms[mask] = sgn * np.conj(m[..., k]) / msq
@@ -275,6 +308,97 @@ def kernel_P(v: ConeVariety, zeta: np.ndarray, z: np.ndarray,
     z = np.asarray(z, dtype=complex)
     g = weight_g(zeta, z, cfg, n, N, (n,))
     return _top_with_hefer(v, zeta, z, g)
+
+
+# ---------------------------------------------------------------------------
+# K and P on surfaces in closed form
+# ---------------------------------------------------------------------------
+# Arrays here are per column: a vector field over L points is an (N, L)
+# array, so every entry of a determinant is one contiguous array.
+
+
+def _det(rows):
+    """Determinant of a square matrix of per-point arrays, by cofactors."""
+    if len(rows) == 1:
+        return rows[0][0]
+    out = None
+    for j, a in enumerate(rows[0]):
+        t = a * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+        out = t if out is None else out - t if j % 2 else out + t
+    return out
+
+
+def _dbar_support(s, eta, Q, x):
+    """D(s, eta, Q) x = (s (eta . x) / Q^2 - x / Q) / (2 pi i).
+
+    D's entries are the e_j ^ a_k coefficients of dbar of the support form
+    s / (2 pi i Q), the negative of _support_series's m.
+    """
+    return (s * (np.sum(eta * x, axis=0) / Q**2) - x / Q) / TWO_PI_I
+
+
+def _omega_apply(v: ConeVariety, m, msq, x):
+    """Omega~ x for the antisymmetric extension Omega~ of Omega_B = omega_B / c_vol.
+
+    m = v.minors(zeta), shape (L, C(N, nu)), and msq = |m|^2.
+    """
+    out = np.zeros_like(x)
+    scale = 1.0 / (_volume_constant(2) * msq)
+    for k, (mask, sgn) in enumerate(minor_complements(v.ambient_dim, v.nu)):
+        a, b = (j for j in range(v.ambient_dim) if mask >> j & 1)
+        om = sgn * np.conj(m[:, k]) * scale
+        out[a] += om * x[b]
+        out[b] -= om * x[a]
+    return out
+
+
+def _surface_parts(v: ConeVariety, zeta, z, cfg: WeightConfig):
+    """Per-column pieces shared by k and p at the rows zeta (L, N).
+
+    Returns zeta, x = |zeta|^2, chi'(x), the (s, eta, Q) of sigma on the
+    safe zeta_s of weight_g, and the Hefer rows H_i as lists of arrays.
+    """
+    zc = np.ascontiguousarray(zeta.T)
+    x = row_norm_sq(zeta)
+    cd = cfg.chi.value(x, 1)
+    zs = np.where(cd != 0.0, zc, 1.0)
+    s, eta = np.conj(zs), zs - z[:, None]
+    Q = np.sum(s * eta, axis=0)
+    if np.any(Q == 0):
+        raise PoleError("sigma denominator vanished on supp dbar chi")
+    H = np.ascontiguousarray(np.moveaxis(v.hefer_coeffs(zeta, z), 0, -1))
+    return zc, x, cd, (s, eta, Q), [list(h) for h in H]
+
+
+def surface_density_K(v: ConeVariety, zeta, z, cfg: WeightConfig, m, msq,
+                      phi: dict) -> np.ndarray:
+    """Density of omega ^ k ^ phi on a surface X for a (0,1) input.
+
+    zeta (L, N) are points of X, m (L, C(N, nu)) their minors with squared
+    norms msq, phi the input's coefficients by 1-index (TestForm.eval).
+    """
+    N = v.ambient_dim
+    zc, x, cd, (ss, es, Qs), H = _surface_parts(v, zeta, z, cfg)
+    eta = zc - z[:, None]
+    s = np.conj(eta)
+    Q = np.sum(eta.real**2 + eta.imag**2, axis=0)
+    zero = np.zeros(len(zeta), dtype=complex)
+    psi = _omega_apply(v, m, msq, np.stack([phi.get((j,), zero) for j in range(N)]))
+    w = (cfg.chi.value(x, 0) * _dbar_support(s, eta, Q, psi)
+         + np.sum(cd * zc * psi, axis=0) * ss / (TWO_PI_I * Qs))
+    return _det(H + [list(s / (TWO_PI_I * Q)), list(w)])
+
+
+def surface_density_P(v: ConeVariety, zeta, z, cfg: WeightConfig, m, msq,
+                      phi: dict) -> np.ndarray:
+    """Density of omega ^ p ^ phi on a surface X for a (0,0) input.
+
+    Arguments as for surface_density_K; phi holds the one coefficient at ().
+    """
+    zc, _, cd, (ss, es, Qs), H = _surface_parts(v, zeta, z, cfg)
+    rho = _omega_apply(v, m, msq, cd * zc)
+    tau = ss / (TWO_PI_I * Qs)
+    return phi[()] * _det(H + [list(tau), list(_dbar_support(ss, es, Qs, rho))])
 
 
 # ---------------------------------------------------------------------------

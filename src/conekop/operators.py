@@ -3,6 +3,9 @@
 The operators are linear in the input form and deterministic given the
 sampling plan; pole locations of each kernel are declared to the sampler so
 that importance shells keep the variance of the singular integrands finite.
+On a surface, K on a (0,1) input and P take their densities in closed form
+(kernels.surface_density_K, _P); every other case assembles the kernel in
+the FormValue algebra.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ __all__ = [
 ]
 
 _TINY = 1e-13
+# rows per block of the closed-form surface densities: bounds their temporaries
+_BLOCK = 4096
 
 
 class ExponentRangeError(ValueError):
@@ -50,13 +55,49 @@ def _rows(form: FormValue, sel) -> FormValue:
     return FormValue(form.N, {m: c[sel] for m, c in form.terms.items()})
 
 
-def _kernel_integrand(v: ConeVariety, phi: TestForm, z, cfg, subsets, kernel):
-    """Batch integrand of omega ^ kernel(zeta) ^ phi, kernel being kernel_K or
-    kernel_P bound to v, z and cfg.
+def _ok_rows(batch: PointBatch, z):
+    """Indices of the rows away from the cone point and from z."""
+    return np.flatnonzero((batch.norms() > _TINY) & (batch.dist(z) > _TINY))
 
-    Rows with |zeta| >= min(rho2, r_hi of phi's window), where every term is
-    exactly +-0, are skipped.  Rows within rho1 go to the kernel apart from
-    the rest, so kernel_K can form them from B alone.
+
+def _x_end(cfg: WeightConfig, phi: TestForm) -> float:
+    """|zeta|^2 from which every term of K phi and P phi is exactly +-0."""
+    return cfg.chi.x1 if phi.window is None else min(cfg.chi.x1, phi.window.x1)
+
+
+def _surface_integrand(v: ConeVariety, phi: TestForm, z, cfg, density):
+    """Batch integrand of omega ^ kappa ^ phi on a surface X with an output
+    of dz-bar degree 0, density being kernels.surface_density_K or _P.
+
+    Only rows with |zeta|^2 < x_end are evaluated, in blocks of _BLOCK rows;
+    every other row reads exactly 0.
+    """
+    x_end = _x_end(cfg, phi)
+
+    def integrand(batch: PointBatch):
+        out = np.zeros((len(batch), 1), dtype=complex)
+        rows = _ok_rows(batch, z)
+        pts, m = batch.positions[rows], batch.minors[rows]
+        # structure_form's regularity guard sees dead rows too
+        msq = kernels.structure_norm_sq(v, pts, m)
+        live = row_norm_sq(pts) < x_end
+        rows, pts, m, msq = rows[live], pts[live], m[live], msq[live]
+        for lo in range(0, len(rows), _BLOCK):
+            b = slice(lo, lo + _BLOCK)
+            out[rows[b], 0] = density(v, pts[b], z, cfg, m[b], msq[b],
+                                      phi.eval(pts[b]))
+        return out
+
+    return integrand
+
+
+def _form_integrand(v: ConeVariety, phi: TestForm, z, cfg, subsets, kernel):
+    """Batch integrand of omega ^ kernel(zeta) ^ phi in the FormValue algebra,
+    kernel being kernel_K or kernel_P bound to v, z and cfg.
+
+    Rows with |zeta|^2 >= x_end, where every term is exactly +-0, are
+    skipped.  Rows within rho1 go to the kernel apart from the rest, so
+    kernel_K can form them from B alone.
     """
     # surface densities are keyed by the dz-bar mask alone (low bits)
     masks = []
@@ -65,22 +106,20 @@ def _kernel_integrand(v: ConeVariety, phi: TestForm, z, cfg, subsets, kernel):
         for idx in s:
             m |= 1 << idx
         masks.append(m)
-    chi = cfg.chi
-    x_end = chi.x1 if phi.window is None else min(chi.x1, phi.window.x1)
+    x0, x_end = cfg.chi.x0, _x_end(cfg, phi)
 
     def integrand(batch: PointBatch):
-        ok = (batch.norms() > _TINY) & (batch.dist(z) > _TINY)
         out = np.zeros((len(batch), len(masks)), dtype=complex)
-        if not np.any(ok):
+        rows = _ok_rows(batch, z)
+        if not len(rows):
             return out
-        rows = np.flatnonzero(ok)
         pts = batch.positions[rows]
         # both on every ok row: structure_form's regularity guard must see
         # dead rows too, and form_value is not bit-stable under row subsets
         omega = kernels.structure_form(v, pts, batch.minors[rows])
         phi_val = phi.form_value(pts)
         x = row_norm_sq(pts)
-        inner = x <= chi.x0
+        inner = x <= x0
         for sel in (inner, ~inner & (x < x_end)):
             if not np.any(sel):
                 continue
@@ -112,9 +151,12 @@ def apply_K(v: ConeVariety, phi: TestForm, z, cfg: WeightConfig,
     subsets = output_subsets(v.ambient_dim, phi.q - 1)
     region = Region.domain(cfg.omega_prime_radius, v.ambient_dim)
     poles = [(z, 2 * n - 1), (np.zeros(v.ambient_dim), v.total_degree - v.nu)]
-    integrand = _kernel_integrand(
-        v, phi, z, cfg, subsets,
-        lambda zeta: kernels.kernel_K(v, zeta, z, cfg, phi.q - 1))
+    if n == 2 and phi.q == 1:
+        integrand = _surface_integrand(v, phi, z, cfg, kernels.surface_density_K)
+    else:
+        integrand = _form_integrand(
+            v, phi, z, cfg, subsets,
+            lambda zeta: kernels.kernel_K(v, zeta, z, cfg, phi.q - 1))
     qr = integrate(v, region, integrand, plan, poles=poles)
     coeffs = np.atleast_1d(np.asarray(qr.value))
     return coeffs, qr
@@ -131,8 +173,11 @@ def apply_P(v: ConeVariety, phi: TestForm, z, cfg: WeightConfig,
     if phi.q != 0:
         raise ValueError("apply_P expects a (0,0) input")
     region = Region.annulus(np.zeros(v.ambient_dim), cfg.rho1, cfg.rho2)
-    integrand = _kernel_integrand(v, phi, z, cfg, [()],
-                                  lambda zeta: kernels.kernel_P(v, zeta, z, cfg))
+    if v.dim == 2:
+        integrand = _surface_integrand(v, phi, z, cfg, kernels.surface_density_P)
+    else:
+        integrand = _form_integrand(v, phi, z, cfg, [()],
+                                    lambda zeta: kernels.kernel_P(v, zeta, z, cfg))
     qr = integrate(v, region, integrand, plan)
     value = complex(np.atleast_1d(np.asarray(qr.value))[0])
     return value, qr

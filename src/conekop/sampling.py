@@ -356,7 +356,8 @@ def _solve_fiber_nu2(v: ConeVariety, chart: Chart, bases: np.ndarray):
             f"fiber system of {v.name!r} has solutions at infinity")
     u1 = _poly_roots(resultant)
     u1 = np.take_along_axis(u1, np.argsort(np.angle(u1), axis=1), axis=1)
-    cs = _coeffs_in_u2(v, chart, bases, u1).reshape(u1.size, -1, 2)
+    # the coefficient count spelt out, so that an empty batch reshapes too
+    cs = _coeffs_in_u2(v, chart, bases, u1).reshape(u1.size, max(v.degrees) + 1, 2)
     u2 = _poly_roots(cs[:, :d2 + 1, 1])
     f1, _ = _polyval_and_deriv(cs[:, :d1 + 1, 0], u2)
     u2 = np.take_along_axis(u2, np.argmin(np.abs(f1), axis=1)[:, None], axis=1)

@@ -225,33 +225,36 @@ class ConeVariety:
         For a monomial c * prod x_k^(a_k) the j-th telescoping slot picks up
         c * prod_{k<j} z_k^(a_k) * (sum_t zeta_j^t z_j^(a_j-1-t)) * prod_{k>j} zeta_k^(a_k),
         which is bihomogeneous of total degree d_i - 1 and exactly restores
-        f_i(zeta) - f_i(z) after contraction with zeta - z.
+        f_i(zeta) - f_i(z) after contraction with zeta - z.  A single point z
+        (shape (N,)) enters as N scalars, and factors zeta_k^0 are skipped.
         """
         zeta = np.asarray(zeta, dtype=complex)
         z = np.asarray(z, dtype=complex)
-        zeta, z = np.broadcast_arrays(zeta, z)
         N = self.ambient_dim
-        shape = zeta.shape[:-1]
+        shape = np.broadcast_shapes(zeta.shape, z.shape)[:-1]
+        # for a single point z, z[..., j] is a zero-dimensional array: a
+        # scalar whose powers round as an array's do
+        zeta_c = [zeta[..., j] for j in range(N)]
+        z_c = [z[..., j] for j in range(N)]
         H = np.zeros(shape + (self.nu, N), dtype=complex)
         for i, p in enumerate(self.polys):
-            for e, c in zip(p.exps, p.coeffs):
-                prefix = np.full(shape, c)
+            for e, c in zip(p.exps.tolist(), p.coeffs):
                 # suffix[j] = prod_{k>j} zeta_k^(a_k), built backwards once
-                suffix = [np.ones(shape, dtype=complex)]
+                suffix = [1.0]
                 for k in range(N - 1, 0, -1):
                     s = suffix[0]
                     if e[k]:
-                        s = s * zeta[..., k] ** int(e[k])
+                        s = s * zeta_c[k] ** e[k]
                     suffix.insert(0, s)
-                for j in range(N):
-                    a = int(e[j])
+                prefix = c
+                for j, a in enumerate(e):
                     if a > 0:
                         # divided difference of the single-variable power
-                        dd = np.zeros(shape, dtype=complex)
-                        for t in range(a):
-                            dd = dd + zeta[..., j] ** t * z[..., j] ** (a - 1 - t)
+                        dd = z_c[j] ** (a - 1)
+                        for t in range(1, a):
+                            dd = dd + zeta_c[j] ** t * z_c[j] ** (a - 1 - t)
                         H[..., i, j] += prefix * dd * suffix[j]
-                        prefix = prefix * z[..., j] ** a
+                        prefix = prefix * z_c[j] ** a
         return H
 
     # ----- thresholds ----------------------------------------------------

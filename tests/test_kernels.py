@@ -8,8 +8,8 @@ from conekop.kernels import WeightConfig, annulus_bounds
 from conekop.sampling import (PointBatch, QuadratureResult, SamplingPlan,
                               default_chart, solve_fiber, surface_point_with_norm)
 from conekop.varieties import (ConeVariety, MultiIndexPoly, NearSingularError,
-                               get_variety, hyperplane, minor_complements,
-                               variety_from_json)
+                               catalog_names, get_variety, hyperplane,
+                               minor_complements, variety_from_json)
 
 HP = get_variety("hyperplane")
 A1 = get_variety("a1")
@@ -380,40 +380,111 @@ def _unpruned_integrand(v, phi, z, subsets, kernel, batch):
     return out
 
 
-@pytest.mark.parametrize("name", ["a1", "fermat3"])
-def test_pruned_kernel_integrand_matches_unpruned(name, monkeypatch):
-    # one batch that straddles rho1, the windows' r_hi and rho2, with over
-    # twice numpy's 8,192-element ufunc buffer in rows: at that size
-    # form_value on a row subset changes last bits (numpy 2.4, x86-64)
-    v = get_variety(name)
+def _straddling_batch(v, bases: int):
+    """Points of v with |zeta| uniform in [0.2, 2]: within rho1, across the
+    windows' r_hi and rho2, and past rho2."""
     rng = np.random.default_rng(17)
-    bases = rng.standard_normal((9000, 2)) + 1j * rng.standard_normal((9000, 2))
+    bases = rng.standard_normal((bases, 2)) + 1j * rng.standard_normal((bases, 2))
     pts, valid = solve_fiber(v, default_chart(v), bases)
     pts = pts[valid]
     pts *= (rng.uniform(0.2, 2.0, len(pts))
             / np.sqrt(np.sum(np.abs(pts) ** 2, -1)))[:, None]
-    m = v.minors(pts)
-    batch = PointBatch(v, pts, np.ones(len(pts)), m)
+    return PointBatch(v, pts, np.ones(len(pts)), v.minors(pts))
+
+
+@pytest.mark.parametrize("name", ["a1", "fermat3"])
+def test_pruned_kernel_integrand_matches_unpruned(name):
+    # the FormValue integrand on one batch that straddles rho1, the windows'
+    # r_hi and rho2, with over twice numpy's 8,192-element ufunc buffer in
+    # rows: at that size form_value on a row subset changes last bits
+    # (numpy 2.4, x86-64)
+    v = get_variety(name)
+    batch = _straddling_batch(v, 9000)
     assert len(batch) > 2 * 8192
     z = surface_point_with_norm(v, 0.5, seed=4)
     bump = TestForm.zbar_bump(3, 0, 0.6 * CFG.rho2, 0.95 * CFG.rho2)
-    x = np.sum(np.abs(pts) ** 2, -1)
+    x = np.sum(np.abs(batch.positions) ** 2, -1)
     for lo, hi in ((0.0, CFG.rho1), (CFG.rho1, 0.95 * CFG.rho2),
                    (0.95 * CFG.rho2, CFG.rho2), (CFG.rho2, 2.0)):
         assert np.sum((lo**2 < x) & (x < hi**2)) > 100
 
     # array_equal allows no difference but the sign of zero: the skipped
     # rows read +0 where the unpruned integrand may hold -0
-    outs = _on_batch(monkeypatch, batch)
     for phi in (bump, TestForm.constant(3)):
-        O.apply_P(v, phi, z, CFG, PLAN)
+        got = O._form_integrand(v, phi, z, CFG, [()],
+                                lambda zeta: K.kernel_P(v, zeta, z, CFG))(batch)
         want = _unpruned_integrand(v, phi, z, [()], _unpruned_p, batch)
-        assert np.any(want) and np.array_equal(outs[-1], want)
+        assert np.any(want) and np.array_equal(got, want)
     for phi in (bump.dbar(), TestForm.one_form_bump(3, 0, 1, 1.1, 1.6).dbar()):
-        O.apply_K(v, phi, z, CFG, PLAN)
-        want = _unpruned_integrand(v, phi, z, O.output_subsets(3, phi.q - 1),
-                                   _unpruned_k, batch)
-        assert np.any(want) and np.array_equal(outs[-1], want)
+        subsets = O.output_subsets(3, phi.q - 1)
+        got = O._form_integrand(
+            v, phi, z, CFG, subsets,
+            lambda zeta: K.kernel_K(v, zeta, z, CFG, phi.q - 1))(batch)
+        want = _unpruned_integrand(v, phi, z, subsets, _unpruned_k, batch)
+        assert np.any(want) and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_surface_integrand_matches_unpruned(name, monkeypatch):
+    # apply_K on (0,1) inputs and apply_P take K and P on a surface in closed
+    # form: within 1e-13 of the batch maximum of the FormValue integrand, in
+    # blocks, and exactly 0 on dead rows (the cone point, z, past x_end)
+    v = get_variety(name)
+    N = v.ambient_dim
+    z = surface_point_with_norm(v, 0.5, seed=4)
+    pts = np.vstack([_straddling_batch(v, 6000).positions, np.zeros((1, N)), z])
+    batch = PointBatch(v, pts, np.ones(len(pts)), v.minors(pts))
+    x = np.sum(np.abs(pts) ** 2, -1)
+    ok = (batch.norms() > O._TINY) & (batch.dist(z) > O._TINY)
+    assert not np.all(ok)
+    bump = TestForm.zbar_bump(N, 0, 0.6 * CFG.rho2, 0.95 * CFG.rho2)
+    cases = [(O.apply_P, phi, _unpruned_p) for phi in (bump, TestForm.constant(N))]
+    cases += [(O.apply_K, phi, _unpruned_k)
+              for phi in (bump.dbar(), TestForm.one_form_bump(N, 1, 0, 1.1, 1.6))]
+    outs = _on_batch(monkeypatch, batch)
+    for apply, phi, kernel in cases:
+        apply(v, phi, z, CFG, PLAN)
+        want = _unpruned_integrand(v, phi, z, [()], kernel, batch)
+        live = ok & (x < O._x_end(CFG, phi))
+        assert np.sum(live) > O._BLOCK and np.any(want)
+        assert np.max(np.abs(outs[-1] - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.all(outs[-1][~live] == 0)
+
+
+def test_surfaces_take_k_and_p_without_the_form_algebra(monkeypatch):
+    # the closed form never wedges; K on a (0,2) input and K and P on a
+    # threefold still go through the FormValue algebra
+    wedges = []
+    wedge = FormValue.wedge
+
+    def counted(self, other):
+        wedges.append(1)
+        return wedge(self, other)
+
+    monkeypatch.setattr(FormValue, "wedge", counted)
+    plan = SamplingPlan(samples=2000)
+    for v in (A1, get_variety("ci22"), hyperplane(4)):
+        N = v.ambient_dim
+        z = surface_point_with_norm(v, 0.5, seed=4)
+        bump = TestForm.zbar_bump(N, 0, 0.6 * CFG.rho2, 0.95 * CFG.rho2)
+        O.apply_P(v, bump, z, CFG, plan)
+        O.apply_K(v, bump.dbar(), z, CFG, plan)
+        assert bool(wedges) == (v.dim != 2)
+    O.apply_K(A1, TestForm.one_form_bump(3, 0, 1, 1.1, 1.6).dbar(),
+              surface_point_with_norm(A1, 0.5, seed=4), CFG, plan)
+    assert wedges
+
+
+def test_surface_densities_take_sigma_at_the_safe_point_within_rho1():
+    # gamma = 0 within rho1, where sigma is taken at weight_g's safe zeta_s:
+    # a row with conj(zeta) . (zeta - z) = 0 raises no PoleError
+    z = np.array([0.5, 0.0, 0.0], dtype=complex)
+    zeta = np.array([[0.25, 0.25, 0.0]], dtype=complex)
+    m = HP.minors(zeta)
+    msq = np.sum(np.abs(m) ** 2, -1)
+    for density, phi in ((K.surface_density_K, {(0,): np.ones(1)}),
+                         (K.surface_density_P, {(): np.ones(1)})):
+        assert np.all(np.isfinite(density(HP, zeta, z, CFG, m, msq, phi)))
 
 
 def test_kernel_P_vanishes_inside_cutoff():

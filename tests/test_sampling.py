@@ -69,6 +69,10 @@ def test_gram_factors_match_graph_metric(name):
         want = np.real(np.linalg.det(np.eye(v.dim) + AHA))
         got = gram_factors(v, chart, v.minors(sel))
         assert np.max(np.abs(got - want) / want) <= 1e-12
+        # an empty batch gives empty arrays of the same sheet count
+        none, none_valid = solve_fiber(v, chart, np.zeros((0, v.dim)))
+        assert none.shape == (0,) + pts.shape[1:]
+        assert none_valid.shape == (0,) + valid.shape[1:]
 
 
 def test_solve_fiber_a1_two_sheets():
