@@ -140,6 +140,8 @@ def main(argv=None) -> int:
         if v.dim < 2:
             raise ConfigError(f"variety {v.name!r} has dim X = {v.dim}; "
                               f"the experiments need dim X >= 2")
+        out = Path(cfg.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
     except (ConfigError, KeyError, ValueError, OSError, FiberDegenerateError,
             NearSingularError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -155,8 +157,6 @@ def main(argv=None) -> int:
               f"({time.time() - t0:.1f}s)", file=sys.stderr)
         reports.append(rep)
 
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     payload = {
         "config": {
             "variety": v.name,

@@ -23,9 +23,9 @@ kernel_K, kernel_P return the z-dependent factors
 where the subscript is the e-degree, so only the e-degree n part of g ^ B
 is ever formed (FormValue.surface_density contracts omega in).  Nothing
 else that no output reads is formed either: weight_g builds g_0 ... g_(n-1)
-for k and g_n alone for p, B keeps the dz-bar degrees up to the one K's
-output reads (none for a (0,1) input), and on rows within rho1, where g is
-the scalar 1, k is formed from B_n with no sigma series.  One factor
+for k and g_n alone for p, and B keeps the dz-bar degrees up to the one K's
+output reads (none for a (0,1) input).  Every row takes the same path;
+within rho1 the terms of g past g_0 = 1 are exactly +-0.  One factor
 1/(2 pi i) enters per Hefer factor, so c_K = c_P = (2 pi i)^nu in every
 ambient dimension: the top extraction reads kappa off u = e_top ^ kappa with
 no reordering sign, and the flat kernel then coincides with the
@@ -50,7 +50,9 @@ eta_s, tau = s_s / (2 pi i Q_s) at weight_g's safe zeta_s.  The (2 pi i)^nu
 cancels the 1/(2 pi i) of each Hefer row h_i = H_i / (2 pi i), so the rows
 are the H_i of hefer_coeffs.  Within rho1 chi = 1 and gamma = +-0 exactly,
 so no row needs a branch.  Other dimensions and degrees take the FormValue
-kernels, which the tests also hold the closed form to.
+kernels, which the tests also hold the closed form to.  Either way
+operators._kernel_integrand hands the density the same rows: the live ones,
+in blocks.
 """
 
 from __future__ import annotations
@@ -68,7 +70,6 @@ from .varieties import (ConeVariety, _require_regular, minor_complements, row_no
 __all__ = [
     "WeightConfig",
     "PoleError",
-    "bm_b",
     "bm_B",
     "sigma_form",
     "weight_g",
@@ -151,11 +152,6 @@ def _support_series(s, Q, eta, n: int, N: int, zbar_degree: int) -> list[FormVal
                                      if (m & bmask).bit_count() <= zbar_degree})
             series.append(term)
     return series
-
-
-def bm_b(eta: np.ndarray, N: int) -> FormValue:
-    """Contraction-normalized singular (1,0) form: coefficients eta_bar / (2 pi i |eta|^2)."""
-    return bm_B(eta, N, 1)
 
 
 def bm_B(eta: np.ndarray, N: int, n: int,
@@ -257,12 +253,14 @@ def structure_form(v: ConeVariety, zeta: np.ndarray, m: np.ndarray) -> FormValue
     genuine singularity whenever d > nu.  Near-singular points raise
     NearSingularError.
     """
-    zeta = np.asarray(zeta, dtype=complex)
-    msq = structure_norm_sq(v, zeta, m)
-    terms = {}
-    for k, (mask, sgn) in enumerate(minor_complements(v.ambient_dim, v.nu)):
-        terms[mask] = sgn * np.conj(m[..., k]) / msq
-    return FormValue(v.ambient_dim, terms)
+    return _omega_form(v, m, structure_norm_sq(v, np.asarray(zeta, dtype=complex), m))
+
+
+def _omega_form(v: ConeVariety, m: np.ndarray, msq: np.ndarray) -> FormValue:
+    """omega from the minors m and their squared norms msq = structure_norm_sq."""
+    return FormValue(v.ambient_dim, {
+        mask: sgn * np.conj(m[..., k]) / msq
+        for k, (mask, sgn) in enumerate(minor_complements(v.ambient_dim, v.nu))})
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +281,12 @@ def kernel_K(v: ConeVariety, zeta: np.ndarray, z: np.ndarray,
     at zeta = z has order 2n - 1.  The structure form omega, which
     contributes |zeta|^(nu - d) growth at the origin, is left to the caller.
     Only terms of dz-bar degree <= zbar_degree are formed (default all);
-    K applied to a (0, q) form reads degree q - 1.  When every row lies
-    within rho1, g is the scalar 1 there and k is formed from B_n alone.
+    K applied to a (0, q) form reads degree q - 1.
     """
     N, n = v.ambient_dim, v.dim
     zeta = np.asarray(zeta, dtype=complex)
     z = np.asarray(z, dtype=complex)
     Bf = bm_B(zeta - z, N, n, zbar_degree)
-    if np.all(row_norm_sq(zeta) <= cfg.chi.x0):
-        return _top_with_hefer(v, zeta, z, Bf.bidegree_part(n))
     # (g ^ B)_n graded: B has no e-degree 0 part, so g_k for k < n suffices
     g = weight_g(zeta, z, cfg, n, N, range(n))
     part = FormValue.zero(N)

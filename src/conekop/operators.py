@@ -3,9 +3,10 @@
 The operators are linear in the input form and deterministic given the
 sampling plan; pole locations of each kernel are declared to the sampler so
 that importance shells keep the variance of the singular integrands finite.
-On a surface, K on a (0,1) input and P take their densities in closed form
-(kernels.surface_density_K, _P); every other case assembles the kernel in
-the FormValue algebra.
+K and P share one batch integrand, _kernel_integrand, which evaluates a
+density on the live rows only, in blocks.  On a surface, K on a (0,1) input
+and P take their densities in closed form (kernels.surface_density_K, _P);
+every other case assembles the kernel in the FormValue algebra.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import warnings
 import numpy as np
 
 from . import kernels
-from .forms import FormValue, TestForm
+from .forms import TestForm
 from .kernels import WeightConfig
 from .sampling import (
     PointBatch,
@@ -38,7 +39,7 @@ __all__ = [
 ]
 
 _TINY = 1e-13
-# rows per block of the closed-form surface densities: bounds their temporaries
+# rows per block of the kernel densities: bounds their temporaries
 _BLOCK = 4096
 
 
@@ -51,86 +52,60 @@ def output_subsets(N: int, q_out: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(N), q_out))
 
 
-def _rows(form: FormValue, sel) -> FormValue:
-    return FormValue(form.N, {m: c[sel] for m, c in form.terms.items()})
-
-
-def _ok_rows(batch: PointBatch, z):
-    """Indices of the rows away from the cone point and from z."""
-    return np.flatnonzero((batch.norms() > _TINY) & (batch.dist(z) > _TINY))
-
-
 def _x_end(cfg: WeightConfig, phi: TestForm) -> float:
     """|zeta|^2 from which every term of K phi and P phi is exactly +-0."""
     return cfg.chi.x1 if phi.window is None else min(cfg.chi.x1, phi.window.x1)
 
 
-def _surface_integrand(v: ConeVariety, phi: TestForm, z, cfg, density):
-    """Batch integrand of omega ^ kappa ^ phi on a surface X with an output
-    of dz-bar degree 0, density being kernels.surface_density_K or _P.
+def _kernel_integrand(v: ConeVariety, phi: TestForm, z, cfg, width: int, density):
+    """Batch integrand of omega ^ kappa ^ phi with width output columns.
 
-    Only rows with |zeta|^2 < x_end are evaluated, in blocks of _BLOCK rows;
-    every other row reads exactly 0.
+    density(pts, m, msq) gives the (L, width) densities at L points of X with
+    minors m and squared minors norms msq.  It sees only the live rows, away
+    from the cone point and z with |zeta|^2 < x_end, in blocks of at most
+    _BLOCK rows; every other row reads exactly 0.
     """
     x_end = _x_end(cfg, phi)
 
     def integrand(batch: PointBatch):
-        out = np.zeros((len(batch), 1), dtype=complex)
-        rows = _ok_rows(batch, z)
+        out = np.zeros((len(batch), width), dtype=complex)
+        x = row_norm_sq(batch.positions)
+        rows = np.flatnonzero((np.sqrt(x) > _TINY) & (batch.dist(z) > _TINY))
+        live = x[rows] < x_end
         pts, m = batch.positions[rows], batch.minors[rows]
-        # structure_form's regularity guard sees dead rows too
+        # structure_norm_sq's regularity guard sees dead rows too
         msq = kernels.structure_norm_sq(v, pts, m)
-        live = row_norm_sq(pts) < x_end
         rows, pts, m, msq = rows[live], pts[live], m[live], msq[live]
         for lo in range(0, len(rows), _BLOCK):
             b = slice(lo, lo + _BLOCK)
-            out[rows[b], 0] = density(v, pts[b], z, cfg, m[b], msq[b],
-                                      phi.eval(pts[b]))
+            out[rows[b]] = density(pts[b], m[b], msq[b])
         return out
 
     return integrand
 
 
-def _form_integrand(v: ConeVariety, phi: TestForm, z, cfg, subsets, kernel):
-    """Batch integrand of omega ^ kernel(zeta) ^ phi in the FormValue algebra,
-    kernel being kernel_K or kernel_P bound to v, z and cfg.
+def _closed_form(density, v: ConeVariety, phi: TestForm, z, cfg):
+    """kernels.surface_density_K or _P as a one-column density."""
+    return lambda pts, m, msq: density(v, pts, z, cfg, m, msq, phi.eval(pts))[:, None]
 
-    Rows with |zeta|^2 >= x_end, where every term is exactly +-0, are
-    skipped.  Rows within rho1 go to the kernel apart from the rest, so
-    kernel_K can form them from B alone.
-    """
+
+def _form_density(v: ConeVariety, phi: TestForm, subsets, kernel):
+    """Density of omega ^ kernel(zeta) ^ phi in the FormValue algebra, one
+    column per dz-bar subset, kernel being kernel_K or kernel_P bound to v,
+    z and cfg."""
     # surface densities are keyed by the dz-bar mask alone (low bits)
-    masks = []
-    for s in subsets:
-        m = 0
-        for idx in s:
-            m |= 1 << idx
-        masks.append(m)
-    x0, x_end = cfg.chi.x0, _x_end(cfg, phi)
+    masks = [sum(1 << j for j in s) for s in subsets]
 
-    def integrand(batch: PointBatch):
-        out = np.zeros((len(batch), len(masks)), dtype=complex)
-        rows = _ok_rows(batch, z)
-        if not len(rows):
-            return out
-        pts = batch.positions[rows]
-        # both on every ok row: structure_form's regularity guard must see
-        # dead rows too, and form_value is not bit-stable under row subsets
-        omega = kernels.structure_form(v, pts, batch.minors[rows])
-        phi_val = phi.form_value(pts)
-        x = row_norm_sq(pts)
-        inner = x <= x0
-        for sel in (inner, ~inner & (x < x_end)):
-            if not np.any(sel):
-                continue
-            total = kernel(pts[sel]).wedge(_rows(phi_val, sel))
-            dens = total.restricted_to_dim(v.dim).surface_density(_rows(omega, sel))
-            for i, m in enumerate(masks):
-                if m in dens:
-                    out[rows[sel], i] = dens[m]
+    def density(pts, m, msq):
+        total = kernel(pts).wedge(phi.form_value(pts)).restricted_to_dim(v.dim)
+        dens = total.surface_density(kernels._omega_form(v, m, msq))
+        out = np.zeros((len(pts), len(masks)), dtype=complex)
+        for i, mask in enumerate(masks):
+            if mask in dens:
+                out[:, i] = dens[mask]
         return out
 
-    return integrand
+    return density
 
 
 def apply_K(v: ConeVariety, phi: TestForm, z, cfg: WeightConfig,
@@ -152,11 +127,11 @@ def apply_K(v: ConeVariety, phi: TestForm, z, cfg: WeightConfig,
     region = Region.domain(cfg.omega_prime_radius, v.ambient_dim)
     poles = [(z, 2 * n - 1), (np.zeros(v.ambient_dim), v.total_degree - v.nu)]
     if n == 2 and phi.q == 1:
-        integrand = _surface_integrand(v, phi, z, cfg, kernels.surface_density_K)
+        density = _closed_form(kernels.surface_density_K, v, phi, z, cfg)
     else:
-        integrand = _form_integrand(
-            v, phi, z, cfg, subsets,
-            lambda zeta: kernels.kernel_K(v, zeta, z, cfg, phi.q - 1))
+        density = _form_density(
+            v, phi, subsets, lambda zeta: kernels.kernel_K(v, zeta, z, cfg, phi.q - 1))
+    integrand = _kernel_integrand(v, phi, z, cfg, len(subsets), density)
     qr = integrate(v, region, integrand, plan, poles=poles)
     coeffs = np.atleast_1d(np.asarray(qr.value))
     return coeffs, qr
@@ -174,11 +149,11 @@ def apply_P(v: ConeVariety, phi: TestForm, z, cfg: WeightConfig,
         raise ValueError("apply_P expects a (0,0) input")
     region = Region.annulus(np.zeros(v.ambient_dim), cfg.rho1, cfg.rho2)
     if v.dim == 2:
-        integrand = _surface_integrand(v, phi, z, cfg, kernels.surface_density_P)
+        density = _closed_form(kernels.surface_density_P, v, phi, z, cfg)
     else:
-        integrand = _form_integrand(v, phi, z, cfg, [()],
-                                    lambda zeta: kernels.kernel_P(v, zeta, z, cfg))
-    qr = integrate(v, region, integrand, plan)
+        density = _form_density(v, phi, [()],
+                                lambda zeta: kernels.kernel_P(v, zeta, z, cfg))
+    qr = integrate(v, region, _kernel_integrand(v, phi, z, cfg, 1, density), plan)
     value = complex(np.atleast_1d(np.asarray(qr.value))[0])
     return value, qr
 

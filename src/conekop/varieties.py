@@ -400,8 +400,8 @@ def variety_from_json(path_or_obj) -> ConeVariety:
     if not isinstance(obj, dict):
         raise ValueError("variety JSON must be an object")
     N = _key(obj, "ambient_dim", "variety JSON")
-    if not _is_int(N):
-        raise ValueError(f"ambient_dim must be an integer, got {N!r}")
+    if not _is_int(N) or N < 1:
+        raise ValueError(f"ambient_dim must be a positive integer, got {N!r}")
     specs = _key(obj, "polys", "variety JSON")
     if not isinstance(specs, list) or len(specs) not in (1, 2):
         raise ValueError("polys must be a list of one or two polynomials")

@@ -155,6 +155,7 @@ def _custom(doc, cause=None):
     _custom({**QUADRIC, "polys": [QUADRIC["polys"][0]
                                   + [{"exp": [2, 0, 0], "re": 1e308}] * 2]},
             "monomial [2, 0, 0] sum to"),
+    _custom({"ambient_dim": 0, "polys": [[{"exp": [], "re": 1.0}]]}, "ambient_dim"),
     "about",
     [1, 2],
     {"tolerance_scale": float("nan")},
@@ -169,7 +170,7 @@ def _custom(doc, cause=None):
         "nu2_solutions_at_infinity", "dim_1", "coefficient_nan",
         "coefficient_infinite", "term_without_exp", "no_ambient_dim", "no_polys_key",
         "name_not_string", "exp_beyond_int64", "degree_above_max", "exp_negative",
-        "coefficient_sum_infinite", "config_string", "config_list",
+        "coefficient_sum_infinite", "ambient_dim_zero", "config_string", "config_list",
         "tolerance_scale_nan", "tolerance_scale_inf", "unknown_key", "experiments_string"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, raw):
     args, cause = [], None
@@ -198,6 +199,16 @@ def test_cli_nan_tolerance_scale_flag_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_out_on_an_existing_file_exits_2_before_any_experiment(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("kept\n")
+    assert main(["--variety", "hyperplane", "--experiment", "v_bounds",
+                 "--samples", "1000", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert out.read_text() == "kept\n"
 
 
 def test_cli_unstable_calibration_fails_with_report(tmp_path, monkeypatch):

@@ -29,14 +29,14 @@ def _max_coeff(f: FormValue):
 def test_b_contraction_normalized():
     rng = np.random.default_rng(0)
     eta = _rand(rng, 200)
-    out = K.bm_b(eta, 3).contract_eta(eta)
+    out = K.bm_B(eta, 3, 1).contract_eta(eta)
     assert np.max(np.abs(out.terms[0] - 1.0)) < 1e-13
 
 
 def test_b_coefficient_magnitude():
     rng = np.random.default_rng(1)
     eta = _rand(rng, 100)
-    b = K.bm_b(eta, 3)
+    b = K.bm_B(eta, 3, 1)
     total = np.zeros(100)
     for c in b.terms.values():
         total += np.abs(c) ** 2
@@ -46,8 +46,8 @@ def test_b_coefficient_magnitude():
 
 def test_b_scaling_pattern():
     eta = np.array([[0.3 - 0.2j, 1.1, -0.4j]])
-    b1 = K.bm_b(eta, 3)
-    b2 = K.bm_b(2.0 * eta, 3)
+    b1 = K.bm_B(eta, 3, 1)
+    b2 = K.bm_B(2.0 * eta, 3, 1)
     for m, c in b1.terms.items():
         assert np.allclose(b2.terms[m], c / 2.0, rtol=1e-13)
 
@@ -86,7 +86,7 @@ def test_B_term_homogeneity():
 
 def test_b_pole_error():
     with pytest.raises(K.PoleError):
-        K.bm_b(np.zeros((1, 3), dtype=complex), 3)
+        K.bm_B(np.zeros((1, 3), dtype=complex), 3, 1)
 
 
 def test_sigma_contraction():
@@ -341,8 +341,8 @@ def test_pruned_kernel_pieces_match_unpruned(N, nu):
         assert _bits(K.kernel_K(v, zeta, z, CFG, d)) == _bits(ref_k, zbar_at_most(d))
     assert _bits(K.kernel_P(v, zeta, z, CFG)) == _bits(_unpruned_p(v, zeta, z))
 
-    # within rho1 g is the scalar 1: k comes from B_n alone, and the terms of
-    # the unpruned sum that it never forms are exactly +-0
+    # a batch wholly within rho1, where g is the scalar 1, takes the same path:
+    # the same bits, and any term of the unpruned sum it never forms is +-0
     inner = zeta[np.sum(np.abs(zeta) ** 2, -1) <= CFG.rho1**2]
     assert len(inner) > 5
     ref_inner = _unpruned_k(v, inner, z)
@@ -384,7 +384,7 @@ def _straddling_batch(v, bases: int):
     """Points of v with |zeta| uniform in [0.2, 2]: within rho1, across the
     windows' r_hi and rho2, and past rho2."""
     rng = np.random.default_rng(17)
-    bases = rng.standard_normal((bases, 2)) + 1j * rng.standard_normal((bases, 2))
+    bases = rng.standard_normal((bases, v.dim)) + 1j * rng.standard_normal((bases, v.dim))
     pts, valid = solve_fiber(v, default_chart(v), bases)
     pts = pts[valid]
     pts *= (rng.uniform(0.2, 2.0, len(pts))
@@ -392,12 +392,29 @@ def _straddling_batch(v, bases: int):
     return PointBatch(v, pts, np.ones(len(pts)), v.minors(pts))
 
 
+def _unpruned_integrand_in_blocks(v, phi, z, subsets, kernel, batch):
+    """_unpruned_integrand on the live rows, in the driver's blocks."""
+    x = np.sum(np.abs(batch.positions) ** 2, -1)
+    ok = (batch.norms() > O._TINY) & (batch.dist(z) > O._TINY)
+    live = np.flatnonzero(ok & (x < O._x_end(CFG, phi)))
+    out = np.zeros((len(batch), len(subsets)), dtype=complex)
+    for lo in range(0, len(live), O._BLOCK):
+        rows = live[lo:lo + O._BLOCK]
+        block = PointBatch(v, batch.positions[rows], np.ones(len(rows)),
+                           batch.minors[rows])
+        out[rows] = _unpruned_integrand(v, phi, z, subsets, kernel, block)
+    return out
+
+
 @pytest.mark.parametrize("name", ["a1", "fermat3"])
 def test_pruned_kernel_integrand_matches_unpruned(name):
-    # the FormValue integrand on one batch that straddles rho1, the windows'
-    # r_hi and rho2, with over twice numpy's 8,192-element ufunc buffer in
-    # rows: at that size form_value on a row subset changes last bits
-    # (numpy 2.4, x86-64)
+    # the FormValue density through the one driver, on inputs that surfaces
+    # otherwise send to the closed form, on one batch that straddles rho1, the
+    # windows' r_hi and rho2, with over twice numpy's 8,192-element ufunc
+    # buffer in rows: at that size form_value on a row subset changes last
+    # bits (numpy 2.4, x86-64), so the bit-for-bit reference is the unpruned
+    # integrand on the same blocks, and the whole-batch one reads exactly 0
+    # on every row the driver skips
     v = get_variety(name)
     batch = _straddling_batch(v, 9000)
     assert len(batch) > 2 * 8192
@@ -408,47 +425,81 @@ def test_pruned_kernel_integrand_matches_unpruned(name):
                    (0.95 * CFG.rho2, CFG.rho2), (CFG.rho2, 2.0)):
         assert np.sum((lo**2 < x) & (x < hi**2)) > 100
 
-    # array_equal allows no difference but the sign of zero: the skipped
-    # rows read +0 where the unpruned integrand may hold -0
-    for phi in (bump, TestForm.constant(3)):
-        got = O._form_integrand(v, phi, z, CFG, [()],
-                                lambda zeta: K.kernel_P(v, zeta, z, CFG))(batch)
-        want = _unpruned_integrand(v, phi, z, [()], _unpruned_p, batch)
+    cases = [(phi, [()], _unpruned_p, lambda zeta: K.kernel_P(v, zeta, z, CFG))
+             for phi in (bump, TestForm.constant(3))]
+    cases += [(phi, O.output_subsets(3, phi.q - 1), _unpruned_k,
+               lambda zeta, d=phi.q - 1: K.kernel_K(v, zeta, z, CFG, d))
+              for phi in (bump.dbar(), TestForm.one_form_bump(3, 0, 1, 1.1, 1.6).dbar())]
+    for phi, subsets, ref, kernel in cases:
+        density = O._form_density(v, phi, subsets, kernel)
+        got = O._kernel_integrand(v, phi, z, CFG, len(subsets), density)(batch)
+        want = _unpruned_integrand_in_blocks(v, phi, z, subsets, ref, batch)
+        # array_equal allows no difference but the sign of zero
         assert np.any(want) and np.array_equal(got, want)
-    for phi in (bump.dbar(), TestForm.one_form_bump(3, 0, 1, 1.1, 1.6).dbar()):
-        subsets = O.output_subsets(3, phi.q - 1)
-        got = O._form_integrand(
-            v, phi, z, CFG, subsets,
-            lambda zeta: K.kernel_K(v, zeta, z, CFG, phi.q - 1))(batch)
-        want = _unpruned_integrand(v, phi, z, subsets, _unpruned_k, batch)
-        assert np.any(want) and np.array_equal(got, want)
+        whole = _unpruned_integrand(v, phi, z, subsets, ref, batch)
+        assert np.all(whole[x >= O._x_end(CFG, phi)] == 0)
 
 
-@pytest.mark.parametrize("name", catalog_names())
+VARIETIES = {name: get_variety(name) for name in catalog_names()}
+VARIETIES["hyperplane4"] = hyperplane(4)
+
+
+@pytest.mark.parametrize("name", VARIETIES)
 def test_surface_integrand_matches_unpruned(name, monkeypatch):
-    # apply_K on (0,1) inputs and apply_P take K and P on a surface in closed
-    # form: within 1e-13 of the batch maximum of the FormValue integrand, in
-    # blocks, and exactly 0 on dead rows (the cone point, z, past x_end)
-    v = get_variety(name)
+    # apply_K and apply_P on one batch through the kernel integrand, in closed
+    # form or in the FormValue algebra: within 1e-13 of the batch maximum of
+    # the integrand evaluated on every ok row at once, and exactly 0 on dead
+    # rows (the cone point, z, past x_end)
+    v = VARIETIES[name]
     N = v.ambient_dim
     z = surface_point_with_norm(v, 0.5, seed=4)
     pts = np.vstack([_straddling_batch(v, 6000).positions, np.zeros((1, N)), z])
     batch = PointBatch(v, pts, np.ones(len(pts)), v.minors(pts))
     x = np.sum(np.abs(pts) ** 2, -1)
+    for lo, hi in ((0.0, CFG.rho1), (CFG.rho1, 0.95 * CFG.rho2),
+                   (0.95 * CFG.rho2, CFG.rho2), (CFG.rho2, 2.0)):
+        assert np.sum((lo**2 < x) & (x < hi**2)) > 100
     ok = (batch.norms() > O._TINY) & (batch.dist(z) > O._TINY)
     assert not np.all(ok)
+    # P on (0,0) inputs, K on (0,1) inputs and K on a (0,2) input, which
+    # takes the FormValue algebra on a surface
     bump = TestForm.zbar_bump(N, 0, 0.6 * CFG.rho2, 0.95 * CFG.rho2)
     cases = [(O.apply_P, phi, _unpruned_p) for phi in (bump, TestForm.constant(N))]
     cases += [(O.apply_K, phi, _unpruned_k)
-              for phi in (bump.dbar(), TestForm.one_form_bump(N, 1, 0, 1.1, 1.6))]
+              for phi in (bump.dbar(), TestForm.one_form_bump(N, 1, 0, 1.1, 1.6),
+                          TestForm.one_form_bump(N, 0, 1, 1.1, 1.6).dbar())]
     outs = _on_batch(monkeypatch, batch)
     for apply, phi, kernel in cases:
         apply(v, phi, z, CFG, PLAN)
-        want = _unpruned_integrand(v, phi, z, [()], kernel, batch)
+        subsets = O.output_subsets(N, max(phi.q - 1, 0))
+        want = _unpruned_integrand(v, phi, z, subsets, kernel, batch)
         live = ok & (x < O._x_end(CFG, phi))
         assert np.sum(live) > O._BLOCK and np.any(want)
         assert np.max(np.abs(outs[-1] - want)) <= 1e-13 * np.max(np.abs(want))
         assert np.all(outs[-1][~live] == 0)
+
+
+def test_form_path_evaluates_the_input_on_live_rows_in_blocks(monkeypatch):
+    # the FormValue path takes phi on the live rows only, at most _BLOCK rows
+    # per call
+    v = A1
+    z = surface_point_with_norm(v, 0.5, seed=4)
+    batch = _straddling_batch(v, 6000)
+    calls = []
+    form_value = TestForm.form_value
+
+    def recorded(self, pts):
+        calls.append(pts)
+        return form_value(self, pts)
+
+    monkeypatch.setattr(TestForm, "form_value", recorded)
+    _on_batch(monkeypatch, batch)
+    phi = TestForm.one_form_bump(3, 0, 1, 1.1, 1.6).dbar()
+    O.apply_K(v, phi, z, CFG, PLAN)
+    x = np.sum(np.abs(batch.positions) ** 2, -1)
+    live = (x < O._x_end(CFG, phi)) & (batch.dist(z) > O._TINY)
+    assert len(calls) > 1 and max(len(c) for c in calls) <= O._BLOCK
+    assert np.array_equal(np.vstack(calls), batch.positions[live])
 
 
 def test_surfaces_take_k_and_p_without_the_form_algebra(monkeypatch):
