@@ -20,7 +20,6 @@ from .sampling import (
     attach_link_margin,
     estimate_v,
     integrate,
-    layer_cake_integral,
     tangent_frame,
 )
 from .forms import FormValue, TestForm

@@ -427,13 +427,14 @@ class TestForm:
                 val = val + pv * windows[order]
         return val + np.zeros(x.shape, dtype=complex)
 
-    def eval(self, pts: np.ndarray) -> dict:
+    def eval(self, pts: np.ndarray, x=None) -> dict:
         """Coefficients per ambient dzeta-bar multi-index at pts (batch, N).
 
-        Each window order the terms use is evaluated once per call.
+        x, if given, holds |pts|^2.  Each window order the terms use is
+        evaluated once per call.
         """
         pts = np.asarray(pts, dtype=complex)
-        x = row_norm_sq(pts)
+        x = row_norm_sq(pts) if x is None else x
         zb = np.conj(pts)
         cols = [c for j in range(self.N) for c in (pts[..., j], zb[..., j])]
         windows = {}

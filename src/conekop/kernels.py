@@ -233,15 +233,15 @@ def hefer_form(v: ConeVariety, zeta: np.ndarray, z: np.ndarray) -> FormValue:
     return out
 
 
-def structure_norm_sq(v: ConeVariety, zeta: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """|m|^2 for the minors m = v.minors(zeta), the denominator of omega.
+def structure_norm_sq(v: ConeVariety, x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """|m|^2 for the minors m = v.minors(zeta) at x = |zeta|^2, omega's denominator.
 
     Raises PoleError where m = 0 and NearSingularError near the branch locus.
     """
     msq = row_norm_sq(m)
     if np.any(msq == 0):
         raise PoleError("structure form evaluated at a singular point")
-    _require_regular(v, zeta, np.sqrt(msq))
+    _require_regular(v, x, np.sqrt(msq))
     return msq
 
 
@@ -253,7 +253,7 @@ def structure_form(v: ConeVariety, zeta: np.ndarray, m: np.ndarray) -> FormValue
     genuine singularity whenever d > nu.  Near-singular points raise
     NearSingularError.
     """
-    return _omega_form(v, m, structure_norm_sq(v, np.asarray(zeta, dtype=complex), m))
+    return _omega_form(v, m, structure_norm_sq(v, row_norm_sq(zeta), m))
 
 
 def _omega_form(v: ConeVariety, m: np.ndarray, msq: np.ndarray) -> FormValue:
@@ -347,14 +347,13 @@ def _omega_apply(v: ConeVariety, m, msq, x):
     return out
 
 
-def _surface_parts(v: ConeVariety, zeta, z, cfg: WeightConfig):
-    """Per-column pieces shared by k and p at the rows zeta (L, N).
+def _surface_parts(v: ConeVariety, zeta, x, z, cfg: WeightConfig):
+    """Per-column pieces shared by k and p at the rows zeta (L, N), x = |zeta|^2.
 
-    Returns zeta, x = |zeta|^2, chi'(x), the (s, eta, Q) of sigma on the
-    safe zeta_s of weight_g, and the Hefer rows H_i as lists of arrays.
+    Returns zeta by columns, chi'(x), the (s, eta, Q) of sigma on the safe
+    zeta_s of weight_g, and the Hefer rows H_i as lists of arrays.
     """
     zc = np.ascontiguousarray(zeta.T)
-    x = row_norm_sq(zeta)
     cd = cfg.chi.value(x, 1)
     zs = np.where(cd != 0.0, zc, 1.0)
     s, eta = np.conj(zs), zs - z[:, None]
@@ -362,18 +361,19 @@ def _surface_parts(v: ConeVariety, zeta, z, cfg: WeightConfig):
     if np.any(Q == 0):
         raise PoleError("sigma denominator vanished on supp dbar chi")
     H = np.ascontiguousarray(np.moveaxis(v.hefer_coeffs(zeta, z), 0, -1))
-    return zc, x, cd, (s, eta, Q), [list(h) for h in H]
+    return zc, cd, (s, eta, Q), [list(h) for h in H]
 
 
-def surface_density_K(v: ConeVariety, zeta, z, cfg: WeightConfig, m, msq,
+def surface_density_K(v: ConeVariety, zeta, x, z, cfg: WeightConfig, m, msq,
                       phi: dict) -> np.ndarray:
     """Density of omega ^ k ^ phi on a surface X for a (0,1) input.
 
-    zeta (L, N) are points of X, m (L, C(N, nu)) their minors with squared
-    norms msq, phi the input's coefficients by 1-index (TestForm.eval).
+    zeta (L, N) are points of X with squared norms x, m (L, C(N, nu)) their
+    minors with squared norms msq, phi the input's coefficients by 1-index
+    (TestForm.eval).
     """
     N = v.ambient_dim
-    zc, x, cd, (ss, es, Qs), H = _surface_parts(v, zeta, z, cfg)
+    zc, cd, (ss, es, Qs), H = _surface_parts(v, zeta, x, z, cfg)
     eta = zc - z[:, None]
     s = np.conj(eta)
     Q = np.sum(eta.real**2 + eta.imag**2, axis=0)
@@ -384,13 +384,13 @@ def surface_density_K(v: ConeVariety, zeta, z, cfg: WeightConfig, m, msq,
     return _det(H + [list(s / (TWO_PI_I * Q)), list(w)])
 
 
-def surface_density_P(v: ConeVariety, zeta, z, cfg: WeightConfig, m, msq,
+def surface_density_P(v: ConeVariety, zeta, x, z, cfg: WeightConfig, m, msq,
                       phi: dict) -> np.ndarray:
     """Density of omega ^ p ^ phi on a surface X for a (0,0) input.
 
     Arguments as for surface_density_K; phi holds the one coefficient at ().
     """
-    zc, _, cd, (ss, es, Qs), H = _surface_parts(v, zeta, z, cfg)
+    zc, cd, (ss, es, Qs), H = _surface_parts(v, zeta, x, z, cfg)
     rho = _omega_apply(v, m, msq, cd * zc)
     tau = ss / (TWO_PI_I * Qs)
     return phi[()] * _det(H + [list(tau), list(_dbar_support(ss, es, Qs, rho))])

@@ -7,11 +7,15 @@ K and P share one batch integrand, _kernel_integrand, which evaluates a
 density on the live rows only, in blocks.  On a surface, K on a (0,1) input
 and P take their densities in closed form (kernels.surface_density_K, _P);
 every other case assembles the kernel in the FormValue algebra.
+
+K phi and P phi are exactly 0 from |zeta|^2 = x_end on (_x_end), so
+integrate solves no fiber over a base row whose sheets all lie beyond.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -60,10 +64,10 @@ def _x_end(cfg: WeightConfig, phi: TestForm) -> float:
 def _kernel_integrand(v: ConeVariety, phi: TestForm, z, cfg, width: int, density):
     """Batch integrand of omega ^ kappa ^ phi with width output columns.
 
-    density(pts, m, msq) gives the (L, width) densities at L points of X with
-    minors m and squared minors norms msq.  It sees only the live rows, away
-    from the cone point and z with |zeta|^2 < x_end, in blocks of at most
-    _BLOCK rows; every other row reads exactly 0.
+    density(pts, x, m, msq) gives the (L, width) densities at L points of X
+    with squared norms x, minors m and squared minors norms msq.  It sees only
+    the live rows, away from the cone point and z with x < x_end, in blocks
+    of at most _BLOCK rows; every other row reads exactly 0.
     """
     x_end = _x_end(cfg, phi)
 
@@ -71,22 +75,32 @@ def _kernel_integrand(v: ConeVariety, phi: TestForm, z, cfg, width: int, density
         out = np.zeros((len(batch), width), dtype=complex)
         x = row_norm_sq(batch.positions)
         rows = np.flatnonzero((np.sqrt(x) > _TINY) & (batch.dist(z) > _TINY))
-        live = x[rows] < x_end
-        pts, m = batch.positions[rows], batch.minors[rows]
+        x, pts, m = x[rows], batch.positions[rows], batch.minors[rows]
         # structure_norm_sq's regularity guard sees dead rows too
-        msq = kernels.structure_norm_sq(v, pts, m)
-        rows, pts, m, msq = rows[live], pts[live], m[live], msq[live]
+        msq = kernels.structure_norm_sq(v, x, m)
+        live = x < x_end
+        rows, pts, x, m, msq = rows[live], pts[live], x[live], m[live], msq[live]
         for lo in range(0, len(rows), _BLOCK):
             b = slice(lo, lo + _BLOCK)
-            out[rows[b]] = density(pts[b], m[b], msq[b])
+            out[rows[b]] = density(pts[b], x[b], m[b], msq[b])
         return out
 
     return integrand
 
 
+def _integrate_kernel(v: ConeVariety, region: Region, phi: TestForm, z, cfg,
+                      width: int, density, plan: SamplingPlan, poles=()):
+    """integrate the kernel integrand over region; its support is the part of
+    region within |zeta|^2 < x_end, empty when x_end <= region.r_inner^2."""
+    support = Region(region.center, region.r_inner, math.sqrt(_x_end(cfg, phi)))
+    return integrate(v, region, _kernel_integrand(v, phi, z, cfg, width, density),
+                     plan, poles=poles, support=support)
+
+
 def _closed_form(density, v: ConeVariety, phi: TestForm, z, cfg):
     """kernels.surface_density_K or _P as a one-column density."""
-    return lambda pts, m, msq: density(v, pts, z, cfg, m, msq, phi.eval(pts))[:, None]
+    return lambda pts, x, m, msq: density(v, pts, x, z, cfg, m, msq,
+                                          phi.eval(pts, x))[:, None]
 
 
 def _form_density(v: ConeVariety, phi: TestForm, subsets, kernel):
@@ -96,7 +110,7 @@ def _form_density(v: ConeVariety, phi: TestForm, subsets, kernel):
     # surface densities are keyed by the dz-bar mask alone (low bits)
     masks = [sum(1 << j for j in s) for s in subsets]
 
-    def density(pts, m, msq):
+    def density(pts, x, m, msq):
         total = kernel(pts).wedge(phi.form_value(pts)).restricted_to_dim(v.dim)
         dens = total.surface_density(kernels._omega_form(v, m, msq))
         out = np.zeros((len(pts), len(masks)), dtype=complex)
@@ -131,8 +145,7 @@ def apply_K(v: ConeVariety, phi: TestForm, z, cfg: WeightConfig,
     else:
         density = _form_density(
             v, phi, subsets, lambda zeta: kernels.kernel_K(v, zeta, z, cfg, phi.q - 1))
-    integrand = _kernel_integrand(v, phi, z, cfg, len(subsets), density)
-    qr = integrate(v, region, integrand, plan, poles=poles)
+    qr = _integrate_kernel(v, region, phi, z, cfg, len(subsets), density, plan, poles)
     coeffs = np.atleast_1d(np.asarray(qr.value))
     return coeffs, qr
 
@@ -153,7 +166,7 @@ def apply_P(v: ConeVariety, phi: TestForm, z, cfg: WeightConfig,
     else:
         density = _form_density(v, phi, [()],
                                 lambda zeta: kernels.kernel_P(v, zeta, z, cfg))
-    qr = integrate(v, region, _kernel_integrand(v, phi, z, cfg, 1, density), plan)
+    qr = _integrate_kernel(v, region, phi, z, cfg, 1, density, plan)
     value = complex(np.atleast_1d(np.asarray(qr.value))[0])
     return value, qr
 

@@ -20,9 +20,10 @@ points, which share one fiber solve and one integrand call.  Sums still
 accumulate chunk by chunk, so packing changes no result.
 
 Before the fiber solve, a work unit drops the base rows whose sheets
-provably all lie outside the region (_may_reach).  Such a row adds exactly
-0 to the sums, as it would through the indicator, so results are unchanged;
-only the remaining rows are solved and enter the mixture density.
+provably all lie outside the region, or outside the integrand's declared
+support (_may_reach).  Such a row adds exactly 0 to the sums, as it would
+through the indicator or the integrand, so results are unchanged; only the
+remaining rows are solved and enter the mixture density.
 """
 
 from __future__ import annotations
@@ -46,13 +47,11 @@ __all__ = [
     "EmptyRegionError",
     "FiberDegenerateError",
     "NearSingularError",
-    "ProfileError",
     "admissible_charts",
     "default_chart",
     "tangent_frame",
     "integrate",
     "estimate_v",
-    "layer_cake_integral",
     "surface_point_with_norm",
     "project_to_surface",
     "attach_link_margin",
@@ -76,10 +75,6 @@ class EmptyRegionError(ValueError):
 
 class FiberDegenerateError(RuntimeError):
     """Projection direction tangent to the cone at infinity for this chart."""
-
-
-class ProfileError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +414,7 @@ def frames_for(v: ConeVariety, pts: np.ndarray) -> np.ndarray:
     of the nonzero singular values is the minors norm |m| of the guard.
     """
     _, s, Vh = np.linalg.svd(v.jacobian(pts))
-    _require_regular(v, pts, np.prod(s, axis=-1))
+    _require_regular(v, row_norm_sq(pts), np.prod(s, axis=-1))
     return np.conj(Vh[..., v.nu:, :])
 
 
@@ -756,6 +751,7 @@ def _may_reach(v: ConeVariety, chart: Chart, region: Region,
     the lower fiber bound gives up a further 1e-12 of |t| + |c_fiber|, which
     covers the rounding of the solved sheets where |t - c_fiber| is far
     smaller than either.  Rows at the border, and NaN rows, are kept.
+    integrate passes the integrand's support, where it has one, as region.
     """
     c = region.center
     base_sq = row_norm_sq(bases - c[list(chart.base)])
@@ -811,7 +807,8 @@ class StratumStat:
 @dataclass
 class QuadratureResult:
     """discarded counts the invalid sheets over the solved base rows; rows
-    dropped before the fiber solve, with no sheet in the region, add none."""
+    dropped before the fiber solve, with no sheet in the region or in the
+    integrand's support, add none."""
 
     value: complex
     stderr: float
@@ -836,13 +833,17 @@ class QuadratureResult:
 
 
 def integrate(v: ConeVariety, region: Region, integrand, plan: SamplingPlan,
-              poles=(), chart: Chart | None = None) -> QuadratureResult:
+              poles=(), chart: Chart | None = None,
+              support: Region | None = None) -> QuadratureResult:
     """Unbiased Monte Carlo estimate of the integral of integrand over X cap region.
 
     integrand maps a PointBatch to a complex array of shape (M,) or (M, K);
     declared poles (center, order) add importance-sampling shells around
     their base projections.  The result's strata list mirrors the mixture
-    components.
+    components.  support, a region concentric with region and inside it,
+    declares that integrand is exactly 0 outside it: base rows whose sheets
+    all miss it are not solved.  The draws, the indicator and the sums still
+    come from region, so the result is the same with or without it.
     """
     chart = chart or default_chart(v)
     n = v.dim
@@ -865,8 +866,8 @@ def integrate(v: ConeVariety, region: Region, integrand, plan: SamplingPlan,
         # a lone chunk is used as drawn: a copy would raise the peak memory
         bases = draws[0] if len(draws) == 1 else np.concatenate(draws)
         B = len(bases)
-        # rows that cannot reach the region add 0 and count as admissible
-        rows = np.flatnonzero(_may_reach(v, chart, region, bases))
+        # rows that cannot reach the support add 0 and count as admissible
+        rows = np.flatnonzero(_may_reach(v, chart, support or region, bases))
         admissible = np.ones(B, dtype=bool)
         Y = np.zeros((B, K), dtype=complex)
         if rows.size:
@@ -933,81 +934,6 @@ def estimate_v(v: ConeVariety, r: float, z, plan: SamplingPlan) -> QuadratureRes
     region = Region.ball(z, r)
     res = integrate(v, region, lambda b: np.ones(len(b), dtype=complex), plan)
     return res.scaled(1.0 / r ** (2 * v.dim))
-
-
-def layer_cake_integral(v: ConeVariety, g, z, r_max: float,
-                        plan: SamplingPlan) -> QuadratureResult:
-    """Integral of a nonincreasing radial profile via its distribution function.
-
-    Estimates the volume function V(r) = Vol(X cap B_r(z)) on a geometric
-    radius grid with independent per-shell mass estimates, then evaluates the
-    layer-cake identity by a trapezoid rule in the level variable plus a
-    power-law core extrapolation.  Serves as an independent oracle for the
-    direct estimator on radial integrands.
-    """
-    n = v.dim
-    z = np.asarray(z, dtype=complex)
-    ratio = min(plan.shell_ratio, math.sqrt(2.0))
-    r_lo = max(plan.r_min * r_max, 1e-12)
-    m = max(int(math.ceil(math.log(r_max / r_lo) / math.log(ratio))), 4)
-    radii = r_max * (r_lo / r_max) ** (np.arange(m, -1, -1) / m)
-
-    t = np.asarray([float(g(r)) for r in radii])
-    if np.any(t < 0):
-        raise ProfileError("profile must be nonnegative")
-    if np.any(np.diff(t) > 1e-12 * np.maximum(np.abs(t[:-1]), 1.0)):
-        raise ProfileError("layer-cake evaluation requires a nonincreasing profile")
-
-    per = max(plan.samples // (m + 1), MIN_PER_STRATUM)
-    masses = np.zeros(m + 1)
-    errs = np.zeros(m + 1)
-    one = lambda b: np.ones(len(b), dtype=complex)
-    core = integrate(v, Region.ball(z, radii[0]), one,
-                     plan.sub("lc0", samples=per, allocation="equal"))
-    masses[0], errs[0] = np.real(core.value), core.stderr
-    for i in range(m):
-        sh = integrate(v, Region.annulus(z, radii[i], radii[i + 1]), one,
-                       plan.sub(f"lc{i + 1}", samples=per, allocation="equal"))
-        masses[i + 1], errs[i + 1] = np.real(sh.value), sh.stderr
-
-    def _interval(ta, la, tb, lb, trapezoid):
-        # integral of the level function between levels tb < ta
-        if ta <= tb or (la <= 0 and lb <= 0):
-            return 0.0
-        if trapezoid or la <= 0 or lb <= 0:
-            return (ta - tb) * 0.5 * (la + lb)
-        # log-log linear interpolation: exact for power-law volume growth
-        s = math.log(la / lb) / math.log(ta / tb)
-        if abs(1.0 + s) < 1e-9:
-            return la * ta * math.log(ta / tb)
-        return (ta * la - tb * lb) / (1.0 + s)
-
-    def assemble(mass_vec, trapezoid=False):
-        V = np.cumsum(mass_vec)
-        total = t[-1] * V[-1]
-        for i in range(m):
-            # level t decreases with the radius index
-            total += _interval(t[i], V[i], t[i + 1], V[i + 1], trapezoid)
-        # power-law core below the smallest resolved radius
-        if t[0] > t[1] and V[0] > 0 and V[1] > 0:
-            s = math.log(V[0] / V[1]) / math.log(t[0] / t[1])
-            if s >= -1.0 - 1e-9:
-                raise ProfileError("core of the profile is not integrable on X")
-            total += V[0] * t[0] / (-1.0 - s)
-        return total
-
-    value = assemble(masses)
-    se_sq = 0.0
-    for j in range(m + 1):
-        bump = masses.copy()
-        bump[j] += errs[j]
-        se_sq += (assemble(bump) - value) ** 2
-    # count the interpolation-model spread as discretization uncertainty
-    se_sq += (assemble(masses, trapezoid=True) - value) ** 2 / 9.0
-    return QuadratureResult(value=complex(value), stderr=math.sqrt(se_sq),
-                            samples=(m + 1) * per,
-                            strata=[StratumStat(complex(mv), ev, per)
-                                    for mv, ev in zip(masses, errs)])
 
 
 # ---------------------------------------------------------------------------

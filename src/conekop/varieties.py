@@ -284,9 +284,9 @@ class ConeVariety:
         return ConeVariety(self.name, self.ambient_dim, self.polys, margin)
 
 
-def _require_regular(v: ConeVariety, pts, minors_norm: np.ndarray):
-    """Raise NearSingularError where |m| <= FRAME_TOL |zeta|^(d - nu) (scale-free)."""
-    nrm = row_norm(pts)
+def _require_regular(v: ConeVariety, x, minors_norm: np.ndarray):
+    """Raise NearSingularError where |m| <= FRAME_TOL |zeta|^(d - nu), x = |zeta|^2."""
+    nrm = np.sqrt(x)
     thresh = FRAME_TOL * np.maximum(nrm, 1e-300) ** (v.total_degree - v.nu)
     if np.any(minors_norm <= thresh):
         raise NearSingularError("tangent plane requested too close to the branch locus")

@@ -357,7 +357,7 @@ def _on_batch(monkeypatch, batch):
     """Make operators.integrate evaluate its integrand once, on batch."""
     outs = []
 
-    def one_batch(v, region, integrand, plan_, poles=()):
+    def one_batch(v, region, integrand, plan_, poles=(), support=None):
         outs.append(integrand(batch))
         return QuadratureResult(value=0j, stderr=0.0, samples=len(batch))
 
@@ -533,9 +533,10 @@ def test_surface_densities_take_sigma_at_the_safe_point_within_rho1():
     zeta = np.array([[0.25, 0.25, 0.0]], dtype=complex)
     m = HP.minors(zeta)
     msq = np.sum(np.abs(m) ** 2, -1)
+    x = np.sum(np.abs(zeta) ** 2, -1)
     for density, phi in ((K.surface_density_K, {(0,): np.ones(1)}),
                          (K.surface_density_P, {(): np.ones(1)})):
-        assert np.all(np.isfinite(density(HP, zeta, z, CFG, m, msq, phi)))
+        assert np.all(np.isfinite(density(HP, zeta, x, z, CFG, m, msq, phi)))
 
 
 def test_kernel_P_vanishes_inside_cutoff():

@@ -6,6 +6,7 @@ from conekop.forms import TestForm
 from conekop.kernels import WeightConfig
 from conekop.sampling import Region, SamplingPlan, surface_point_with_norm
 from conekop.varieties import get_variety
+from layer_cake import layer_cake_integral
 
 HP = get_variety("hyperplane")
 A1 = get_variety("a1")
@@ -81,8 +82,6 @@ def test_apply_P_lipschitz_probe():
 
 def test_apply_model_T_radial_oracle():
     # f = 1, gamma = 0: T(1)(z) is a radial integral with layer-cake oracle
-    from conekop.sampling import layer_cake_integral
-
     z = surface_point_with_norm(A1, 0.5, seed=5)
     qr = O.apply_model_T(A1, lambda b: np.ones(len(b), dtype=complex), z, 0.0,
                          plan(60_000, "mt"))
@@ -122,8 +121,6 @@ def test_lp_norm_constant_flat():
 
 
 def test_lp_norm_radial_against_layer_cake():
-    from conekop.sampling import layer_cake_integral
-
     region = Region.ball(np.zeros(3), 1.0)
     qr = O.lp_norm(A1, lambda b: 1.0 / np.maximum(b.norms(), 1e-300), region, 2.0,
                    plan(60_000, "lp2"), poles=[(np.zeros(3), 2.0)])
@@ -271,7 +268,7 @@ def test_one_kernel_batch_evaluates_the_minors_once(monkeypatch):
     monkeypatch.setattr(ConeVariety, "minors",
                         lambda self, pts: calls.append(len(pts)) or minors(self, pts))
 
-    def one_batch(v, region, integrand, plan_, poles=(), chart=None):
+    def one_batch(v, region, integrand, plan_, poles=(), chart=None, support=None):
         chart = sampling.default_chart(v)
         rng = np.random.default_rng(3)
         bases = rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))
@@ -285,3 +282,91 @@ def test_one_kernel_batch_evaluates_the_minors_once(monkeypatch):
     z = surface_point_with_norm(A1, 0.5, seed=0)
     O.apply_K(A1, TestForm.one_form_bump(3, 0, 1, 1.1, 1.6), z, CFG, plan(2_000, "mc"))
     assert len(calls) == 1
+
+
+# ----- the integrand's support ------------------------------------------------
+
+BUMP = TestForm.zbar_bump(3, 0, 0.6 * CFG.rho2, 0.95 * CFG.rho2)
+
+
+def _solved_rows(monkeypatch):
+    """Spy on integrate's fiber solves: the (positions, valid) of each call."""
+    from conekop import sampling
+
+    solved = []
+    solve = sampling.solve_fiber
+
+    def spy(v, chart, bases):
+        out = solve(v, chart, bases)
+        solved.append(out)
+        return out
+
+    monkeypatch.setattr(sampling, "solve_fiber", spy)
+    return solved
+
+
+def test_kernels_solve_no_row_beyond_the_support(monkeypatch):
+    # the bump's window ends at 0.95 rho2 < rho2 < Omega': K phi and P phi
+    # are exactly 0 beyond it, so no row whose sheets all lie there is solved
+    z = surface_point_with_norm(A1, 0.5, seed=4)
+    solved = _solved_rows(monkeypatch)
+    r_end = np.sqrt(O._x_end(CFG, BUMP)) * (1 + 1e-9)
+    assert r_end < CFG.rho2
+    O.apply_K(A1, BUMP.dbar(), z, CFG, plan(4_000, "supK"))
+    O.apply_P(A1, BUMP, z, CFG, plan(4_000, "supP"))
+    nearest = np.concatenate([np.min(np.sqrt(np.sum(np.abs(pts) ** 2, -1)), axis=1)
+                              for pts, _ in solved])
+    assert len(nearest) > 1000 and np.max(nearest) <= r_end
+
+
+def test_a_row_just_inside_the_support_is_still_solved(monkeypatch):
+    # every stratum of apply_K draws the same two base rows: one whose sheets
+    # sit 1e-12 inside sqrt(x_end), which is solved, and one 1e-8 outside,
+    # which is not
+    from conekop import sampling
+
+    chart = sampling.default_chart(A1)
+    r_end = np.sqrt(O._x_end(CFG, BUMP))
+    pts = [surface_point_with_norm(A1, r_end * f, seed=2) for f in (1 - 1e-12, 1 + 1e-8)]
+    inside, outside = (p[list(chart.base)] for p in pts)
+    monkeypatch.setattr(sampling, "_sample_stratum",
+                        lambda st, n, count, rng: np.resize([inside, outside], (count, n)))
+    z = surface_point_with_norm(A1, 0.5, seed=4)
+    solved = _solved_rows(monkeypatch)
+    O.apply_K(A1, BUMP.dbar(), z, CFG, plan(2_000, "supE"))
+    norms = np.concatenate([np.sqrt(np.sum(np.abs(p) ** 2, -1)) for p, _ in solved])
+    assert norms.size and np.all(norms == norms[0, 0])
+    assert abs(norms[0, 0] / r_end - 1) < 1e-11
+
+
+@pytest.mark.parametrize("name", ["a1", "fermat3", "ci22", "hyperplane4"])
+def test_the_support_changes_no_result(name, monkeypatch):
+    # apply_K and apply_P with and without the support: the same value,
+    # stderr and per-stratum statistics, bit for bit, from fewer solved rows;
+    # ci22 takes the nu = 2 base-distance bound, hyperplane(4) the FormValue
+    # path
+    from conekop import sampling
+    from conekop.varieties import hyperplane
+
+    v = hyperplane(4) if name == "hyperplane4" else get_variety(name)
+    N = v.ambient_dim
+    z = surface_point_with_norm(v, 0.5, seed=4)
+    bump = TestForm.zbar_bump(N, 0, 0.6 * CFG.rho2, 0.95 * CFG.rho2)
+    solved = _solved_rows(monkeypatch)
+
+    def run():
+        del solved[:]
+        _, qk = O.apply_K(v, bump.dbar(), z, CFG, plan(3_000, "supB"))
+        _, qp = O.apply_P(v, bump, z, CFG, plan(3_000, "supBp"))
+        return [qk, qp], sum(len(p) for p, _ in solved)
+
+    got, rows = run()
+    monkeypatch.setattr(O, "integrate",
+                        lambda *a, support=None, **kw: sampling.integrate(*a, **kw))
+    want, all_rows = run()
+    assert rows < all_rows
+    for g, w in zip(got, want):
+        assert np.array_equal(g.value, w.value) and g.stderr == w.stderr
+        assert g.samples == w.samples
+        assert [(s.value, s.stderr, s.count) for s in g.strata] == \
+            [(s.value, s.stderr, s.count) for s in w.strata]

@@ -15,7 +15,6 @@ from conekop.sampling import (
     FiberDegenerateError,
     NearSingularError,
     PointBatch,
-    ProfileError,
     Region,
     SamplingPlan,
     admissible_charts,
@@ -24,7 +23,6 @@ from conekop.sampling import (
     estimate_v,
     gram_factors,
     integrate,
-    layer_cake_integral,
     project_to_surface,
     solve_fiber,
     surface_point_with_norm,
@@ -32,6 +30,7 @@ from conekop.sampling import (
 )
 from conekop.varieties import (ConeVariety, MultiIndexPoly, catalog_names,
                                eval_monomials, get_variety)
+from layer_cake import ProfileError, layer_cake_integral
 
 HP = get_variety("hyperplane")
 A1 = get_variety("a1")
