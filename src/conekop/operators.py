@@ -61,6 +61,12 @@ def _x_end(cfg: WeightConfig, phi: TestForm) -> float:
     return cfg.chi.x1 if phi.window is None else min(cfg.chi.x1, phi.window.x1)
 
 
+def _rows_where(keep: np.ndarray, *arrays) -> tuple:
+    """The rows of each array where keep holds; the arrays themselves, not
+    copies, when keep holds on every row."""
+    return arrays if np.all(keep) else tuple(a[keep] for a in arrays)
+
+
 def _kernel_integrand(v: ConeVariety, phi: TestForm, z, cfg, width: int, density):
     """Batch integrand of omega ^ kappa ^ phi with width output columns.
 
@@ -74,12 +80,12 @@ def _kernel_integrand(v: ConeVariety, phi: TestForm, z, cfg, width: int, density
     def integrand(batch: PointBatch):
         out = np.zeros((len(batch), width), dtype=complex)
         x = row_norm_sq(batch.positions)
-        rows = np.flatnonzero((np.sqrt(x) > _TINY) & (batch.dist(z) > _TINY))
-        x, pts, m = x[rows], batch.positions[rows], batch.minors[rows]
+        ok = (np.sqrt(x) > _TINY) & (batch.dist(z) > _TINY)
+        rows, x, pts, m = _rows_where(ok, np.arange(len(batch)), x,
+                                      batch.positions, batch.minors)
         # structure_norm_sq's regularity guard sees dead rows too
         msq = kernels.structure_norm_sq(v, x, m)
-        live = x < x_end
-        rows, pts, x, m, msq = rows[live], pts[live], x[live], m[live], msq[live]
+        rows, pts, x, m, msq = _rows_where(x < x_end, rows, pts, x, m, msq)
         for lo in range(0, len(rows), _BLOCK):
             b = slice(lo, lo + _BLOCK)
             out[rows[b]] = density(pts[b], x[b], m[b], msq[b])

@@ -244,13 +244,27 @@ def _lacunary_step(table) -> int:
     return math.gcd(*(k for k, (_, c) in enumerate(table) if np.any(c != 0)))
 
 
+def _gth_roots(w: np.ndarray, g: int) -> np.ndarray:
+    """The g roots of t^g = w for each entry of w, shape w.shape + (g,).
+
+    Root j is |w|^(1/g) e^(i arg(w)/g) e^(2 pi i j/g), so the principal
+    root comes first, and every root is 0, not NaN, where w = 0.
+    """
+    root = np.abs(w) ** (1.0 / g) * np.exp(1j * np.angle(w) / g)
+    return root[..., None] * np.exp(2j * np.pi * np.arange(g) / g)
+
+
 def _solve_fiber_nu1(v: ConeVariety, chart: Chart, bases: np.ndarray):
     """All fiber roots over each base point; returns (t, valid) of shape (B, d).
 
-    A lacunary fiber polynomial p(t) = q(t^g) of degree d >= 3 (the Fermat
-    cones, where q is linear) is solved through q: each root u of q gives
-    the g roots |u|^(1/g) e^(i arg(u)/g) e^(2 pi i j/g), which are 0, not
-    NaN, where u = 0.
+    A lacunary fiber polynomial p(t) = q(t^g), g > 1, is solved through q:
+    each root u of q gives the g roots _gth_roots(u, g).  Where q is linear
+    (g = d: p(t) = c_d t^d + c_0(s), every catalog chart) the sheets are
+    exact closed forms and need no polish; every other root set (the
+    quadratic formula with b != 0, Aberth or companion roots, q of degree
+    >= 2) gets two Newton passes on p.  Sheet order is canonical: for d = 2
+    the root built from the principal square root first (sqrt(-c_0/c_2), or
+    (-b + sqrt(disc)) / 2a when b != 0), for d >= 3 by the angle of the root.
     """
     table = _fiber_poly_coeffs(v, chart)
     d = len(table) - 1
@@ -259,16 +273,15 @@ def _solve_fiber_nu1(v: ConeVariety, chart: Chart, bases: np.ndarray):
     if np.any(np.abs(lead) == 0.0):
         raise FiberDegenerateError("fiber polynomial leading coefficient vanished")
     g = _lacunary_step(table)
-    if d >= 3 and g > 1:
-        u = _poly_roots(cs[:, ::g])[:, :, None]
-        t = (np.abs(u) ** (1.0 / g) * np.exp(1j * np.angle(u) / g)
-             * np.exp(2j * np.pi * np.arange(g) / g)).reshape(len(cs), d)
+    if g > 1:
+        t = _gth_roots(_poly_roots(cs[:, ::g]), g).reshape(len(cs), d)
     else:
         t = _poly_roots(cs)
-    # two Newton polishing passes on the fiber polynomial
-    for _ in range(2):
-        pv, dv = _polyval_and_deriv(cs, t)
-        t = t - np.where(np.abs(dv) > 0, pv / np.where(dv == 0, 1.0, dv), 0.0)
+    if g < d:
+        # roots not in closed form: two Newton passes on p
+        for _ in range(2):
+            pv, dv = _polyval_and_deriv(cs, t)
+            t = t - np.where(np.abs(dv) > 0, pv / np.where(dv == 0, 1.0, dv), 0.0)
     if d >= 3:
         # canonical sheet order: by argument, whichever solver found the roots
         t = np.take_along_axis(t, np.argsort(np.angle(t), axis=1), axis=1)
@@ -721,6 +734,7 @@ def _mixture_density(chains: list[_Chain], bases: np.ndarray, n: int) -> np.ndar
     it.  A base on a shared radius lies in two shells, added outer first, so
     the nonzero terms are added in stratum order, and the sum equals the
     stratum-by-stratum one bit for bit (the terms skipped are exact zeros).
+    The inner-shell pass runs only on chains where some base does.
     """
     p = np.zeros(len(bases))
     for ch in chains:
@@ -729,7 +743,11 @@ def _mixture_density(chains: list[_Chain], bases: np.ndarray, n: int) -> np.ndar
         top = len(ch.const) - 1
         outer = np.clip(np.searchsorted(ch.edges, r, "right") - 1, 0, top)
         inner = np.clip(np.searchsorted(ch.edges, r, "left") - 1, 0, top)
-        for shell, rows in ((outer, hit), (inner, hit & (inner != outer))):
+        passes = [(outer, hit)]
+        edge = hit & (inner != outer)
+        if np.any(edge):
+            passes.append((inner, edge))
+        for shell, rows in passes:
             term = ch.const[shell]
             for s, power, f, norm in ch.powered:
                 on = rows & (shell == s)
@@ -945,8 +963,10 @@ def surface_point_with_norm(v: ConeVariety, norm: float, seed: int = 0) -> np.nd
     """Deterministic point on X with the requested norm (cone rescaling).
 
     Takes the first valid sheet in solve_fiber's order over a seeded base
-    point.  That order is canonical for nu = 1 fibers of degree d >= 3 (by
-    the angle of the root) and for every nu = 2 fiber (by the angle of u1).
+    point.  That order is canonical: for nu = 1 fibers of degree 2 the root
+    built from the principal square root comes first, from degree 3 on the
+    sheets are sorted by the angle of the root, and nu = 2 fibers by the
+    angle of u1.
     """
     chart = default_chart(v)
     rng = _stream(seed, f"spn|{v.name}", 0)

@@ -29,7 +29,7 @@ from conekop.sampling import (
     tangent_frame,
 )
 from conekop.varieties import (ConeVariety, MultiIndexPoly, catalog_names,
-                               eval_monomials, get_variety)
+                               eval_monomials, get_variety, row_norm)
 from layer_cake import ProfileError, layer_cake_integral
 
 HP = get_variety("hyperplane")
@@ -572,6 +572,104 @@ def test_sampled_batches_need_no_fallback(name, fallback_rows, monkeypatch):
     assert aberth == []
 
 
+def _dense_quadratic():
+    # t^2 + b(s) t + c(s) in t = z_0 with b != 0: not binomial, so the
+    # quadratic formula's roots get the Newton polish
+    rng = np.random.default_rng(25)
+    terms = {(2, 0, 0): 1.0}
+    for a in (1, 0):
+        for b in range(3 - a):
+            terms[(a, b, 2 - a - b)] = complex(*rng.standard_normal(2))
+    return ConeVariety("quadratic", 3, (MultiIndexPoly.from_dict(3, terms),))
+
+
+# every admissible chart of these has a binomial fiber polynomial
+_BINOMIAL = ["hyperplane", "a1", "fermat2", "fermat3", "fermat4"]
+
+
+def _binomial_bases(d):
+    """Random bases at scales 1, 1e-6 and 1e3, the base point 0, and bases
+    (1, w), (w, 1) with w^d = -1 on the branch locus c_0(s) = 0: exactly
+    for d = 2 and 3, to rounding for d = 4 (no Gaussian rational w)."""
+    rng = np.random.default_rng(26)
+    s = rng.standard_normal((300, 2)) + 1j * rng.standard_normal((300, 2))
+    w = {2: 1j, 3: -1.0}.get(d, np.exp(1j * np.pi / d))
+    locus = [[1.0, w], [w, 1.0]] if d > 1 else []
+    return np.concatenate([s, 1e-6 * s[:50], 1e3 * s[:50], np.zeros((1, 2)),
+                           np.array(locus, dtype=complex).reshape(-1, 2)])
+
+
+@pytest.mark.parametrize("name", _BINOMIAL)
+def test_binomial_fibers_match_polished_reference(name, monkeypatch):
+    # on every admissible chart of the catalog hypersurfaces the fiber
+    # polynomial is c_d t^d + c_0(s), solved in closed form with no polish;
+    # the reference solves the full polynomial (quadratic formula, or the
+    # companion eigensolver) and polishes it with two Newton passes
+    v = get_variety(name)
+    d = v.polys[0].degree
+    bases = _binomial_bases(d)
+    for chart in admissible_charts(v):
+        t, valid = sampling._solve_fiber_nu1(v, chart, bases)
+        with monkeypatch.context() as m:
+            m.setattr(sampling, "_lacunary_step", lambda table: 1)
+            m.setattr(sampling, "_aberth_roots", sampling._companion_roots)
+            want, want_valid = sampling._solve_fiber_nu1(v, chart, bases)
+        # the same sheets in the same order, within a few ulp of the
+        # homogeneous scale, and the same branch guard
+        scale = np.sqrt(np.sum(np.abs(bases) ** 2, axis=1)[:, None]
+                        + np.abs(want) ** 2)
+        assert np.all(np.abs(t - want) <= 8 * np.finfo(float).eps * scale)
+        assert np.array_equal(valid, want_valid)
+        # where c_0(s) = 0 every sheet is 0, not NaN
+        c0 = eval_monomials(*sampling._fiber_poly_coeffs(v, chart)[0], bases.T)
+        assert np.all(t[c0 == 0] == 0)
+        if d == 1:
+            # p(t) = t: one regular sheet at 0 over every base
+            assert np.all(c0 == 0) and np.all(valid)
+        else:
+            # the base point 0 and the locus rows are invalid, the others not
+            assert np.count_nonzero(c0 == 0) == (1 if d == 4 else 3)
+            assert np.all(valid[:400]) and not np.any(valid[400:])
+
+
+@pytest.fixture
+def horner_calls(monkeypatch):
+    """Count the calls of _polyval_and_deriv."""
+    calls = []
+    polyval = sampling._polyval_and_deriv
+
+    def counted(cs, t):
+        calls.append(cs.shape)
+        return polyval(cs, t)
+
+    monkeypatch.setattr(sampling, "_polyval_and_deriv", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", _BINOMIAL)
+def test_binomial_solve_takes_one_horner_pass(name, horner_calls):
+    # closed-form sheets: the branch guard's p' is the one Horner pass
+    v = get_variety(name)
+    sampling._solve_fiber_nu1(v, default_chart(v), _binomial_bases(3))
+    assert len(horner_calls) == 1
+
+
+@pytest.mark.parametrize("v", [_dense_quadratic(), _lacunary_quartic()],
+                         ids=lambda v: v.name)
+def test_polished_roots_pass_the_residual_guard(v, horner_calls):
+    # the quadratic formula with b != 0 and the lacunary quartic's q of
+    # degree 2 keep their two Newton passes on p, and every sheet of every
+    # row passes solve_fiber's residual guard
+    rng = np.random.default_rng(27)
+    bases = rng.standard_normal((2000, 2)) + 1j * rng.standard_normal((2000, 2))
+    pts, valid = solve_fiber(v, default_chart(v), bases)
+    assert len(horner_calls) == 3
+    res = np.sqrt(np.sum(np.abs(v.eval_tuple(pts)) ** 2, axis=-1))
+    nrm = np.sqrt(np.sum(np.abs(pts) ** 2, axis=-1))
+    assert np.all(res <= sampling.POINT_TOL * np.maximum(1.0, nrm) ** v.total_degree)
+    assert np.all(valid)
+
+
 # ---------------------------------------------------------------------------
 # nu = 2 fibers by elimination
 # ---------------------------------------------------------------------------
@@ -694,6 +792,7 @@ def test_mixture_density_by_chain_is_bit_identical(case):
         bases.append(st.center[None, :])
         if not np.any(st.center):
             edges |= {st.r_lo, st.r_hi}
+    off_edge = np.concatenate(bases)
     for j, unit in itertools.product(range(A1.dim), (1.0, 1j)):
         axis = np.zeros((len(edges), A1.dim), dtype=complex)
         axis[:, j] = unit * np.array(sorted(edges))
@@ -710,6 +809,15 @@ def test_mixture_density_by_chain_is_bit_identical(case):
     # the origin chains have shared radii: some edge bases lie in two shells
     assert ({st.r_lo for st in strata if not np.any(st.center)}
             & {st.r_hi for st in strata if not np.any(st.center)})
+    # without the edge rows no base lies on a shared radius, so the inner
+    # shell pass is skipped on every chain
+    for ch in chains:
+        r = row_norm(off_edge - ch.center)
+        assert not np.any(np.isin(r, ch.edges[1:-1]))
+    with np.errstate(over="ignore"):
+        want = _stratum_by_stratum_density(strata, fracs, off_edge, A1.dim)
+        got = sampling._mixture_density(chains, off_edge, A1.dim)
+    assert np.array_equal(got, want)
 
 
 def _same_result(a, b):
