@@ -137,6 +137,7 @@ def main(argv=None) -> int:
         plan = SamplingPlan(samples=cfg.samples, seed=cfg.seed, r_min=cfg.r_min,
                             shell_ratio=cfg.shell_ratio)
         v = load_variety(cfg.variety)
+        plan.check_r_min(v.dim)
         if v.dim < 2:
             raise ConfigError(f"variety {v.name!r} has dim X = {v.dim}; "
                               f"the experiments need dim X >= 2")

@@ -233,12 +233,13 @@ def hefer_form(v: ConeVariety, zeta: np.ndarray, z: np.ndarray) -> FormValue:
     return out
 
 
-def structure_norm_sq(v: ConeVariety, x: np.ndarray, m: np.ndarray) -> np.ndarray:
+def structure_norm_sq(v: ConeVariety, x: np.ndarray, m: np.ndarray, msq=None) -> np.ndarray:
     """|m|^2 for the minors m = v.minors(zeta) at x = |zeta|^2, omega's denominator.
 
-    Raises PoleError where m = 0 and NearSingularError near the branch locus.
+    msq, if given, is row_norm_sq(m).  Raises PoleError where m = 0 and
+    NearSingularError near the branch locus.
     """
-    msq = row_norm_sq(m)
+    msq = row_norm_sq(m) if msq is None else msq
     if np.any(msq == 0):
         raise PoleError("structure form evaluated at a singular point")
     _require_regular(v, x, np.sqrt(msq))

@@ -30,7 +30,7 @@ from .sampling import (
     SamplingPlan,
     integrate,
 )
-from .varieties import ConeVariety, row_norm, row_norm_sq
+from .varieties import ConeVariety, row_norm
 
 __all__ = [
     "ExponentRangeError",
@@ -79,12 +79,11 @@ def _kernel_integrand(v: ConeVariety, phi: TestForm, z, cfg, width: int, density
 
     def integrand(batch: PointBatch):
         out = np.zeros((len(batch), width), dtype=complex)
-        x = row_norm_sq(batch.positions)
-        ok = (np.sqrt(x) > _TINY) & (batch.dist(z) > _TINY)
-        rows, x, pts, m = _rows_where(ok, np.arange(len(batch)), x,
-                                      batch.positions, batch.minors)
+        ok = (batch.norms() > _TINY) & (batch.dist(z) > _TINY)
+        rows, x, pts, m, msq = _rows_where(ok, np.arange(len(batch)), batch.x,
+                                           batch.positions, batch.minors, batch.msq)
         # structure_norm_sq's regularity guard sees dead rows too
-        msq = kernels.structure_norm_sq(v, x, m)
+        msq = kernels.structure_norm_sq(v, x, m, msq)
         rows, pts, x, m, msq = _rows_where(x < x_end, rows, pts, x, m, msq)
         for lo in range(0, len(rows), _BLOCK):
             b = slice(lo, lo + _BLOCK)

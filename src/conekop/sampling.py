@@ -24,6 +24,11 @@ provably all lie outside the region, or outside the integrand's declared
 support (_may_reach).  Such a row adds exactly 0 to the sums, as it would
 through the indicator or the integrand, so results are unchanged; only the
 remaining rows are solved and enter the mixture density.
+
+Past the fiber solve, whose guards take their own norms, each per-point
+quantity is computed once per work unit: |zeta|^2 of the sheets serves
+Region.indicator when the region is centred at 0, the minors m and |m|^2
+serve gram_factors, and the PointBatch hands all three to the integrand.
 """
 
 from __future__ import annotations
@@ -407,16 +412,17 @@ def solve_fiber(v: ConeVariety, chart: Chart, bases: np.ndarray):
     return pts, valid
 
 
-def gram_factors(v: ConeVariety, chart: Chart, m: np.ndarray) -> np.ndarray:
+def gram_factors(v: ConeVariety, chart: Chart, m: np.ndarray, msq=None) -> np.ndarray:
     """Volume density det(I + (Dg)^* Dg) of the graph chart, per sheet.
 
     By Cauchy-Binet it equals |m|^2 / |m_F|^2 for the Jacobian minors m
     (v.minors of the points) and the minor m_F on the chart's fiber columns.
+    msq, if given, is |m|^2 = row_norm_sq(m).
     """
-    m2 = np.abs(m) ** 2
     base = sum(1 << j for j in chart.base)
     k = [mask for mask, _ in minor_complements(v.ambient_dim, v.nu)].index(base)
-    return np.sum(m2, axis=-1) / np.maximum(m2[..., k], 1e-300)
+    msq = row_norm_sq(m) if msq is None else msq
+    return msq / np.maximum(np.abs(m[..., k]) ** 2, 1e-300)
 
 
 def frames_for(v: ConeVariety, pts: np.ndarray) -> np.ndarray:
@@ -437,13 +443,18 @@ def frames_for(v: ConeVariety, pts: np.ndarray) -> np.ndarray:
 
 
 class PointBatch:
-    """Sample points, their Gram factors and minors; projectors on demand."""
+    """Sample points with their Gram factors, minors m, msq = |m|^2 and
+    x = |zeta|^2; projectors on demand.  integrate passes the msq of the Gram
+    factors and, for a region centred at 0, the x of its indicator, which
+    norms() and the K/P integrand (structure_norm_sq) then reuse."""
 
-    def __init__(self, variety, positions, grams, minors):
+    def __init__(self, variety, positions, grams, minors, msq=None, x=None):
         self.variety = variety
         self.positions = positions
         self.grams = grams
         self.minors = minors
+        self.msq = row_norm_sq(minors) if msq is None else msq
+        self.x = row_norm_sq(positions) if x is None else x
         self._projector = None
 
     def __len__(self):
@@ -462,7 +473,7 @@ class PointBatch:
         return self._projector
 
     def norms(self) -> np.ndarray:
-        return row_norm(self.positions)
+        return np.sqrt(self.x)
 
     def dist(self, w) -> np.ndarray:
         """|zeta - w| per point, floored at 1e-300 so poles at w stay finite."""
@@ -504,8 +515,10 @@ class Region:
         """The ball of radius r_outer about the origin of C^ambient_dim."""
         return cls.ball(np.zeros(ambient_dim, dtype=complex), r_outer)
 
-    def indicator(self, pts: np.ndarray) -> np.ndarray:
-        d = row_norm(pts - self.center)
+    def indicator(self, pts: np.ndarray, x=None) -> np.ndarray:
+        """Membership of pts; x = |pts|^2, if given, serves a centre at 0."""
+        at_0 = x is not None and not np.any(self.center)
+        d = np.sqrt(x) if at_0 else row_norm(pts - self.center)
         return (d >= self.r_inner) & (d <= self.r_outer)
 
 
@@ -529,6 +542,13 @@ class SamplingPlan:
         if not self.shell_ratio >= 1.05:
             raise ValueError(
                 f"shell_ratio must be at least 1.05, got {self.shell_ratio!r}")
+        if self.allocation not in ("bound", "equal"):
+            raise ValueError(f"allocation must be 'bound' or 'equal', "
+                             f"got {self.allocation!r}")
+
+    def check_r_min(self, n: int):
+        """ValueError unless a pole's disc [0, r_min] in C^n has a finite density."""
+        _radial_norm(_Stratum(np.zeros(n), 0.0, self.r_min, 0.0, 0.0), n)
 
     def with_(self, **kw) -> "SamplingPlan":
         d = self.__dict__ | kw
@@ -558,23 +578,27 @@ def _sphere_area(n: int) -> float:
 
 
 def _radial_norm(st: _Stratum, n: int) -> float:
-    """Normalizer of the stratum's radial density r^(-power) on [r_lo, r_hi]."""
+    """Normalizer of r^(-power) on [r_lo, r_hi]; ValueError where it is not finite."""
     beta = 2 * n - st.power
-    if st.r_lo > 0:
-        return beta / (st.r_hi**beta - st.r_lo**beta)
-    return beta / st.r_hi**beta
+    span = st.r_hi**beta - st.r_lo**beta
+    if not (span > 0 and math.isfinite(beta / span)):
+        raise ValueError(f"r_min is too small: the radial density of the shell "
+                         f"[{st.r_lo:g}, {st.r_hi:g}] in C^{n} underflows")
+    return beta / span
 
 
 def _sample_stratum(st: _Stratum, n: int, count: int, rng) -> np.ndarray:
     g = rng.standard_normal((count, 2 * n))
     g /= np.sqrt(row_norm_sq(g))[:, None]
-    dirs = g[:, :n] + 1j * g[:, n:]
     beta = 2 * n - st.power
     u = rng.random(count)
-    lo_b = st.r_lo**beta
-    hi_b = st.r_hi**beta
-    r = (lo_b + u * (hi_b - lo_b)) ** (1.0 / beta)
-    return st.center + dirs * r[:, None]
+    u *= st.r_hi**beta - st.r_lo**beta
+    u += st.r_lo**beta
+    g *= (u ** (1.0 / beta))[:, None]
+    out = np.empty((count, n), dtype=complex)
+    np.add(g[:, :n], st.center.real, out=out.real)
+    np.add(g[:, n:], st.center.imag, out=out.imag)
+    return out
 
 
 def _complex_normal(rng, count: int, n: int) -> np.ndarray:
@@ -740,13 +764,12 @@ def _mixture_density(chains: list[_Chain], bases: np.ndarray, n: int) -> np.ndar
     for ch in chains:
         r = row_norm(bases - ch.center)
         hit = (r >= ch.edges[0]) & (r <= ch.edges[-1])
-        top = len(ch.const) - 1
-        outer = np.clip(np.searchsorted(ch.edges, r, "right") - 1, 0, top)
-        inner = np.clip(np.searchsorted(ch.edges, r, "left") - 1, 0, top)
+        outer = np.clip(np.searchsorted(ch.edges, r, "right") - 1, 0, len(ch.const) - 1)
         passes = [(outer, hit)]
-        edge = hit & (inner != outer)
+        # on the inner edge of a shell past the first: the shell below holds it too
+        edge = hit & (outer > 0) & (ch.edges[outer] == r)
         if np.any(edge):
-            passes.append((inner, edge))
+            passes.append((outer - 1, edge))
         for shell, rows in passes:
             term = ch.const[shell]
             for s, power, f, norm in ch.powered:
@@ -877,6 +900,7 @@ def integrate(v: ConeVariety, region: Region, integrand, plan: SamplingPlan,
     got_valid = np.zeros(len(strata), dtype=bool)
     K = 1
     discarded = 0
+    at_0 = not np.any(region.center)
 
     rngs = [_stream(plan.seed, plan.experiment_id, si) for si in range(len(strata))]
     for unit in _units(counts):
@@ -887,20 +911,24 @@ def integrate(v: ConeVariety, region: Region, integrand, plan: SamplingPlan,
         # rows that cannot reach the support add 0 and count as admissible
         rows = np.flatnonzero(_may_reach(v, chart, support or region, bases))
         admissible = np.ones(B, dtype=bool)
-        Y = np.zeros((B, K), dtype=complex)
+        # None while every row adds exactly 0: the unit's sums are then skipped
+        Y = None
         if rows.size:
             kept = bases if rows.size == B else bases[rows]
             pts, valid = solve_fiber(v, chart, kept)
             discarded += int(valid.size - valid.sum())
             admissible[rows] = np.any(valid, axis=1)
-            inside = valid & region.indicator(pts)
+            x = row_norm_sq(pts) if at_0 else None
+            inside = valid & region.indicator(pts, x)
             S = inside.shape[1]
             flat = inside.reshape(-1)
             if np.any(flat):
                 sel = pts.reshape(-1, pts.shape[-1])[flat]
                 m = v.minors(sel)
-                gsel = gram_factors(v, chart, m)
-                fv = np.asarray(integrand(PointBatch(v, sel, gsel, m)))
+                msq = row_norm_sq(m)
+                gsel = gram_factors(v, chart, m, msq)
+                xs = None if x is None else x.reshape(-1)[flat]
+                fv = np.asarray(integrand(PointBatch(v, sel, gsel, m, msq, xs)))
                 if fv.ndim == 1:
                     fv = fv[:, None]
                 K = fv.shape[1]
@@ -913,34 +941,28 @@ def integrate(v: ConeVariety, region: Region, integrand, plan: SamplingPlan,
         for si, bs in unit:
             e = a + bs
             got_valid[si] |= bool(np.any(admissible[a:e]))
-            s_sum[si] = s_sum[si] + Y[a:e].sum(axis=0)
-            s_sq[si] = s_sq[si] + np.sum(np.abs(Y[a:e]) ** 2, axis=0)
+            if Y is not None:
+                s_sum[si] = s_sum[si] + Y[a:e].sum(axis=0)
+                s_sq[si] = s_sq[si] + np.sum(np.abs(Y[a:e]) ** 2, axis=0)
             a = e
 
-    sums = np.zeros(K, dtype=complex)
-    sqsums = np.zeros(K)
-    stats = []
-    for si, cnt in enumerate(counts):
-        if not got_valid[si]:
-            warnings.warn(
-                f"stratum {si} received no admissible fiber points",
-                RuntimeWarning,
-            )
-        mean = np.broadcast_to(s_sum[si], (K,)) / cnt
-        var = np.maximum(s_sq[si] / cnt - np.abs(mean) ** 2, 0.0)
-        var = var * cnt / max(cnt - 1, 1)
-        se = np.sqrt(var / cnt)
-        stats.append((mean, se, int(cnt)))
-        sums += fracs[si] * mean
-        sqsums += (fracs[si] * se) ** 2
-
-    stderr = np.sqrt(sqsums)
+    for si in np.flatnonzero(~got_valid):
+        warnings.warn(f"stratum {si} received no admissible fiber points",
+                      RuntimeWarning)
+    cnt = counts[:, None]
+    mean = np.array([np.broadcast_to(s, (K,)) for s in s_sum]) / cnt
+    var = np.maximum(np.array([np.broadcast_to(q, (K,)) for q in s_sq]) / cnt
+                     - np.abs(mean) ** 2, 0.0)
+    se = np.sqrt(var * cnt / np.maximum(cnt - 1, 1) / cnt)
+    # sums in stratum order from a leading zero row, the bits of a running sum;
+    # the squared errors ride along as real parts
+    terms = np.hstack([fracs[:, None] * mean, (fracs[:, None] * se) ** 2])
+    sums = np.cumsum(np.vstack([np.zeros((1, 2 * K)), terms]), axis=0)[-1]
+    value, stderr = sums[:K], np.sqrt(sums[K:].real)
     if K == 1:
-        value, stderr = complex(sums[0]), float(stderr[0])
-        strata_stats = [StratumStat(complex(m[0]), float(s[0]), c) for m, s, c in stats]
-    else:
-        value = sums
-        strata_stats = [StratumStat(m, s, c) for m, s, c in stats]
+        value, stderr = complex(value[0]), float(stderr[0])
+        mean, se = mean[:, 0].tolist(), se[:, 0].tolist()
+    strata_stats = [StratumStat(m, s, int(c)) for m, s, c in zip(mean, se, counts)]
     return QuadratureResult(value=value, stderr=stderr, samples=total,
                             strata=strata_stats, discarded=discarded)
 

@@ -80,10 +80,10 @@ def eval_monomials(exps, coeffs, cols) -> np.ndarray:
     """
     vals = np.zeros(np.shape(cols[0]), dtype=complex)
     for e, c in zip(exps.tolist(), coeffs):
-        term = np.full(vals.shape, c)
+        term = c
         for j, k in enumerate(e):
             if k:
-                term = term * cols[j] ** k
+                term = term * (cols[j] if k == 1 else cols[j] ** k)
         vals += term
     return vals
 
@@ -191,10 +191,12 @@ class ConeVariety:
     def jacobian(self, pts) -> np.ndarray:
         """Partial derivatives; shape (..., nu, N)."""
         pts = np.asarray(pts, dtype=complex)
-        zero = np.zeros(pts.shape[:-1], dtype=complex)
-        return np.stack([np.stack([zero if dp is None else dp(pts) for dp in row],
-                                  axis=-1)
-                         for row in self._partials], axis=-2)
+        J = np.zeros(pts.shape[:-1] + (self.nu, self.ambient_dim), dtype=complex)
+        for i, row in enumerate(self._partials):
+            for j, dp in enumerate(row):
+                if dp is not None:
+                    J[..., i, j] = dp(pts)
+        return J
 
     def minors(self, pts) -> np.ndarray:
         """All (nu x nu) minors of the Jacobian; shape (..., C(N, nu)).

@@ -253,6 +253,35 @@ def test_near_branch_locus_point_on_a_dead_row_still_raises(monkeypatch):
                     apply(planes, form, z, CFG, PLAN)
 
 
+def test_near_branch_locus_point_raises_with_the_work_unit_norms(monkeypatch):
+    # integrate itself builds the batch, so x comes from its indicator and
+    # |m|^2 from its Gram factors: every base row carries the regular point
+    # of z0 z1 = 0 and, in the second pass, also a point 1e-12 off its z2 axis
+    from conekop import sampling
+
+    planes = ConeVariety("planes", 3, (MultiIndexPoly.from_dict(3, {(1, 1, 0): 1.0}),))
+    pts = np.array([[1.0, 0.0, 0.6], [1e-12, 0.0, 1.2]], dtype=complex)
+    r = np.sqrt(np.sum(np.abs(pts) ** 2, axis=-1))
+    assert np.all((CFG.rho1 < r) & (r < 0.95 * CFG.rho2))
+    z = np.array([0.1, 0.0, 0.2], dtype=complex)
+    phi = TestForm.zbar_bump(3, 0, 0.6 * CFG.rho2, 0.95 * CFG.rho2)
+    # the fiber variable z2 has no pure power: force its chart and stretch
+    monkeypatch.setattr(sampling, "default_chart", lambda v: sampling.Chart((0, 1), (2,)))
+    monkeypatch.setattr(sampling, "chart_stretch", lambda v, chart: 2.0)
+    for sheets in (1, 2):
+        monkeypatch.setattr(sampling, "solve_fiber", lambda v, chart, bases: (
+            np.broadcast_to(pts[:sheets], (len(bases), sheets, 3)).copy(),
+            np.ones((len(bases), sheets), dtype=bool)))
+        for apply, form in ((O.apply_P, phi), (O.apply_K, phi.dbar())):
+            # the zero fiber minor makes the Gram factors overflow
+            with np.errstate(over="ignore", invalid="ignore"):
+                if sheets == 1:
+                    apply(planes, form, z, CFG, PLAN)
+                else:
+                    with pytest.raises(NearSingularError):
+                        apply(planes, form, z, CFG, PLAN)
+
+
 def _omega_kernel(v, zeta, z):
     """The full kernel omega ^ kappa, with omega wedged in explicitly."""
     return K.structure_form(v, zeta, v.minors(zeta)).wedge(K.kernel_K(v, zeta, z, CFG))

@@ -29,7 +29,8 @@ from conekop.sampling import (
     tangent_frame,
 )
 from conekop.varieties import (ConeVariety, MultiIndexPoly, catalog_names,
-                               eval_monomials, get_variety, row_norm)
+                               eval_monomials, get_variety, hyperplane, row_norm)
+import unit_reference
 from layer_cake import ProfileError, layer_cake_integral
 
 HP = get_variety("hyperplane")
@@ -1066,3 +1067,129 @@ def test_vector_integrand_with_empty_first_batch(monkeypatch, pack):
         assert np.array_equal(vec.stderr, np.full(3, one.stderr))
         for sv, so in zip(vec.strata, one.strata):
             assert np.array_equal(sv.value, np.full(3, so.value))
+
+
+# ----- the work unit against its step-by-step reference ----------------------
+
+
+@pytest.mark.parametrize("count", [1, 128, 20_000])
+@pytest.mark.parametrize("power", [0.0, 2.5])
+@pytest.mark.parametrize("n", [2, 3])
+def test_sample_stratum_is_bit_identical_to_the_formula(n, power, count):
+    # the same normals and uniforms, scaled and shifted in place
+    for center in (np.zeros(n, dtype=complex), np.linspace(0.3, -0.2, n) + 0.1j):
+        st = sampling._Stratum(center, 0.0 if power else 1e-3, 0.4, power, power)
+        got = sampling._sample_stratum(st, n, count, sampling._stream(2, "draw", n))
+        want = unit_reference.sample_stratum(st, n, count, sampling._stream(2, "draw", n))
+        assert got.shape == (count, n) and got.flags.c_contiguous
+        assert np.array_equal(got.view(float), want.view(float))
+
+
+def _integrate_cases():
+    z = surface_point_with_norm(A1, 0.5, seed=1)
+    ci, hp4 = get_variety("ci22"), hyperplane(4)
+    z_ci = surface_point_with_norm(ci, 0.5, seed=4)
+    inv_norm = lambda b: 1.0 / np.maximum(b.norms(), 1e-300) + 0j
+    columns = lambda b: np.stack([b.norms() + 0j, b.positions[:, 0], b.grams + 1j], -1)
+    support = Region(np.zeros(3), 0.0, 0.2)
+    return {
+        # K = 1, the cone point's disc with power 1 and z's with power 3
+        "ball_K1": (A1, Region.domain(1.0, 3), inv_norm, [(z, 3), (np.zeros(3), 1)], None),
+        "ball_K3": (A1, Region.domain(1.0, 3), columns, [(z, 3), (np.zeros(3), 1)], None),
+        "offcenter": (A1, Region.ball(z, 0.3), columns, [(z, 3)], None),
+        "annulus": (A1, Region.annulus(np.zeros(3), 0.3, 0.9), inv_norm, [(z, 3)], None),
+        "support": (A1, Region.domain(1.0, 3), inv_norm, [(np.zeros(3), 1)], support),
+        "ci22": (ci, Region.domain(1.0, 4), inv_norm, [(z_ci, 3), (np.zeros(4), 2)], None),
+        "hyperplane4": (hp4, Region.domain(1.0, 4), columns, [(np.zeros(4), 2.5)], None),
+    }
+
+
+@pytest.mark.parametrize("case", ["ball_K1", "ball_K3", "offcenter", "annulus",
+                                  "support", "ci22", "hyperplane4"])
+def test_integrate_is_bit_identical_to_the_formula(case, monkeypatch):
+    v, region, f, poles, support = _integrate_cases()[case]
+    # packed, and with every chunk alone
+    plan = SamplingPlan(samples=4_000, seed=3, experiment_id=case)
+    for pack in (None, 1):
+        got, got_empty = _run_with_pack(monkeypatch, pack, lambda: integrate(
+            v, region, f, plan, poles=poles, support=support))
+        want, want_empty = _run_with_pack(monkeypatch, pack, lambda: unit_reference.integrate(
+            v, region, f, plan, poles=poles, support=support))
+        _same_result(got, want)
+        assert got_empty == want_empty
+        assert np.all(np.isfinite(got.value))
+
+
+def test_every_solve_and_gram_call_of_integrate_is_seen(monkeypatch):
+    # spies on the module attributes, as the benchmark tracer wraps them:
+    # every kept row reaches a solve_fiber call, and every point in the region
+    # a gram_factors call whose third positional argument holds its minors
+    region, poles, r_min = _tm_decay_annulus()
+    plan = SamplingPlan(samples=6_000, seed=2, r_min=r_min, experiment_id="spy")
+    seen = {"kept": 0, "solved": 0, "inside": 0, "gram": 0, "integrand": 0}
+    reach, solve, gram = sampling._may_reach, sampling.solve_fiber, sampling.gram_factors
+
+    def reach_spy(*args):
+        keep = reach(*args)
+        seen["kept"] += int(keep.sum())
+        return keep
+
+    def solve_spy(*args, **kwargs):
+        pts, valid = solve(*args, **kwargs)
+        seen["solved"] += len(args[2])
+        seen["inside"] += int(np.sum(valid & region.indicator(pts)))
+        return pts, valid
+
+    def gram_spy(*args, **kwargs):
+        seen["gram"] += len(args[2])
+        return gram(*args, **kwargs)
+
+    def integrand(batch):
+        seen["integrand"] += len(batch)
+        return ONE(batch)
+
+    for name, spy in (("_may_reach", reach_spy), ("solve_fiber", solve_spy),
+                      ("gram_factors", gram_spy)):
+        monkeypatch.setattr(sampling, name, spy)
+    integrate(A1, region, integrand, plan, poles=poles)
+    assert seen["kept"] == seen["solved"] > 0
+    assert seen["inside"] == seen["gram"] == seen["integrand"] > 0
+
+
+def test_point_batch_reuses_the_unit_norms():
+    # x and msq handed in are the batch's: norms() and the K/P integrand read
+    # them; a batch built without them computes the same bits itself
+    pts, valid = solve_fiber(A1, default_chart(A1), np.array([[0.3, 0.4j], [1.0, 2.0]]))
+    sel = pts[valid]
+    m = A1.minors(sel)
+    plain = PointBatch(A1, sel, np.ones(len(sel)), m)
+    assert np.array_equal(plain.x, np.sum(np.abs(sel) ** 2, axis=-1))
+    assert np.array_equal(plain.msq, np.sum(np.abs(m) ** 2, axis=-1))
+    assert np.array_equal(plain.norms(), row_norm(sel))
+    given = PointBatch(A1, sel, np.ones(len(sel)), m, msq=plain.msq * 4, x=plain.x * 4)
+    assert np.array_equal(given.norms(), 2 * plain.norms())
+    assert np.array_equal(given.msq, 4 * plain.msq)
+
+
+def test_sampling_plan_rejects_an_unknown_allocation():
+    SamplingPlan(allocation="equal")
+    with pytest.raises(ValueError, match="allocation must be 'bound' or 'equal'"):
+        SamplingPlan(allocation="bounds")
+    with pytest.raises(ValueError, match="allocation"):
+        SamplingPlan().with_(allocation="Equal")
+
+
+def test_integrate_rejects_an_underflowing_r_min():
+    # the cone point's shells reach down to r_min, where r^4 underflows on a
+    # surface: to 0 at 1e-100, to a subnormal whose 4 / r^4 is infinite at
+    # 1e-78; 1e-30 still works
+    region, poles = Region.domain(1.0, 3), [(np.zeros(3), 1)]
+    for r_min in (1e-100, 1e-78):
+        plan = SamplingPlan(samples=1_000, r_min=r_min)
+        with pytest.raises(ValueError, match="r_min is too small"):
+            plan.check_r_min(A1.dim)
+        with pytest.raises(ValueError, match="r_min is too small"):
+            integrate(A1, region, ONE, plan, poles=poles)
+    plan = SamplingPlan(samples=1_000, r_min=1e-30)
+    plan.check_r_min(A1.dim)
+    assert np.isfinite(integrate(A1, region, ONE, plan, poles=poles).value)

@@ -8,11 +8,14 @@ from conekop.varieties import (
     DegenerateExponentError,
     MultiIndexPoly,
     catalog_names,
+    eval_monomials,
     get_variety,
+    hyperplane,
     row_norm_sq,
     variety_from_json,
 )
 from conekop.sampling import attach_link_margin
+import unit_reference
 
 CATALOG = [get_variety(n) for n in ("hyperplane", "a1", "fermat3", "fermat4", "ci22")]
 
@@ -68,6 +71,34 @@ def test_row_norm_sq_is_bit_identical_to_np_sum(shape):
     assert got.shape == shape[:-1]
     assert np.array_equal(got, np.sum(np.abs(x) ** 2, axis=-1))
     assert np.array_equal(row_norm_sq(x.real), np.sum(x.real ** 2, axis=-1))
+
+
+@pytest.mark.parametrize("rows", [5, 9_000], ids=["short", "long"])
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_eval_monomials_is_bit_identical_to_the_formula(rows, real):
+    # exponents 0, 1 and >= 2, a constant monomial and a repeated power, on
+    # strided columns (the rows of bases.T, as the fiber solve passes them)
+    # longer than numpy's 8,192-element buffer
+    rng = np.random.default_rng(rows + real)
+    exps = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 2], [3, 1, 0], [0, 0, 1], [2, 2, 2]])
+    coeffs = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    bases = _random_points(rng, rows, 3)
+    bases = bases.real.copy() if real else bases
+    cols = bases.T
+    assert not cols[0].flags.contiguous
+    got = eval_monomials(exps, coeffs, cols)
+    assert np.array_equal(got, unit_reference.eval_monomials(exps, coeffs, cols))
+    assert np.array_equal(eval_monomials(exps[:1], coeffs[:1], cols),
+                          np.full(rows, coeffs[0]))
+
+
+@pytest.mark.parametrize("v", CATALOG + [hyperplane(4)], ids=lambda v: v.name)
+def test_jacobian_is_bit_identical_to_the_stacked_rows(v):
+    rng = np.random.default_rng(v.ambient_dim)
+    pts = _random_points(rng, 9_000, v.ambient_dim).reshape(3_000, 3, v.ambient_dim)
+    got = v.jacobian(pts)
+    assert got.shape == (3_000, 3, v.nu, v.ambient_dim)
+    assert np.array_equal(got, unit_reference.jacobian(v, pts))
 
 
 def test_jacobian_quadric_gradient():
