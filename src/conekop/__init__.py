@@ -24,7 +24,13 @@ from .sampling import (
 )
 from .forms import FormValue, TestForm
 from .kernels import WeightConfig, kernel_K, kernel_P
-from .operators import apply_K, apply_P, apply_model_T, apply_T_m, lp_norm
+from .operators import apply_K, apply_P, apply_T_m
+
+__all__ = ["ConeVariety", "MultiIndexPoly", "catalog_names", "get_variety",
+           "variety_from_json", "Region", "SamplingPlan", "attach_link_margin",
+           "estimate_v", "integrate", "tangent_frame", "FormValue", "TestForm",
+           "WeightConfig", "kernel_K", "kernel_P", "apply_K", "apply_P",
+           "apply_T_m", "load_variety"]
 
 __version__ = "0.1.0"
 

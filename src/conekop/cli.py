@@ -137,7 +137,9 @@ def main(argv=None) -> int:
         plan = SamplingPlan(samples=cfg.samples, seed=cfg.seed, r_min=cfg.r_min,
                             shell_ratio=cfg.shell_ratio)
         v = load_variety(cfg.variety)
-        plan.check_r_min(v.dim)
+        # regions with poles lie in the ball of radius max(omega_prime, 1):
+        # a pole with shells has a base point of norm at most twice that
+        plan.check_r_min(v.dim, 2 * max(cfg.omega_prime, 1.0))
         if v.dim < 2:
             raise ConfigError(f"variety {v.name!r} has dim X = {v.dim}; "
                               f"the experiments need dim X >= 2")

@@ -286,30 +286,6 @@ class FormValue:
             out[bkey] = out[bkey] + dens if bkey in out else dens
         return out
 
-    def tangent_norm(self, proj: np.ndarray) -> np.ndarray:
-        """Intrinsic pointwise norm of a pure (0,q) form on the tangent planes.
-
-        proj holds the batched orthogonal projectors P onto the holomorphic
-        tangent planes (see sampling.PointBatch.projector).  By Cauchy-Binet
-        the coefficients c_L of the form in any orthonormal coframe satisfy
-        sum_L |c_L|^2 = sum_{I,K} c_I conj(c_K) det P[K, I], so no frame is
-        needed.  A single antiholomorphic coframe differential has norm
-        2^(1/4) per degree: the value is (sqrt(2)^q sum_L |c_L|^2)^(1/2).
-        """
-        emask = self.e_mask()
-        cols = []
-        for m, c in self.terms.items():
-            if m & emask or m >> (2 * self.N):
-                raise WrongDegreeError("tangent norms require a pure (0,q) form")
-            cols.append(([j for j in range(self.N) if m >> (self.N + j) & 1], c))
-        tot = 0.0
-        for I, cI in cols:
-            for K, cK in cols:
-                if len(I) == len(K):
-                    minor = np.linalg.det(proj[..., K, :][..., I])
-                    tot = tot + np.sqrt(2.0) ** len(I) * cI * np.conj(cK) * minor
-        return np.sqrt(np.maximum(np.real(tot), 0.0))
-
 
 # ---------------------------------------------------------------------------
 # polynomial smoothstep window

@@ -36,9 +36,7 @@ __all__ = [
     "ExponentRangeError",
     "apply_K",
     "apply_P",
-    "apply_model_T",
     "apply_T_m",
-    "lp_norm",
     "output_subsets",
 ]
 
@@ -176,27 +174,6 @@ def apply_P(v: ConeVariety, phi: TestForm, z, cfg: WeightConfig,
     return value, qr
 
 
-def apply_model_T(v: ConeVariety, f, z, gamma: float,
-                  plan: SamplingPlan) -> QuadratureResult:
-    """T f(z) = integral over X cap B_1 of f * k_gamma."""
-    n = v.dim
-    if not 0 <= gamma < 2 * n:
-        raise ExponentRangeError(f"gamma must lie in [0, {2 * n}) for T")
-    z = np.asarray(z, dtype=complex)
-
-    def integrand(batch: PointBatch):
-        ok = (batch.norms() > _TINY) & (batch.dist(z) > _TINY)
-        out = np.zeros(len(batch), dtype=complex)
-        if np.any(ok):
-            base = kernels.model_k_gamma(batch.positions[ok], z, gamma, n)
-            out[ok] = base * np.asarray(f(batch))[ok]
-        return out
-
-    region = Region.domain(1.0, v.ambient_dim)
-    poles = [(z, 2 * n - 1), (np.zeros(v.ambient_dim), gamma)]
-    return integrate(v, region, integrand, plan, poles=poles)
-
-
 def apply_T_m(v: ConeVariety, f, z, gamma: float, m: int,
               plan: SamplingPlan) -> QuadratureResult:
     """Cut-off model operator on the m-th double-exponential annulus."""
@@ -214,46 +191,3 @@ def apply_T_m(v: ConeVariety, f, z, gamma: float, m: int,
     region = Region.annulus(np.zeros(v.ambient_dim), lo, hi)
     poles = [(z, 2 * n - 1)]
     return integrate(v, region, integrand, plan, poles=poles)
-
-
-def lp_norm(v: ConeVariety, obj, region: Region, p: float, plan: SamplingPlan,
-            poles=()) -> QuadratureResult:
-    """L^p norm over a region of X for a scalar map or a (0,q) TestForm.
-
-    Scalar inputs follow the batch integrand protocol.  For p = infinity the
-    largest magnitude over the points integrate draws is returned, with
-    stderr 0 and the drawn sample count for context.
-    """
-    if isinstance(obj, TestForm):
-
-        def magnitude(batch: PointBatch):
-            return obj.form_value(batch.positions).tangent_norm(batch.projector)
-
-    else:
-
-        def magnitude(batch: PointBatch):
-            return np.abs(np.asarray(obj(batch)))
-
-    if p == np.inf:
-        best = 0.0
-
-        def running_max(batch: PointBatch):
-            nonlocal best
-            best = max(best, float(np.max(magnitude(batch))))
-            return np.zeros(len(batch), dtype=complex)
-
-        qr = integrate(v, region, running_max, plan, poles=poles)
-        return QuadratureResult(value=best, stderr=0.0, samples=qr.samples)
-
-    if p < 1:
-        raise ValueError("p must be at least 1")
-
-    def integrand(batch: PointBatch):
-        return magnitude(batch) ** p + 0j
-
-    qr = integrate(v, region, integrand, plan, poles=poles)
-    val = max(np.real(qr.value), 0.0)
-    norm = val ** (1.0 / p)
-    se = qr.stderr / (p * val ** (1.0 - 1.0 / p)) if val > 0 else qr.stderr
-    return QuadratureResult(value=norm, stderr=se, samples=qr.samples,
-                            strata=qr.strata, discarded=qr.discarded)

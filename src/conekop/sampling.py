@@ -5,6 +5,11 @@ the defining equations restrict to a small polynomial system in the fiber
 coordinates, whose solutions are the sheets of X.  Integrals over X pull back
 to base integrals weighted by the Gram volume factor of each sheet.
 
+What depends only on the variety and a chart (the fiber table, its lacunary
+step, the Gram minor's column, the cover's stretch bound) is built once per
+variety object, into the chart's ChartPlan (chart_plan); so is the list of
+admissible charts.
+
 The sampler draws base points from a mixture of uniform shells centered on
 the region and on declared pole centers (stratified importance sampling with
 the full-mixture density in the weights, which keeps the estimator unbiased
@@ -33,7 +38,9 @@ serve gram_factors, and the PointBatch hands all three to the integrand.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -102,23 +109,80 @@ def _fiber_poly_coeffs(v: ConeVariety, chart: Chart):
     (exps over base vars, coeffs) arrays, possibly empty.
     """
     p = v.polys[0]
-    t_idx = chart.fiber[0]
-    d = p.degree
-    buckets: list[list] = [[] for _ in range(d + 1)]
-    for e, c in zip(p.exps, p.coeffs):
-        k = int(e[t_idx])
-        base_exp = [int(e[j]) for j in chart.base]
-        buckets[k].append((base_exp, c))
-    out = []
-    for k in range(d + 1):
-        if buckets[k]:
-            exps = np.array([b[0] for b in buckets[k]], dtype=np.int64)
-            coeffs = np.array([b[1] for b in buckets[k]], dtype=complex)
-        else:
-            exps = np.zeros((0, len(chart.base)), dtype=np.int64)
-            coeffs = np.zeros(0, dtype=complex)
-        out.append((exps, coeffs))
-    return out
+    k = p.exps[:, chart.fiber[0]]
+    base = p.exps[:, list(chart.base)]
+    return [(base[k == j], p.coeffs[k == j]) for j in range(p.degree + 1)]
+
+
+def _lacunary_step(table) -> int:
+    """The gcd g of the powers of t in a fiber table, so that p(t) = q(t^g)."""
+    return math.gcd(*(k for k, (_, c) in enumerate(table) if np.any(c != 0)))
+
+
+@dataclass(frozen=True, eq=False)
+class ChartPlan:
+    """The facts of one chart of one variety, built once (chart_plan).
+
+    minor is the column of the fiber minor m_F in v.minors.  For nu = 1,
+    table holds the fiber polynomial's coefficients (_fiber_poly_coeffs),
+    degree its degree d, lead = |c_d| and step the gcd g of its powers of t.
+    """
+
+    variety: ConeVariety
+    chart: Chart
+    minor: int
+    table: tuple = ()
+    degree: int = 0
+    lead: float = 0.0
+    step: int = 0
+
+    @property
+    def binomial(self) -> bool:
+        """p(t) = c_d t^d + c_0(s), g = d: the sheets have closed forms."""
+        return 0 < self.step == self.degree
+
+    @functools.cached_property
+    def stretch(self) -> float:
+        """Upper bound for |zeta| / |base point| over all sheets of the chart.
+
+        Points of X with norm above r can project to base points of norm as
+        low as r divided by this factor, so annulus covers must extend below
+        their inner radius by it.  For nu = 1 the bound is a Cauchy root
+        bound applied to the homogeneous fiber polynomial (rigorous); for
+        nu = 2 it is a sampled estimate with a safety factor.
+        """
+        v = self.variety
+        if v.nu == 1:
+            d = self.degree
+            C = 0.0
+            for k in range(d):
+                S = float(np.abs(self.table[k][1]).sum())
+                if S > 0:
+                    C = max(C, 2.0 * (S / self.lead) ** (1.0 / (d - k)))
+            return math.sqrt(1.0 + C * C)
+        bases = _complex_normal(_stream(0, f"stretch|{v.name}", 0), 512, v.dim)
+        bases /= row_norm(bases)[:, None]
+        pts, valid = solve_fiber(v, self.chart, bases)
+        return 1.5 * float(np.max(np.where(valid, row_norm(pts), 1.0)))
+
+
+def _build_chart_plan(v: ConeVariety, chart: Chart) -> ChartPlan:
+    base = sum(1 << j for j in chart.base)
+    minor = [mask for mask, _ in minor_complements(v.ambient_dim, v.nu)].index(base)
+    if v.nu != 1:
+        return ChartPlan(v, chart, minor)
+    table = _fiber_poly_coeffs(v, chart)
+    d = len(table) - 1
+    return ChartPlan(v, chart, minor, tuple(table), d, abs(table[d][1].sum()),
+                     _lacunary_step(table))
+
+
+def chart_plan(v: ConeVariety, chart: Chart) -> ChartPlan:
+    """The plan of chart on v, built on first use and kept on v."""
+    cp = v._chart_plans.get(chart)
+    if cp is None:
+        cp = v._chart_plans[chart] = _build_chart_plan(v, chart)
+    return cp
 
 
 def admissible_charts(v: ConeVariety) -> list[Chart]:
@@ -128,25 +192,19 @@ def admissible_charts(v: ConeVariety) -> list[Chart]:
     the defining polynomial; then the fiber polynomial has exactly d roots
     over every base point and no sheet escapes to infinity.
     """
-    import itertools as it
-
-    N = v.ambient_dim
-    n = v.dim
-    charts = []
-    for fiber in it.combinations(range(N), v.nu):
-        base = tuple(j for j in range(N) if j not in fiber)
-        ok = True
-        for i, p in enumerate(v.polys):
-            want = np.zeros(N, dtype=np.int64)
-            want[fiber[i if v.nu > 1 else 0]] = p.degree
-            # pure power of "its own" fiber variable present with nonzero coeff
-            hit = np.all(p.exps == want, axis=1)
-            if not np.any(hit):
-                ok = False
-                break
-        if ok and len(base) == n:
-            charts.append(Chart(base, fiber))
-    return charts
+    charts = v._chart_plans.get(None)
+    if charts is None:
+        N, charts = v.ambient_dim, []
+        for fiber in itertools.combinations(range(N), v.nu):
+            # f_i holds the pure power of its own fiber variable
+            want = np.zeros((v.nu, N), dtype=np.int64)
+            want[range(v.nu), fiber] = v.degrees
+            if all(np.any(np.all(p.exps == w, axis=1))
+                   for p, w in zip(v.polys, want)):
+                charts.append(Chart(tuple(j for j in range(N) if j not in fiber),
+                                    fiber))
+        charts = v._chart_plans[None] = tuple(charts)
+    return list(charts)
 
 
 def default_chart(v: ConeVariety) -> Chart:
@@ -244,11 +302,6 @@ def _poly_roots(cs: np.ndarray) -> np.ndarray:
     return _aberth_roots(cs)
 
 
-def _lacunary_step(table) -> int:
-    """The gcd g of the powers of t in a fiber table, so that p(t) = q(t^g)."""
-    return math.gcd(*(k for k, (_, c) in enumerate(table) if np.any(c != 0)))
-
-
 def _gth_roots(w: np.ndarray, g: int) -> np.ndarray:
     """The g roots of t^g = w for each entry of w, shape w.shape + (g,).
 
@@ -259,7 +312,7 @@ def _gth_roots(w: np.ndarray, g: int) -> np.ndarray:
     return root[..., None] * np.exp(2j * np.pi * np.arange(g) / g)
 
 
-def _solve_fiber_nu1(v: ConeVariety, chart: Chart, bases: np.ndarray):
+def _solve_fiber_nu1(cp: ChartPlan, bases: np.ndarray):
     """All fiber roots over each base point; returns (t, valid) of shape (B, d).
 
     A lacunary fiber polynomial p(t) = q(t^g), g > 1, is solved through q:
@@ -271,18 +324,16 @@ def _solve_fiber_nu1(v: ConeVariety, chart: Chart, bases: np.ndarray):
     the root built from the principal square root first (sqrt(-c_0/c_2), or
     (-b + sqrt(disc)) / 2a when b != 0), for d >= 3 by the angle of the root.
     """
-    table = _fiber_poly_coeffs(v, chart)
-    d = len(table) - 1
-    cs = np.stack([eval_monomials(e, c, bases.T) for e, c in table], axis=-1)
+    d, g = cp.degree, cp.step
+    cs = np.stack([eval_monomials(e, c, bases.T) for e, c in cp.table], axis=-1)
     lead = cs[:, -1]
     if np.any(np.abs(lead) == 0.0):
         raise FiberDegenerateError("fiber polynomial leading coefficient vanished")
-    g = _lacunary_step(table)
     if g > 1:
         t = _gth_roots(_poly_roots(cs[:, ::g]), g).reshape(len(cs), d)
     else:
         t = _poly_roots(cs)
-    if g < d:
+    if not cp.binomial:
         # roots not in closed form: two Newton passes on p
         for _ in range(2):
             pv, dv = _polyval_and_deriv(cs, t)
@@ -397,7 +448,7 @@ def solve_fiber(v: ConeVariety, chart: Chart, bases: np.ndarray):
     """
     bases = np.asarray(bases, dtype=complex).reshape(-1, v.dim)
     if v.nu == 1:
-        t, valid = _solve_fiber_nu1(v, chart, bases)
+        t, valid = _solve_fiber_nu1(chart_plan(v, chart), bases)
         t = t[..., None]
     elif v.nu == 2:
         t, valid = _solve_fiber_nu2(v, chart, bases)
@@ -419,8 +470,7 @@ def gram_factors(v: ConeVariety, chart: Chart, m: np.ndarray, msq=None) -> np.nd
     (v.minors of the points) and the minor m_F on the chart's fiber columns.
     msq, if given, is |m|^2 = row_norm_sq(m).
     """
-    base = sum(1 << j for j in chart.base)
-    k = [mask for mask, _ in minor_complements(v.ambient_dim, v.nu)].index(base)
+    k = chart_plan(v, chart).minor
     msq = row_norm_sq(m) if msq is None else msq
     return msq / np.maximum(np.abs(m[..., k]) ** 2, 1e-300)
 
@@ -444,9 +494,9 @@ def frames_for(v: ConeVariety, pts: np.ndarray) -> np.ndarray:
 
 class PointBatch:
     """Sample points with their Gram factors, minors m, msq = |m|^2 and
-    x = |zeta|^2; projectors on demand.  integrate passes the msq of the Gram
-    factors and, for a region centred at 0, the x of its indicator, which
-    norms() and the K/P integrand (structure_norm_sq) then reuse."""
+    x = |zeta|^2.  integrate passes the msq of the Gram factors and, for a
+    region centred at 0, the x of its indicator, which norms() and the K/P
+    integrand (structure_norm_sq) then reuse."""
 
     def __init__(self, variety, positions, grams, minors, msq=None, x=None):
         self.variety = variety
@@ -455,22 +505,9 @@ class PointBatch:
         self.minors = minors
         self.msq = row_norm_sq(minors) if msq is None else msq
         self.x = row_norm_sq(positions) if x is None else x
-        self._projector = None
 
     def __len__(self):
         return self.positions.shape[0]
-
-    @property
-    def projector(self) -> np.ndarray:
-        """Orthogonal projectors F^T conj(F) onto the tangent planes, (B, N, N).
-
-        F holds the orthonormal tangent frames of frames_for, which also
-        guards against points near the branch locus.
-        """
-        if self._projector is None:
-            F = frames_for(self.variety, self.positions)
-            self._projector = np.swapaxes(F, -1, -2) @ np.conj(F)
-        return self._projector
 
     def norms(self) -> np.ndarray:
         return np.sqrt(self.x)
@@ -546,9 +583,11 @@ class SamplingPlan:
             raise ValueError(f"allocation must be 'bound' or 'equal', "
                              f"got {self.allocation!r}")
 
-    def check_r_min(self, n: int):
-        """ValueError unless a pole's disc [0, r_min] in C^n has a finite density."""
+    def check_r_min(self, n: int, pole_norm: float = 0.0):
+        """ValueError unless a pole's disc [0, r_min] in C^n has a finite
+        density and r_min passes _check_pole_scale at pole_norm."""
         _radial_norm(_Stratum(np.zeros(n), 0.0, self.r_min, 0.0, 0.0), n)
+        _check_pole_scale(self.r_min, pole_norm)
 
     def with_(self, **kw) -> "SamplingPlan":
         d = self.__dict__ | kw
@@ -587,6 +626,16 @@ def _radial_norm(st: _Stratum, n: int) -> float:
     return beta / span
 
 
+def _check_pole_scale(r_min: float, pole_norm: float):
+    """ValueError unless r_min exceeds eps |pc| for a pole base point pc of
+    norm pole_norm: a base closer to pc rounds onto it and adds exactly 0."""
+    scale = np.finfo(float).eps * pole_norm
+    if not r_min > scale:
+        raise ValueError(f"r_min is too small: {r_min:g} is not above the "
+                         f"rounding scale {scale:g} of a pole's base point "
+                         f"of norm {pole_norm:g}")
+
+
 def _sample_stratum(st: _Stratum, n: int, count: int, rng) -> np.ndarray:
     g = rng.standard_normal((count, 2 * n))
     g /= np.sqrt(row_norm_sq(g))[:, None]
@@ -615,45 +664,6 @@ def _geometric_radii(hi: float, lo: float, ratio: float) -> list[float]:
     return radii
 
 
-_STRETCH_CACHE: dict = {}
-
-
-def chart_stretch(v: ConeVariety, chart: Chart) -> float:
-    """Upper bound for |zeta| / |base point| over all sheets of the chart.
-
-    Points of X with norm above r can project to base points of norm as low
-    as r divided by this factor, so annulus covers must extend below their
-    inner radius by it.  For nu = 1 the bound is a Cauchy root bound applied
-    to the homogeneous fiber polynomial (rigorous); for nu = 2 it is a
-    sampled estimate with a safety factor.
-    """
-    # keyed by value: ids of collected varieties get reused.  The name
-    # enters because the nu = 2 estimate draws from a stream keyed by it.
-    key = (v.name, v.ambient_dim, chart,
-           tuple((p.exps.tobytes(), p.coeffs.tobytes()) for p in v.polys))
-    got = _STRETCH_CACHE.get(key)
-    if got is not None:
-        return got
-    if v.nu == 1:
-        table = _fiber_poly_coeffs(v, chart)
-        d = len(table) - 1
-        lead = np.abs(table[d][1]).sum()
-        C = 0.0
-        for k in range(d):
-            S = float(np.abs(table[k][1]).sum())
-            if S > 0:
-                C = max(C, 2.0 * (S / lead) ** (1.0 / (d - k)))
-        out = math.sqrt(1.0 + C * C)
-    else:
-        bases = _complex_normal(_stream(0, f"stretch|{v.name}", 0), 512, v.dim)
-        bases /= row_norm(bases)[:, None]
-        pts, valid = solve_fiber(v, chart, bases)
-        nrm = row_norm(pts)
-        out = 1.5 * float(np.max(np.where(valid, nrm, 1.0)))
-    _STRETCH_CACHE[key] = out
-    return out
-
-
 def _build_strata(v: ConeVariety, region: Region, chart: Chart, poles,
                   plan: SamplingPlan) -> list[_Stratum]:
     n = v.dim
@@ -667,7 +677,7 @@ def _build_strata(v: ConeVariety, region: Region, chart: Chart, poles,
         # region cover: shells must reach below r_inner by the chart stretch
         # (sheets with norm >= r_inner can sit over shallower base points),
         # whatever r_min says
-        lo = region.r_inner / chart_stretch(v, chart)
+        lo = region.r_inner / chart_plan(v, chart).stretch
         radii = _geometric_radii(region.r_outer, lo, ratio)
         for r_hi, r_lo in zip(radii[:-1], radii[1:]):
             strata.append(_Stratum(base_c, r_lo, r_hi, 0.0, 0.0))
@@ -684,6 +694,7 @@ def _build_strata(v: ConeVariety, region: Region, chart: Chart, poles,
         hi = min(dist + R, 2.0 * R) if dist > 0 else R
         if hi <= plan.r_min:
             continue
+        _check_pole_scale(plan.r_min, float(row_norm(pc)))
         radii = _geometric_radii(hi, plan.r_min, ratio)
         for r_hi, r_lo in zip(radii[:-1], radii[1:]):
             strata.append(_Stratum(pc, r_lo, r_hi, 0.0, order))
@@ -797,15 +808,13 @@ def _may_reach(v: ConeVariety, chart: Chart, region: Region,
     c = region.center
     base_sq = row_norm_sq(bases - c[list(chart.base)])
     lo_sq, hi_sq = base_sq, None
-    if v.nu == 1:
-        table = _fiber_poly_coeffs(v, chart)
-        d = len(table) - 1
-        if _lacunary_step(table) == d:
-            c0 = np.abs(eval_monomials(*table[0], bases.T))
-            t = (c0 / abs(table[d][1].sum())) ** (1.0 / d)
-            cf = abs(c[chart.fiber[0]])
-            lo_sq = base_sq + np.maximum(np.abs(t - cf) - 1e-12 * (t + cf), 0.0) ** 2
-            hi_sq = base_sq + (t + cf) ** 2
+    cp = chart_plan(v, chart)
+    if cp.binomial:
+        c0 = np.abs(eval_monomials(*cp.table[0], bases.T))
+        t = (c0 / cp.lead) ** (1.0 / cp.degree)
+        cf = abs(c[chart.fiber[0]])
+        lo_sq = base_sq + np.maximum(np.abs(t - cf) - 1e-12 * (t + cf), 0.0) ** 2
+        hi_sq = base_sq + (t + cf) ** 2
     keep = ~(lo_sq > (region.r_outer * (1.0 + 1e-9)) ** 2)
     if region.r_inner > 0 and hi_sq is not None:
         keep &= ~(hi_sq < (region.r_inner * (1.0 - 1e-9)) ** 2)

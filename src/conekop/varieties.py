@@ -188,6 +188,12 @@ class ConeVariety:
         return tuple(tuple(p.partial(j) for j in range(self.ambient_dim))
                      for p in self.polys)
 
+    @functools.cached_property
+    def _chart_plans(self) -> dict:
+        """sampling's chart plans keyed by chart, and its admissible chart
+        list keyed by None; filled on first use (sampling.chart_plan)."""
+        return {}
+
     def jacobian(self, pts) -> np.ndarray:
         """Partial derivatives; shape (..., nu, N)."""
         pts = np.asarray(pts, dtype=complex)

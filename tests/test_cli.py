@@ -124,6 +124,7 @@ def _custom(doc, cause=None):
     {"rho1": 1.5, "rho2": 1.2},
     {"r_min": 0},
     {"r_min": 1e-100},
+    {"r_min": 1e-30},
     {"shell_ratio": 0.5},
     {"shell_ratio": 1.01},
     _custom(XY_PLANES),
@@ -164,7 +165,7 @@ def _custom(doc, cause=None):
     {"sample": 30000},
     {"experiments": "v_bounds"},
 ], ids=["samples_string", "samples_fraction", "rho1_above_rho2", "r_min_zero",
-        "r_min_underflow", "shell_ratio_below_1", "shell_ratio_below_1_05", "no_admissible_chart",
+        "r_min_underflow", "r_min_below_pole_rounding", "shell_ratio_below_1", "shell_ratio_below_1_05", "no_admissible_chart",
         "variety_not_object", "polys_not_list", "coefficient_not_number",
         "no_polys", "codim_3", "ambient_dim_fraction", "poly_not_list",
         "term_not_object", "exp_fraction", "exp_string",
@@ -203,6 +204,19 @@ def test_cli_underflowing_r_min_exits_2_naming_it(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: r_min is too small")
     assert err.count("\n") == 1 and "[0, 1e-100]" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_r_min_below_a_poles_rounding_scale_exits_2_naming_it(tmp_path, capsys):
+    # koppelman_q0's poles would get shells below the rounding scale of their
+    # base points: rejected before it runs
+    cpath = tmp_path / "cfg.json"
+    cpath.write_text(json.dumps({"r_min": 1e-30}))
+    assert main(["--config", str(cpath), "--experiment", "koppelman_q0",
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: r_min is too small: 1e-30")
+    assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 

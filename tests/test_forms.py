@@ -11,7 +11,7 @@ from conekop.forms import (
     WrongDegreeError,
 )
 from conekop.kernels import structure_form
-from conekop.sampling import PointBatch, default_chart, frames_for, solve_fiber
+from conekop.sampling import default_chart, frames_for, solve_fiber
 from conekop.varieties import MultiIndexPoly, catalog_names, get_variety
 
 N = 3
@@ -254,43 +254,15 @@ def test_minors_pullback_matches_frame_determinants(name):
         assert np.max(np.abs(got[key] - w)) <= 1e-12 * np.max(np.abs(w))
 
 
-def identity_projector(batch):
-    """Projectors onto the plane spanned by e_0 and e_1."""
-    return np.broadcast_to(np.diag([1.0, 1.0, 0.0]).astype(complex), (batch, N, N))
-
-
-def test_tangent_norm_values():
-    P = identity_projector(1)
-    assert FormValue.scalar(N, 3.0 + 4.0j).tangent_norm(P) == pytest.approx(5.0)
-    assert a(0).tangent_norm(P) == pytest.approx(2.0 ** 0.25)
-    rng = np.random.default_rng(9)
-    c = [complex(rng.standard_normal()), complex(rng.standard_normal())]
-    m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    q, _ = np.linalg.qr(m)
-    rotated = (a(0, q[0, 0] * c[0] + q[0, 1] * c[1])
-               + a(1, q[1, 0] * c[0] + q[1, 1] * c[1]))
-    assert rotated.tangent_norm(P) == pytest.approx(
-        (a(0, c[0]) + a(1, c[1])).tangent_norm(P), abs=1e-10)
-
-
-def test_tangent_norm_identity_plane():
-    # coframe coefficients 2 and -i on the coordinate plane of e_0, e_1
-    P = identity_projector(2)
-    assert np.allclose(a(0, 2.0).tangent_norm(P), 2.0 * 2.0 ** 0.25)
-    assert np.allclose(a(1, -1.0j).tangent_norm(P), 2.0 ** 0.25)
-    phi = a(0, 2.0) + a(1, -1.0j)
-    assert np.allclose(phi.tangent_norm(P), 5.0 ** 0.5 * 2.0 ** 0.25)
-    # the normal differential restricts to zero on the plane
-    assert np.allclose((phi + a(2, 7.0)).tangent_norm(P), phi.tangent_norm(P))
-    with pytest.raises(WrongDegreeError):
-        (phi + e(0)).tangent_norm(P)
-
-
 @pytest.mark.parametrize("q", [0, 1, 2])
 @pytest.mark.parametrize("name", catalog_names())
 def test_projector_norm_matches_frame_coefficients(name, q):
-    # reference: coefficients c_K = sum_I c_I det conj(F)[K, I] in the
-    # coframe of the SVD tangent frame F, summed as sqrt(2)^q sum_K |c_K|^2
+    # the norm of a (0,q) form on the tangent planes two ways: from its
+    # coefficients c_K = sum_I c_I det conj(F)[K, I] in the coframe of the
+    # SVD tangent frame F, and by Cauchy-Binet from the q x q minors of the
+    # projector P = I - J^H (J J^H)^-1 J of the Jacobian alone.  So the
+    # q x q minors of frames_for (its Plücker coordinates at q = n) are
+    # those of the tangent planes
     v = get_variety(name)
     Nv, n = v.ambient_dim, v.dim
     rng = np.random.default_rng(32 + q)
@@ -300,8 +272,6 @@ def test_projector_norm_matches_frame_coefficients(name, q):
     subsets = list(itertools.combinations(range(Nv), q))
     coeffs = [rng.standard_normal(len(sel)) + 1j * rng.standard_normal(len(sel))
               for _ in subsets]
-    form = FormValue(Nv, {sum(1 << (Nv + j) for j in I): c
-                          for I, c in zip(subsets, coeffs)})
     fr = np.conj(frames_for(v, sel))
     tot = 0.0
     for K in itertools.combinations(range(n), q):
@@ -309,7 +279,15 @@ def test_projector_norm_matches_frame_coefficients(name, q):
                  for I, c in zip(subsets, coeffs))
         tot = tot + np.abs(cK) ** 2
     want = np.sqrt(np.sqrt(2.0) ** q * tot)
-    got = form.tangent_norm(PointBatch(v, sel, np.ones(len(sel)), v.minors(sel)).projector)
+    J = v.jacobian(sel)
+    JH = np.conj(np.swapaxes(J, -1, -2))
+    P = np.eye(Nv) - JH @ np.linalg.solve(J @ JH, J)
+    got = 0.0
+    for I, cI in zip(subsets, coeffs):
+        for K, cK in zip(subsets, coeffs):
+            minor = np.linalg.det(P[..., list(K), :][..., list(I)])
+            got = got + np.sqrt(2.0) ** q * cI * np.conj(cK) * minor
+    got = np.sqrt(np.maximum(np.real(got), 0.0))
     tol = 1e-12 if q <= 1 else 1e-10
     assert np.max(np.abs(got - want)) <= tol * np.max(want)
 

@@ -267,7 +267,7 @@ def test_near_branch_locus_point_raises_with_the_work_unit_norms(monkeypatch):
     phi = TestForm.zbar_bump(3, 0, 0.6 * CFG.rho2, 0.95 * CFG.rho2)
     # the fiber variable z2 has no pure power: force its chart and stretch
     monkeypatch.setattr(sampling, "default_chart", lambda v: sampling.Chart((0, 1), (2,)))
-    monkeypatch.setattr(sampling, "chart_stretch", lambda v, chart: 2.0)
+    monkeypatch.setattr(sampling.ChartPlan, "stretch", 2.0)
     for sheets in (1, 2):
         monkeypatch.setattr(sampling, "solve_fiber", lambda v, chart, bases: (
             np.broadcast_to(pts[:sheets], (len(bases), sheets, 3)).copy(),

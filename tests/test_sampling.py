@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import re
 import warnings
@@ -18,9 +19,10 @@ from conekop.sampling import (
     Region,
     SamplingPlan,
     admissible_charts,
-    chart_stretch,
+    chart_plan,
     default_chart,
     estimate_v,
+    frames_for,
     gram_factors,
     integrate,
     project_to_surface,
@@ -138,6 +140,13 @@ def test_tangent_frame_near_singular_error():
         tangent_frame(A1, np.zeros(3, dtype=complex))
 
 
+def _frame_projector(v, pts):
+    """Orthogonal projectors F^T conj(F) onto the tangent planes, from the
+    orthonormal tangent frames F of frames_for."""
+    F = frames_for(v, pts)
+    return np.swapaxes(F, -1, -2) @ np.conj(F)
+
+
 @pytest.mark.parametrize("name", catalog_names())
 def test_projector_fixes_positions(name):
     # Euler: J(zeta) zeta = deg * f(zeta) = 0, so every point lies in its own
@@ -147,7 +156,7 @@ def test_projector_fixes_positions(name):
     bases = rng.standard_normal((60, v.dim)) + 1j * rng.standard_normal((60, v.dim))
     pts, valid = solve_fiber(v, default_chart(v), bases)
     sel = pts[valid]
-    P = PointBatch(v, sel, np.ones(len(sel)), v.minors(sel)).projector
+    P = _frame_projector(v, sel)
     scale = np.max(np.abs(sel))
     assert np.max(np.abs(np.einsum("bij,bj->bi", P, sel) - sel)) <= 1e-12 * scale
     assert np.max(np.abs(P @ P - P)) <= 1e-12
@@ -157,7 +166,7 @@ def test_projector_fixes_positions(name):
 def test_projector_near_singular_error():
     pts = np.array([[0.5, 0.5j, 0.0], [0.0, 0.0, 0.0]], dtype=complex)
     with pytest.raises(NearSingularError):
-        PointBatch(A1, pts, np.ones(2), A1.minors(pts)).projector
+        frames_for(A1, pts)
 
 
 @pytest.mark.parametrize("name", ["a1", "fermat3", "ci22"])
@@ -171,11 +180,11 @@ def test_projector_matches_jacobian_formula(name):
     J = v.jacobian(sel)
     JH = np.conj(np.swapaxes(J, -1, -2))
     want = np.eye(v.ambient_dim) - JH @ np.linalg.solve(J @ JH, J)
-    got = PointBatch(v, sel, np.ones(len(sel)), v.minors(sel)).projector
+    got = _frame_projector(v, sel)
     assert np.max(np.abs(got - want)) <= 1e-13
     cone_point = np.zeros((1, v.ambient_dim), dtype=complex)
     with pytest.raises(NearSingularError):
-        PointBatch(v, cone_point, np.ones(1), v.minors(cone_point)).projector
+        _frame_projector(v, cone_point)
 
 
 def test_sampling_plan_rejects_bad_radii():
@@ -322,23 +331,79 @@ def test_pointwise_adapter():
 
 
 def test_chart_stretch_not_stale_across_varieties():
-    # get_variety builds a fresh object per call, so ids of collected
-    # varieties are reused; each bound must still be the variety's own
+    # get_variety builds a fresh object per call, and each object builds its
+    # own chart plans: each bound must be the variety's own
     chart = Chart((1, 2), (0,))
     names = ("a1", "fermat3", "fermat4")
-    sampling._STRETCH_CACHE.clear()
     held = [get_variety(name) for name in names]
-    own = {v.name: chart_stretch(v, chart) for v in held}
+    own = {v.name: chart_plan(v, chart).stretch for v in held}
     assert len(set(own.values())) == len(names)
     for _ in range(300):
         for name in names:
-            assert chart_stretch(get_variety(name), chart) == own[name]
+            assert chart_plan(get_variety(name), chart).stretch == own[name]
 
 
 def test_chart_stretch_bounds():
-    assert chart_stretch(HP, default_chart(HP)) == pytest.approx(1.0)
-    s = chart_stretch(A1, default_chart(A1))
+    assert chart_plan(HP, default_chart(HP)).stretch == pytest.approx(1.0)
+    s = chart_plan(A1, default_chart(A1)).stretch
     assert s >= np.sqrt(2.0)  # true sheet stretch on the quadric cone
+
+
+def test_ci22_stretch_bits_are_kept():
+    # the nu = 2 bound is sampled from the stretch|ci22 stream; these are its
+    # bits before the bound moved onto the chart plan
+    ci = get_variety("ci22")
+    got = {(c.base, c.fiber): chart_plan(ci, c).stretch.hex()
+           for c in admissible_charts(ci)}
+    assert got == {
+        ((2, 3), (0, 1)): "0x1.d63b84f4d4c52p+1",
+        ((1, 3), (0, 2)): "0x1.4c767cb22f4b8p+1",
+        ((1, 2), (0, 3)): "0x1.0f8758b039dddp+1",
+        ((0, 3), (1, 2)): "0x1.7fff967a10609p+1",
+        ((0, 2), (1, 3)): "0x1.4c74d8c7d0716p+1",
+        ((0, 1), (2, 3)): "0x1.d629cc8885a0ap+1",
+    }
+
+
+def test_each_chart_plan_is_built_once_per_variety_object(monkeypatch):
+    # a koppelman_q0 and a radial_scaling job on a1 look every chart fact up
+    # in the variety object's plans: one build, one fiber table and one
+    # lacunary step per (variety object, chart), however many the lookups
+    from conekop import load_variety
+    from conekop.verify import run_experiment
+
+    v = load_variety("a1")
+    calls = {}
+    for name in ("_build_chart_plan", "_fiber_poly_coeffs", "_lacunary_step",
+                 "chart_plan"):
+        def spy(*args, _f=getattr(sampling, name), _log=calls.setdefault(name, [])):
+            _log.append(args)
+            return _f(*args)
+        monkeypatch.setattr(sampling, name, spy)
+    plan = SamplingPlan(samples=4_000, seed=3)
+    for experiment in ("koppelman_q0", "radial_scaling"):
+        run_experiment(experiment, v, plan)
+    [(w, chart)] = calls["_build_chart_plan"]
+    assert w is v and chart == default_chart(v)
+    assert len(calls["_fiber_poly_coeffs"]) == len(calls["_lacunary_step"]) == 1
+    assert len(calls["chart_plan"]) > 100
+
+
+def test_r_min_below_a_poles_rounding_scale_is_rejected():
+    # at r_min = 1e-30, 47 of the 102 shells of a pole whose base point has
+    # norm 0.35 lie below 1e-16 of it: their draws round onto the pole and
+    # add exactly 0.  A pole at the origin has no such scale.
+    z = surface_point_with_norm(A1, 0.5, seed=1)
+    plan = SamplingPlan(samples=1000, r_min=1e-30)
+    with pytest.raises(ValueError, match="r_min is too small"):
+        integrate(A1, Region.domain(1.0, 3), ONE, plan, poles=[(z, 3)])
+    with pytest.raises(ValueError, match="r_min is too small"):
+        plan.check_r_min(A1.dim, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = integrate(A1, Region.domain(1.0, 3), ONE, plan, poles=[(np.zeros(3), 1)])
+    assert np.isfinite(res.value)
+    plan.check_r_min(A1.dim)
 
 
 def test_project_to_surface():
@@ -448,13 +513,13 @@ def test_fiber_coefficient_table_is_bit_identical_to_loop(name):
     v = _random_quartic() if name == "quartic" else get_variety(name)
     rng = np.random.default_rng(9)
     bases = rng.standard_normal((500, v.dim)) + 1j * rng.standard_normal((500, v.dim))
-    table = sampling._fiber_poly_coeffs(v, default_chart(v))
+    table = chart_plan(v, default_chart(v)).table
     want = np.stack([_monomial_loop(e, c, bases) for e, c in table], axis=-1)
     assert np.array_equal(_fiber_coeffs(v, bases), want)
 
 
 def _fiber_coeffs(v, bases):
-    table = sampling._fiber_poly_coeffs(v, default_chart(v))
+    table = chart_plan(v, default_chart(v)).table
     return np.stack([eval_monomials(e, c, bases.T) for e, c in table], axis=-1)
 
 
@@ -610,11 +675,16 @@ def test_binomial_fibers_match_polished_reference(name, monkeypatch):
     d = v.polys[0].degree
     bases = _binomial_bases(d)
     for chart in admissible_charts(v):
-        t, valid = sampling._solve_fiber_nu1(v, chart, bases)
+        cp = chart_plan(v, chart)
+        assert cp.binomial
+        t, valid = sampling._solve_fiber_nu1(cp, bases)
         with monkeypatch.context() as m:
-            m.setattr(sampling, "_lacunary_step", lambda table: 1)
             m.setattr(sampling, "_aberth_roots", sampling._companion_roots)
-            want, want_valid = sampling._solve_fiber_nu1(v, chart, bases)
+            # a plan with g = 1 solves the full polynomial and polishes it
+            # (d = 1, the hyperplane, stays binomial: p(t) = t is closed form)
+            polished = dataclasses.replace(cp, step=1)
+            assert polished.binomial == (d == 1)
+            want, want_valid = sampling._solve_fiber_nu1(polished, bases)
         # the same sheets in the same order, within a few ulp of the
         # homogeneous scale, and the same branch guard
         scale = np.sqrt(np.sum(np.abs(bases) ** 2, axis=1)[:, None]
@@ -622,7 +692,7 @@ def test_binomial_fibers_match_polished_reference(name, monkeypatch):
         assert np.all(np.abs(t - want) <= 8 * np.finfo(float).eps * scale)
         assert np.array_equal(valid, want_valid)
         # where c_0(s) = 0 every sheet is 0, not NaN
-        c0 = eval_monomials(*sampling._fiber_poly_coeffs(v, chart)[0], bases.T)
+        c0 = eval_monomials(*cp.table[0], bases.T)
         assert np.all(t[c0 == 0] == 0)
         if d == 1:
             # p(t) = t: one regular sheet at 0 over every base
@@ -651,7 +721,7 @@ def horner_calls(monkeypatch):
 def test_binomial_solve_takes_one_horner_pass(name, horner_calls):
     # closed-form sheets: the branch guard's p' is the one Horner pass
     v = get_variety(name)
-    sampling._solve_fiber_nu1(v, default_chart(v), _binomial_bases(3))
+    sampling._solve_fiber_nu1(chart_plan(v, default_chart(v)), _binomial_bases(3))
     assert len(horner_calls) == 1
 
 
