@@ -241,7 +241,8 @@ class FormValue:
         phase per point.  A term c e_A ^ a_B ^ (dz-bar) has density
         c p_A conj(p_B) / c_vol; z-bar generators survive as output indices.
         The normalization is fixed so that the pullback of the induced volume
-        form of X has density exactly 1 at the empty dz-bar subset.
+        form of X has density exactly 1 at the empty dz-bar subset.  The
+        tests use it as the reference for the densities; no src/ path calls it.
         """
         n = next(iter(plucker)).bit_count()
         emask = self.e_mask()

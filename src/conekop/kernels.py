@@ -49,10 +49,11 @@ i Q), and sigma's terms s_s = conj(zeta_s), eta_s = zeta_s - z, Q_s = s_s .
 eta_s, tau = s_s / (2 pi i Q_s) at weight_g's safe zeta_s.  The (2 pi i)^nu
 cancels the 1/(2 pi i) of each Hefer row h_i = H_i / (2 pi i), so the rows
 are the H_i of hefer_coeffs.  Within rho1 chi = 1 and gamma = +-0 exactly,
-so no row needs a branch.  Other dimensions and degrees take the FormValue
-kernels, which the tests also hold the closed form to.  Either way
-operators._kernel_integrand hands the density the same rows: the live ones,
-in blocks.
+so no row needs a branch.  The FormValue kernels run only for K on (0, q >= 2)
+inputs and for n != 2; the tests also hold the closed form to them.  Either
+way operators._kernel_integrand hands the density the same rows: the live
+ones, in blocks.  verify.flat_bm_residuals integrates surface_density_K on
+the hyperplane, where chi = 1 on the input's support.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ that importance shells keep the variance of the singular integrands finite.
 K and P share one batch integrand, _kernel_integrand, which evaluates a
 density on the live rows only, in blocks.  On a surface, K on a (0,1) input
 and P take their densities in closed form (kernels.surface_density_K, _P);
-every other case assembles the kernel in the FormValue algebra.
+only K on (0, q >= 2) inputs and n != 2 assemble the kernel in the FormValue
+algebra.
 
 K phi and P phi are exactly 0 from |zeta|^2 = x_end on (_x_end), so
 integrate solves no fiber over a base row whose sheets all lie beyond.

@@ -220,7 +220,9 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
     """Roots of monic-normalizable polynomials, batched.
 
     coeffs has shape (B, d+1), ordered by ascending power; the top coefficient
-    must be bounded away from zero (constant for admissible charts).
+    must be bounded away from zero (constant for admissible charts).  Every
+    root set past degree 2 with no closed form comes from here (non-binomial
+    fibers, lacunary q, the nu = 2 resultant), in an order callers sort.
     """
     B, dp1 = coeffs.shape
     d = dp1 - 1
@@ -242,56 +244,12 @@ def _polyval_and_deriv(cs: np.ndarray, t: np.ndarray):
     return pv, dv
 
 
-ABERTH_MAX_ITERS = 40
-ABERTH_TOL = 1e-14
-# a double root comes out split by about sqrt(eps) of the scale, so gaps
-# below CLUSTER_TOL mark a multiple or nearly multiple root
-CLUSTER_TOL = 1e-7
-
-
-def _aberth_roots(cs: np.ndarray) -> np.ndarray:
-    """All d roots of each row of cs (B, d+1), ascending powers, d >= 3.
-
-    Vectorized Aberth-Ehrlich iteration (Aberth 1973, Ehrlich 1967; Bini
-    1996) started on the circle of radius max_k |a_k/a_d|^(1/(d-k)).  A row
-    stops once every correction is below ABERTH_TOL times that radius, the
-    scale of its roots.  Rows that have not converged by ABERTH_MAX_ITERS
-    (non-finite iterates included) or whose roots cluster within CLUSTER_TOL
-    of their scale (the base point 0, the branch locus) are solved by the
-    companion eigensolver instead, so every row keeps all d sheets.
-    """
-    B, dp1 = cs.shape
-    d = dp1 - 1
-    k = np.arange(d)
-    radius = np.max(np.abs(cs[:, :-1] / cs[:, -1:]) ** (1.0 / (d - k)), axis=1)
-    z = radius[:, None] * np.exp(1j * (2.0 * np.pi * k / d + 0.4))
-    fallback = radius == 0
-    idx = np.flatnonzero(~fallback)
-    za, ca, tol = z[idx], cs[idx], ABERTH_TOL * radius[idx, None]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(ABERTH_MAX_ITERS):
-            if idx.size == 0:
-                break
-            pv, dv = _polyval_and_deriv(ca, za)
-            # sum over j != i of 1 / (z_i - z_j), by cyclic shifts of the row
-            s = sum(1.0 / (za - za[:, (k + j) % d]) for j in range(1, d))
-            # (p/p') / (1 - (p/p') s) without dividing by p' alone
-            w = pv / (dv - pv * s)
-            za = za - w
-            # NaN never compares true: such rows run to the cap, then fall back
-            done = np.all(np.abs(w) <= tol, axis=1)
-            z[idx[done]] = za[done]
-            idx, za, ca, tol = idx[~done], za[~done], ca[~done], tol[~done]
-        fallback[idx] = True
-        gaps = np.abs(z[:, :, None] - z[:, None, :])[:, ~np.eye(d, dtype=bool)]
-        fallback |= ~(np.min(gaps, axis=1) > CLUSTER_TOL * radius)
-    if np.any(fallback):
-        z[fallback] = _companion_roots(cs[fallback])
-    return z
-
-
 def _poly_roots(cs: np.ndarray) -> np.ndarray:
-    """All d roots (B, d) of each row of cs (B, d+1), ascending powers."""
+    """All d roots (B, d) of each row of cs (B, d+1), ascending powers.
+
+    d = 1 and d = 2 in closed form (the quadratic formula); d >= 3 by the
+    companion eigensolver, with no iteration and no fallback.
+    """
     d = cs.shape[1] - 1
     if d == 1:
         return (-cs[:, 0] / cs[:, 1])[:, None]
@@ -299,7 +257,7 @@ def _poly_roots(cs: np.ndarray) -> np.ndarray:
         a, b, c = cs[:, 2], cs[:, 1], cs[:, 0]
         disc = np.sqrt(b * b - 4.0 * a * c + 0j)
         return np.stack([(-b + disc) / (2 * a), (-b - disc) / (2 * a)], axis=-1)
-    return _aberth_roots(cs)
+    return _companion_roots(cs)
 
 
 def _gth_roots(w: np.ndarray, g: int) -> np.ndarray:
@@ -319,9 +277,9 @@ def _solve_fiber_nu1(cp: ChartPlan, bases: np.ndarray):
     each root u of q gives the g roots _gth_roots(u, g).  Where q is linear
     (g = d: p(t) = c_d t^d + c_0(s), every catalog chart) the sheets are
     exact closed forms and need no polish; every other root set (the
-    quadratic formula with b != 0, Aberth or companion roots, q of degree
-    >= 2) gets two Newton passes on p.  Sheet order is canonical: for d = 2
-    the root built from the principal square root first (sqrt(-c_0/c_2), or
+    quadratic formula with b != 0, companion roots, q of degree >= 2) gets
+    two Newton passes on p.  Sheet order is canonical: for d = 2 the root
+    built from the principal square root first (sqrt(-c_0/c_2), or
     (-b + sqrt(disc)) / 2a when b != 0), for d >= 3 by the angle of the root.
     """
     d, g = cp.degree, cp.step
@@ -498,8 +456,7 @@ class PointBatch:
     region centred at 0, the x of its indicator, which norms() and the K/P
     integrand (structure_norm_sq) then reuse."""
 
-    def __init__(self, variety, positions, grams, minors, msq=None, x=None):
-        self.variety = variety
+    def __init__(self, positions, grams, minors, msq=None, x=None):
         self.positions = positions
         self.grams = grams
         self.minors = minors
@@ -937,7 +894,7 @@ def integrate(v: ConeVariety, region: Region, integrand, plan: SamplingPlan,
                 msq = row_norm_sq(m)
                 gsel = gram_factors(v, chart, m, msq)
                 xs = None if x is None else x.reshape(-1)[flat]
-                fv = np.asarray(integrand(PointBatch(v, sel, gsel, m, msq, xs)))
+                fv = np.asarray(integrand(PointBatch(sel, gsel, m, msq, xs)))
                 if fv.ndim == 1:
                     fv = fv[:, None]
                 K = fv.shape[1]

@@ -29,7 +29,7 @@ from .sampling import (
     surface_point_with_norm,
     tangent_frame,
 )
-from .varieties import ConeVariety, hyperplane, minor_complements, row_norm
+from .varieties import ConeVariety, hyperplane, row_norm
 
 __all__ = [
     "CSV_COLUMNS",
@@ -597,38 +597,26 @@ def run_cutoff_decay(v: ConeVariety, plan: SamplingPlan,
 def flat_bm_residuals(plan: SamplingPlan, z_norms=(0.1, 0.2, 0.3, 0.38, 0.44)):
     """Reproduction of a compactly supported function from its dbar via B alone.
 
-    Runs on the hyperplane model, where the full weighted machinery is not
-    needed; returns rows of (phi(z), estimate, residual, stderr).
+    Runs on the hyperplane model, where chi = 1 on supp phi: there the
+    density of B ^ dbar phi is K's closed form kernels.surface_density_K on
+    the (0,1) input dbar phi.  The region, the pole at z and the streams are
+    criterion 2's own, not apply_K's.  Returns rows of (phi(z), estimate,
+    residual, stderr).
     """
     from .varieties import get_variety
 
     v = get_variety("hyperplane")
-    n = v.dim
-    # {z_N = 0}: the tangent plane is spanned by the first n coordinates
-    flat_coords = {A: float(A == (1 << n) - 1)
-                   for A, _ in minor_complements(v.ambient_dim, v.nu)}
+    cfg = WeightConfig()
     phi = TestForm.radial_bump(v.ambient_dim, 0.5, 0.8)
     dphi = phi.dbar()
     rows = []
     for i, znorm in enumerate(z_norms):
         z = surface_point_with_norm(v, znorm, seed=plan.seed + i)
         phi_z = complex(phi.eval_scalar(z[None, :])[0])
-
-        def integrand(batch, z=z):
-            ok = batch.dist(z) > 1e-13
-            out = np.zeros(len(batch), dtype=complex)
-            if np.any(ok):
-                pts = batch.positions[ok]
-                # only the empty dz-bar density is read
-                B = kernels.bm_B(pts - z, v.ambient_dim, n, zbar_degree=0)
-                total = B.wedge(dphi.form_value(pts)).restricted_to_dim(n)
-                dens = total.pullback_surface(flat_coords)
-                out[ok] = dens.get(0, 0.0)
-            return out
-
-        qr = integrate(v, Region.domain(0.8 * 1.05, v.ambient_dim), integrand,
-                       plan.sub(f"bm{i}"),
-                       poles=[(z, 2 * n - 1)])
+        density = operators._closed_form(kernels.surface_density_K, v, dphi, z, cfg)
+        qr = operators._integrate_kernel(
+            v, Region.domain(0.8 * 1.05, v.ambient_dim), dphi, z, cfg, 1, density,
+            plan.sub(f"bm{i}"), poles=[(z, 2 * v.dim - 1)])
         est = complex(np.atleast_1d(qr.value)[0])
         rows.append({"z_norm": znorm, "phi_z": phi_z, "estimate": est,
                      "residual": abs(phi_z - est), "stderr": float(qr.stderr)})

@@ -10,6 +10,7 @@ from conekop.sampling import (PointBatch, QuadratureResult, SamplingPlan,
 from conekop.varieties import (ConeVariety, MultiIndexPoly, NearSingularError,
                                catalog_names, get_variety, hyperplane,
                                minor_complements, variety_from_json)
+from conekop.verify import flat_bm_residuals
 
 HP = get_variety("hyperplane")
 A1 = get_variety("a1")
@@ -243,7 +244,7 @@ def test_near_branch_locus_point_on_a_dead_row_still_raises(monkeypatch):
     z = np.array([0.1, 0.0, 0.2], dtype=complex)
     phi = TestForm.zbar_bump(3, 0, 0.6 * CFG.rho2, 0.95 * CFG.rho2)
     for rows in (1, 2):
-        batch = PointBatch(planes, pts[:rows], np.ones(rows), planes.minors(pts[:rows]))
+        batch = PointBatch(pts[:rows], np.ones(rows), planes.minors(pts[:rows]))
         _on_batch(monkeypatch, batch)
         for apply, form in ((O.apply_P, phi), (O.apply_K, phi.dbar())):
             if rows == 1:
@@ -418,7 +419,7 @@ def _straddling_batch(v, bases: int):
     pts = pts[valid]
     pts *= (rng.uniform(0.2, 2.0, len(pts))
             / np.sqrt(np.sum(np.abs(pts) ** 2, -1)))[:, None]
-    return PointBatch(v, pts, np.ones(len(pts)), v.minors(pts))
+    return PointBatch(pts, np.ones(len(pts)), v.minors(pts))
 
 
 def _unpruned_integrand_in_blocks(v, phi, z, subsets, kernel, batch):
@@ -429,7 +430,7 @@ def _unpruned_integrand_in_blocks(v, phi, z, subsets, kernel, batch):
     out = np.zeros((len(batch), len(subsets)), dtype=complex)
     for lo in range(0, len(live), O._BLOCK):
         rows = live[lo:lo + O._BLOCK]
-        block = PointBatch(v, batch.positions[rows], np.ones(len(rows)),
+        block = PointBatch(batch.positions[rows], np.ones(len(rows)),
                            batch.minors[rows])
         out[rows] = _unpruned_integrand(v, phi, z, subsets, kernel, block)
     return out
@@ -483,7 +484,7 @@ def test_surface_integrand_matches_unpruned(name, monkeypatch):
     N = v.ambient_dim
     z = surface_point_with_norm(v, 0.5, seed=4)
     pts = np.vstack([_straddling_batch(v, 6000).positions, np.zeros((1, N)), z])
-    batch = PointBatch(v, pts, np.ones(len(pts)), v.minors(pts))
+    batch = PointBatch(pts, np.ones(len(pts)), v.minors(pts))
     x = np.sum(np.abs(pts) ** 2, -1)
     for lo, hi in ((0.0, CFG.rho1), (CFG.rho1, 0.95 * CFG.rho2),
                    (0.95 * CFG.rho2, CFG.rho2), (CFG.rho2, 2.0)):
@@ -553,6 +554,45 @@ def test_surfaces_take_k_and_p_without_the_form_algebra(monkeypatch):
     O.apply_K(A1, TestForm.one_form_bump(3, 0, 1, 1.1, 1.6).dbar(),
               surface_point_with_norm(A1, 0.5, seed=4), CFG, plan)
     assert wedges
+
+
+def test_flat_bm_check_takes_neither_wedge_nor_pullback(monkeypatch):
+    # criterion 2's Bochner-Martinelli check runs on K's closed form
+    calls = []
+    for name in ("wedge", "pullback_surface"):
+        method = getattr(FormValue, name)
+        monkeypatch.setattr(FormValue, name, lambda self, *args, _m=method, _n=name:
+                            calls.append(_n) or _m(self, *args))
+    rows = flat_bm_residuals(SamplingPlan(samples=2000, experiment_id="fbm"),
+                             z_norms=(0.3,))
+    assert len(rows) == 1 and np.isfinite(rows[0]["estimate"])
+    assert calls == []
+
+
+def _flat_bm_reference(phi, z, pts):
+    """B ^ phi on the hyperplane {z_N = 0}, pulled back through its flat
+    Plücker coordinates: p_{0..n-1} = 1, every other one 0."""
+    N, n = HP.ambient_dim, HP.dim
+    flat = {A: float(A == (1 << n) - 1) for A, _ in minor_complements(N, HP.nu)}
+    B = K.bm_B(pts - z, N, n, zbar_degree=0)
+    total = B.wedge(phi.form_value(pts)).restricted_to_dim(n)
+    return total.pullback_surface(flat).get(0, np.zeros(len(pts)))
+
+
+def test_flat_bm_density_matches_the_plucker_pullback(monkeypatch):
+    # with chi = 1 on supp phi, K's closed form on dbar phi is B ^ dbar phi:
+    # on one hyperplane batch, within 1e-13 of the batch maximum
+    batch = _straddling_batch(HP, 6000)
+    outs = _on_batch(monkeypatch, batch)
+    plan = SamplingPlan(samples=2000, seed=5)
+    flat_bm_residuals(plan, z_norms=(0.3,))
+    z = surface_point_with_norm(HP, 0.3, seed=plan.seed)
+    dphi = TestForm.radial_bump(3, 0.5, 0.8).dbar()
+    ok = batch.dist(z) > O._TINY
+    want = np.zeros(len(batch), dtype=complex)
+    want[ok] = _flat_bm_reference(dphi, z, batch.positions[ok])
+    assert np.count_nonzero(want) > 500
+    assert np.max(np.abs(outs[-1][:, 0] - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_surface_densities_take_sigma_at_the_safe_point_within_rho1():

@@ -147,7 +147,6 @@ def test_fiber_solvers_agree_at_fixed_z(monkeypatch):
     chart = sampling.default_chart(v)
     monkeypatch.setitem(v._chart_plans, chart,
                         dataclasses.replace(sampling.chart_plan(v, chart), step=1))
-    monkeypatch.setattr(sampling, "_aberth_roots", sampling._companion_roots)
     old = both()
     for a, b in zip(new, old):
         assert abs(a - b) <= 1e-12 * abs(b)
@@ -212,7 +211,7 @@ def test_one_kernel_batch_evaluates_the_minors_once(monkeypatch):
         pts, valid = sampling.solve_fiber(v, chart, bases)
         sel = pts[valid]
         m = v.minors(sel)
-        integrand(sampling.PointBatch(v, sel, sampling.gram_factors(v, chart, m), m))
+        integrand(sampling.PointBatch(sel, sampling.gram_factors(v, chart, m), m))
         return sampling.QuadratureResult(value=0j, stderr=0.0, samples=len(sel))
 
     monkeypatch.setattr(O, "integrate", one_batch)

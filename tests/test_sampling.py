@@ -524,7 +524,7 @@ def _fiber_coeffs(v, bases):
 
 
 @pytest.fixture
-def fallback_rows(monkeypatch):
+def companion_rows(monkeypatch):
     """Count the rows the root finder hands to the companion eigensolver."""
     rows = []
     companion = sampling._companion_roots
@@ -546,18 +546,6 @@ def _set_distance(a, b):
     dist = np.sqrt(np.sum(np.abs(diff) ** 2, axis=tuple(range(3, diff.ndim))))
     return np.maximum(np.max(np.min(dist, axis=2), axis=1),
                       np.max(np.min(dist, axis=1), axis=1))
-
-
-@pytest.mark.parametrize("v", _degree3_plus(), ids=lambda v: v.name)
-def test_aberth_roots_match_companion(v, fallback_rows):
-    rng = np.random.default_rng(22)
-    bases = rng.standard_normal((2000, 2)) + 1j * rng.standard_normal((2000, 2))
-    cs = _fiber_coeffs(v, bases)
-    got = sampling._aberth_roots(cs)
-    assert sum(fallback_rows) == 0
-    want = sampling._companion_roots(cs)
-    scale = np.max(np.abs(want), axis=1)
-    assert np.max(_set_distance(got, want) / scale) <= 1e-12
 
 
 @pytest.mark.parametrize("v", _degree3_plus(), ids=lambda v: v.name)
@@ -594,11 +582,12 @@ def test_fermat_cone_point_and_branch_locus_sheets(base):
     assert not np.any(valid)
 
 
-def test_aberth_falls_back_on_double_root_and_cone_point(fallback_rows):
-    # (t - 1)^2 (t + 2) = t^3 - 3t + 2, next to a row with simple roots
+def test_poly_roots_on_double_root_and_cone_point(companion_rows):
+    # (t - 1)^2 (t + 2) = t^3 - 3t + 2, next to a row with simple roots:
+    # both rows go to the companion eigensolver in one call
     cs = np.array([[2.0, -3.0, 0.0, 1.0], [-6.0, 11.0, -6.0, 1.0]], dtype=complex)
-    t = sampling._aberth_roots(cs)
-    assert fallback_rows == [1]
+    t = sampling._poly_roots(cs)
+    assert companion_rows == [2]
     assert np.max(_set_distance(t[:1], np.array([[1.0, 1.0, -2.0]]))) < 1e-6
     assert np.max(_set_distance(t[1:], np.array([[1.0, 2.0, 3.0]]))) < 1e-13
     # over the base point 0 the dense quartic's fiber polynomial is c t^4:
@@ -606,25 +595,18 @@ def test_aberth_falls_back_on_double_root_and_cone_point(fallback_rows):
     # but none is lost
     v = _random_quartic()
     pts, valid = solve_fiber(v, default_chart(v), np.zeros((1, 2)))
-    assert fallback_rows == [1, 1]
+    assert companion_rows == [2, 1]
     assert pts.shape == (1, 4, 3)
     assert np.all(pts == 0) and not np.any(valid)
 
 
 @pytest.mark.parametrize("name", ["fermat3", "fermat4"])
-def test_sampled_batches_need_no_fallback(name, fallback_rows, monkeypatch):
+def test_sampled_batches_need_no_fallback(name, companion_rows):
     # one 20k-sample integral draws its base points from every stratum,
     # the cone-point shells included; the Fermat fibers t^d + c(s) are
-    # solved in closed form, so the Aberth iteration never runs
+    # solved in closed form, so the companion eigensolver never runs
     v = get_variety(name)
     calls = []
-    aberth, aberth_roots = [], sampling._aberth_roots
-
-    def counted(cs):
-        aberth.append(len(cs))
-        return aberth_roots(cs)
-
-    monkeypatch.setattr(sampling, "_aberth_roots", counted)
 
     def integrand(batch):
         calls.append(len(batch))
@@ -634,8 +616,7 @@ def test_sampled_batches_need_no_fallback(name, fallback_rows, monkeypatch):
               SamplingPlan(samples=20_000, seed=3, experiment_id="nofallback"),
               poles=[(np.zeros(3), 2)])
     assert sum(calls) > 20_000
-    assert fallback_rows == []
-    assert aberth == []
+    assert companion_rows == []
 
 
 def _dense_quadratic():
@@ -666,7 +647,7 @@ def _binomial_bases(d):
 
 
 @pytest.mark.parametrize("name", _BINOMIAL)
-def test_binomial_fibers_match_polished_reference(name, monkeypatch):
+def test_binomial_fibers_match_polished_reference(name):
     # on every admissible chart of the catalog hypersurfaces the fiber
     # polynomial is c_d t^d + c_0(s), solved in closed form with no polish;
     # the reference solves the full polynomial (quadratic formula, or the
@@ -678,13 +659,11 @@ def test_binomial_fibers_match_polished_reference(name, monkeypatch):
         cp = chart_plan(v, chart)
         assert cp.binomial
         t, valid = sampling._solve_fiber_nu1(cp, bases)
-        with monkeypatch.context() as m:
-            m.setattr(sampling, "_aberth_roots", sampling._companion_roots)
-            # a plan with g = 1 solves the full polynomial and polishes it
-            # (d = 1, the hyperplane, stays binomial: p(t) = t is closed form)
-            polished = dataclasses.replace(cp, step=1)
-            assert polished.binomial == (d == 1)
-            want, want_valid = sampling._solve_fiber_nu1(polished, bases)
+        # a plan with g = 1 solves the full polynomial and polishes it
+        # (d = 1, the hyperplane, stays binomial: p(t) = t is closed form)
+        polished = dataclasses.replace(cp, step=1)
+        assert polished.binomial == (d == 1)
+        want, want_valid = sampling._solve_fiber_nu1(polished, bases)
         # the same sheets in the same order, within a few ulp of the
         # homogeneous scale, and the same branch guard
         scale = np.sqrt(np.sum(np.abs(bases) ** 2, axis=1)[:, None]
@@ -1232,11 +1211,11 @@ def test_point_batch_reuses_the_unit_norms():
     pts, valid = solve_fiber(A1, default_chart(A1), np.array([[0.3, 0.4j], [1.0, 2.0]]))
     sel = pts[valid]
     m = A1.minors(sel)
-    plain = PointBatch(A1, sel, np.ones(len(sel)), m)
+    plain = PointBatch(sel, np.ones(len(sel)), m)
     assert np.array_equal(plain.x, np.sum(np.abs(sel) ** 2, axis=-1))
     assert np.array_equal(plain.msq, np.sum(np.abs(m) ** 2, axis=-1))
     assert np.array_equal(plain.norms(), row_norm(sel))
-    given = PointBatch(A1, sel, np.ones(len(sel)), m, msq=plain.msq * 4, x=plain.x * 4)
+    given = PointBatch(sel, np.ones(len(sel)), m, msq=plain.msq * 4, x=plain.x * 4)
     assert np.array_equal(given.norms(), 2 * plain.norms())
     assert np.array_equal(given.msq, 4 * plain.msq)
 

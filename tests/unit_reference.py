@@ -111,7 +111,7 @@ def integrate(v, region, integrand, plan, poles=(), chart=None, support=None):
                 sel = pts.reshape(-1, pts.shape[-1])[flat]
                 m = v.minors(sel)
                 gsel = gram_factors(v, chart, m)
-                fv = np.asarray(integrand(PointBatch(v, sel, gsel, m)))
+                fv = np.asarray(integrand(PointBatch(sel, gsel, m)))
                 if fv.ndim == 1:
                     fv = fv[:, None]
                 K = fv.shape[1]
