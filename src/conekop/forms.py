@@ -261,32 +261,6 @@ class FormValue:
             out[bkey] = out[bkey] + dens if bkey in out else dens
         return out
 
-    def surface_density(self, omega: "FormValue") -> dict[int, np.ndarray]:
-        """pullback_surface of omega ^ self, for the structure form omega of X.
-
-        self carries no dzeta generators.  By Hodge duality the tangent plane's
-        Plücker coordinates satisfy sum_A omega_A p_A = 1/|m| and conj(p_B) =
-        |m| omega_B, so a term c a_B ^ (dz-bar) has density c omega_B / c_vol.
-        """
-        self._check(omega)
-        n = next(iter(omega.terms)).bit_count()
-        emask = self.e_mask()
-        amask = emask << self.N
-        c_vol = _volume_constant(n)
-        out: dict[int, np.ndarray] = {}
-        for m, c in self.terms.items():
-            if m & emask:
-                raise WrongDegreeError("surface density of a form with dzeta generators")
-            aa = (m & amask) >> self.N
-            if aa.bit_count() > n:
-                raise DegreeOverflowError("zeta-bar degree exceeds dim X")
-            if aa.bit_count() != n:
-                continue  # only the (n,n) part in zeta survives integration
-            dens = c * omega.terms[aa] / c_vol
-            bkey = m >> (2 * self.N)
-            out[bkey] = out[bkey] + dens if bkey in out else dens
-        return out
-
 
 # ---------------------------------------------------------------------------
 # polynomial smoothstep window

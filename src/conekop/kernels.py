@@ -21,50 +21,62 @@ kernel_K, kernel_P return the z-dependent factors
     k = c_K * top_extract(h ^ sum_{j<n} g_j ^ B_(n-j))
     p = c_P * top_extract(h ^ g_n)
 where the subscript is the e-degree, so only the e-degree n part of g ^ B
-is ever formed (FormValue.surface_density contracts omega in).  Nothing
-else that no output reads is formed either: weight_g builds g_0 ... g_(n-1)
-for k and g_n alone for p, and B keeps the dz-bar degrees up to the one K's
-output reads (none for a (0,1) input).  Every row takes the same path;
-within rho1 the terms of g past g_0 = 1 are exactly +-0.  One factor
-1/(2 pi i) enters per Hefer factor, so c_K = c_P = (2 pi i)^nu in every
-ambient dimension: the top extraction reads kappa off u = e_top ^ kappa with
-no reordering sign, and the flat kernel then coincides with the
+is ever formed; weight_g builds only the degrees asked for, and B only the
+dz-bar degrees up to the one K's output reads.  One factor 1/(2 pi i)
+enters per Hefer factor, so c_K = c_P = (2 pi i)^nu in every ambient
+dimension: the top extraction reads kappa off u = e_top ^ kappa with no
+reordering sign, and the flat kernel then coincides with the
 Bochner-Martinelli kernel.  The calibrate experiment (verify.run_calibrate)
-refits both constants on the flat model as the check.
+refits both constants on the flat model as the check.  These FormValue
+kernels are the tests' reference; no operator calls them.
 
-On a surface (n = 2) with an output of dz-bar degree 0 (K on a (0,1) input,
-P on a (0,0) input) surface_density_K and surface_density_P give the
-density of omega ^ k ^ phi and omega ^ p ^ phi in closed form, with no
-FormValue.  Each dbar of a support form carries exactly one dzeta-bar;
-contracting it with the input leaves a vector, and top(h_1 ^ ... ^ h_nu ^ x
-^ y) is the determinant with rows h_1, ..., h_nu, x, y.  With Omega_B =
-omega_B / c_vol, extended antisymmetrically to Omega~, chi = chi(|zeta|^2),
-gamma = chi'(|zeta|^2) zeta and D(s, eta, Q) x = (s (eta . x) / Q^2 - x / Q)
-/ (2 pi i):
-    K:  (2 pi i)^nu det[h, beta, chi D(s, eta, Q) Psi + (gamma . Psi) tau],
-        Psi = Omega~ phi,
-    P:  (2 pi i)^nu f det[h, tau, D(s_s, eta_s, Q_s) Omega~ gamma],
-for b's terms s = conj(eta), eta = zeta - z, Q = |eta|^2, beta = s / (2 pi
-i Q), and sigma's terms s_s = conj(zeta_s), eta_s = zeta_s - z, Q_s = s_s .
-eta_s, tau = s_s / (2 pi i Q_s) at weight_g's safe zeta_s.  The (2 pi i)^nu
-cancels the 1/(2 pi i) of each Hefer row h_i = H_i / (2 pi i), so the rows
-are the H_i of hefer_coeffs.  Within rho1 chi = 1 and gamma = +-0 exactly,
-so no row needs a branch.  The FormValue kernels run only for K on (0, q >= 2)
-inputs and for n != 2; the tests also hold the closed form to them.  Either
-way operators._kernel_integrand hands the density the same rows: the live
-ones, in blocks.  verify.flat_bm_residuals integrates surface_density_K on
-the hyperplane, where chi = 1 on the input's support.
+density_K and density_P give the densities of omega ^ k ^ phi and omega ^
+p ^ phi on X in closed form, for every N, nu, n and q.  Two reductions make
+that possible.  Next to its own support vector, dbar b == Theta / (2 pi i
+Q) with Theta = sum_k e_k ^ (b_k - a_k): the s_j eta_k / Q^2 part of dbar b
+is a multiple of b.  Likewise dbar sigma == -Theta_a / (2 pi i Q_s) with
+Theta_a = sum_k e_k ^ a_k.  With Theta_b = Theta + Theta_a,
+    Theta^p = sum_r C(p, r) Theta_b^r (-Theta_a)^(p-r),
+and only r = q - 1 reaches the output, of dz-bar degree q - 1.  So K is two
+terms and P one, each a per-point scalar times
+    T(V, psi)_I = sum_{|S|=p, S n I = 0} det[V; e_S; e_I]
+                  * sum_K sgn(S ++ K) psi_K Omega_(S u K)
+for a stack of rows V and an a-form psi of degree n - p.  Omega_B = omega_B
+/ c_vol is the surface density of a_B: the tangent plane's Plücker
+coordinates satisfy conj(p_B) = |m| omega_B and sum_A omega_A p_A = 1/|m|.
+det[V; e_S; e_I] = sgn(C ++ S ++ I) det V[:, C] with C = (S u I)^c, and the
+minors of V come from Laplace expansion along each added row (_wedge_row).
+Sorting Theta_a^p Theta_b^r psi to the order e, a, b gives the factor
+p! r! (-1)^(p(p-1)/2 + r(r-1)/2 + rp + |psi| r) (_t_table).  With s =
+conj(eta), eta = zeta - z, Q = |eta|^2 for b; s_s = conj(zeta_s), Q_s = s_s
+. (zeta_s - z) for sigma at weight_g's safe zeta_s; gamma = chi'(|zeta|^2)
+zeta, so that dbar chi = gamma . a; r = q - 1 and p = n - q:
+    K, from chi B_n:          V = [H; s],      psi = phi,
+        chi C(n-1, r) (-1)^p / (2 pi i Q)^n;
+    K, from g_k ^ B_(n-k):    V = [H; s_s; s], psi = -gamma ^ phi,
+        (-1)^p' sum_{k=1}^{n-1-r} C(n-k-1, r) / ((2 pi i Q_s)^k (2 pi i Q)^(n-k)),
+        p' = p - 1;
+    P, from g_n:              V = [H; s_s],    psi = gamma phi,
+        (-1)^(n-1) / (2 pi i Q_s)^n.
+The (2 pi i)^nu cancels the 1/(2 pi i) of each Hefer row h_i = H_i / (2 pi
+i), so V's first rows are the H_i of hefer_coeffs.  Within rho1 chi = 1 and
+gamma = +-0 exactly, so no row needs a branch, and for q = n the second K
+term is an empty sum.  operators._kernel_integrand hands the densities the
+live rows, in blocks.  verify.flat_bm_residuals integrates density_K on the
+hyperplane, where chi = 1 on the input's support.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import (FormValue, TWO_PI_I, Window, _volume_constant, smoothstep,
-                    smoothstep_deriv)
+from .forms import (FormValue, TWO_PI_I, Window, _volume_constant, _wedge_sign,
+                    smoothstep, smoothstep_deriv)
 from .varieties import (ConeVariety, _require_regular, minor_complements, row_norm,
                         row_norm_sq)
 
@@ -79,8 +91,8 @@ __all__ = [
     "structure_norm_sq",
     "kernel_K",
     "kernel_P",
-    "surface_density_K",
-    "surface_density_P",
+    "density_K",
+    "density_P",
     "model_k_gamma",
     "model_k_tilde",
     "k_gamma_truncated",
@@ -255,11 +267,7 @@ def structure_form(v: ConeVariety, zeta: np.ndarray, m: np.ndarray) -> FormValue
     genuine singularity whenever d > nu.  Near-singular points raise
     NearSingularError.
     """
-    return _omega_form(v, m, structure_norm_sq(v, row_norm_sq(zeta), m))
-
-
-def _omega_form(v: ConeVariety, m: np.ndarray, msq: np.ndarray) -> FormValue:
-    """omega from the minors m and their squared norms msq = structure_norm_sq."""
+    msq = structure_norm_sq(v, row_norm_sq(zeta), m)
     return FormValue(v.ambient_dim, {
         mask: sgn * np.conj(m[..., k]) / msq
         for k, (mask, sgn) in enumerate(minor_complements(v.ambient_dim, v.nu))})
@@ -308,94 +316,124 @@ def kernel_P(v: ConeVariety, zeta: np.ndarray, z: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# K and P on surfaces in closed form
+# K and P densities in closed form
 # ---------------------------------------------------------------------------
-# Arrays here are per column: a vector field over L points is an (N, L)
-# array, so every entry of a determinant is one contiguous array.
+# Arrays here are per column: a vector over L points is N arrays of length L.
+# A form is a dict from sorted index tuples to coefficients, with every tuple
+# of its degree.
 
 
-def _det(rows):
-    """Determinant of a square matrix of per-point arrays, by cofactors."""
-    if len(rows) == 1:
-        return rows[0][0]
-    out = None
-    for j, a in enumerate(rows[0]):
-        t = a * _det([r[:j] + r[j + 1:] for r in rows[1:]])
-        out = t if out is None else out - t if j % 2 else out + t
+def _wedge_row(form: dict, v) -> dict:
+    """form ^ v for a vector v: the minors of [A; v] if form holds A's."""
+    k = len(next(iter(form)))
+    out = {}
+    for C in itertools.combinations(range(len(v)), k + 1):
+        acc = v[C[k]] * form[C[:k]]
+        for t in range(k):
+            term = v[C[t]] * form[C[:t] + C[t + 1:]]
+            acc = acc - term if (k - t) & 1 else acc + term
+        out[C] = acc
     return out
 
 
-def _dbar_support(s, eta, Q, x):
-    """D(s, eta, Q) x = (s (eta . x) / Q^2 - x / Q) / (2 pi i).
+@functools.lru_cache(maxsize=None)
+def _t_table(N: int, nu: int, deg: int, r: int):
+    """T(V, psi) for psi of degree deg and outputs of degree r.
 
-    D's entries are the e_j ^ a_k coefficients of dbar of the support form
-    s / (2 pi i Q), the negative of _support_series's m.
+    Returns p! r! (-1)^(p(p-1)/2 + r(r-1)/2 + rp + deg r) / c_vol and per
+    output I the terms (C, K, k, sign) of det V[:, C] psi_K conj(m_k) / |m|^2,
+    S u K being the complement of minor k.  Empty when p = n - deg < 0.
     """
-    return (s * (np.sum(eta * x, axis=0) / Q**2) - x / Q) / TWO_PI_I
+    p = N - nu - deg
+    comp = {mask: (k, sgn) for k, (mask, sgn) in enumerate(minor_complements(N, nu))}
+    table = []
+    for I in itertools.combinations(range(N), r):
+        rest = [j for j in range(N) if j not in I]
+        terms = []
+        for S in itertools.combinations(rest, p) if p >= 0 else ():
+            C = tuple(j for j in rest if j not in S)
+            mc, ms, mi = (sum(1 << j for j in t) for t in (C, S, I))
+            # sgn(C ++ S ++ I) and sgn(S ++ K), each from sorted runs
+            sign = _wedge_sign(mc, ms) * _wedge_sign(mc | ms, mi)
+            for K in itertools.combinations([j for j in range(N) if j not in S], deg):
+                mk = sum(1 << j for j in K)
+                k, sgn = comp[ms | mk]
+                terms.append((C, K, k, sign * sgn * _wedge_sign(ms, mk)))
+        table.append(tuple(terms))
+    sign = (-1) ** (p * (p - 1) // 2 + r * (r - 1) // 2 + r * p + deg * r)
+    scale = sign * math.factorial(max(p, 0)) * math.factorial(r)
+    return scale / _volume_constant(N - nu), tuple(table)
 
 
-def _omega_apply(v: ConeVariety, m, msq, x):
-    """Omega~ x for the antisymmetric extension Omega~ of Omega_B = omega_B / c_vol.
-
-    m = v.minors(zeta), shape (L, C(N, nu)), and msq = |m|^2.
-    """
-    out = np.zeros_like(x)
-    scale = 1.0 / (_volume_constant(2) * msq)
-    for k, (mask, sgn) in enumerate(minor_complements(v.ambient_dim, v.nu)):
-        a, b = (j for j in range(v.ambient_dim) if mask >> j & 1)
-        om = sgn * np.conj(m[:, k]) * scale
-        out[a] += om * x[b]
-        out[b] -= om * x[a]
+def _t(v: ConeVariety, r: int, minors: dict, psi: dict, omega) -> list:
+    """T(V, psi)_I per output I of degree r, from V's minors and omega's
+    conj(m_k) / |m|^2 (_parts); V has N - p - r rows, p = n - deg(psi)."""
+    scale, table = _t_table(v.ambient_dim, v.nu, len(next(iter(psi))), r)
+    out = []
+    for terms in table:
+        acc = 0
+        for C, K, k, sgn in terms:
+            t = minors[C] * psi[K] * omega[k]
+            acc = acc + t if sgn > 0 else acc - t
+        out.append(scale * acc)
     return out
 
 
-def _surface_parts(v: ConeVariety, zeta, x, z, cfg: WeightConfig):
-    """Per-column pieces shared by k and p at the rows zeta (L, N), x = |zeta|^2.
+def _parts(v: ConeVariety, zeta, x, z, cfg: WeightConfig, m, msq, phi: dict, q: int):
+    """Per-column pieces shared by K and P at the rows zeta (L, N) of X.
 
-    Returns zeta by columns, chi'(x), the (s, eta, Q) of sigma on the safe
-    zeta_s of weight_g, and the Hefer rows H_i as lists of arrays.
+    Returns zeta, gamma = chi'(x) zeta, the s_s = conj(zeta_s) and 1 / (2 pi
+    i Q_s) of sigma at weight_g's safe zeta_s, the minors of the Hefer rows
+    H, omega for _t and the (0,q) input phi with its zero coefficients.
     """
     zc = np.ascontiguousarray(zeta.T)
     cd = cfg.chi.value(x, 1)
-    zs = np.where(cd != 0.0, zc, 1.0)
-    s, eta = np.conj(zs), zs - z[:, None]
-    Q = np.sum(s * eta, axis=0)
-    if np.any(Q == 0):
+    # Q_s = |zeta_s|^2 - s_s . z, with |zeta_s|^2 = x or N
+    ss = np.where(cd != 0.0, np.conj(zc), 1.0)
+    Qs = np.where(cd != 0.0, x, float(len(z))) - z @ ss
+    if np.any(Qs == 0):
         raise PoleError("sigma denominator vanished on supp dbar chi")
     H = np.ascontiguousarray(np.moveaxis(v.hefer_coeffs(zeta, z), 0, -1))
-    return zc, cd, (s, eta, Q), [list(h) for h in H]
+    hm = {(j,): h for j, h in enumerate(H[0])}
+    for row in H[1:]:
+        hm = _wedge_row(hm, row)
+    omega = np.conjugate(m.T, order="C") * (1.0 / msq)
+    zero = np.zeros(len(zeta), dtype=complex)
+    phi = {I: phi.get(I, zero) for I in itertools.combinations(range(v.ambient_dim), q)}
+    return zc, cd * zc, ss, 1.0 / (TWO_PI_I * Qs), hm, omega, phi
 
 
-def surface_density_K(v: ConeVariety, zeta, x, z, cfg: WeightConfig, m, msq,
-                      phi: dict) -> np.ndarray:
-    """Density of omega ^ k ^ phi on a surface X for a (0,1) input.
+def density_K(v: ConeVariety, zeta, x, z, cfg: WeightConfig, m, msq, phi: dict,
+              q: int) -> np.ndarray:
+    """Density of omega ^ k ^ phi on X for a (0,q) input, (L, C(N, q - 1)).
 
     zeta (L, N) are points of X with squared norms x, m (L, C(N, nu)) their
-    minors with squared norms msq, phi the input's coefficients by 1-index
-    (TestForm.eval).
+    minors with squared norms msq, phi the input's coefficients by q-index
+    (TestForm.eval).  Columns follow operators.output_subsets.
     """
-    N = v.ambient_dim
-    zc, cd, (ss, es, Qs), H = _surface_parts(v, zeta, x, z, cfg)
+    n, r, p = v.dim, q - 1, v.dim - q
+    zc, gamma, ss, w, hm, omega, phi = _parts(v, zeta, x, z, cfg, m, msq, phi, q)
     eta = zc - z[:, None]
     s = np.conj(eta)
-    Q = np.sum(eta.real**2 + eta.imag**2, axis=0)
-    zero = np.zeros(len(zeta), dtype=complex)
-    psi = _omega_apply(v, m, msq, np.stack([phi.get((j,), zero) for j in range(N)]))
-    w = (cfg.chi.value(x, 0) * _dbar_support(s, eta, Q, psi)
-         + np.sum(cd * zc * psi, axis=0) * ss / (TWO_PI_I * Qs))
-    return _det(H + [list(s / (TWO_PI_I * Q)), list(w)])
+    u = (1.0 / np.sum(eta.real**2 + eta.imag**2, axis=0)) * (1.0 / TWO_PI_I)
+    c1 = cfg.chi.value(x, 0) * (math.comb(n - 1, r) * (-1) ** p) * u**n
+    # (-1)^(p - 1) of the expansion, and -gamma ^ phi = (-1)^(q + 1) phi ^ gamma
+    c2 = (-1) ** (p + q) * sum(math.comb(n - k - 1, r) * w**k * u ** (n - k)
+                               for k in range(1, n - r))
+    t1 = _t(v, r, _wedge_row(hm, s), phi, omega)
+    t2 = _t(v, r, _wedge_row(_wedge_row(hm, ss), s), _wedge_row(phi, gamma), omega)
+    return np.stack([c1 * a + c2 * b for a, b in zip(t1, t2)], axis=1)
 
 
-def surface_density_P(v: ConeVariety, zeta, x, z, cfg: WeightConfig, m, msq,
-                      phi: dict) -> np.ndarray:
-    """Density of omega ^ p ^ phi on a surface X for a (0,0) input.
+def density_P(v: ConeVariety, zeta, x, z, cfg: WeightConfig, m, msq,
+              phi: dict) -> np.ndarray:
+    """Density of omega ^ p ^ phi on X for a (0,0) input, (L, 1).
 
-    Arguments as for surface_density_K; phi holds the one coefficient at ().
+    Arguments as for density_K; phi holds the one coefficient at ().
     """
-    zc, cd, (ss, es, Qs), H = _surface_parts(v, zeta, x, z, cfg)
-    rho = _omega_apply(v, m, msq, cd * zc)
-    tau = ss / (TWO_PI_I * Qs)
-    return phi[()] * _det(H + [list(tau), list(_dbar_support(ss, es, Qs, rho))])
+    _, gamma, ss, w, hm, omega, phi = _parts(v, zeta, x, z, cfg, m, msq, phi, 0)
+    t, = _t(v, 0, _wedge_row(hm, ss), _wedge_row(phi, gamma), omega)
+    return ((-1) ** (v.dim - 1) * w**v.dim * t)[:, None]
 
 
 # ---------------------------------------------------------------------------

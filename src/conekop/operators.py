@@ -4,10 +4,9 @@ The operators are linear in the input form and deterministic given the
 sampling plan; pole locations of each kernel are declared to the sampler so
 that importance shells keep the variance of the singular integrands finite.
 K and P share one batch integrand, _kernel_integrand, which evaluates a
-density on the live rows only, in blocks.  On a surface, K on a (0,1) input
-and P take their densities in closed form (kernels.surface_density_K, _P);
-only K on (0, q >= 2) inputs and n != 2 assemble the kernel in the FormValue
-algebra.
+density on the live rows only, in blocks.  The densities are the closed
+forms kernels.density_K and density_P, in every dimension and for every
+input degree; no operator assembles a kernel in the FormValue algebra.
 
 K phi and P phi are exactly 0 from |zeta|^2 = x_end on (_x_end), so
 integrate solves no fiber over a base row whose sheets all lie beyond.
@@ -101,29 +100,10 @@ def _integrate_kernel(v: ConeVariety, region: Region, phi: TestForm, z, cfg,
                      plan, poles=poles, support=support)
 
 
-def _closed_form(density, v: ConeVariety, phi: TestForm, z, cfg):
-    """kernels.surface_density_K or _P as a one-column density."""
+def _closed_form(density, v: ConeVariety, phi: TestForm, z, cfg, *q):
+    """kernels.density_K (given q) or density_P on the input phi."""
     return lambda pts, x, m, msq: density(v, pts, x, z, cfg, m, msq,
-                                          phi.eval(pts, x))[:, None]
-
-
-def _form_density(v: ConeVariety, phi: TestForm, subsets, kernel):
-    """Density of omega ^ kernel(zeta) ^ phi in the FormValue algebra, one
-    column per dz-bar subset, kernel being kernel_K or kernel_P bound to v,
-    z and cfg."""
-    # surface densities are keyed by the dz-bar mask alone (low bits)
-    masks = [sum(1 << j for j in s) for s in subsets]
-
-    def density(pts, x, m, msq):
-        total = kernel(pts).wedge(phi.form_value(pts)).restricted_to_dim(v.dim)
-        dens = total.surface_density(kernels._omega_form(v, m, msq))
-        out = np.zeros((len(pts), len(masks)), dtype=complex)
-        for i, mask in enumerate(masks):
-            if mask in dens:
-                out[:, i] = dens[mask]
-        return out
-
-    return density
+                                          phi.eval(pts, x), *q)
 
 
 def apply_K(v: ConeVariety, phi: TestForm, z, cfg: WeightConfig,
@@ -144,11 +124,7 @@ def apply_K(v: ConeVariety, phi: TestForm, z, cfg: WeightConfig,
     subsets = output_subsets(v.ambient_dim, phi.q - 1)
     region = Region.domain(cfg.omega_prime_radius, v.ambient_dim)
     poles = [(z, 2 * n - 1), (np.zeros(v.ambient_dim), v.total_degree - v.nu)]
-    if n == 2 and phi.q == 1:
-        density = _closed_form(kernels.surface_density_K, v, phi, z, cfg)
-    else:
-        density = _form_density(
-            v, phi, subsets, lambda zeta: kernels.kernel_K(v, zeta, z, cfg, phi.q - 1))
+    density = _closed_form(kernels.density_K, v, phi, z, cfg, phi.q)
     qr = _integrate_kernel(v, region, phi, z, cfg, len(subsets), density, plan, poles)
     coeffs = np.atleast_1d(np.asarray(qr.value))
     return coeffs, qr
@@ -165,11 +141,7 @@ def apply_P(v: ConeVariety, phi: TestForm, z, cfg: WeightConfig,
     if phi.q != 0:
         raise ValueError("apply_P expects a (0,0) input")
     region = Region.annulus(np.zeros(v.ambient_dim), cfg.rho1, cfg.rho2)
-    if v.dim == 2:
-        density = _closed_form(kernels.surface_density_P, v, phi, z, cfg)
-    else:
-        density = _form_density(v, phi, [()],
-                                lambda zeta: kernels.kernel_P(v, zeta, z, cfg))
+    density = _closed_form(kernels.density_P, v, phi, z, cfg)
     qr = _integrate_kernel(v, region, phi, z, cfg, 1, density, plan)
     value = complex(np.atleast_1d(np.asarray(qr.value))[0])
     return value, qr

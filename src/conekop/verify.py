@@ -598,7 +598,7 @@ def flat_bm_residuals(plan: SamplingPlan, z_norms=(0.1, 0.2, 0.3, 0.38, 0.44)):
     """Reproduction of a compactly supported function from its dbar via B alone.
 
     Runs on the hyperplane model, where chi = 1 on supp phi: there the
-    density of B ^ dbar phi is K's closed form kernels.surface_density_K on
+    density of B ^ dbar phi is K's closed form kernels.density_K on
     the (0,1) input dbar phi.  The region, the pole at z and the streams are
     criterion 2's own, not apply_K's.  Returns rows of (phi(z), estimate,
     residual, stderr).
@@ -613,7 +613,7 @@ def flat_bm_residuals(plan: SamplingPlan, z_norms=(0.1, 0.2, 0.3, 0.38, 0.44)):
     for i, znorm in enumerate(z_norms):
         z = surface_point_with_norm(v, znorm, seed=plan.seed + i)
         phi_z = complex(phi.eval_scalar(z[None, :])[0])
-        density = operators._closed_form(kernels.surface_density_K, v, dphi, z, cfg)
+        density = operators._closed_form(kernels.density_K, v, dphi, z, cfg, dphi.q)
         qr = operators._integrate_kernel(
             v, Region.domain(0.8 * 1.05, v.ambient_dim), dphi, z, cfg, 1, density,
             plan.sub(f"bm{i}"), poles=[(z, 2 * v.dim - 1)])

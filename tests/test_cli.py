@@ -75,6 +75,25 @@ def test_cli_tolerance_scale_flag(tmp_path):
     assert code == 0
 
 
+def test_cli_threefold_runs_koppelman(tmp_path):
+    # a dim-3 quadric cone in C^4 with a mixed term through both Koppelman
+    # experiments: K on (0,1) and (0,2) inputs and P in three dimensions
+    vdoc = {"ambient_dim": 4, "name": "quadric3", "polys": [[
+        {"exp": [2, 0, 0, 0], "re": 1.0}, {"exp": [0, 2, 0, 0], "re": 1.0},
+        {"exp": [0, 0, 2, 0], "re": 1.0}, {"exp": [0, 0, 0, 2], "re": 1.0},
+        {"exp": [1, 1, 0, 0], "re": 0.3, "im": 0.2}]]}
+    vpath = tmp_path / "quadric3.json"
+    vpath.write_text(json.dumps(vdoc))
+    out = tmp_path / "out"
+    code = main(["--variety", str(vpath), "--experiment", "koppelman_q0",
+                 "--experiment", "koppelman_q1_loose", "--samples", "2000",
+                 "--out", str(out)])
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"]["variety"] == "quadric3"
+    assert report["all_pass"] is True
+
+
 QUADRIC = {"ambient_dim": 3, "polys": [[
     {"exp": [2, 0, 0], "re": 1.0},
     {"exp": [0, 2, 0], "re": 1.0},

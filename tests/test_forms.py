@@ -9,6 +9,7 @@ from conekop.forms import (
     TestForm,
     UniverseMismatchError,
     WrongDegreeError,
+    _volume_constant,
 )
 from conekop.kernels import structure_form
 from conekop.sampling import default_chart, frames_for, solve_fiber
@@ -215,21 +216,14 @@ def test_pullback_unitary_frame_invariance():
     assert np.allclose(dens[0], 1.0)
 
 
-def test_surface_density_degree_errors():
-    omega = FormValue(N, {0b011: 1.0, 0b101: 0.5, 0b110: 0.25})
-    with pytest.raises(WrongDegreeError):
-        e(0).wedge(a(1)).wedge(a(2)).surface_density(omega)
-    with pytest.raises(DegreeOverflowError):
-        a(0).wedge(a(1)).wedge(a(2)).surface_density(omega)
-    assert a(0).surface_density(omega) == {}  # zeta-bar degree below n
-
-
 @pytest.mark.parametrize("name", catalog_names())
 def test_minors_pullback_matches_frame_determinants(name):
-    # contraction with the structure form (Jacobian minors) against the
-    # pullback of omega ^ kappa through det F[:, A] of the SVD frame rows, on
-    # a random dzeta-free kappa with several dz-bar keys and some terms of
-    # zeta-bar degree n - 1, which vanish on X
+    # the Hodge duality that kernels.density_K and _P read omega by: on the
+    # tangent plane, sum_A omega_A p_A = 1/|m| and conj(p_B) = |m| omega_B, so
+    # the pullback of omega ^ c a_B ^ (dz-bar) through det F[:, A] of the SVD
+    # frame rows has density c omega_B / c_vol.  On a random dzeta-free kappa
+    # with several dz-bar keys and some terms of zeta-bar degree n - 1, which
+    # vanish on X
     v = get_variety(name)
     Nv, n = v.ambient_dim, v.dim
     rng = np.random.default_rng(31)
@@ -247,7 +241,12 @@ def test_minors_pullback_matches_frame_determinants(name):
         terms[mask] = rng.standard_normal(len(sel)) + 1j * rng.standard_normal(len(sel))
     kappa = FormValue(Nv, terms)
     omega = structure_form(v, sel, v.minors(sel))
-    got = kappa.surface_density(omega)
+    got = {}
+    for mask, c in kappa.terms.items():
+        B = mask >> Nv & ((1 << Nv) - 1)
+        if B.bit_count() == n:
+            dens = c * omega.terms[B] / _volume_constant(n)
+            got[mask >> 2 * Nv] = got.get(mask >> 2 * Nv, 0) + dens
     want = omega.wedge(kappa).pullback_surface(frame_plucker(frames_for(v, sel)))
     assert set(got) == set(want) and len(want) > 1
     for key, w in want.items():

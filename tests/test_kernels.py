@@ -1,12 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from conekop import kernels as K
 from conekop import operators as O
-from conekop.forms import FormValue, TestForm
+from conekop.forms import FormValue, TestForm, Window
 from conekop.kernels import WeightConfig, annulus_bounds
 from conekop.sampling import (PointBatch, QuadratureResult, SamplingPlan,
-                              default_chart, solve_fiber, surface_point_with_norm)
+                              default_chart, frames_for, solve_fiber,
+                              surface_point_with_norm)
 from conekop.varieties import (ConeVariety, MultiIndexPoly, NearSingularError,
                                catalog_names, get_variety, hyperplane,
                                minor_complements, variety_from_json)
@@ -395,13 +398,19 @@ def _on_batch(monkeypatch, batch):
     return outs
 
 
-def _unpruned_integrand(v, phi, z, subsets, kernel, batch):
-    """The kernel integrand with every ok row evaluated in one piece."""
+def _frame_integrand(v, phi, z, subsets, kernel, batch):
+    """omega ^ kernel(zeta) ^ phi on every ok row at once, in the FormValue
+    algebra, pulled back through the Plücker coordinates det F[:, A] of the
+    SVD tangent frames."""
+    N, n = v.ambient_dim, v.dim
     ok = (batch.norms() > O._TINY) & (batch.dist(z) > O._TINY)
     pts = batch.positions[ok]
-    total = kernel(v, pts, z).wedge(phi.form_value(pts))
-    dens = total.restricted_to_dim(v.dim).surface_density(
-        K.structure_form(v, pts, batch.minors[ok]))
+    frames = frames_for(v, pts)
+    plucker = {sum(1 << j for j in A): np.linalg.det(frames[..., list(A)])
+               for A in itertools.combinations(range(N), n)}
+    total = kernel(pts).wedge(phi.form_value(pts)).restricted_to_dim(n)
+    omega = K.structure_form(v, pts, batch.minors[ok])
+    dens = omega.wedge(total).pullback_surface(plucker)
     out = np.zeros((len(batch), len(subsets)), dtype=complex)
     for i, s in enumerate(subsets):
         m = sum(1 << j for j in s)
@@ -422,66 +431,46 @@ def _straddling_batch(v, bases: int):
     return PointBatch(pts, np.ones(len(pts)), v.minors(pts))
 
 
-def _unpruned_integrand_in_blocks(v, phi, z, subsets, kernel, batch):
-    """_unpruned_integrand on the live rows, in the driver's blocks."""
-    x = np.sum(np.abs(batch.positions) ** 2, -1)
-    ok = (batch.norms() > O._TINY) & (batch.dist(z) > O._TINY)
-    live = np.flatnonzero(ok & (x < O._x_end(CFG, phi)))
-    out = np.zeros((len(batch), len(subsets)), dtype=complex)
-    for lo in range(0, len(live), O._BLOCK):
-        rows = live[lo:lo + O._BLOCK]
-        block = PointBatch(batch.positions[rows], np.ones(len(rows)),
-                           batch.minors[rows])
-        out[rows] = _unpruned_integrand(v, phi, z, subsets, kernel, block)
-    return out
+def _windowed_form(N, q):
+    """A (0,q) input over the window (1.1, 1.6) with a window-derivative term.
+
+    For q >= 3 the inputs are built here: dbar of a dbar would need the
+    window's second derivative, which Window.value does not store.  On each
+    q-index I: c_I conj(zeta_(I_0)) w + (0.3 - 0.2i) zeta_(I_-1) w'.
+    """
+    coeffs = {}
+    for t, I in enumerate(itertools.combinations(range(N), q)):
+        zbar, zeta = np.zeros(2 * N, dtype=np.int64), np.zeros(2 * N, dtype=np.int64)
+        zbar[2 * I[0] + 1] = 1
+        zeta[2 * I[-1]] = 1
+        coeffs[I] = [(MultiIndexPoly(2 * N, zbar, [1.0 + 0.5j * t]), 0),
+                     (MultiIndexPoly(2 * N, zeta, [0.3 - 0.2j]), 1)]
+    return TestForm(N, q, coeffs, Window(1.1, 1.6), label=f"windowed{q}")
 
 
-@pytest.mark.parametrize("name", ["a1", "fermat3"])
-def test_pruned_kernel_integrand_matches_unpruned(name):
-    # the FormValue density through the one driver, on inputs that surfaces
-    # otherwise send to the closed form, on one batch that straddles rho1, the
-    # windows' r_hi and rho2, with over twice numpy's 8,192-element ufunc
-    # buffer in rows: at that size form_value on a row subset changes last
-    # bits (numpy 2.4, x86-64), so the bit-for-bit reference is the unpruned
-    # integrand on the same blocks, and the whole-batch one reads exactly 0
-    # on every row the driver skips
-    v = get_variety(name)
-    batch = _straddling_batch(v, 9000)
-    assert len(batch) > 2 * 8192
-    z = surface_point_with_norm(v, 0.5, seed=4)
-    bump = TestForm.zbar_bump(3, 0, 0.6 * CFG.rho2, 0.95 * CFG.rho2)
-    x = np.sum(np.abs(batch.positions) ** 2, -1)
-    for lo, hi in ((0.0, CFG.rho1), (CFG.rho1, 0.95 * CFG.rho2),
-                   (0.95 * CFG.rho2, CFG.rho2), (CFG.rho2, 2.0)):
-        assert np.sum((lo**2 < x) & (x < hi**2)) > 100
-
-    cases = [(phi, [()], _unpruned_p, lambda zeta: K.kernel_P(v, zeta, z, CFG))
-             for phi in (bump, TestForm.constant(3))]
-    cases += [(phi, O.output_subsets(3, phi.q - 1), _unpruned_k,
-               lambda zeta, d=phi.q - 1: K.kernel_K(v, zeta, z, CFG, d))
-              for phi in (bump.dbar(), TestForm.one_form_bump(3, 0, 1, 1.1, 1.6).dbar())]
-    for phi, subsets, ref, kernel in cases:
-        density = O._form_density(v, phi, subsets, kernel)
-        got = O._kernel_integrand(v, phi, z, CFG, len(subsets), density)(batch)
-        want = _unpruned_integrand_in_blocks(v, phi, z, subsets, ref, batch)
-        # array_equal allows no difference but the sign of zero
-        assert np.any(want) and np.array_equal(got, want)
-        whole = _unpruned_integrand(v, phi, z, subsets, ref, batch)
-        assert np.all(whole[x >= O._x_end(CFG, phi)] == 0)
-
-
+# a threefold quadric cone in C^4 with a mixed term
+QUADRIC3 = {"name": "quadric3", "ambient_dim": 4, "polys": [[
+    {"exp": [2, 0, 0, 0], "re": 1.0}, {"exp": [0, 2, 0, 0], "re": 1.0},
+    {"exp": [0, 0, 2, 0], "re": 1.0}, {"exp": [0, 0, 0, 2], "re": 1.0},
+    {"exp": [1, 1, 0, 0], "re": 0.3, "im": 0.2}]]}
 VARIETIES = {name: get_variety(name) for name in catalog_names()}
+VARIETIES["line2"] = variety_from_json({"name": "line2", "ambient_dim": 2, "polys": [[
+    {"exp": [1, 0], "re": 1.0}, {"exp": [0, 1], "re": 0.5, "im": 0.5}]]})
 VARIETIES["hyperplane4"] = hyperplane(4)
+VARIETIES["hyperplane5"] = hyperplane(5)
+VARIETIES["quadric3"] = variety_from_json(QUADRIC3)
 
 
 @pytest.mark.parametrize("name", VARIETIES)
 def test_surface_integrand_matches_unpruned(name, monkeypatch):
-    # apply_K and apply_P on one batch through the kernel integrand, in closed
-    # form or in the FormValue algebra: within 1e-13 of the batch maximum of
-    # the integrand evaluated on every ok row at once, and exactly 0 on dead
-    # rows (the cone point, z, past x_end)
+    # apply_P and apply_K at every q from 1 to n, on a line to fourfolds,
+    # on one batch through the kernel integrand, against the FormValue
+    # kernel (kernel_K keeps the unpruned terms of the output's dz-bar
+    # degree, bit for bit) pulled back through the SVD frames' Plücker
+    # coordinates on every ok row at once: within 1e-13 of the batch
+    # maximum, and exactly 0 on dead rows (the cone point, z, past x_end)
     v = VARIETIES[name]
-    N = v.ambient_dim
+    N, n = v.ambient_dim, v.dim
     z = surface_point_with_norm(v, 0.5, seed=4)
     pts = np.vstack([_straddling_batch(v, 6000).positions, np.zeros((1, N)), z])
     batch = PointBatch(pts, np.ones(len(pts)), v.minors(pts))
@@ -491,69 +480,77 @@ def test_surface_integrand_matches_unpruned(name, monkeypatch):
         assert np.sum((lo**2 < x) & (x < hi**2)) > 100
     ok = (batch.norms() > O._TINY) & (batch.dist(z) > O._TINY)
     assert not np.all(ok)
-    # P on (0,0) inputs, K on (0,1) inputs and K on a (0,2) input, which
-    # takes the FormValue algebra on a surface
     bump = TestForm.zbar_bump(N, 0, 0.6 * CFG.rho2, 0.95 * CFG.rho2)
-    cases = [(O.apply_P, phi, _unpruned_p) for phi in (bump, TestForm.constant(N))]
-    cases += [(O.apply_K, phi, _unpruned_k)
+    cases = [(O.apply_P, phi) for phi in (bump, TestForm.constant(N))]
+    cases += [(O.apply_K, phi)
               for phi in (bump.dbar(), TestForm.one_form_bump(N, 1, 0, 1.1, 1.6),
                           TestForm.one_form_bump(N, 0, 1, 1.1, 1.6).dbar())]
+    cases += [(O.apply_K, _windowed_form(N, q)) for q in range(3, n + 1)]
+    cases = [(apply, phi) for apply, phi in cases if phi.q <= n]
+    assert {phi.q for _, phi in cases} == set(range(n + 1))
     outs = _on_batch(monkeypatch, batch)
-    for apply, phi, kernel in cases:
+    for apply, phi in cases:
         apply(v, phi, z, CFG, PLAN)
-        subsets = O.output_subsets(N, max(phi.q - 1, 0))
-        want = _unpruned_integrand(v, phi, z, subsets, kernel, batch)
+        if phi.q:
+            subsets = O.output_subsets(N, phi.q - 1)
+            kernel = lambda zeta, d=phi.q - 1: K.kernel_K(v, zeta, z, CFG, d)
+        else:
+            subsets = [()]
+            kernel = lambda zeta: K.kernel_P(v, zeta, z, CFG)
+        want = _frame_integrand(v, phi, z, subsets, kernel, batch)
         live = ok & (x < O._x_end(CFG, phi))
         assert np.sum(live) > O._BLOCK and np.any(want)
         assert np.max(np.abs(outs[-1] - want)) <= 1e-13 * np.max(np.abs(want))
         assert np.all(outs[-1][~live] == 0)
 
 
-def test_form_path_evaluates_the_input_on_live_rows_in_blocks(monkeypatch):
-    # the FormValue path takes phi on the live rows only, at most _BLOCK rows
+def test_densities_evaluate_the_input_on_live_rows_in_blocks(monkeypatch):
+    # apply_P and apply_K take phi on the live rows only, at most _BLOCK rows
     # per call
     v = A1
     z = surface_point_with_norm(v, 0.5, seed=4)
     batch = _straddling_batch(v, 6000)
     calls = []
-    form_value = TestForm.form_value
+    evaluate = TestForm.eval
 
-    def recorded(self, pts):
+    def recorded(self, pts, x=None):
         calls.append(pts)
-        return form_value(self, pts)
+        return evaluate(self, pts, x)
 
-    monkeypatch.setattr(TestForm, "form_value", recorded)
+    monkeypatch.setattr(TestForm, "eval", recorded)
     _on_batch(monkeypatch, batch)
-    phi = TestForm.one_form_bump(3, 0, 1, 1.1, 1.6).dbar()
-    O.apply_K(v, phi, z, CFG, PLAN)
+    bump = TestForm.zbar_bump(3, 0, 0.6 * CFG.rho2, 0.95 * CFG.rho2)
     x = np.sum(np.abs(batch.positions) ** 2, -1)
-    live = (x < O._x_end(CFG, phi)) & (batch.dist(z) > O._TINY)
-    assert len(calls) > 1 and max(len(c) for c in calls) <= O._BLOCK
-    assert np.array_equal(np.vstack(calls), batch.positions[live])
+    for apply, phi in ((O.apply_P, bump), (O.apply_K, bump.dbar()),
+                       (O.apply_K, TestForm.one_form_bump(3, 0, 1, 1.1, 1.6).dbar())):
+        calls.clear()
+        apply(v, phi, z, CFG, PLAN)
+        live = (x < O._x_end(CFG, phi)) & (batch.dist(z) > O._TINY)
+        assert len(calls) > 1 and max(len(c) for c in calls) <= O._BLOCK
+        assert np.array_equal(np.vstack(calls), batch.positions[live])
 
 
 def test_surfaces_take_k_and_p_without_the_form_algebra(monkeypatch):
-    # the closed form never wedges; K on a (0,2) input and K and P on a
-    # threefold still go through the FormValue algebra
-    wedges = []
-    wedge = FormValue.wedge
-
-    def counted(self, other):
-        wedges.append(1)
-        return wedge(self, other)
-
-    monkeypatch.setattr(FormValue, "wedge", counted)
+    # K and P take their densities in closed form in every dimension: no
+    # FormValue wedge and no input as a FormValue, for P and for K on (0,1)
+    # and (0,2) inputs, on surfaces (a1, ci22) and threefolds
+    calls = []
+    for owner, name in ((FormValue, "wedge"), (TestForm, "form_value")):
+        method = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda self, *args, _m=method, _n=name:
+                            calls.append(_n) or _m(self, *args))
     plan = SamplingPlan(samples=2000)
-    for v in (A1, get_variety("ci22"), hyperplane(4)):
+    for v in (A1, get_variety("ci22"), hyperplane(4), VARIETIES["quadric3"]):
         N = v.ambient_dim
         z = surface_point_with_norm(v, 0.5, seed=4)
         bump = TestForm.zbar_bump(N, 0, 0.6 * CFG.rho2, 0.95 * CFG.rho2)
-        O.apply_P(v, bump, z, CFG, plan)
-        O.apply_K(v, bump.dbar(), z, CFG, plan)
-        assert bool(wedges) == (v.dim != 2)
-    O.apply_K(A1, TestForm.one_form_bump(3, 0, 1, 1.1, 1.6).dbar(),
-              surface_point_with_norm(A1, 0.5, seed=4), CFG, plan)
-    assert wedges
+        pv, _ = O.apply_P(v, bump, z, CFG, plan)
+        k1, _ = O.apply_K(v, bump.dbar(), z, CFG, plan)
+        k2, _ = O.apply_K(v, TestForm.one_form_bump(N, 0, 1, 1.1, 1.6).dbar(), z, CFG,
+                          plan)
+        assert np.isfinite(pv) and np.all(np.isfinite(k1)) and len(k1) == 1
+        assert np.all(np.isfinite(k2)) and len(k2) == N
+    assert calls == []
 
 
 def test_flat_bm_check_takes_neither_wedge_nor_pullback(monkeypatch):
@@ -603,9 +600,9 @@ def test_surface_densities_take_sigma_at_the_safe_point_within_rho1():
     m = HP.minors(zeta)
     msq = np.sum(np.abs(m) ** 2, -1)
     x = np.sum(np.abs(zeta) ** 2, -1)
-    for density, phi in ((K.surface_density_K, {(0,): np.ones(1)}),
-                         (K.surface_density_P, {(): np.ones(1)})):
-        assert np.all(np.isfinite(density(HP, zeta, x, z, CFG, m, msq, phi)))
+    for density, phi, q in ((K.density_K, {(0,): np.ones(1)}, (1,)),
+                            (K.density_P, {(): np.ones(1)}, ())):
+        assert np.all(np.isfinite(density(HP, zeta, x, z, CFG, m, msq, phi, *q)))
 
 
 def test_kernel_P_vanishes_inside_cutoff():
