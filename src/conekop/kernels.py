@@ -21,8 +21,7 @@ kernel_K, kernel_P return the z-dependent factors
     k = c_K * top_extract(h ^ sum_{j<n} g_j ^ B_(n-j))
     p = c_P * top_extract(h ^ g_n)
 where the subscript is the e-degree, so only the e-degree n part of g ^ B
-is ever formed; weight_g builds only the degrees asked for, and B only the
-dz-bar degrees up to the one K's output reads.  One factor 1/(2 pi i)
+is ever formed.  One factor 1/(2 pi i)
 enters per Hefer factor, so c_K = c_P = (2 pi i)^nu in every ambient
 dimension: the top extraction reads kappa off u = e_top ^ kappa with no
 reordering sign, and the flat kernel then coincides with the
@@ -61,9 +60,9 @@ zeta, so that dbar chi = gamma . a; r = q - 1 and p = n - q:
 The (2 pi i)^nu cancels the 1/(2 pi i) of each Hefer row h_i = H_i / (2 pi
 i), so V's first rows are the H_i of hefer_coeffs.  Within rho1 chi = 1 and
 gamma = +-0 exactly, so no row needs a branch, and for q = n the second K
-term is an empty sum.  operators._kernel_integrand hands the densities the
-live rows, in blocks.  verify.flat_bm_residuals integrates density_K on the
-hyperplane, where chi = 1 on the input's support.
+term is an empty sum.  operators._kernel_integrand calls the densities on
+the live rows, in blocks; verify.flat_bm_residuals integrates density_K
+through it on the hyperplane, where chi = 1 on the input's support.
 """
 
 from __future__ import annotations
@@ -132,15 +131,14 @@ class WeightConfig:
 # ---------------------------------------------------------------------------
 
 
-def _support_series(s, Q, eta, n: int, N: int, zbar_degree: int) -> list[FormValue]:
+def _support_series(s, Q, eta, n: int, N: int, dbar_b: bool) -> list[FormValue]:
     """The series [u, u ^ dbar u, ..., u ^ (dbar u)^(n-1)] of a support form.
 
     u = sum_j s_j e_j / (2 pi i Q) with Q = s . eta, so contraction with eta
     gives exactly 1.  dbar u has coefficients (delta_jk / Q - s_j eta_k / Q^2)
-    / (2 pi i) on a_k - b_k for b (s = conj(eta), Q = |eta|^2) and on a_k
-    alone for sigma (s = conj(zeta), Q = conj(zeta) . eta, holomorphic in z:
-    zbar_degree 0).  Terms of dz-bar degree above zbar_degree are never
-    formed.  Makes exactly n - 1 wedges; pole checks are the caller's.
+    / (2 pi i) on a_k - b_k for b (s = conj(eta), Q = |eta|^2, dbar_b) and
+    on a_k alone for sigma (s = conj(zeta), Q = conj(zeta) . eta, holomorphic
+    in z).  Makes exactly n - 1 wedges; pole checks are the caller's.
     """
     tq = TWO_PI_I * Q
     series = [FormValue(N, {1 << j: s[..., j] / tq for j in range(N)})]
@@ -154,33 +152,22 @@ def _support_series(s, Q, eta, n: int, N: int, zbar_degree: int) -> list[FormVal
                 m = (delta_q[j == k] - s[..., j] * eta[..., k] / q2) / TWO_PI_I
                 # (a_k - b_k) ^ e_j reordered to canonical e-first storage
                 terms[(1 << j) | (1 << (N + k))] = -m
-                if zbar_degree > 0:
+                if dbar_b:
                     terms[(1 << j) | (1 << (2 * N + k))] = m
         du = FormValue(N, terms)
-        bmask = ((1 << N) - 1) << (2 * N)
-        for k in range(1, n):
-            term = series[-1].wedge(du)
-            if 0 < zbar_degree < k:
-                term = FormValue(N, {m: c for m, c in term.terms.items()
-                                     if (m & bmask).bit_count() <= zbar_degree})
-            series.append(term)
+        for _ in range(1, n):
+            series.append(series[-1].wedge(du))
     return series
 
 
-def bm_B(eta: np.ndarray, N: int, n: int,
-         zbar_degree: int | None = None) -> FormValue:
-    """Full form B = b + b dbar(b) + ... + b (dbar b)^(n-1).
-
-    Only its terms of dz-bar degree <= zbar_degree are formed; the default
-    n - 1 keeps them all.
-    """
+def bm_B(eta: np.ndarray, N: int, n: int) -> FormValue:
+    """Full form B = b + b dbar(b) + ... + b (dbar b)^(n-1)."""
     eta = np.asarray(eta, dtype=complex)
     r2 = row_norm_sq(eta)
     if np.any(r2 == 0):
         raise PoleError("b evaluated at eta = 0")
-    zbar_degree = n - 1 if zbar_degree is None else zbar_degree
     out = FormValue.zero(N)
-    for term in _support_series(np.conj(eta), r2, eta, n, N, zbar_degree):
+    for term in _support_series(np.conj(eta), r2, eta, n, N, True):
         out = out + term
     return out
 
@@ -197,36 +184,32 @@ def sigma_form(zeta: np.ndarray, z: np.ndarray, N: int) -> FormValue:
     Q = _sigma_denominator(zeta, z)
     if np.any(Q == 0):
         raise PoleError("sigma denominator vanished (z outside the inner ball)")
-    return _support_series(np.conj(zeta), Q, zeta - z, 1, N, 0)[0]
+    return _support_series(np.conj(zeta), Q, zeta - z, 1, N, False)[0]
 
 
 def weight_g(zeta: np.ndarray, z: np.ndarray, cfg: WeightConfig, n: int,
-             N: int, degrees=None) -> FormValue:
+             N: int) -> FormValue:
     """Compactly supported weight chi - dbar chi ^ sum_{k<n} sigma (dbar sigma)^k.
 
-    Scalar 1 inside rho1, zero outside rho2.  Only the parts of e-degree in
-    degrees are formed (default all, 0..n): g_0 = chi and g_k = -dbar chi ^
-    sigma (dbar sigma)^(k-1), so the sigma series stops at the highest
-    degree asked for.  The sigma factors only matter on the support of
-    dbar chi, so zeta is replaced by (1, ..., 1) elsewhere to avoid spurious
-    pole evaluations at zeta near z.
+    Scalar 1 inside rho1, zero outside rho2.  Its part of e-degree k is g_0 =
+    chi and g_k = -dbar chi ^ sigma (dbar sigma)^(k-1) for 1 <= k <= n.  The
+    sigma factors only matter on the support of dbar chi, so zeta is
+    replaced by (1, ..., 1) elsewhere to avoid spurious pole evaluations at
+    zeta near z.
     """
-    degrees = range(n + 1) if degrees is None else degrees
     zeta = np.asarray(zeta, dtype=complex)
     z = np.asarray(z, dtype=complex)
     chi = cfg.chi
     x = row_norm_sq(zeta)
-    g = FormValue.scalar(N, chi.value(x, 0) + 0j) if 0 in degrees else FormValue.zero(N)
+    g = FormValue.scalar(N, chi.value(x, 0) + 0j)
     cd = chi.value(x, 1)
     zeta_safe = np.where((cd != 0.0)[..., None], zeta, np.ones_like(zeta))
     Q = _sigma_denominator(zeta_safe, z)
     if np.any(Q == 0):
         raise PoleError("sigma denominator vanished on supp dbar chi")
     dchi = FormValue(N, {1 << (N + j): cd * zeta[..., j] for j in range(N)})
-    series = _support_series(np.conj(zeta_safe), Q, zeta_safe - z, max(degrees), N, 0)
-    for k, term in enumerate(series, 1):
-        if k in degrees:
-            g = g - dchi.wedge(term)
+    for term in _support_series(np.conj(zeta_safe), Q, zeta_safe - z, n, N, False):
+        g = g - dchi.wedge(term)
     return g
 
 
@@ -246,13 +229,12 @@ def hefer_form(v: ConeVariety, zeta: np.ndarray, z: np.ndarray) -> FormValue:
     return out
 
 
-def structure_norm_sq(v: ConeVariety, x: np.ndarray, m: np.ndarray, msq=None) -> np.ndarray:
-    """|m|^2 for the minors m = v.minors(zeta) at x = |zeta|^2, omega's denominator.
-
-    msq, if given, is row_norm_sq(m).  Raises PoleError where m = 0 and
+def structure_norm_sq(v: ConeVariety, x: np.ndarray, m: np.ndarray,
+                      msq: np.ndarray) -> np.ndarray:
+    """msq = |m|^2 for the minors m = v.minors(zeta) at x = |zeta|^2, omega's
+    denominator, once it passes the guards: PoleError where m = 0 and
     NearSingularError near the branch locus.
     """
-    msq = row_norm_sq(m) if msq is None else msq
     if np.any(msq == 0):
         raise PoleError("structure form evaluated at a singular point")
     _require_regular(v, x, np.sqrt(msq))
@@ -267,7 +249,7 @@ def structure_form(v: ConeVariety, zeta: np.ndarray, m: np.ndarray) -> FormValue
     genuine singularity whenever d > nu.  Near-singular points raise
     NearSingularError.
     """
-    msq = structure_norm_sq(v, row_norm_sq(zeta), m)
+    msq = structure_norm_sq(v, row_norm_sq(zeta), m, row_norm_sq(m))
     return FormValue(v.ambient_dim, {
         mask: sgn * np.conj(m[..., k]) / msq
         for k, (mask, sgn) in enumerate(minor_complements(v.ambient_dim, v.nu))})
@@ -284,21 +266,20 @@ def _top_with_hefer(v: ConeVariety, zeta, z, part: FormValue) -> FormValue:
 
 
 def kernel_K(v: ConeVariety, zeta: np.ndarray, z: np.ndarray,
-             cfg: WeightConfig, zbar_degree: int | None = None) -> FormValue:
+             cfg: WeightConfig) -> FormValue:
     """Anti-generator factor k of the solution kernel K = omega ^ k at (zeta, z).
 
     A batched FormValue over dzeta-bar and dz-bar generators only; the pole
     at zeta = z has order 2n - 1.  The structure form omega, which
     contributes |zeta|^(nu - d) growth at the origin, is left to the caller.
-    Only terms of dz-bar degree <= zbar_degree are formed (default all);
-    K applied to a (0, q) form reads degree q - 1.
+    K applied to a (0, q) form reads the terms of dz-bar degree q - 1.
     """
     N, n = v.ambient_dim, v.dim
     zeta = np.asarray(zeta, dtype=complex)
     z = np.asarray(z, dtype=complex)
-    Bf = bm_B(zeta - z, N, n, zbar_degree)
+    Bf = bm_B(zeta - z, N, n)
     # (g ^ B)_n graded: B has no e-degree 0 part, so g_k for k < n suffices
-    g = weight_g(zeta, z, cfg, n, N, range(n))
+    g = weight_g(zeta, z, cfg, n, N)
     part = FormValue.zero(N)
     for k in range(n):
         part = part + g.bidegree_part(k).wedge(Bf.bidegree_part(n - k))
@@ -311,8 +292,8 @@ def kernel_P(v: ConeVariety, zeta: np.ndarray, z: np.ndarray,
     N, n = v.ambient_dim, v.dim
     zeta = np.asarray(zeta, dtype=complex)
     z = np.asarray(z, dtype=complex)
-    g = weight_g(zeta, z, cfg, n, N, (n,))
-    return _top_with_hefer(v, zeta, z, g)
+    g = weight_g(zeta, z, cfg, n, N)
+    return _top_with_hefer(v, zeta, z, g.bidegree_part(n))
 
 
 # ---------------------------------------------------------------------------

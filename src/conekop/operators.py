@@ -3,10 +3,10 @@
 The operators are linear in the input form and deterministic given the
 sampling plan; pole locations of each kernel are declared to the sampler so
 that importance shells keep the variance of the singular integrands finite.
-K and P share one batch integrand, _kernel_integrand, which evaluates a
-density on the live rows only, in blocks.  The densities are the closed
-forms kernels.density_K and density_P, in every dimension and for every
-input degree; no operator assembles a kernel in the FormValue algebra.
+K and P share one batch integrand, _kernel_integrand, which calls the
+closed forms kernels.density_K (q >= 1) or density_P (q = 0) on the live
+rows only, in blocks, in every dimension and for every input degree; no
+operator assembles a kernel in the FormValue algebra.
 
 K phi and P phi are exactly 0 from |zeta|^2 = x_end on (_x_end), so
 integrate solves no fiber over a base row whose sheets all lie beyond.
@@ -65,14 +65,16 @@ def _rows_where(keep: np.ndarray, *arrays) -> tuple:
     return arrays if np.all(keep) else tuple(a[keep] for a in arrays)
 
 
-def _kernel_integrand(v: ConeVariety, phi: TestForm, z, cfg, width: int, density):
-    """Batch integrand of omega ^ kappa ^ phi with width output columns.
+def _kernel_integrand(v: ConeVariety, phi: TestForm, z, cfg):
+    """Batch integrand of omega ^ kappa ^ phi: K's density for a (0,q) input,
+    q >= 1, with C(N, q - 1) output columns, and P's for q = 0, with one.
 
-    density(pts, x, m, msq) gives the (L, width) densities at L points of X
-    with squared norms x, minors m and squared minors norms msq.  It sees only
-    the live rows, away from the cone point and z with x < x_end, in blocks
-    of at most _BLOCK rows; every other row reads exactly 0.
+    The density sees only the live rows, away from the cone point and z with
+    x < x_end, in blocks of at most _BLOCK rows; every other row reads
+    exactly 0.
     """
+    q = phi.q
+    width = math.comb(v.ambient_dim, q - 1) if q else 1
     x_end = _x_end(cfg, phi)
 
     def integrand(batch: PointBatch):
@@ -85,25 +87,20 @@ def _kernel_integrand(v: ConeVariety, phi: TestForm, z, cfg, width: int, density
         rows, pts, x, m, msq = _rows_where(x < x_end, rows, pts, x, m, msq)
         for lo in range(0, len(rows), _BLOCK):
             b = slice(lo, lo + _BLOCK)
-            out[rows[b]] = density(pts[b], x[b], m[b], msq[b])
+            args = (v, pts[b], x[b], z, cfg, m[b], msq[b], phi.eval(pts[b], x[b]))
+            out[rows[b]] = kernels.density_K(*args, q) if q else kernels.density_P(*args)
         return out
 
     return integrand
 
 
 def _integrate_kernel(v: ConeVariety, region: Region, phi: TestForm, z, cfg,
-                      width: int, density, plan: SamplingPlan, poles=()):
+                      plan: SamplingPlan, poles=()):
     """integrate the kernel integrand over region; its support is the part of
     region within |zeta|^2 < x_end, empty when x_end <= region.r_inner^2."""
     support = Region(region.center, region.r_inner, math.sqrt(_x_end(cfg, phi)))
-    return integrate(v, region, _kernel_integrand(v, phi, z, cfg, width, density),
-                     plan, poles=poles, support=support)
-
-
-def _closed_form(density, v: ConeVariety, phi: TestForm, z, cfg, *q):
-    """kernels.density_K (given q) or density_P on the input phi."""
-    return lambda pts, x, m, msq: density(v, pts, x, z, cfg, m, msq,
-                                          phi.eval(pts, x), *q)
+    return integrate(v, region, _kernel_integrand(v, phi, z, cfg), plan,
+                     poles=poles, support=support)
 
 
 def apply_K(v: ConeVariety, phi: TestForm, z, cfg: WeightConfig,
@@ -121,11 +118,9 @@ def apply_K(v: ConeVariety, phi: TestForm, z, cfg: WeightConfig,
     if row_norm(z) < 10 * plan.r_min:
         warnings.warn("evaluation point is within 10 r_min of the cone point",
                       RuntimeWarning)
-    subsets = output_subsets(v.ambient_dim, phi.q - 1)
     region = Region.domain(cfg.omega_prime_radius, v.ambient_dim)
     poles = [(z, 2 * n - 1), (np.zeros(v.ambient_dim), v.total_degree - v.nu)]
-    density = _closed_form(kernels.density_K, v, phi, z, cfg, phi.q)
-    qr = _integrate_kernel(v, region, phi, z, cfg, len(subsets), density, plan, poles)
+    qr = _integrate_kernel(v, region, phi, z, cfg, plan, poles)
     coeffs = np.atleast_1d(np.asarray(qr.value))
     return coeffs, qr
 
@@ -141,8 +136,7 @@ def apply_P(v: ConeVariety, phi: TestForm, z, cfg: WeightConfig,
     if phi.q != 0:
         raise ValueError("apply_P expects a (0,0) input")
     region = Region.annulus(np.zeros(v.ambient_dim), cfg.rho1, cfg.rho2)
-    density = _closed_form(kernels.density_P, v, phi, z, cfg)
-    qr = _integrate_kernel(v, region, phi, z, cfg, 1, density, plan)
+    qr = _integrate_kernel(v, region, phi, z, cfg, plan)
     value = complex(np.atleast_1d(np.asarray(qr.value))[0])
     return value, qr
 

@@ -421,15 +421,15 @@ def solve_fiber(v: ConeVariety, chart: Chart, bases: np.ndarray):
     return pts, valid
 
 
-def gram_factors(v: ConeVariety, chart: Chart, m: np.ndarray, msq=None) -> np.ndarray:
+def gram_factors(v: ConeVariety, chart: Chart, m: np.ndarray,
+                 msq: np.ndarray) -> np.ndarray:
     """Volume density det(I + (Dg)^* Dg) of the graph chart, per sheet.
 
     By Cauchy-Binet it equals |m|^2 / |m_F|^2 for the Jacobian minors m
-    (v.minors of the points) and the minor m_F on the chart's fiber columns.
-    msq, if given, is |m|^2 = row_norm_sq(m).
+    (v.minors of the points), msq = |m|^2 = row_norm_sq(m), and the minor
+    m_F on the chart's fiber columns.
     """
     k = chart_plan(v, chart).minor
-    msq = row_norm_sq(m) if msq is None else msq
     return msq / np.maximum(np.abs(m[..., k]) ** 2, 1e-300)
 
 
@@ -453,15 +453,15 @@ def frames_for(v: ConeVariety, pts: np.ndarray) -> np.ndarray:
 class PointBatch:
     """Sample points with their Gram factors, minors m, msq = |m|^2 and
     x = |zeta|^2.  integrate passes the msq of the Gram factors and, for a
-    region centred at 0, the x of its indicator, which norms() and the K/P
-    integrand (structure_norm_sq) then reuse."""
+    region centred at 0, the x of its indicator; norms() and the K/P
+    integrand (structure_norm_sq) reuse them."""
 
-    def __init__(self, positions, grams, minors, msq=None, x=None):
+    def __init__(self, positions, grams, minors, msq, x):
         self.positions = positions
         self.grams = grams
         self.minors = minors
-        self.msq = row_norm_sq(minors) if msq is None else msq
-        self.x = row_norm_sq(positions) if x is None else x
+        self.msq = msq
+        self.x = x
 
     def __len__(self):
         return self.positions.shape[0]
@@ -584,13 +584,16 @@ def _radial_norm(st: _Stratum, n: int) -> float:
 
 
 def _check_pole_scale(r_min: float, pole_norm: float):
-    """ValueError unless r_min exceeds eps |pc| for a pole base point pc of
-    norm pole_norm: a base closer to pc rounds onto it and adds exactly 0."""
-    scale = np.finfo(float).eps * pole_norm
+    """ValueError unless r_min exceeds sqrt(eps) |pc| for a pole base point pc
+    of norm pole_norm.  A base at distance r from pc carries an absolute
+    rounding error of about eps |pc|, so its computed distance, and the pole
+    disc's density r^(-a) there, keep about log10(r / (eps |pc|)) digits: at
+    the floor, half of them, where eps |pc| would leave none."""
+    scale = math.sqrt(np.finfo(float).eps) * pole_norm
     if not r_min > scale:
-        raise ValueError(f"r_min is too small: {r_min:g} is not above the "
-                         f"rounding scale {scale:g} of a pole's base point "
-                         f"of norm {pole_norm:g}")
+        raise ValueError(f"r_min is too small: {r_min:g} is not above "
+                         f"sqrt(eps) times the norm {pole_norm:g} of a pole's "
+                         f"base point ({scale:g})")
 
 
 def _sample_stratum(st: _Stratum, n: int, count: int, rng) -> np.ndarray:
@@ -893,7 +896,7 @@ def integrate(v: ConeVariety, region: Region, integrand, plan: SamplingPlan,
                 m = v.minors(sel)
                 msq = row_norm_sq(m)
                 gsel = gram_factors(v, chart, m, msq)
-                xs = None if x is None else x.reshape(-1)[flat]
+                xs = row_norm_sq(sel) if x is None else x.reshape(-1)[flat]
                 fv = np.asarray(integrand(PointBatch(sel, gsel, m, msq, xs)))
                 if fv.ndim == 1:
                     fv = fv[:, None]

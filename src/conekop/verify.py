@@ -613,9 +613,8 @@ def flat_bm_residuals(plan: SamplingPlan, z_norms=(0.1, 0.2, 0.3, 0.38, 0.44)):
     for i, znorm in enumerate(z_norms):
         z = surface_point_with_norm(v, znorm, seed=plan.seed + i)
         phi_z = complex(phi.eval_scalar(z[None, :])[0])
-        density = operators._closed_form(kernels.density_K, v, dphi, z, cfg, dphi.q)
         qr = operators._integrate_kernel(
-            v, Region.domain(0.8 * 1.05, v.ambient_dim), dphi, z, cfg, 1, density,
+            v, Region.domain(0.8 * 1.05, v.ambient_dim), dphi, z, cfg,
             plan.sub(f"bm{i}"), poles=[(z, 2 * v.dim - 1)])
         est = complex(np.atleast_1d(qr.value)[0])
         rows.append({"z_norm": znorm, "phi_z": phi_z, "estimate": est,

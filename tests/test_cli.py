@@ -228,15 +228,17 @@ def test_cli_underflowing_r_min_exits_2_naming_it(tmp_path, capsys):
 
 def test_cli_r_min_below_a_poles_rounding_scale_exits_2_naming_it(tmp_path, capsys):
     # koppelman_q0's poles would get shells below the rounding scale of their
-    # base points: rejected before it runs
+    # base points (1e-30), or within sqrt(eps) of it relative to their norm
+    # (1e-12): rejected before it runs
     cpath = tmp_path / "cfg.json"
-    cpath.write_text(json.dumps({"r_min": 1e-30}))
-    assert main(["--config", str(cpath), "--experiment", "koppelman_q0",
-                 "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error: r_min is too small: 1e-30")
-    assert err.count("\n") == 1
-    assert not (tmp_path / "out").exists()
+    for r_min in (1e-30, 1e-12):
+        cpath.write_text(json.dumps({"r_min": r_min}))
+        assert main(["--config", str(cpath), "--experiment", "koppelman_q0",
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: r_min is too small: {r_min:g}")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
 
 def test_cli_nan_tolerance_scale_flag_exits_2(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 
 import numpy as np
@@ -8,12 +9,12 @@ from conekop import operators as O
 from conekop.forms import FormValue, TestForm, Window
 from conekop.kernels import WeightConfig, annulus_bounds
 from conekop.sampling import (PointBatch, QuadratureResult, SamplingPlan,
-                              default_chart, frames_for, solve_fiber,
-                              surface_point_with_norm)
+                              default_chart, solve_fiber, surface_point_with_norm)
 from conekop.varieties import (ConeVariety, MultiIndexPoly, NearSingularError,
                                catalog_names, get_variety, hyperplane,
-                               minor_complements, variety_from_json)
+                               minor_complements, row_norm_sq, variety_from_json)
 from conekop.verify import flat_bm_residuals
+from frame_density import frame_densities
 
 HP = get_variety("hyperplane")
 A1 = get_variety("a1")
@@ -247,7 +248,7 @@ def test_near_branch_locus_point_on_a_dead_row_still_raises(monkeypatch):
     z = np.array([0.1, 0.0, 0.2], dtype=complex)
     phi = TestForm.zbar_bump(3, 0, 0.6 * CFG.rho2, 0.95 * CFG.rho2)
     for rows in (1, 2):
-        batch = PointBatch(pts[:rows], np.ones(rows), planes.minors(pts[:rows]))
+        batch = _batch(planes, pts[:rows])
         _on_batch(monkeypatch, batch)
         for apply, form in ((O.apply_P, phi), (O.apply_K, phi.dbar())):
             if rows == 1:
@@ -328,62 +329,10 @@ def test_kernel_K_hyperplane_matches_flat_bm():
             assert np.max(np.abs(got - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
 
 
-def _unpruned_k(v, zeta, z):
-    """k assembled from every degree of g and of B, with no row shortcut."""
-    N, n = v.ambient_dim, v.dim
-    Bf = K.bm_B(zeta - z, N, n)
-    g = K.weight_g(zeta, z, CFG, n, N)
-    part = FormValue.zero(N)
-    for k in range(n):
-        part = part + g.bidegree_part(k).wedge(Bf.bidegree_part(n - k))
-    return K._top_with_hefer(v, zeta, z, part)
-
-
-def _unpruned_p(v, zeta, z):
-    g = K.weight_g(zeta, z, CFG, v.dim, v.ambient_dim)
-    return K._top_with_hefer(v, zeta, z, g.bidegree_part(v.dim))
-
-
-def _bits(f: FormValue, keep=lambda m: True):
-    return {m: np.asarray(c).tobytes() for m, c in f.terms.items() if keep(m)}
-
-
-@pytest.mark.parametrize("N, nu", FLAT_CASES)
-def test_pruned_kernel_pieces_match_unpruned(N, nu):
-    # every pruned piece holds exactly the unpruned terms it keeps, bit for bit
-    rng = np.random.default_rng(16)
-    n = N - nu
-    v = hyperplane(N) if nu == 1 else _coordinate_plane(N, nu)
-    z = np.array([0.2, -0.1, 0.05][:n] + [0.0] * nu, dtype=complex)
-    zeta = _rand(rng, 60, N)
-    # |zeta| from 0.3 to 2: inside rho1, across the transition, outside rho2
-    zeta *= (np.linspace(0.3, 2.0, 60)
-             / np.sqrt(np.sum(np.abs(zeta) ** 2, -1)))[:, None]
-    emask = (1 << N) - 1
-
-    g = K.weight_g(zeta, z, CFG, n, N)
-    assert _bits(K.weight_g(zeta, z, CFG, n, N, range(n))) == \
-        _bits(g, lambda m: (m & emask).bit_count() < n)
-    assert _bits(K.weight_g(zeta, z, CFG, n, N, (n,))) == _bits(g.bidegree_part(n))
-
-    def zbar_at_most(d):
-        return lambda m: (m >> (2 * N)).bit_count() <= d
-
-    ref_k = _unpruned_k(v, zeta, z)
-    for d in (0, 1):
-        assert _bits(K.kernel_K(v, zeta, z, CFG, d)) == _bits(ref_k, zbar_at_most(d))
-    assert _bits(K.kernel_P(v, zeta, z, CFG)) == _bits(_unpruned_p(v, zeta, z))
-
-    # a batch wholly within rho1, where g is the scalar 1, takes the same path:
-    # the same bits, and any term of the unpruned sum it never forms is +-0
-    inner = zeta[np.sum(np.abs(zeta) ** 2, -1) <= CFG.rho1**2]
-    assert len(inner) > 5
-    ref_inner = _unpruned_k(v, inner, z)
-    for d in (0, 1):
-        got = K.kernel_K(v, inner, z, CFG, d)
-        want = _bits(ref_inner, zbar_at_most(d))
-        assert _bits(got) == {m: want[m] for m in got.terms}
-        assert all(not np.any(ref_inner.terms[m]) for m in want if m not in got.terms)
+def _batch(v, pts):
+    """A PointBatch of the points with unit Gram factors."""
+    m = v.minors(pts)
+    return PointBatch(pts, np.ones(len(pts)), m, row_norm_sq(m), row_norm_sq(pts))
 
 
 def _on_batch(monkeypatch, batch):
@@ -398,27 +347,6 @@ def _on_batch(monkeypatch, batch):
     return outs
 
 
-def _frame_integrand(v, phi, z, subsets, kernel, batch):
-    """omega ^ kernel(zeta) ^ phi on every ok row at once, in the FormValue
-    algebra, pulled back through the Plücker coordinates det F[:, A] of the
-    SVD tangent frames."""
-    N, n = v.ambient_dim, v.dim
-    ok = (batch.norms() > O._TINY) & (batch.dist(z) > O._TINY)
-    pts = batch.positions[ok]
-    frames = frames_for(v, pts)
-    plucker = {sum(1 << j for j in A): np.linalg.det(frames[..., list(A)])
-               for A in itertools.combinations(range(N), n)}
-    total = kernel(pts).wedge(phi.form_value(pts)).restricted_to_dim(n)
-    omega = K.structure_form(v, pts, batch.minors[ok])
-    dens = omega.wedge(total).pullback_surface(plucker)
-    out = np.zeros((len(batch), len(subsets)), dtype=complex)
-    for i, s in enumerate(subsets):
-        m = sum(1 << j for j in s)
-        if m in dens:
-            out[ok, i] = dens[m]
-    return out
-
-
 def _straddling_batch(v, bases: int):
     """Points of v with |zeta| uniform in [0.2, 2]: within rho1, across the
     windows' r_hi and rho2, and past rho2."""
@@ -428,7 +356,7 @@ def _straddling_batch(v, bases: int):
     pts = pts[valid]
     pts *= (rng.uniform(0.2, 2.0, len(pts))
             / np.sqrt(np.sum(np.abs(pts) ** 2, -1)))[:, None]
-    return PointBatch(pts, np.ones(len(pts)), v.minors(pts))
+    return _batch(v, pts)
 
 
 def _windowed_form(N, q):
@@ -465,15 +393,14 @@ VARIETIES["quadric3"] = variety_from_json(QUADRIC3)
 def test_surface_integrand_matches_unpruned(name, monkeypatch):
     # apply_P and apply_K at every q from 1 to n, on a line to fourfolds,
     # on one batch through the kernel integrand, against the FormValue
-    # kernel (kernel_K keeps the unpruned terms of the output's dz-bar
-    # degree, bit for bit) pulled back through the SVD frames' Plücker
-    # coordinates on every ok row at once: within 1e-13 of the batch
-    # maximum, and exactly 0 on dead rows (the cone point, z, past x_end)
+    # kernel pulled back through the SVD frames' Plücker coordinates on
+    # every ok row at once: within 1e-13 of the batch maximum, and exactly
+    # 0 on dead rows (the cone point, z, past x_end)
     v = VARIETIES[name]
     N, n = v.ambient_dim, v.dim
     z = surface_point_with_norm(v, 0.5, seed=4)
     pts = np.vstack([_straddling_batch(v, 6000).positions, np.zeros((1, N)), z])
-    batch = PointBatch(pts, np.ones(len(pts)), v.minors(pts))
+    batch = _batch(v, pts)
     x = np.sum(np.abs(pts) ** 2, -1)
     for lo, hi in ((0.0, CFG.rho1), (CFG.rho1, 0.95 * CFG.rho2),
                    (0.95 * CFG.rho2, CFG.rho2), (CFG.rho2, 2.0)):
@@ -489,15 +416,9 @@ def test_surface_integrand_matches_unpruned(name, monkeypatch):
     cases = [(apply, phi) for apply, phi in cases if phi.q <= n]
     assert {phi.q for _, phi in cases} == set(range(n + 1))
     outs = _on_batch(monkeypatch, batch)
-    for apply, phi in cases:
+    wants = frame_densities(v, [phi for _, phi in cases], z, CFG, batch)
+    for (apply, phi), want in zip(cases, wants):
         apply(v, phi, z, CFG, PLAN)
-        if phi.q:
-            subsets = O.output_subsets(N, phi.q - 1)
-            kernel = lambda zeta, d=phi.q - 1: K.kernel_K(v, zeta, z, CFG, d)
-        else:
-            subsets = [()]
-            kernel = lambda zeta: K.kernel_P(v, zeta, z, CFG)
-        want = _frame_integrand(v, phi, z, subsets, kernel, batch)
         live = ok & (x < O._x_end(CFG, phi))
         assert np.sum(live) > O._BLOCK and np.any(want)
         assert np.max(np.abs(outs[-1] - want)) <= 1e-13 * np.max(np.abs(want))
@@ -553,6 +474,25 @@ def test_surfaces_take_k_and_p_without_the_form_algebra(monkeypatch):
     assert calls == []
 
 
+def test_kernels_and_per_point_norms_take_no_optional_parameters():
+    # the FormValue reference builds whole kernels, the per-point norms are
+    # always handed in, and K and P call their closed forms with no adapter
+    from conekop import sampling
+
+    got = {fn.__qualname__: [(p.name, p.default is p.empty)
+                             for p in inspect.signature(fn).parameters.values()]
+           for fn in (K.bm_B, K.kernel_K, K.weight_g, K.structure_norm_sq,
+                      sampling.gram_factors, PointBatch.__init__)}
+    want = {"bm_B": ["eta", "N", "n"],
+            "kernel_K": ["v", "zeta", "z", "cfg"],
+            "weight_g": ["zeta", "z", "cfg", "n", "N"],
+            "structure_norm_sq": ["v", "x", "m", "msq"],
+            "gram_factors": ["v", "chart", "m", "msq"],
+            "PointBatch.__init__": ["self", "positions", "grams", "minors", "msq", "x"]}
+    assert got == {name: [(p, True) for p in params] for name, params in want.items()}
+    assert not hasattr(O, "_closed_form")
+
+
 def test_flat_bm_check_takes_neither_wedge_nor_pullback(monkeypatch):
     # criterion 2's Bochner-Martinelli check runs on K's closed form
     calls = []
@@ -571,7 +511,7 @@ def _flat_bm_reference(phi, z, pts):
     Plücker coordinates: p_{0..n-1} = 1, every other one 0."""
     N, n = HP.ambient_dim, HP.dim
     flat = {A: float(A == (1 << n) - 1) for A, _ in minor_complements(N, HP.nu)}
-    B = K.bm_B(pts - z, N, n, zbar_degree=0)
+    B = K.bm_B(pts - z, N, n)
     total = B.wedge(phi.form_value(pts)).restricted_to_dim(n)
     return total.pullback_surface(flat).get(0, np.zeros(len(pts)))
 

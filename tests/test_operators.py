@@ -7,7 +7,8 @@ from conekop import operators as O
 from conekop.forms import TestForm
 from conekop.kernels import WeightConfig
 from conekop.sampling import Region, SamplingPlan, surface_point_with_norm
-from conekop.varieties import get_variety
+from conekop.varieties import get_variety, row_norm_sq
+from frame_density import frame_densities
 
 A1 = get_variety("a1")
 CFG = WeightConfig()
@@ -155,38 +156,20 @@ def test_fiber_solvers_agree_at_fixed_z(monkeypatch):
 def test_kernel_densities_match_the_frame_pullback():
     # apply_P and apply_K on a1 at one fixed z against the same integrals of
     # omega ^ kappa ^ phi pulled back through det F[:, A] of the SVD frames
-    import itertools
-
-    from conekop import kernels
-    from conekop.sampling import frames_for, integrate
+    from conekop.sampling import integrate
 
     z = surface_point_with_norm(A1, 0.5, seed=4)
     bump = TestForm.zbar_bump(3, 0, 0.6 * CFG.rho2, 0.95 * CFG.rho2)
 
-    def reference(kernel, phi):
-        def integrand(batch):
-            zeta = batch.positions
-            ne = np.sqrt(np.sum(np.abs(zeta - z) ** 2, -1))
-            ok = (batch.norms() > O._TINY) & (ne > O._TINY)
-            pts = zeta[ok]
-            fr = frames_for(A1, pts)
-            coords = {sum(1 << j for j in A): np.linalg.det(fr[..., list(A)])
-                      for A in itertools.combinations(range(3), 2)}
-            omega = kernels.structure_form(A1, pts, A1.minors(pts))
-            total = omega.wedge(kernel(A1, pts, z, CFG))
-            total = total.wedge(phi.form_value(pts)).restricted_to_dim(2)
-            dens = total.pullback_surface(coords)
-            out = np.zeros(len(batch), dtype=complex)
-            out[ok] = dens[0]
-            return out
-        return integrand
+    def reference(phi):
+        return lambda batch: frame_densities(A1, [phi], z, CFG, batch)[0][:, 0]
 
     pv, _ = O.apply_P(A1, bump, z, CFG, plan(6_000, "refP"))
     want_p = integrate(A1, Region.annulus(np.zeros(3), CFG.rho1, CFG.rho2),
-                       reference(kernels.kernel_P, bump), plan(6_000, "refP"))
+                       reference(bump), plan(6_000, "refP"))
     kv, _ = O.apply_K(A1, bump.dbar(), z, CFG, plan(6_000, "refK"))
     want_k = integrate(A1, Region.domain(CFG.omega_prime_radius, 3),
-                       reference(kernels.kernel_K, bump.dbar()), plan(6_000, "refK"),
+                       reference(bump.dbar()), plan(6_000, "refK"),
                        poles=[(z, 3), (np.zeros(3), 1)])
     assert abs(pv - want_p.value) <= 1e-12 * abs(want_p.value)
     assert abs(kv[0] - want_k.value) <= 1e-12 * abs(want_k.value)
@@ -211,7 +194,9 @@ def test_one_kernel_batch_evaluates_the_minors_once(monkeypatch):
         pts, valid = sampling.solve_fiber(v, chart, bases)
         sel = pts[valid]
         m = v.minors(sel)
-        integrand(sampling.PointBatch(sel, sampling.gram_factors(v, chart, m), m))
+        msq = row_norm_sq(m)
+        integrand(sampling.PointBatch(sel, sampling.gram_factors(v, chart, m, msq), m,
+                                      msq, row_norm_sq(sel)))
         return sampling.QuadratureResult(value=0j, stderr=0.0, samples=len(sel))
 
     monkeypatch.setattr(O, "integrate", one_batch)

@@ -31,7 +31,8 @@ from conekop.sampling import (
     tangent_frame,
 )
 from conekop.varieties import (ConeVariety, MultiIndexPoly, catalog_names,
-                               eval_monomials, get_variety, hyperplane, row_norm)
+                               eval_monomials, get_variety, hyperplane, row_norm,
+                               row_norm_sq)
 import unit_reference
 from layer_cake import ProfileError, layer_cake_integral
 
@@ -51,7 +52,8 @@ def _sheets(v, base, chart):
     """Valid sheets over one base point and their Gram factors."""
     pts, valid = solve_fiber(v, chart, np.asarray(base, dtype=complex)[None, :])
     sel = pts[valid]
-    return sel, np.real(gram_factors(v, chart, v.minors(sel)))
+    m = v.minors(sel)
+    return sel, np.real(gram_factors(v, chart, m, row_norm_sq(m)))
 
 
 @pytest.mark.parametrize("name", catalog_names())
@@ -69,7 +71,8 @@ def test_gram_factors_match_graph_metric(name):
         A = -np.linalg.solve(J[..., chart.fiber], J[..., chart.base])
         AHA = np.conj(np.swapaxes(A, -1, -2)) @ A
         want = np.real(np.linalg.det(np.eye(v.dim) + AHA))
-        got = gram_factors(v, chart, v.minors(sel))
+        m = v.minors(sel)
+        got = gram_factors(v, chart, m, row_norm_sq(m))
         assert np.max(np.abs(got - want) / want) <= 1e-12
         # an empty batch gives empty arrays of the same sheet count
         none, none_valid = solve_fiber(v, chart, np.zeros((0, v.dim)))
@@ -404,6 +407,26 @@ def test_r_min_below_a_poles_rounding_scale_is_rejected():
         res = integrate(A1, Region.domain(1.0, 3), ONE, plan, poles=[(np.zeros(3), 1)])
     assert np.isfinite(res.value)
     plan.check_r_min(A1.dim)
+
+
+def test_r_min_below_sqrt_eps_of_a_poles_base_point_is_rejected():
+    # at r_min = 1e-12, 7.7% of the disc draws of a pole whose base point c
+    # has norm 0.35 lie within 1000 ulps of c, so the density r^(-a) is
+    # taken at distances with relative errors of 1e-3 or more.  The floor is
+    # sqrt(eps) |c|; tm_decay's pole, |c| ~ 2e-4 at r_min 5.7e-10, clears it.
+    z = surface_point_with_norm(A1, 0.5, seed=1)
+    c = float(row_norm(z[list(default_chart(A1).base)]))
+    floor = np.sqrt(np.finfo(float).eps) * c
+    for r_min in (1e-12, 0.999 * floor):
+        plan = SamplingPlan(samples=1000, r_min=r_min)
+        with pytest.raises(ValueError, match="r_min is too small"):
+            integrate(A1, Region.domain(1.0, 3), ONE, plan, poles=[(z, 3)])
+        with pytest.raises(ValueError, match="r_min is too small"):
+            plan.check_r_min(A1.dim, c)
+    SamplingPlan(r_min=1.001 * floor).check_r_min(A1.dim, c)
+    region, poles, r_min = _tm_decay_annulus()
+    res = integrate(A1, region, ONE, SamplingPlan(samples=1000, r_min=r_min), poles=poles)
+    assert np.isfinite(res.value)
 
 
 def test_project_to_surface():
@@ -1207,17 +1230,14 @@ def test_every_solve_and_gram_call_of_integrate_is_seen(monkeypatch):
 
 def test_point_batch_reuses_the_unit_norms():
     # x and msq handed in are the batch's: norms() and the K/P integrand read
-    # them; a batch built without them computes the same bits itself
+    # them
     pts, valid = solve_fiber(A1, default_chart(A1), np.array([[0.3, 0.4j], [1.0, 2.0]]))
     sel = pts[valid]
     m = A1.minors(sel)
-    plain = PointBatch(sel, np.ones(len(sel)), m)
-    assert np.array_equal(plain.x, np.sum(np.abs(sel) ** 2, axis=-1))
-    assert np.array_equal(plain.msq, np.sum(np.abs(m) ** 2, axis=-1))
-    assert np.array_equal(plain.norms(), row_norm(sel))
-    given = PointBatch(sel, np.ones(len(sel)), m, msq=plain.msq * 4, x=plain.x * 4)
-    assert np.array_equal(given.norms(), 2 * plain.norms())
-    assert np.array_equal(given.msq, 4 * plain.msq)
+    x, msq = row_norm_sq(sel), row_norm_sq(m)
+    given = PointBatch(sel, np.ones(len(sel)), m, msq * 4, x * 4)
+    assert np.array_equal(given.norms(), 2 * np.sqrt(x))
+    assert np.array_equal(given.msq, 4 * msq)
 
 
 def test_sampling_plan_rejects_an_unknown_allocation():

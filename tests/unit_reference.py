@@ -18,6 +18,7 @@ import numpy as np
 
 from conekop import sampling
 from conekop.sampling import PointBatch, QuadratureResult, StratumStat
+from conekop.varieties import row_norm_sq
 
 
 def sample_stratum(st, n: int, count: int, rng) -> np.ndarray:
@@ -111,7 +112,8 @@ def integrate(v, region, integrand, plan, poles=(), chart=None, support=None):
                 sel = pts.reshape(-1, pts.shape[-1])[flat]
                 m = v.minors(sel)
                 gsel = gram_factors(v, chart, m)
-                fv = np.asarray(integrand(PointBatch(sel, gsel, m)))
+                fv = np.asarray(integrand(PointBatch(sel, gsel, m, row_norm_sq(m),
+                                                     row_norm_sq(sel))))
                 if fv.ndim == 1:
                     fv = fv[:, None]
                 K = fv.shape[1]
