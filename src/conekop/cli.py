@@ -143,6 +143,7 @@ def main(argv=None) -> int:
         if v.dim < 2:
             raise ConfigError(f"variety {v.name!r} has dim X = {v.dim}; "
                               f"the experiments need dim X >= 2")
+        v.thresholds()  # DegenerateExponentError when d - nu >= 2n
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
     except (ConfigError, KeyError, ValueError, OSError, FiberDegenerateError,

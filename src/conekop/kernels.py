@@ -25,9 +25,9 @@ is ever formed.  One factor 1/(2 pi i)
 enters per Hefer factor, so c_K = c_P = (2 pi i)^nu in every ambient
 dimension: the top extraction reads kappa off u = e_top ^ kappa with no
 reordering sign, and the flat kernel then coincides with the
-Bochner-Martinelli kernel.  The calibrate experiment (verify.run_calibrate)
-refits both constants on the flat model as the check.  These FormValue
-kernels are the tests' reference; no operator calls them.
+Bochner-Martinelli kernel.  Acceptance criterion 2 checks the constants on
+the flat model in C^3, and the koppelman_q0 test on hyperplane(4) in C^4.
+These FormValue kernels are the tests' reference; no operator calls them.
 
 density_K and density_P give the densities of omega ^ k ^ phi and omega ^
 p ^ phi on X in closed form, for every N, nu, n and q.  Two reductions make

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels, operators
-from .forms import TWO_PI_I, TestForm
+from .forms import TestForm
 from .kernels import WeightConfig, annulus_bounds
 from .sampling import (
     MIN_PER_STRATUM,
@@ -29,7 +29,7 @@ from .sampling import (
     surface_point_with_norm,
     tangent_frame,
 )
-from .varieties import ConeVariety, hyperplane, row_norm
+from .varieties import ConeVariety, row_norm
 
 __all__ = [
     "CSV_COLUMNS",
@@ -906,81 +906,6 @@ def run_v_bounds(v: ConeVariety, plan: SamplingPlan,
     return report
 
 
-def run_calibrate(v: ConeVariety, plan: SamplingPlan,
-                  cfg: WeightConfig | None = None,
-                  tolerance_scale: float = 1.0,
-                  ambient_dim: int = 3) -> ExperimentReport:
-    """Refit the constants of P and K on the hyperplane {z_N = 0} in C^N.
-
-    The fit ignores v.  f_P makes P reproduce the constant 1, and f_K is
-    fitted from the q = 0 homotopy identity for a non-holomorphic bump.  Both
-    are factors on the kernels' own constant c = 2 pi i, so the reported
-    c = f * 2 pi i should land on it.  Two checks gate the fit itself: the
-    spread of P1 over three points, and the identity residual at a fresh
-    point, each within 5 standard errors.
-    """
-    cfg = cfg or WeightConfig()
-    tol_se = 5.0
-    flat = hyperplane(ambient_dim)
-    report = ExperimentReport("calibrate", flat.name, {}, seed=plan.seed)
-    pad = [0.0] * (ambient_dim - 2)
-    zs = [np.array([w, 0.12 - 0.2j] + pad) for w in (0.25, -0.3 + 0.1j, 0.45j)]
-
-    one = TestForm.constant(ambient_dim)
-    p_vals = []
-    p_errs = []
-    for i, z in enumerate(zs):
-        val, qr = operators.apply_P(flat, one, z, cfg,
-                                    plan.with_(experiment_id=f"calP{i}"))
-        p_vals.append(val)
-        p_errs.append(qr.stderr)
-    f_P = 1.0 / np.mean(p_vals)
-    spread = np.std(p_vals) / abs(np.mean(p_vals))
-    p_tol = tol_se * np.mean(p_errs) / abs(np.mean(p_vals)) + 0.05
-
-    bump = TestForm.zbar_bump(ambient_dim, 0, 0.55 * cfg.rho1, 0.9 * cfg.rho1)
-    num = 0.0 + 0j
-    den = 0.0
-    for i, z in enumerate(zs):
-        phi_z = bump.eval_scalar(z[None, :])[0]
-        pv, _ = operators.apply_P(flat, bump, z, cfg,
-                                  plan.with_(experiment_id=f"calPb{i}"))
-        coeffs, _ = operators.apply_K(flat, bump.dbar(), z, cfg,
-                                      plan.with_(experiment_id=f"calK{i}"))
-        kv = coeffs[0]
-        target = phi_z - f_P * pv
-        num += np.conj(kv) * target
-        den += abs(kv) ** 2
-    f_K = num / den
-
-    # the identity round-trip at one fresh point, with the fitted factors
-    z = np.array([0.2 + 0.3j, -0.25] + pad)
-    phi_z = bump.eval_scalar(z[None, :])[0]
-    pv, p_qr = operators.apply_P(flat, bump, z, cfg,
-                                 plan.with_(experiment_id="calchk_p"))
-    coeffs, k_qr = operators.apply_K(flat, bump.dbar(), z, cfg,
-                                     plan.with_(experiment_id="calchk_k"))
-    resid = abs(phi_z - f_P * pv - f_K * coeffs[0])
-    err = tol_se * math.hypot(abs(f_P) * p_qr.stderr,
-                              abs(f_K) * float(np.max(k_qr.stderr)))
-
-    c_K, c_P = complex(f_K * TWO_PI_I), complex(f_P * TWO_PI_I)
-    report.rows.append({"c_K": _plain(c_K), "c_P": _plain(c_P),
-                        "default_c_K": _plain(TWO_PI_I),
-                        "default_c_P": _plain(TWO_PI_I)})
-    dev_K = abs(c_K - TWO_PI_I) / abs(TWO_PI_I)
-    dev_P = abs(c_P - TWO_PI_I) / abs(TWO_PI_I)
-    report.record_value("c_K_rel_dev", dev_K, 0.0)
-    report.record_value("c_P_rel_dev", dev_P, 0.0)
-    report.record_check("c_K_near_default", dev_K < 0.10 * tolerance_scale)
-    report.record_check("c_P_near_default", dev_P < 0.10 * tolerance_scale)
-    report.record_check("P_spread_within_tol", spread <= p_tol * tolerance_scale)
-    report.record_check("flat_identity_within_tol",
-                        resid <= max(err, 0.02 * max(abs(phi_z), 1e-9))
-                        * tolerance_scale)
-    return report
-
-
 EXPERIMENTS = {
     "radial_scaling": run_radial_scaling,
     "two_pole": run_two_pole,
@@ -994,7 +919,6 @@ EXPERIMENTS = {
     "tm_decay": run_tm_decay,
     "truncation": run_truncation,
     "v_bounds": run_v_bounds,
-    "calibrate": run_calibrate,
 }
 
 

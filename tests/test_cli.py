@@ -115,6 +115,13 @@ LINES = {"ambient_dim": 2, "name": "lines", "polys": [[
     {"exp": [2, 0], "re": 1.0}, {"exp": [0, 2], "re": 1.0}]]}
 
 
+# x^5 + y^5 + z^5 in C^3: its cone-point pole has order d - nu = 4 = 2n, which
+# is not integrable
+QUINTIC = {"ambient_dim": 3, "name": "quintic", "polys": [[
+    {"exp": [5, 0, 0], "re": 1.0}, {"exp": [0, 5, 0], "re": 1.0},
+    {"exp": [0, 0, 5], "re": 1.0}]]}
+
+
 # two quadrics whose parts in the fiber coordinates (z0, z1) of the default
 # chart are z0^2 - z1^2 and its negative: fibers have solutions at infinity
 NU2_AT_INFINITY = {"ambient_dim": 4, "polys": [
@@ -177,6 +184,7 @@ def _custom(doc, cause=None):
                                   + [{"exp": [2, 0, 0], "re": 1e308}] * 2]},
             "monomial [2, 0, 0] sum to"),
     _custom({"ambient_dim": 0, "polys": [[{"exp": [], "re": 1.0}]]}, "ambient_dim"),
+    _custom(QUINTIC, "d - nu"),
     "about",
     [1, 2],
     {"tolerance_scale": float("nan")},
@@ -191,8 +199,9 @@ def _custom(doc, cause=None):
         "nu2_solutions_at_infinity", "dim_1", "coefficient_nan",
         "coefficient_infinite", "term_without_exp", "no_ambient_dim", "no_polys_key",
         "name_not_string", "exp_beyond_int64", "degree_above_max", "exp_negative",
-        "coefficient_sum_infinite", "ambient_dim_zero", "config_string", "config_list",
-        "tolerance_scale_nan", "tolerance_scale_inf", "unknown_key", "experiments_string"])
+        "coefficient_sum_infinite", "ambient_dim_zero", "pole_not_integrable",
+        "config_string", "config_list", "tolerance_scale_nan", "tolerance_scale_inf",
+        "unknown_key", "experiments_string"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, raw):
     args, cause = [], None
     if isinstance(raw, dict):
@@ -259,25 +268,24 @@ def test_cli_out_on_an_existing_file_exits_2_before_any_experiment(tmp_path, cap
     assert out.read_text() == "kept\n"
 
 
-def test_cli_unstable_calibration_fails_with_report(tmp_path, monkeypatch):
-    # P1 skewed by 1, 1.5 and 2 at the three fit points: the calibrate
-    # experiment reports FAIL and the run still writes its reports
+def test_cli_failing_experiment_exits_1_with_report(tmp_path, monkeypatch):
+    # P doubled: koppelman_q0 on the hyperplane reports FAIL and the run
+    # still writes its reports
     from conekop import operators
 
     apply_P = operators.apply_P
-    skew = {"calP1": 1.5, "calP2": 2.0}
 
     def skewed(*args, **kwargs):
         val, qr = apply_P(*args, **kwargs)
-        return val * skew.get(args[4].experiment_id, 1.0), qr
+        return 2.0 * val, qr
 
     monkeypatch.setattr(operators, "apply_P", skewed)
     out = tmp_path / "run"
-    code = main(["--variety", "hyperplane", "--experiment", "calibrate",
+    code = main(["--variety", "hyperplane", "--experiment", "koppelman_q0",
                  "--samples", "8192", "--seed", "31", "--out", str(out)])
     assert code == 1
     report = json.loads((out / "report.json").read_text())
     assert report["all_pass"] is False
     (rep,) = report["reports"]
-    assert rep["checks"]["P_spread_within_tol"] is False
+    assert rep["checks"]["identity_holo110"] is False
     assert (out / "tables.csv").exists()

@@ -687,28 +687,3 @@ def test_structure_form_link_bound_reported():
         margin = attach_link_margin(v, samples=4000).link_regularity_margin
         assert np.isfinite(sup)
         assert sup <= 2.0 / margin  # coefficient norm is 1 / minors norm
-
-
-def _calibration(samples, tag, **params):
-    # the calibrate experiment ignores its variety argument
-    from conekop.verify import run_calibrate
-
-    rep = run_calibrate(HP, SamplingPlan(samples=samples, seed=31, experiment_id=tag),
-                        **params)
-    assert rep.checks["P_spread_within_tol"]
-    assert rep.checks["flat_identity_within_tol"]
-    return rep.fitted["c_K_rel_dev"]["value"], rep.fitted["c_P_rel_dev"]["value"]
-
-
-def test_calibrate_recovers_default_constants():
-    dev_K, dev_P = _calibration(120_000, "tcal")
-    assert dev_K < 0.1
-    assert dev_P < 0.05
-
-
-def test_calibrate_flat_c4_recovers_default_constants():
-    # the fit on the hyperplane z_4 = 0 in C^4 lands on +2 pi i for c_K,
-    # the same constant as in C^3
-    dev_K, dev_P = _calibration(8192, "tcal4", ambient_dim=4)
-    assert dev_K < 0.1
-    assert dev_P < 0.05

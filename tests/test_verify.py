@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from conekop.sampling import SamplingPlan, attach_link_margin
+from conekop.sampling import SamplingPlan
 from conekop.varieties import get_variety, hyperplane
 from conekop.verify import (
     EXPERIMENTS,
@@ -16,6 +16,7 @@ from conekop.verify import (
     kernel_direction_derivative,
     run_experiment,
     run_hoelder_modulus,
+    run_koppelman_q0,
     run_koppelman_q1_loose,
     run_log_annulus,
     run_lp_threshold,
@@ -36,7 +37,7 @@ def test_registry_names():
     assert set(EXPERIMENTS) == {
         "radial_scaling", "two_pole", "log_annulus", "offcenter_ball", "hoelder",
         "cutoff_decay", "koppelman_q0", "koppelman_q1_loose", "lp_threshold",
-        "tm_decay", "truncation", "v_bounds", "calibrate",
+        "tm_decay", "truncation", "v_bounds",
     }
     with pytest.raises(KeyError):
         run_experiment("nonsense", A1, plan(2_000))
@@ -51,7 +52,6 @@ KEPT_PARAMETERS = {
     "koppelman_q0": ["rel_tol", "scale_mode"],
     "koppelman_q1_loose": ["fd_step"],
     "lp_threshold": ["r_min_list"],
-    "calibrate": ["ambient_dim"],
 }
 
 
@@ -271,8 +271,12 @@ def test_koppelman_q1_loose_runs_and_reports():
 
 
 def test_koppelman_q0_flat_even_ambient_dimension():
-    # the q = 0 homotopy identity on the hyperplane z_4 = 0 in C^4; with c_K
-    # of the wrong sign the bump rows miss by 2-4x their tolerance
-    v = attach_link_margin(hyperplane(4), samples=2000)
-    rep = run_experiment("koppelman_q0", v, SamplingPlan(samples=4096, seed=7))
+    # the normalization check in C^4: the q = 0 homotopy identity on the
+    # hyperplane z_4 = 0.  Over seeds 1-10 the worst ratio reads 0.3-0.7;
+    # with density_K negated the bump's reads 3.0-7.1, with density_K times i
+    # 2.0-4.9, with density_P negated the monomial's 3.4-9.1.  A factor like
+    # 1.05 on either constant stays within the tolerance.
+    rep = run_koppelman_q0(hyperplane(4),
+                           SamplingPlan(samples=8192, seed=7, experiment_id="c4"))
+    assert rep.verdict, rep.rows
     assert rep.checks == {"identity_holo1100": True, "identity_zbar0_bump": True}

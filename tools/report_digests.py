@@ -10,7 +10,11 @@ any report prints the same lines.  It prints
     ``kop_fermat3`` and ``model_a1`` at seeds 0, 1 and 2;
   * for each catalog variety, the exit code of ``conekop --samples 20000
     --seed 7`` (every experiment) and the sha256 of the ``report.json`` and
-    ``tables.csv`` it writes.
+    ``tables.csv`` it writes;
+  * after each such run, one line per experiment report: the sha256 of
+    ``json.dumps(entry, sort_keys=True)`` for that entry of the run's
+    ``report.json``, so a change that adds or removes an experiment can show
+    that every other report stayed byte-identical.
 
 The package and the workloads are imported from the checkout this file sits
 in.  Timings are not printed.  The CLI runs take a few minutes.
@@ -24,6 +28,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[_var] = "1"
 
 import hashlib  # noqa: E402
+import json  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -63,6 +68,11 @@ def main() -> int:
                 env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
             print(f"cli {variety} exit={code} report.json={_sha256(out / 'report.json')} "
                   f"tables.csv={_sha256(out / 'tables.csv')}", flush=True)
+            report = out / "report.json"
+            entries = json.loads(report.read_text())["reports"] if report.exists() else []
+            for entry in entries:
+                digest = hashlib.sha256(json.dumps(entry, sort_keys=True).encode()).hexdigest()
+                print(f"cli {variety} {entry['name']} {digest}", flush=True)
     return 0
 
 
