@@ -30,10 +30,9 @@ support (_may_reach).  Such a row adds exactly 0 to the sums, as it would
 through the indicator or the integrand, so results are unchanged; only the
 remaining rows are solved and enter the mixture density.
 
-Past the fiber solve, whose guards take their own norms, each per-point
-quantity is computed once per work unit: |zeta|^2 of the sheets serves
-Region.indicator when the region is centred at 0, the minors m and |m|^2
-serve gram_factors, and the PointBatch hands all three to the integrand.
+The fiber solve computes each sheet's |zeta|^2 and minors m once, for its
+guards; integrate hands them, with |m|^2, to Region.indicator, gram_factors
+and the integrand's PointBatch.
 """
 
 from __future__ import annotations
@@ -47,8 +46,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .varieties import (ConeVariety, NearSingularError, _require_regular,
-                        eval_monomials, minor_complements, row_norm, row_norm_sq)
+from .varieties import (ConeVariety, NearSingularError, _branch_threshold,
+                        _require_regular, eval_monomials, minor_complements,
+                        row_norm, row_norm_sq)
 
 __all__ = [
     "Chart",
@@ -70,7 +70,6 @@ __all__ = [
 ]
 
 POINT_TOL = 1e-10
-BRANCH_TOL = 1e-8
 # base rows per draw from a stratum's stream, and the fewest samples any
 # stratum gets
 BATCH_SIZE = 20_000
@@ -162,7 +161,7 @@ class ChartPlan:
             return math.sqrt(1.0 + C * C)
         bases = _complex_normal(_stream(0, f"stretch|{v.name}", 0), 512, v.dim)
         bases /= row_norm(bases)[:, None]
-        pts, valid = solve_fiber(v, self.chart, bases)
+        pts, valid = solve_fiber(v, self.chart, bases)[:2]
         return 1.5 * float(np.max(np.where(valid, row_norm(pts), 1.0)))
 
 
@@ -270,8 +269,8 @@ def _gth_roots(w: np.ndarray, g: int) -> np.ndarray:
     return root[..., None] * np.exp(2j * np.pi * np.arange(g) / g)
 
 
-def _solve_fiber_nu1(cp: ChartPlan, bases: np.ndarray):
-    """All fiber roots over each base point; returns (t, valid) of shape (B, d).
+def _solve_fiber_nu1(cp: ChartPlan, bases: np.ndarray) -> np.ndarray:
+    """All fiber roots t (B, d) over each base point; solve_fiber judges them.
 
     A lacunary fiber polynomial p(t) = q(t^g), g > 1, is solved through q:
     each root u of q gives the g roots _gth_roots(u, g).  Where q is linear
@@ -299,13 +298,7 @@ def _solve_fiber_nu1(cp: ChartPlan, bases: np.ndarray):
     if d >= 3:
         # canonical sheet order: by argument, whichever solver found the roots
         t = np.take_along_axis(t, np.argsort(np.angle(t), axis=1), axis=1)
-    # branch-locus guard: derivative small relative to the homogeneous scale
-    _, dv = _polyval_and_deriv(cs, t)
-    scale = np.sqrt(row_norm_sq(bases)[:, None] + np.abs(t) ** 2)
-    valid = np.isfinite(t) & (
-        np.abs(dv) > BRANCH_TOL * np.maximum(scale, 1e-300) ** (d - 1)
-    )
-    return t, valid
+    return t
 
 
 # unitary fiber coordinates t = R u for nu = 2: a diagonal pencil (ci22) has
@@ -354,7 +347,8 @@ def _solve_fiber_nu2(v: ConeVariety, chart: Chart, bases: np.ndarray):
     constant top coefficient; its roots, sorted by angle, give the sheets in
     canonical order.  u2 is the root of f_2(u1, .) at which |f_1| is least.
     Three Newton passes on the full system polish t = R u.  Returns
-    (t (B, d1 d2, 2), valid (B, d1 d2)).
+    (t (B, d1 d2, 2), kept (B, d1 d2)), False over a base point 0 and on
+    repeated sheets; solve_fiber judges the rest.
     """
     d1, d2 = v.degrees
     fi = list(chart.fiber)
@@ -387,38 +381,34 @@ def _solve_fiber_nu2(v: ConeVariety, chart: Chart, bases: np.ndarray):
     for _ in range(3):
         pts = _chart_points(v, chart, bases, t)
         t = t - _solve2(v.jacobian(pts)[..., fi], v.eval_tuple(pts))
-    pts = _chart_points(v, chart, bases, t)
-    res = row_norm(v.eval_tuple(pts))
-    # near-branch sheets: fiber Jacobian close to singular at unit scale
-    det = np.abs(np.linalg.det(v.jacobian(pts)[..., fi]))
-    valid = (np.isfinite(res) & (res < 1e-9) & (det > BRANCH_TOL)
-             & ~degenerate[:, None])
     # duplicate sheets: keep the first
     gap = row_norm_sq(t[:, :, None] - t[:, None, :])
-    valid &= ~np.any(np.triu(gap < 1e-20, 1), axis=1)
-    return t * base_norms[:, None, None], valid
+    kept = ~degenerate[:, None] & ~np.any(np.triu(gap < 1e-20, 1), axis=1)
+    return t * base_norms[:, None, None], kept
 
 
 def solve_fiber(v: ConeVariety, chart: Chart, bases: np.ndarray):
-    """Positions and validity for all sheets over a batch of base points.
+    """All sheets over a batch of base points, and which are valid.
 
-    Returns (positions (B, S, N), valid (B, S)).
+    Returns (positions (B, S, N), valid, x = |zeta|^2, m = v.minors, msq =
+    |m|^2).  A sheet the solver kept is valid where |f| <= POINT_TOL
+    max(1, |zeta|)^d and its fiber minor m_F has |m_F| > _branch_threshold.
     """
     bases = np.asarray(bases, dtype=complex).reshape(-1, v.dim)
+    cp = chart_plan(v, chart)
     if v.nu == 1:
-        t, valid = _solve_fiber_nu1(chart_plan(v, chart), bases)
-        t = t[..., None]
+        t, valid = _solve_fiber_nu1(cp, bases)[..., None], True
     elif v.nu == 2:
         t, valid = _solve_fiber_nu2(v, chart, bases)
     else:
         raise NotImplementedError("codimension > 2 fibers are out of scope")
     pts = _chart_points(v, chart, bases, t)
-    # residual guard
+    x = row_norm_sq(pts)
+    m = v.minors(pts)
     fres = row_norm(v.eval_tuple(pts))
-    nrm = row_norm(pts)
-    tol = POINT_TOL * np.maximum(1.0, nrm) ** v.total_degree
-    valid = valid & (fres <= tol)
-    return pts, valid
+    valid = (valid & (fres <= POINT_TOL * np.maximum(1.0, np.sqrt(x)) ** v.total_degree)
+             & (np.abs(m[..., cp.minor]) > _branch_threshold(v, x)))
+    return pts, valid, x, m, row_norm_sq(m)
 
 
 def gram_factors(v: ConeVariety, chart: Chart, m: np.ndarray,
@@ -451,10 +441,9 @@ def frames_for(v: ConeVariety, pts: np.ndarray) -> np.ndarray:
 
 
 class PointBatch:
-    """Sample points with their Gram factors, minors m, msq = |m|^2 and
-    x = |zeta|^2.  integrate passes the msq of the Gram factors and, for a
-    region centred at 0, the x of its indicator; norms() and the K/P
-    integrand (structure_norm_sq) reuse them."""
+    """Sample points with their Gram factors and the minors m, msq = |m|^2
+    and x = |zeta|^2 of solve_fiber; norms() and the K/P integrand
+    (structure_norm_sq) reuse them."""
 
     def __init__(self, positions, grams, minors, msq, x):
         self.positions = positions
@@ -869,7 +858,6 @@ def integrate(v: ConeVariety, region: Region, integrand, plan: SamplingPlan,
     got_valid = np.zeros(len(strata), dtype=bool)
     K = 1
     discarded = 0
-    at_0 = not np.any(region.center)
 
     rngs = [_stream(plan.seed, plan.experiment_id, si) for si in range(len(strata))]
     for unit in _units(counts):
@@ -884,19 +872,16 @@ def integrate(v: ConeVariety, region: Region, integrand, plan: SamplingPlan,
         Y = None
         if rows.size:
             kept = bases if rows.size == B else bases[rows]
-            pts, valid = solve_fiber(v, chart, kept)
+            pts, valid, x, m, msq = solve_fiber(v, chart, kept)
             discarded += int(valid.size - valid.sum())
             admissible[rows] = np.any(valid, axis=1)
-            x = row_norm_sq(pts) if at_0 else None
             inside = valid & region.indicator(pts, x)
             S = inside.shape[1]
             flat = inside.reshape(-1)
             if np.any(flat):
-                sel = pts.reshape(-1, pts.shape[-1])[flat]
-                m = v.minors(sel)
-                msq = row_norm_sq(m)
+                sel, m, msq, xs = (a.reshape(-1, *a.shape[2:])[flat]
+                                   for a in (pts, m, msq, x))
                 gsel = gram_factors(v, chart, m, msq)
-                xs = row_norm_sq(sel) if x is None else x.reshape(-1)[flat]
                 fv = np.asarray(integrand(PointBatch(sel, gsel, m, msq, xs)))
                 if fv.ndim == 1:
                     fv = fv[:, None]
@@ -962,7 +947,7 @@ def surface_point_with_norm(v: ConeVariety, norm: float, seed: int = 0) -> np.nd
     chart = default_chart(v)
     rng = _stream(seed, f"spn|{v.name}", 0)
     for _ in range(64):
-        pts, valid = solve_fiber(v, chart, _complex_normal(rng, 1, v.dim))
+        pts, valid = solve_fiber(v, chart, _complex_normal(rng, 1, v.dim))[:2]
         for s in range(pts.shape[1]):
             if valid[0, s]:
                 p = pts[0, s]
@@ -996,7 +981,7 @@ def attach_link_margin(v: ConeVariety, samples: int = 10_000,
     m_min = math.inf
     while remaining > 0:
         bs = min(remaining, 4096)
-        pts, valid = solve_fiber(v, chart, _complex_normal(rng, bs, n))
+        pts, valid = solve_fiber(v, chart, _complex_normal(rng, bs, n))[:2]
         nrm = row_norm(pts)
         ok = valid & (nrm > 1e-9)
         if np.any(ok):

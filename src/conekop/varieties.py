@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 
-FRAME_TOL = 1e-8
+BRANCH_TOL = 1e-8
 # largest degree a custom variety may have: the fiber solver forms d + 1
 # coefficients and d x d root-finding matrices per base point
 MAX_DEGREE = 32
@@ -292,11 +292,14 @@ class ConeVariety:
         return ConeVariety(self.name, self.ambient_dim, self.polys, margin)
 
 
+def _branch_threshold(v: ConeVariety, x) -> np.ndarray:
+    """BRANCH_TOL |zeta|^(d - nu), x = |zeta|^2: a regular point's minors exceed it."""
+    return BRANCH_TOL * np.maximum(np.sqrt(x), 1e-300) ** (v.total_degree - v.nu)
+
+
 def _require_regular(v: ConeVariety, x, minors_norm: np.ndarray):
-    """Raise NearSingularError where |m| <= FRAME_TOL |zeta|^(d - nu), x = |zeta|^2."""
-    nrm = np.sqrt(x)
-    thresh = FRAME_TOL * np.maximum(nrm, 1e-300) ** (v.total_degree - v.nu)
-    if np.any(minors_norm <= thresh):
+    """Raise NearSingularError where |m| <= _branch_threshold(v, x)."""
+    if np.any(minors_norm <= _branch_threshold(v, x)):
         raise NearSingularError("tangent plane requested too close to the branch locus")
 
 

@@ -228,7 +228,7 @@ def test_minors_pullback_matches_frame_determinants(name):
     Nv, n = v.ambient_dim, v.dim
     rng = np.random.default_rng(31)
     bases = rng.standard_normal((60, n)) + 1j * rng.standard_normal((60, n))
-    pts, valid = solve_fiber(v, default_chart(v), bases)
+    pts, valid = solve_fiber(v, default_chart(v), bases)[:2]
     sel = pts[valid]
     subsets = [sum(1 << j for j in A) for A in itertools.combinations(range(Nv), n)]
     terms = {}
@@ -266,7 +266,7 @@ def test_projector_norm_matches_frame_coefficients(name, q):
     Nv, n = v.ambient_dim, v.dim
     rng = np.random.default_rng(32 + q)
     bases = rng.standard_normal((60, n)) + 1j * rng.standard_normal((60, n))
-    pts, valid = solve_fiber(v, default_chart(v), bases)
+    pts, valid = solve_fiber(v, default_chart(v), bases)[:2]
     sel = pts[valid]
     subsets = list(itertools.combinations(range(Nv), q))
     coeffs = [rng.standard_normal(len(sel)) + 1j * rng.standard_normal(len(sel))

@@ -230,7 +230,7 @@ def test_structure_form_singular_origin():
 
 def test_structure_form_near_singular_error():
     # z0 z1 = 0 is singular along its z2 axis: at (1e-12, 0, 1) the minors
-    # norm is 1e-12 > 0, below FRAME_TOL |zeta|^(d - nu) = 1e-8
+    # norm is 1e-12 > 0, below BRANCH_TOL |zeta|^(d - nu) = 1e-8
     planes = ConeVariety("planes", 3, (MultiIndexPoly.from_dict(3, {(1, 1, 0): 1.0}),))
     pts = np.array([[0.5, 0.0, 0.3], [1e-12, 0.0, 1.0]], dtype=complex)
     assert 0.0 < planes.minors_norm(pts[1]) <= 1e-8
@@ -259,9 +259,9 @@ def test_near_branch_locus_point_on_a_dead_row_still_raises(monkeypatch):
 
 
 def test_near_branch_locus_point_raises_with_the_work_unit_norms(monkeypatch):
-    # integrate itself builds the batch, so x comes from its indicator and
-    # |m|^2 from its Gram factors: every base row carries the regular point
-    # of z0 z1 = 0 and, in the second pass, also a point 1e-12 off its z2 axis
+    # integrate itself builds the batch from the x and |m|^2 that solve_fiber
+    # returns: every base row carries the regular point of z0 z1 = 0 and, in
+    # the second pass, also a point 1e-12 off its z2 axis
     from conekop import sampling
 
     planes = ConeVariety("planes", 3, (MultiIndexPoly.from_dict(3, {(1, 1, 0): 1.0}),))
@@ -273,10 +273,13 @@ def test_near_branch_locus_point_raises_with_the_work_unit_norms(monkeypatch):
     # the fiber variable z2 has no pure power: force its chart and stretch
     monkeypatch.setattr(sampling, "default_chart", lambda v: sampling.Chart((0, 1), (2,)))
     monkeypatch.setattr(sampling.ChartPlan, "stretch", 2.0)
+    def solve(v, chart, bases):
+        p = np.broadcast_to(pts[:sheets], (len(bases), sheets, 3)).copy()
+        m = v.minors(p)
+        return p, np.ones(p.shape[:2], dtype=bool), row_norm_sq(p), m, row_norm_sq(m)
+
+    monkeypatch.setattr(sampling, "solve_fiber", solve)
     for sheets in (1, 2):
-        monkeypatch.setattr(sampling, "solve_fiber", lambda v, chart, bases: (
-            np.broadcast_to(pts[:sheets], (len(bases), sheets, 3)).copy(),
-            np.ones((len(bases), sheets), dtype=bool)))
         for apply, form in ((O.apply_P, phi), (O.apply_K, phi.dbar())):
             # the zero fiber minor makes the Gram factors overflow
             with np.errstate(over="ignore", invalid="ignore"):
@@ -352,7 +355,7 @@ def _straddling_batch(v, bases: int):
     windows' r_hi and rho2, and past rho2."""
     rng = np.random.default_rng(17)
     bases = rng.standard_normal((bases, v.dim)) + 1j * rng.standard_normal((bases, v.dim))
-    pts, valid = solve_fiber(v, default_chart(v), bases)
+    pts, valid = solve_fiber(v, default_chart(v), bases)[:2]
     pts = pts[valid]
     pts *= (rng.uniform(0.2, 2.0, len(pts))
             / np.sqrt(np.sum(np.abs(pts) ** 2, -1)))[:, None]
@@ -581,7 +584,7 @@ def test_kernel_decomposition_bound():
     rng = np.random.default_rng(12)
     z = surface_point_with_norm(A1, 0.5, seed=1)
     bases = rng.standard_normal((10_000, 2)) + 1j * rng.standard_normal((10_000, 2))
-    pts, valid = solve_fiber(A1, default_chart(A1), bases)
+    pts, valid = solve_fiber(A1, default_chart(A1), bases)[:2]
     zeta = pts[valid]
     nz = np.sqrt(np.sum(np.abs(zeta) ** 2, -1))
     keep = (nz > 1e-3) & (nz < 2.0)
@@ -675,7 +678,7 @@ def test_structure_form_link_bound_reported():
     for name in ("a1", "fermat3"):
         v = get_variety(name)
         bases = rng.standard_normal((2000, 2)) + 1j * rng.standard_normal((2000, 2))
-        pts, valid = solve_fiber(v, default_chart(v), bases)
+        pts, valid = solve_fiber(v, default_chart(v), bases)[:2]
         nrm = np.sqrt(np.sum(np.abs(pts) ** 2, -1))
         unit = (pts[valid & (nrm > 1e-9)]
                 / nrm[valid & (nrm > 1e-9)][:, None])[:2000]

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -176,33 +177,21 @@ def test_kernel_densities_match_the_frame_pullback():
 
 
 def test_one_kernel_batch_evaluates_the_minors_once(monkeypatch):
-    # one apply_K batch on a1 needs the Jacobian minors once: integrate
-    # evaluates them for the Gram factors and hands them to the integrand in
-    # the PointBatch, where the structure form takes them
+    # an apply_K run on a1 evaluates the Jacobian minors only inside
+    # solve_fiber, once per call: integrate hands them to the Gram factors
+    # and, in the PointBatch, to the structure form
     from conekop import sampling
     from conekop.varieties import ConeVariety
 
-    calls = []
-    minors = ConeVariety.minors
-    monkeypatch.setattr(ConeVariety, "minors",
-                        lambda self, pts: calls.append(len(pts)) or minors(self, pts))
-
-    def one_batch(v, region, integrand, plan_, poles=(), chart=None, support=None):
-        chart = sampling.default_chart(v)
-        rng = np.random.default_rng(3)
-        bases = rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))
-        pts, valid = sampling.solve_fiber(v, chart, bases)
-        sel = pts[valid]
-        m = v.minors(sel)
-        msq = row_norm_sq(m)
-        integrand(sampling.PointBatch(sel, sampling.gram_factors(v, chart, m, msq), m,
-                                      msq, row_norm_sq(sel)))
-        return sampling.QuadratureResult(value=0j, stderr=0.0, samples=len(sel))
-
-    monkeypatch.setattr(O, "integrate", one_batch)
     z = surface_point_with_norm(A1, 0.5, seed=0)
+    callers, solves = [], []
+    minors, solve = ConeVariety.minors, sampling.solve_fiber
+    monkeypatch.setattr(ConeVariety, "minors", lambda self, pts: callers.append(
+        sys._getframe(1).f_code.co_name) or minors(self, pts))
+    monkeypatch.setattr(sampling, "solve_fiber",
+                        lambda *args: solves.append(1) or solve(*args))
     O.apply_K(A1, TestForm.one_form_bump(3, 0, 1, 1.1, 1.6), z, CFG, plan(2_000, "mc"))
-    assert len(calls) == 1
+    assert solves and callers == ["solve_fiber"] * len(solves)
 
 
 # ----- the integrand's support ------------------------------------------------
@@ -219,7 +208,7 @@ def _solved_rows(monkeypatch):
 
     def spy(v, chart, bases):
         out = solve(v, chart, bases)
-        solved.append(out)
+        solved.append(out[:2])
         return out
 
     monkeypatch.setattr(sampling, "solve_fiber", spy)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conekop import operators as O
-from conekop import sampling
+from conekop import sampling, varieties
 from conekop.forms import TestForm
 from conekop.kernels import WeightConfig, annulus_bounds
 from conekop.sampling import (
@@ -50,7 +50,7 @@ def test_admissible_charts():
 
 def _sheets(v, base, chart):
     """Valid sheets over one base point and their Gram factors."""
-    pts, valid = solve_fiber(v, chart, np.asarray(base, dtype=complex)[None, :])
+    pts, valid = solve_fiber(v, chart, np.asarray(base, dtype=complex)[None, :])[:2]
     sel = pts[valid]
     m = v.minors(sel)
     return sel, np.real(gram_factors(v, chart, m, row_norm_sq(m)))
@@ -64,7 +64,7 @@ def test_gram_factors_match_graph_metric(name):
     rng = np.random.default_rng(5)
     bases = rng.standard_normal((80, v.dim)) + 1j * rng.standard_normal((80, v.dim))
     for chart in admissible_charts(v):
-        pts, valid = solve_fiber(v, chart, bases)
+        pts, valid = solve_fiber(v, chart, bases)[:2]
         sel = pts[valid]
         assert len(sel) > 0
         J = v.jacobian(sel)
@@ -75,7 +75,7 @@ def test_gram_factors_match_graph_metric(name):
         got = gram_factors(v, chart, m, row_norm_sq(m))
         assert np.max(np.abs(got - want) / want) <= 1e-12
         # an empty batch gives empty arrays of the same sheet count
-        none, none_valid = solve_fiber(v, chart, np.zeros((0, v.dim)))
+        none, none_valid = solve_fiber(v, chart, np.zeros((0, v.dim)))[:2]
         assert none.shape == (0,) + pts.shape[1:]
         assert none_valid.shape == (0,) + valid.shape[1:]
 
@@ -97,8 +97,41 @@ def test_solve_fiber_hyperplane_flat_sheet():
 
 
 def test_solve_fiber_branch_locus_discarded():
-    pts, _ = _sheets(A1, [1.0, 1j], Chart((0, 1), (2,)))
-    assert len(pts) == 0
+    # over the base (1, i) both sheets of a1 meet at t = 0, on the default
+    # chart too: the fiber minor vanishes there and both are invalid
+    for chart in (Chart((0, 1), (2,)), default_chart(A1)):
+        pts, valid, _, m, _ = solve_fiber(A1, chart, np.array([[1.0, 1j]]))
+        assert valid.shape == (1, 2) and not np.any(valid)
+        assert np.all(m[..., chart_plan(A1, chart).minor] == 0)
+
+
+@pytest.mark.parametrize("name", ["a1", "fermat3", "ci22"])
+def test_solve_fiber_validity_is_the_one_rule(name):
+    # a sheet the solver kept (nu = 2: base point not 0, no repeat) is valid
+    # exactly where |f| <= POINT_TOL max(1, |zeta|)^d and the fiber minor has
+    # |m_F| > BRANCH_TOL |zeta|^(d - nu); the x, m and msq returned are
+    # row_norm_sq and v.minors of the points, bit for bit
+    v = get_variety(name)
+    d, e = v.total_degree, v.total_degree - v.nu
+    rng = np.random.default_rng(11)
+    bases = rng.standard_normal((300, v.dim)) + 1j * rng.standard_normal((300, v.dim))
+    # the base point 0, and points over a1's and fermat3's branch locus
+    bases[:2] = 0.0
+    bases[2:4] = [[0.5, 0.5j], [1.0, -1.0]]
+    for chart in admissible_charts(v):
+        pts, valid, x, m, msq = solve_fiber(v, chart, bases)
+        assert np.array_equal(x, row_norm_sq(pts))
+        assert np.array_equal(m, v.minors(pts))
+        assert np.array_equal(msq, row_norm_sq(m))
+        res = row_norm(v.eval_tuple(pts))
+        nrm = np.sqrt(x)
+        rule = ((res <= sampling.POINT_TOL * np.maximum(1.0, nrm) ** d)
+                & (np.abs(m[..., chart_plan(v, chart).minor])
+                   > varieties.BRANCH_TOL * np.maximum(nrm, 1e-300) ** e))
+        if v.nu == 2:
+            rule &= sampling._solve_fiber_nu2(v, chart, bases)[1]
+        assert np.array_equal(valid, rule)
+        assert np.any(valid) and not np.any(valid[:2])
 
 
 def test_fiber_degenerate_chart():
@@ -110,7 +143,7 @@ def test_point_residual_tolerance():
     rng = np.random.default_rng(0)
     bases = rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))
     for v in (A1, get_variety("fermat3"), get_variety("fermat4")):
-        pts, valid = solve_fiber(v, default_chart(v), bases)
+        pts, valid = solve_fiber(v, default_chart(v), bases)[:2]
         res = np.sqrt(np.sum(np.abs(v.eval_tuple(pts[valid])) ** 2, axis=-1))
         nrm = np.sqrt(np.sum(np.abs(pts[valid]) ** 2, axis=-1))
         assert np.all(res <= 1e-10 * np.maximum(1.0, nrm) ** v.total_degree)
@@ -125,7 +158,7 @@ def test_tangent_frame_hyperplane():
 def test_tangent_frame_orthonormal_and_in_kernel():
     rng = np.random.default_rng(1)
     bases = rng.standard_normal((1000, 2)) + 1j * rng.standard_normal((1000, 2))
-    pts, valid = solve_fiber(A1, default_chart(A1), bases)
+    pts, valid = solve_fiber(A1, default_chart(A1), bases)[:2]
     sel = pts[valid][:1000]
     from conekop.sampling import frames_for
 
@@ -157,7 +190,7 @@ def test_projector_fixes_positions(name):
     v = get_variety(name)
     rng = np.random.default_rng(6)
     bases = rng.standard_normal((60, v.dim)) + 1j * rng.standard_normal((60, v.dim))
-    pts, valid = solve_fiber(v, default_chart(v), bases)
+    pts, valid = solve_fiber(v, default_chart(v), bases)[:2]
     sel = pts[valid]
     P = _frame_projector(v, sel)
     scale = np.max(np.abs(sel))
@@ -178,7 +211,7 @@ def test_projector_matches_jacobian_formula(name):
     v = get_variety(name)
     rng = np.random.default_rng(8)
     bases = rng.standard_normal((200, v.dim)) + 1j * rng.standard_normal((200, v.dim))
-    pts, valid = solve_fiber(v, default_chart(v), bases)
+    pts, valid = solve_fiber(v, default_chart(v), bases)[:2]
     sel = pts[valid]
     J = v.jacobian(sel)
     JH = np.conj(np.swapaxes(J, -1, -2))
@@ -464,7 +497,7 @@ def test_ci22_fiber_solving_and_volume(monkeypatch):
     assert chart in admissible_charts(ci)
     rng = np.random.default_rng(3)
     bases = rng.standard_normal((40, 2)) + 1j * rng.standard_normal((40, 2))
-    pts, valid = solve_fiber(ci, chart, bases)
+    pts, valid = solve_fiber(ci, chart, bases)[:2]
     assert np.all(valid)  # generic bases give all 4 sheets
     res = np.sqrt(np.sum(np.abs(ci.eval_tuple(pts)) ** 2, axis=-1))
     assert np.max(res) < 1e-7 * np.maximum(
@@ -581,7 +614,7 @@ def test_solve_fiber_all_sheets_sorted_by_angle(v):
     rng = np.random.default_rng(23)
     bases = rng.standard_normal((2000, 2)) + 1j * rng.standard_normal((2000, 2))
     chart = default_chart(v)
-    pts, valid = solve_fiber(v, chart, bases)
+    pts, valid = solve_fiber(v, chart, bases)[:2]
     assert pts.shape[1] == v.polys[0].degree
     assert np.all(valid)
     t = pts[..., chart.fiber[0]]
@@ -598,7 +631,7 @@ def test_fermat_cone_point_and_branch_locus_sheets(base):
     # and the branch guard discards them all
     v = get_variety("fermat3")
     chart = default_chart(v)
-    pts, valid = solve_fiber(v, chart, np.array([base]))
+    pts, valid = solve_fiber(v, chart, np.array([base]))[:2]
     t = pts[..., chart.fiber[0]]
     assert t.shape == (1, 3)
     assert np.all(np.isfinite(t)) and np.all(t == 0)
@@ -617,7 +650,7 @@ def test_poly_roots_on_double_root_and_cone_point(companion_rows):
     # all sheets meet at the cone point and the branch guard discards them,
     # but none is lost
     v = _random_quartic()
-    pts, valid = solve_fiber(v, default_chart(v), np.zeros((1, 2)))
+    pts, valid = solve_fiber(v, default_chart(v), np.zeros((1, 2)))[:2]
     assert companion_rows == [2, 1]
     assert pts.shape == (1, 4, 3)
     assert np.all(pts == 0) and not np.any(valid)
@@ -681,18 +714,18 @@ def test_binomial_fibers_match_polished_reference(name):
     for chart in admissible_charts(v):
         cp = chart_plan(v, chart)
         assert cp.binomial
-        t, valid = sampling._solve_fiber_nu1(cp, bases)
+        t = sampling._solve_fiber_nu1(cp, bases)
+        valid = solve_fiber(v, chart, bases)[1]
         # a plan with g = 1 solves the full polynomial and polishes it
         # (d = 1, the hyperplane, stays binomial: p(t) = t is closed form)
         polished = dataclasses.replace(cp, step=1)
         assert polished.binomial == (d == 1)
-        want, want_valid = sampling._solve_fiber_nu1(polished, bases)
+        want = sampling._solve_fiber_nu1(polished, bases)
         # the same sheets in the same order, within a few ulp of the
-        # homogeneous scale, and the same branch guard
+        # homogeneous scale
         scale = np.sqrt(np.sum(np.abs(bases) ** 2, axis=1)[:, None]
                         + np.abs(want) ** 2)
         assert np.all(np.abs(t - want) <= 8 * np.finfo(float).eps * scale)
-        assert np.array_equal(valid, want_valid)
         # where c_0(s) = 0 every sheet is 0, not NaN
         c0 = eval_monomials(*cp.table[0], bases.T)
         assert np.all(t[c0 == 0] == 0)
@@ -720,11 +753,12 @@ def horner_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("name", _BINOMIAL)
-def test_binomial_solve_takes_one_horner_pass(name, horner_calls):
-    # closed-form sheets: the branch guard's p' is the one Horner pass
+def test_binomial_solve_takes_no_horner_pass(name, horner_calls):
+    # closed-form sheets get no Newton polish, and the branch guard reads the
+    # fiber minor, not p'
     v = get_variety(name)
-    sampling._solve_fiber_nu1(chart_plan(v, default_chart(v)), _binomial_bases(3))
-    assert len(horner_calls) == 1
+    solve_fiber(v, default_chart(v), _binomial_bases(3))
+    assert len(horner_calls) == 0
 
 
 @pytest.mark.parametrize("v", [_dense_quadratic(), _lacunary_quartic()],
@@ -735,8 +769,8 @@ def test_polished_roots_pass_the_residual_guard(v, horner_calls):
     # row passes solve_fiber's residual guard
     rng = np.random.default_rng(27)
     bases = rng.standard_normal((2000, 2)) + 1j * rng.standard_normal((2000, 2))
-    pts, valid = solve_fiber(v, default_chart(v), bases)
-    assert len(horner_calls) == 3
+    pts, valid = solve_fiber(v, default_chart(v), bases)[:2]
+    assert len(horner_calls) == 2
     res = np.sqrt(np.sum(np.abs(v.eval_tuple(pts)) ** 2, axis=-1))
     nrm = np.sqrt(np.sum(np.abs(pts) ** 2, axis=-1))
     assert np.all(res <= sampling.POINT_TOL * np.maximum(1.0, nrm) ** v.total_degree)
@@ -767,7 +801,7 @@ def test_solve_fiber_nu2_bezout(degrees):
     v = _random_ci(rng, *degrees)
     chart = default_chart(v)
     bases = rng.standard_normal((2000, 2)) + 1j * rng.standard_normal((2000, 2))
-    pts, valid = solve_fiber(v, chart, bases)
+    pts, valid = solve_fiber(v, chart, bases)[:2]
     assert pts.shape[1] == degrees[0] * degrees[1]
     assert np.all(valid)
     scale = np.sqrt(np.sum(np.abs(pts) ** 2, axis=-1))
@@ -968,11 +1002,11 @@ def _reach_cases(v, chart, rng):
     boundary sphere."""
     zero = np.zeros(v.ambient_dim)
     z = surface_point_with_norm(v, 0.5, seed=2)
-    pts, valid = solve_fiber(v, chart, z[list(chart.base)])
+    pts, valid = solve_fiber(v, chart, z[list(chart.base)])[:2]
     w = pts[valid][0]
     g = rng.standard_normal((300, 2 * v.dim))
     s = g[:, :v.dim] + 1j * g[:, v.dim:]
-    pts, valid = solve_fiber(v, chart, s)
+    pts, valid = solve_fiber(v, chart, s)[:2]
     rho = np.where(valid, np.sqrt(np.sum(np.abs(pts) ** 2, axis=-1)), np.nan)
     for region in (Region.ball(zero, 0.5), Region.annulus(zero, 0.3, 0.6),
                    Region.ball(z, 0.2), Region.annulus(z, 0.05, 0.3),
@@ -999,7 +1033,7 @@ def test_dropped_rows_have_no_sheet_in_the_region(v):
         for region, bases in _reach_cases(v, chart, rng):
             keep = sampling._may_reach(v, chart, region, bases)
             if not keep.all():
-                pts, _ = solve_fiber(v, chart, bases[~keep])
+                pts, _ = solve_fiber(v, chart, bases[~keep])[:2]
                 assert not np.any(region.indicator(pts))
             kept, dropped = kept + keep.sum(), dropped + (~keep).sum()
     assert kept > 0 and dropped > 0
@@ -1058,9 +1092,9 @@ def test_packing_keeps_empty_stratum_warnings(monkeypatch):
     solve = sampling.solve_fiber
 
     def blind_near_origin(v, chart, bases):
-        pts, valid = solve(v, chart, bases)
+        pts, valid, *norms = solve(v, chart, bases)
         near = np.sqrt(np.sum(np.abs(bases) ** 2, axis=-1)) < 1e-3
-        return pts, valid & ~near[:, None]
+        return pts, valid & ~near[:, None], *norms
 
     def run():
         monkeypatch.setattr(sampling, "solve_fiber", blind_near_origin)
@@ -1207,10 +1241,10 @@ def test_every_solve_and_gram_call_of_integrate_is_seen(monkeypatch):
         return keep
 
     def solve_spy(*args, **kwargs):
-        pts, valid = solve(*args, **kwargs)
+        out = solve(*args, **kwargs)
         seen["solved"] += len(args[2])
-        seen["inside"] += int(np.sum(valid & region.indicator(pts)))
-        return pts, valid
+        seen["inside"] += int(np.sum(out[1] & region.indicator(out[0])))
+        return out
 
     def gram_spy(*args, **kwargs):
         seen["gram"] += len(args[2])
@@ -1231,7 +1265,7 @@ def test_every_solve_and_gram_call_of_integrate_is_seen(monkeypatch):
 def test_point_batch_reuses_the_unit_norms():
     # x and msq handed in are the batch's: norms() and the K/P integrand read
     # them
-    pts, valid = solve_fiber(A1, default_chart(A1), np.array([[0.3, 0.4j], [1.0, 2.0]]))
+    pts, valid = solve_fiber(A1, default_chart(A1), np.array([[0.3, 0.4j], [1.0, 2.0]]))[:2]
     sel = pts[valid]
     m = A1.minors(sel)
     x, msq = row_norm_sq(sel), row_norm_sq(m)

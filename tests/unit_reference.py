@@ -101,7 +101,7 @@ def integrate(v, region, integrand, plan, poles=(), chart=None, support=None):
         Y = np.zeros((B, K), dtype=complex)
         if rows.size:
             kept = bases[rows]
-            pts, valid = sampling.solve_fiber(v, chart, kept)
+            pts, valid = sampling.solve_fiber(v, chart, kept)[:2]
             discarded += int(valid.size - valid.sum())
             admissible[rows] = np.any(valid, axis=1)
             d = np.sqrt(np.sum(np.abs(pts - region.center) ** 2, axis=-1))

@@ -14,7 +14,10 @@ any report prints the same lines.  It prints
   * after each such run, one line per experiment report: the sha256 of
     ``json.dumps(entry, sort_keys=True)`` for that entry of the run's
     ``report.json``, so a change that adds or removes an experiment can show
-    that every other report stayed byte-identical.
+    that every other report stayed byte-identical;
+  * the same lines for ``koppelman_q0`` and ``koppelman_q1_loose`` on the
+    quadric threefold of ``tests/test_cli.py::test_cli_threefold_runs_koppelman``
+    (dim 3 in C^4, with a mixed term), at the same budget and seed.
 
 The package and the workloads are imported from the checkout this file sits
 in.  Timings are not printed.  The CLI runs take a few minutes.
@@ -52,27 +55,43 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "-"
 
 
+QUADRIC3 = {"ambient_dim": 4, "name": "quadric3", "polys": [[
+    {"exp": [2, 0, 0, 0], "re": 1.0}, {"exp": [0, 2, 0, 0], "re": 1.0},
+    {"exp": [0, 0, 2, 0], "re": 1.0}, {"exp": [0, 0, 0, 2], "re": 1.0},
+    {"exp": [1, 1, 0, 0], "re": 0.3, "im": 0.2}]]}
+
+
+def _cli(label: str, args: list) -> None:
+    """Run conekop at 20k samples, seed 7, and print its digest lines."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        code = subprocess.run(
+            [sys.executable, "-m", "conekop", *args,
+             "--samples", "20000", "--seed", "7", "--out", str(out)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+        print(f"cli {label} exit={code} report.json={_sha256(out / 'report.json')} "
+              f"tables.csv={_sha256(out / 'tables.csv')}", flush=True)
+        report = out / "report.json"
+        entries = json.loads(report.read_text())["reports"] if report.exists() else []
+        for entry in entries:
+            digest = hashlib.sha256(json.dumps(entry, sort_keys=True).encode()).hexdigest()
+            print(f"cli {label} {entry['name']} {digest}", flush=True)
+
+
 def main() -> int:
     for name in JOBS:
         wl = WORKLOADS[name]
         v = conekop.load_variety(wl.variety)
         for seed in SEEDS:
             print(f"run_job {name} seed={seed} {run_job(v, wl, seed).digest}", flush=True)
-    env = dict(os.environ, PYTHONPATH=str(SRC))
     for variety in catalog_names():
-        with tempfile.TemporaryDirectory() as tmp:
-            out = Path(tmp)
-            code = subprocess.run(
-                [sys.executable, "-m", "conekop", "--variety", variety,
-                 "--samples", "20000", "--seed", "7", "--out", str(out)],
-                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
-            print(f"cli {variety} exit={code} report.json={_sha256(out / 'report.json')} "
-                  f"tables.csv={_sha256(out / 'tables.csv')}", flush=True)
-            report = out / "report.json"
-            entries = json.loads(report.read_text())["reports"] if report.exists() else []
-            for entry in entries:
-                digest = hashlib.sha256(json.dumps(entry, sort_keys=True).encode()).hexdigest()
-                print(f"cli {variety} {entry['name']} {digest}", flush=True)
+        _cli(variety, ["--variety", variety])
+    with tempfile.TemporaryDirectory() as tmp:
+        vpath = Path(tmp) / "quadric3.json"
+        vpath.write_text(json.dumps(QUADRIC3))
+        _cli("quadric3", ["--variety", str(vpath), "--experiment", "koppelman_q0",
+                          "--experiment", "koppelman_q1_loose"])
     return 0
 
 
