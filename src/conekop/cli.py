@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import load_variety
 from .kernels import WeightConfig
-from .sampling import FiberDegenerateError, SamplingPlan
+from .sampling import FiberDegenerateError, SamplingPlan, ShellUnderflowError
 from .varieties import NearSingularError
 from .verify import CSV_COLUMNS, EXPERIMENTS, run_experiment
 
@@ -155,8 +155,12 @@ def main(argv=None) -> int:
     for name in cfg.experiments:
         t0 = time.time()
         print(f"[conekop] running {name} on {v.name} ...", file=sys.stderr)
-        rep = run_experiment(name, v, plan, cfg=weight_cfg,
-                             tolerance_scale=cfg.tolerance_scale)
+        try:
+            rep = run_experiment(name, v, plan, cfg=weight_cfg,
+                                 tolerance_scale=cfg.tolerance_scale)
+        except ShellUnderflowError as exc:  # fixed regions too deep for this dim X
+            print(f"configuration error: {name} on {v.name}: {exc}", file=sys.stderr)
+            return 2
         print(f"[conekop]   {'PASS' if rep.verdict else 'FAIL'} "
               f"({time.time() - t0:.1f}s)", file=sys.stderr)
         reports.append(rep)

@@ -58,6 +58,7 @@ __all__ = [
     "QuadratureResult",
     "EmptyRegionError",
     "FiberDegenerateError",
+    "ShellUnderflowError",
     "NearSingularError",
     "admissible_charts",
     "default_chart",
@@ -86,6 +87,10 @@ class EmptyRegionError(ValueError):
 
 class FiberDegenerateError(RuntimeError):
     """Projection direction tangent to the cone at infinity for this chart."""
+
+
+class ShellUnderflowError(ValueError):
+    """A stratum's radial density r^(-a) is not finite in double precision."""
 
 
 # ---------------------------------------------------------------------------
@@ -562,13 +567,13 @@ def _sphere_area(n: int) -> float:
     return 2.0 * math.pi**n / math.factorial(n - 1)
 
 
-def _radial_norm(st: _Stratum, n: int) -> float:
-    """Normalizer of r^(-power) on [r_lo, r_hi]; ValueError where it is not finite."""
+def _radial_norm(st: _Stratum, n: int, cause: str = "r_min is too small") -> float:
+    """Normalizer of r^(-power) on [r_lo, r_hi]; ShellUnderflowError if not finite."""
     beta = 2 * n - st.power
     span = st.r_hi**beta - st.r_lo**beta
     if not (span > 0 and math.isfinite(beta / span)):
-        raise ValueError(f"r_min is too small: the radial density of the shell "
-                         f"[{st.r_lo:g}, {st.r_hi:g}] in C^{n} underflows")
+        raise ShellUnderflowError(f"{cause}: the radial density of the shell "
+                                  f"[{st.r_lo:g}, {st.r_hi:g}] in C^{n} underflows")
     return beta / span
 
 
@@ -699,7 +704,9 @@ def _chains(strata, fracs, n: int) -> list[_Chain]:
         run = strata[start:k][::-1]
         f = fracs[start:k][::-1]
         assert all(a.r_hi == b.r_lo for a, b in zip(run, run[1:]))
-        norm = [_radial_norm(st, n) for st in run]
+        # the first chain covers the region (_build_strata), the others poles
+        norm = [_radial_norm(st, n, "r_min is too small" if start
+                             else "the region's radii are too small") for st in run]
         chains.append(_Chain(
             center=run[0].center,
             edges=np.array([run[0].r_lo] + [st.r_hi for st in run]),

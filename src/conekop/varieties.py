@@ -132,6 +132,7 @@ class MultiIndexPoly:
 
 @dataclass(frozen=True)
 class Thresholds:
+    gamma: int  # the cone point's pole degree d - nu
     p_min: float
     p_min_w: float
     canonical: bool
@@ -271,14 +272,16 @@ class ConeVariety:
         n = self.dim
         d = self.total_degree
         nu = self.nu
-        if d - nu >= 2 * n:
+        gamma = d - nu
+        if gamma >= 2 * n:
             raise DegenerateExponentError(
-                f"d - nu = {d - nu} >= 2n = {2 * n}: integrability threshold undefined"
+                f"d - nu = {gamma} >= 2n = {2 * n}: integrability threshold undefined"
             )
-        p_min = 2 * n / (2 * n - (d - nu))
-        denom_w = 2 * n - (d - nu + 1)
+        p_min = 2 * n / (2 * n - gamma)
+        denom_w = 2 * n - (gamma + 1)
         p_min_w = math.inf if denom_w <= 0 else 2 * n / denom_w
         return Thresholds(
+            gamma=gamma,
             p_min=p_min,
             p_min_w=p_min_w,
             canonical=(d <= self.ambient_dim - 1),

@@ -744,18 +744,21 @@ def run_lp_threshold(v: ConeVariety, plan: SamplingPlan,
                      cfg: WeightConfig | None = None,
                      tolerance_scale: float = 1.0,
                      r_min_list=(4e-2, 2e-2, 1e-2, 5e-3)) -> ExperimentReport:
-    """Kernel-mass stability above the exponent threshold, growth below it."""
+    """Kernel-mass stability above the exponent threshold p_min, growth below it.
+
+    p_stable = 2 where p_min < 1.6, else 2 p_min, and the p = 2 masses are
+    reported ungated with the growth p* gamma - 2n that p* = 2 predicts."""
     n = v.dim
-    gamma = float(v.total_degree - v.nu)
-    p_stable, p_divergent = 2.0, 1.2
+    th = v.thresholds()
+    gamma = float(th.gamma)
+    p_stable, p_divergent = (2.0 if th.p_min < 1.6 else 2.0 * th.p_min), 1.2
     z = surface_point_with_norm(v, 0.5, seed=plan.seed)
     nz_z = float(row_norm(z))
     report = ExperimentReport("lp_threshold", v.name,
                               {"gamma": gamma, "p_stable": p_stable,
-                               "p_divergent": p_divergent,
-                               "threshold": 2 * n / (2 * n - gamma) if gamma < 2 * n
-                               else math.inf},
+                               "p_divergent": p_divergent, "threshold": th.p_min},
                               seed=plan.seed)
+    parts = len(r_min_list) * (2 if p_stable == 2.0 else 3)
 
     def mass(p, r_min, tag):
         pstar = p / (p - 1.0)
@@ -765,7 +768,7 @@ def run_lp_threshold(v: ConeVariety, plan: SamplingPlan,
             return (nz_z / nz) ** (pstar * gamma) * batch.dist(z) ** -(2 * n - 1) + 0j
 
         qr = integrate(v, Region.annulus(_origin(v), r_min, 1.0), integrand,
-                       plan.part(f"lp{tag}", 2 * len(r_min_list)),
+                       plan.part(f"lp{tag}", parts),
                        poles=[(z, 2 * n - 1)])
         return float(np.real(qr.value)), float(qr.stderr)
 
@@ -781,6 +784,15 @@ def run_lp_threshold(v: ConeVariety, plan: SamplingPlan,
         for i in range(len(stable_vals) - 1)
     )
     report.record_check("stable_above_threshold", diffs_ok)
+
+    if p_stable != 2.0:
+        growth = 2.0 * gamma - 2 * n
+        for i, rm in enumerate(r_min_list):
+            val, se = mass(2.0, rm, f"o{i}")
+            report.rows.append({
+                "p": 2.0, "r_min": rm, "mass": val, "stderr": se, "gated": False,
+                "predicted_growth": ("bounded" if growth < 0 else "log(1/r_min)"
+                                     if growth == 0 else f"r_min^-{growth:g}")})
 
     div_vals = []
     for i, rm in enumerate(r_min_list):

@@ -235,6 +235,26 @@ def test_cli_underflowing_r_min_exits_2_naming_it(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("experiment", ["cutoff_decay", "tm_decay"])
+def test_cli_underflowing_annulus_exits_2_naming_the_experiment(tmp_path, capsys,
+                                                                experiment):
+    # the double-exponential annulus of m = 4 reaches down to 3.5e-65, where
+    # the region cover's r^6 underflows in C^3: one configuration error line
+    # that names the experiment and the region, not r_min
+    vpath = tmp_path / "q3.json"
+    vpath.write_text(json.dumps({"ambient_dim": 4, "name": "q3", "polys": [[
+        {"exp": [2 * int(j == k) for j in range(4)], "re": 1.0} for k in range(4)]]}))
+    assert main(["--variety", str(vpath), "--experiment", experiment,
+                 "--samples", "1000", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = [ln for ln in err.splitlines() if ln.startswith("configuration error:")]
+    assert lines == [err.splitlines()[-1]]
+    assert lines[0].startswith(f"configuration error: {experiment} on q3: the region's")
+    assert "r_min" not in lines[0] and "in C^3 underflows" in lines[0]
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_cli_r_min_below_a_poles_rounding_scale_exits_2_naming_it(tmp_path, capsys):
     # koppelman_q0's poles would get shells below the rounding scale of their
     # base points (1e-30), or within sqrt(eps) of it relative to their norm

@@ -173,6 +173,7 @@ def test_hefer_exactness(v):
 
 def test_thresholds_a1():
     th = get_variety("a1").thresholds()
+    assert th.gamma == 1
     assert th.p_min == pytest.approx(4.0 / 3.0)
     assert th.p_min_w == pytest.approx(2.0)
     assert th.canonical and th.main1_applicable and th.main4_applicable

@@ -209,6 +209,21 @@ def test_lp_threshold_reports():
     assert rep.fitted["divergence_exponent"]["value"] > 0.5  # grows below threshold
 
 
+@pytest.mark.parametrize("name, p_stable, growth", [("fermat3", 4.0, "log(1/r_min)"),
+                                                     ("fermat4", 8.0, "r_min^-2")])
+def test_lp_threshold_gates_twice_a_threshold_of_2_or_more(name, p_stable, growth):
+    # where p = 2 sits at or below the threshold, the gate takes twice the
+    # threshold, and the p = 2 masses are reported ungated with their growth
+    rep = run_lp_threshold(get_variety(name), plan(2_000, "lpth2"),
+                           r_min_list=(4e-2, 2e-2, 1e-2))
+    assert rep.parameters["p_stable"] == p_stable == 2 * rep.parameters["threshold"]
+    assert type(rep.parameters["gamma"]) is float
+    assert [r["p"] for r in rep.rows] == [p_stable] * 3 + [2.0] * 3 + [1.2] * 3
+    assert [(r.get("gated"), r.get("predicted_growth")) for r in rep.rows[3:6]] == \
+        [(False, growth)] * 3
+    assert set(rep.checks) == {"stable_above_threshold"}
+
+
 def test_flat_bm_residuals_small():
     rows = flat_bm_residuals(plan(60_000, "fbm"), z_norms=(0.1, 0.3))
     for r in rows:
